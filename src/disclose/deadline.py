@@ -14,10 +14,16 @@ is non-increasing in T after scaling by ``exp(rT)``, so a sign bisection
 finds the optimum; the optimizer below scans and bisects every sign change
 and keeps the payoff argmax, which also behaves sensibly outside the affine
 case (with a warning).
+
+Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
+to find them, then O(atoms <= T)) and computes no payoff; payoffs are
+computed once per candidate deadline, each O(atoms) on the two-cell
+deadline mechanism.
 """
 
 from __future__ import annotations
 
+import bisect as _bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -80,6 +86,36 @@ def _alpha(pair: TechnologyPair) -> float:
     return (v0 - vs) / (u0 - ustar)
 
 
+def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
+              alpha: float) -> Tuple[float, float]:
+    """``(bracket_plus, bracket_minus)`` at T, without the payoff.
+
+    Only atoms with ``t_k <= T`` enter either sum, so the loop stops at
+    ``bisect_right(times, T)``; ``alpha`` is :func:`_alpha` of the pair.
+    """
+    if not T >= 0:
+        raise ModelAssumptionError(f"deadline must be non-negative, got {T}")
+    u0, ustar, r = float(pair.u0), float(pair.u_star), pair.r
+    f1_derivs = pair.f1.derivs
+    times, probs = dist.times, dist.probs
+
+    sum_plus = 0.0
+    sum_minus = 0.0
+    for k in range(_bisect.bisect_right(times, T)):
+        t_k = times[k]
+        if t_k < T:
+            d = math.exp(-r * (T - t_k))
+            _, d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
+            sum_plus += probs[k] * d_plus
+            sum_minus += probs[k] * d_minus
+        else:  # the atom at T is rewarded u_star and enters the right sum only
+            _, d_plus, _ = f1_derivs(ustar)
+            sum_plus += probs[k] * d_plus
+
+    return ((1.0 - dist.cdf(T)) * alpha + sum_plus,
+            (1.0 - dist.cdf_left(T)) * alpha + sum_minus)
+
+
 def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiDerivs:
     """Deadline payoff and its one-sided T-derivatives.
 
@@ -87,25 +123,8 @@ def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiD
     Left derivative:   ``[1 - G(T-)] alpha + sum_{t_k < T} p_k f1'(X_{t_k}-)``
     each multiplied by ``exp(-rT) (u0 - u_star)``.
     """
-    if T < 0:
-        raise ModelAssumptionError(f"deadline must be non-negative, got {T}")
-    u0, ustar = float(pair.u0), float(pair.u_star)
-    k_scale = u0 - ustar
-    alpha = _alpha(pair)
-
-    sum_plus = 0.0
-    sum_minus = 0.0
-    for t_k, p_k in zip(dist.times, dist.probs):
-        x = reward_at(pair, T, t_k)
-        _, d_plus, d_minus = pair.f1.derivs(x)
-        if t_k <= T:
-            sum_plus += p_k * d_plus
-        if t_k < T:
-            sum_minus += p_k * d_minus
-
-    bracket_plus = (1.0 - dist.cdf(T)) * alpha + sum_plus
-    bracket_minus = (1.0 - dist.cdf_left(T)) * alpha + sum_minus
-    scale = math.exp(-pair.r * T) * k_scale
+    bracket_plus, bracket_minus = _brackets(pair, dist, T, _alpha(pair))
+    scale = math.exp(-pair.r * T) * (float(pair.u0) - float(pair.u_star))
     return PiDerivs(pi=deadline_payoff(pair, dist, T),
                     pi_plus=scale * bracket_plus,
                     pi_minus=scale * bracket_minus,
@@ -170,6 +189,10 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     returned.  In the affine case the bracket crosses once and this is the
     textbook bisection; otherwise the scan still isolates every stationary
     point and a warning is attached.
+
+    The scan and bisection evaluate brackets only; a payoff is computed for
+    each candidate, for the never-stop profile and once in the final
+    :func:`foc_check`.
     """
     warnings = []
     if not _affine_on_band(pair):
@@ -177,9 +200,10 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                         "using stationary-point scan with payoff argmax")
 
     t_lo = t_underline(pair)
+    alpha = _alpha(pair)
 
     def bracket_plus(T: float) -> float:
-        return pi_and_derivs(pair, dist, T).bracket_plus
+        return _brackets(pair, dist, T, alpha)[0]
 
     t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0))
     for _ in range(80):
@@ -209,9 +233,6 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
             # kink stays far from zero on the left, and only the right
             # endpoint sees both one-sided slopes of the kink
             candidates.append(lo if bracket_plus(lo) <= tol else hi)
-    if bs[0] < 0.0:
-        # bracket already negative at the threshold: the argmax is t_lo
-        pass
 
     best_t, best_pi = None, -math.inf
     for t in candidates:

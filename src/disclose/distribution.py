@@ -9,6 +9,7 @@ is handled explicitly by the discrete-time oracle instead.
 
 from __future__ import annotations
 
+import bisect as _bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -19,9 +20,39 @@ SNAP = 1e-12
 MASS_TOL = 1e-12
 
 
+def _prefix_fsums(xs: Sequence[float]) -> Tuple[float, ...]:
+    """``out[j] == math.fsum(xs[:j])`` for every j, in one pass.
+
+    Keeps Shewchuk's running partials (non-overlapping floats whose exact
+    sum is the exact prefix sum) and rounds them once per prefix with
+    ``fsum``; the partials list stays a few entries long, so the whole table
+    costs O(len(xs)).
+    """
+    partials = []
+    out = [0.0]
+    for x in map(float, xs):  # fsum rounds each input to float first
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BreakthroughDist:
-    """Atoms ``(times, probs)`` with times strictly increasing and probs > 0."""
+    """Atoms ``(times, probs)`` with times strictly increasing and probs > 0.
+
+    ``cdf``/``cdf_left`` are O(log m): they bisect the times and read a table
+    of correctly rounded prefix masses built once at construction.
+    """
 
     times: Tuple[float, ...]
     probs: Tuple[float, ...]
@@ -37,17 +68,21 @@ class BreakthroughDist:
         for p in self.probs:
             if not p > 0:
                 raise ConfigError(f"atom masses must be positive, got {p}")
-        total = math.fsum(self.probs)
+        cum = _prefix_fsums(self.probs)
+        total = cum[-1]
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"atom masses must sum to 1 within {MASS_TOL}, got {total!r}")
+        object.__setattr__(self, "_cum", cum)
 
     def cdf(self, t: float) -> float:
         """G(t) = P(tau <= t)."""
-        return math.fsum(p for tk, p in zip(self.times, self.probs) if tk <= t)
+        if not t >= self.times[0]:  # before the first atom, or NaN
+            return 0.0
+        return self._cum[_bisect.bisect_right(self.times, t)]
 
     def cdf_left(self, t: float) -> float:
         """G(t-) = P(tau < t)."""
-        return math.fsum(p for tk, p in zip(self.times, self.probs) if tk < t)
+        return self._cum[_bisect.bisect_left(self.times, t)]
 
     @property
     def support_hi(self) -> float:

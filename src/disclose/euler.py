@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from .distribution import BreakthroughDist, discretize, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import TechnologyPair, is_neg_inf
-from .mechanism import Mechanism, continuation_value, payoff
+from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
 from .numerics import bisect_down
 
 PSI_TOL = 1e-10
@@ -278,11 +278,14 @@ def solve_general(pair: TechnologyPair, kind: str, m: int,
     sol_f = solve(pair, fine)
     sol_c = solve(pair, coarse)
     t_hi = max(fine.support_hi, coarse.support_hi)
+    m_f, m_c = sol_f.mechanism, sol_c.mechanism
+    prof_f = continuation_profile(m_f, pair.r)
+    prof_c = continuation_profile(m_c, pair.r)
     gap = 0.0
     for i in range(n_probe):
         t = t_hi * i / (n_probe - 1)
-        a = continuation_value(sol_f.mechanism, pair.r, t)
-        b = continuation_value(sol_c.mechanism, pair.r, t)
+        a = continuation_at(m_f, prof_f, pair.r, t)
+        b = continuation_at(m_c, prof_c, pair.r, t)
         gap = max(gap, abs(a - b))
     return GeneralSolution(solution=sol_f, m=m, m_coarse=max(m // 2, 2), gap=gap)
 
@@ -313,10 +316,13 @@ def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
     t_hi = max(dist.support_hi, dist_dag.support_hi) * 1.25
     probes = sorted(set(dist.times) | set(dist_dag.times)
                     | {t_hi * i / (n_probe - 1) for i in range(n_probe)})
+    m, m_dag = sol.mechanism, sol_dag.mechanism
+    prof = continuation_profile(m, pair.r)
+    prof_dag = continuation_profile(m_dag, pair.r)
     worst, witness = -math.inf, None
     for t in probes:
-        a = continuation_value(sol.mechanism, pair.r, t)
-        b = continuation_value(sol_dag.mechanism, pair.r, t)
+        a = continuation_at(m, prof, pair.r, t)
+        b = continuation_at(m_dag, prof_dag, pair.r, t)
         if b - a > worst:
             worst, witness = b - a, t
     ok = worst <= tol

@@ -139,24 +139,22 @@ class PiecewiseFrontier:
         on it, so both one-sided slopes of a kink are reported even when the
         query carries roundoff from an upstream solve.
         """
-        j = _bisect.bisect_left(self._us, u)
-        for idx in (j - 1, j):
-            if 0 <= idx < len(self._us) and abs(u - self._us[idx]) <= KINK_SNAP:
-                u = self._us[idx]
-                break
-        if u < self.u_lo or u > self.u_hi:
+        us, slopes = self._us, self._slopes
+        j = _bisect.bisect_left(us, u)
+        # on (or within KINK_SNAP of) a breakpoint; the lower one wins a tie
+        for k in (j - 1, j):
+            if 0 <= k < len(us) and abs(u - us[k]) <= KINK_SNAP:
+                if k == 0:
+                    return (self.points[0][1], slopes[0], INF)
+                if k == len(us) - 1:
+                    return (self.points[-1][1], -INF, slopes[-1])
+                return (self.points[k][1], slopes[k], slopes[k - 1])
+        if u < us[0] or u > us[-1]:
             return (NEG_INF, None, None)
-        i = self._segment(u)
-        u_i, v_i = self.points[i]
-        if u == self.u_lo:
-            return (self.points[0][1], self._slopes[0], INF)
-        if u == self.u_hi:
-            return (self.points[-1][1], -INF, self._slopes[-1])
-        # interior breakpoint?
-        j = _bisect.bisect_left(self._us, u)
-        if j < len(self._us) and self._us[j] == u:
-            return (self.points[j][1], self._slopes[j], self._slopes[j - 1])
-        return (v_i + self._slopes[i] * (u - u_i), self._slopes[i], self._slopes[i])
+        # strictly inside segment j - 1 (NaN lands on the last segment)
+        u_i, v_i = self.points[j - 1]
+        s = slopes[j - 1]
+        return (v_i + s * (u - u_i), s, s)
 
     @cached_property
     def peak(self):

@@ -80,14 +80,24 @@ def continuation_profile(m: Mechanism, r: float) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def continuation_value(m: Mechanism, r: float, t: float) -> float:
-    """Continuation value of the flow path at an arbitrary time ``t``."""
-    prof = continuation_profile(m, r)
-    i = m.cell_index(t)
+def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
+                    i: Optional[int] = None) -> float:
+    """Continuation value at time ``t`` from a precomputed
+    :func:`continuation_profile` ``prof``; ``i`` is the cell of ``t`` when the
+    caller already has it.  Every continuation value in the package is
+    evaluated here, so a caller that reads many times builds the profile once
+    and pays O(log cells) per time."""
+    if i is None:
+        i = m.cell_index(t)
     if i == len(m.grid) - 1:
         return m.levels[-1]
     d = math.exp(-r * (m.grid[i + 1] - t))
     return (1.0 - d) * m.levels[i] + d * prof[i + 1]
+
+
+def continuation_value(m: Mechanism, r: float, t: float) -> float:
+    """Continuation value of the flow path at an arbitrary time ``t``."""
+    return continuation_at(m, continuation_profile(m, r), r, t)
 
 
 def reward_value(m: Mechanism, r: float, t: float) -> float:
@@ -176,7 +186,8 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
 
     Pre-disclosure flow value is integrated cell by cell in closed form
     (each cell contributes ``f0(level) * (exp(-r a) - exp(-r b))``), and each
-    atom adds ``exp(-r t) * f1(reward_t)``.
+    atom adds ``exp(-r t) * f1(reward_t)``.  The continuation profile is
+    built once, so the cost is O(cells + atoms * log cells).
     """
     r = pair.r
     n = len(m.grid)
@@ -196,6 +207,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
         prefix[i] = prefix[i - 1] + contrib
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
 
+    prof = continuation_profile(m, r) if m.derived_reward else None
     rows = []
     bad_times = []
     for t, p in zip(dist.times, dist.probs):
@@ -204,14 +216,12 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
         pre = None
         if not bad:
             pre = prefix[i] + (flow_vals[i] or 0.0) * (math.exp(-r * m.grid[i]) - math.exp(-r * t))
-        rew = reward_value(m, r, t)
+        rew = m.reward[i] if prof is None else continuation_at(m, prof, r, t, i)
         v1 = pair.f1.value(rew)
         post = None if is_neg_inf(v1) else math.exp(-r * t) * float(v1)
         if post is None or bad:
             bad_times.append(t)
-            rows.append(AtomPayoff(t=t, p=p, pre=pre, post=post))
-        else:
-            rows.append(AtomPayoff(t=t, p=p, pre=pre, post=post))
+        rows.append(AtomPayoff(t=t, p=p, pre=pre, post=post))
 
     clean = [(row.p, row.pre, row.post) for row in rows
              if row.pre is not None and row.post is not None]
@@ -275,7 +285,10 @@ def mechanism_rows(m: Mechanism, r: float,
     """Rows ``(t, flow, continuation, reward)`` at the grid points plus any
     requested sample times — the CSV export payload."""
     times = sorted(set(m.grid) | {float(t) for t in extra_times})
+    prof = continuation_profile(m, r)
     out = []
     for t in times:
-        out.append((t, m.flow_at(t), continuation_value(m, r, t), reward_value(m, r, t)))
+        i = m.cell_index(t)
+        cont = continuation_at(m, prof, r, t, i)
+        out.append((t, m.levels[i], cont, cont if m.derived_reward else m.reward[i]))
     return tuple(out)
