@@ -103,7 +103,7 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
     sum_minus = 0.0
     for k in range(_bisect.bisect_right(times, T)):
         t_k = times[k]
-        if t_k < T:
+        if t_k < T:  # reward_at(pair, T, t_k) inlined: the call costs ~12 % of a solve
             d = math.exp(-r * (T - t_k))
             _, d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
             sum_plus += probs[k] * d_plus

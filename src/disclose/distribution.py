@@ -20,29 +20,22 @@ SNAP = 1e-12
 MASS_TOL = 1e-12
 
 
-def _prefix_fsums(xs: Sequence[float]) -> Tuple[float, ...]:
-    """``out[j] == math.fsum(xs[:j])`` for every j, in one pass.
+def _prefix_masses(probs: Sequence[float]) -> Tuple[float, ...]:
+    """``out[j] == math.fsum(probs[:j])`` for every j, in O(len(probs)).
 
-    Keeps Shewchuk's running partials (non-overlapping floats whose exact
-    sum is the exact prefix sum) and rounds them once per prefix with
-    ``fsum``; the partials list stays a few entries long, so the whole table
-    costs O(len(xs)).
+    Each finite float is an integer over a power of two, so the prefix sums
+    are exact integers over the largest denominator, and int / int true
+    division rounds each one correctly, as ``fsum`` does.  Like ``fsum``,
+    it rounds every input to float first.
     """
-    partials = []
+    probs = [float(p) for p in probs]
+    den = max(p.as_integer_ratio()[1] for p in probs)
+    acc = 0
     out = [0.0]
-    for x in map(float, xs):  # fsum rounds each input to float first
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        out.append(math.fsum(partials))
+    for p in probs:
+        num, d = p.as_integer_ratio()
+        acc += num * (den // d)
+        out.append(acc / den)
     return tuple(out)
 
 
@@ -68,11 +61,10 @@ class BreakthroughDist:
         for p in self.probs:
             if not p > 0:
                 raise ConfigError(f"atom masses must be positive, got {p}")
-        cum = _prefix_fsums(self.probs)
-        total = cum[-1]
+        total = math.fsum(self.probs)
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"atom masses must sum to 1 within {MASS_TOL}, got {total!r}")
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_cum", _prefix_masses(self.probs))
 
     def cdf(self, t: float) -> float:
         """G(t) = P(tau <= t)."""

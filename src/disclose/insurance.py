@@ -31,7 +31,7 @@ from .distribution import BreakthroughDist
 from .errors import ConfigError
 from .euler import solve as solve_path
 from .frontier import ParametricFrontier, TechnologyPair, affine_gap
-from .mechanism import Mechanism, continuation_at, continuation_profile
+from .mechanism import Mechanism, continuation_profile, reward_from_profile
 from .numerics import bisect_down
 
 
@@ -156,12 +156,12 @@ def schedule(p: UiPrimitives, pair: TechnologyPair, m: Mechanism,
     delivering the promise exactly (should be numerically zero)."""
     if times is None:
         times = m.grid
-    prof = continuation_profile(m, pair.r) if m.derived_reward else None
+    prof = continuation_profile(m, pair.r)
     rows = []
     for t in sorted(set(float(t) for t in times)):
         i = m.cell_index(t)
         x = m.levels[i]
-        promise = m.reward[i] if prof is None else continuation_at(m, prof, pair.r, t, i)
+        promise = reward_from_profile(m, prof, pair.r, t, i)
         benefit = x ** (1.0 / p.a)
         labor = labor_choice(p, promise)
         cons = (promise + labor ** p.b) ** (1.0 / p.a)

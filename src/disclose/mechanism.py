@@ -100,12 +100,18 @@ def continuation_value(m: Mechanism, r: float, t: float) -> float:
     return continuation_at(m, continuation_profile(m, r), r, t)
 
 
-def reward_value(m: Mechanism, r: float, t: float) -> float:
-    """Disclosure reward at ``t``: continuation value if DERIVED, else the
-    explicit per-cell constant."""
+def reward_from_profile(m: Mechanism, prof: Sequence[float], r: float, t: float,
+                        i: int) -> float:
+    """Disclosure reward at time ``t`` in cell ``i``: the continuation value
+    read from ``prof`` if DERIVED, else the explicit per-cell constant."""
     if m.derived_reward:
-        return continuation_value(m, r, t)
-    return m.reward[m.cell_index(t)]
+        return continuation_at(m, prof, r, t, i)
+    return m.reward[i]
+
+
+def reward_value(m: Mechanism, r: float, t: float) -> float:
+    """Disclosure reward at an arbitrary time ``t``."""
+    return reward_from_profile(m, continuation_profile(m, r), r, t, m.cell_index(t))
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
         prefix[i] = prefix[i - 1] + contrib
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
 
-    prof = continuation_profile(m, r) if m.derived_reward else None
+    prof = continuation_profile(m, r)
     rows = []
     bad_times = []
     for t, p in zip(dist.times, dist.probs):
@@ -216,8 +222,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
         pre = None
         if not bad:
             pre = prefix[i] + (flow_vals[i] or 0.0) * (math.exp(-r * m.grid[i]) - math.exp(-r * t))
-        rew = m.reward[i] if prof is None else continuation_at(m, prof, r, t, i)
-        v1 = pair.f1.value(rew)
+        v1 = pair.f1.value(reward_from_profile(m, prof, r, t, i))
         post = None if is_neg_inf(v1) else math.exp(-r * t) * float(v1)
         if post is None or bad:
             bad_times.append(t)
@@ -289,6 +294,6 @@ def mechanism_rows(m: Mechanism, r: float,
     out = []
     for t in times:
         i = m.cell_index(t)
-        cont = continuation_at(m, prof, r, t, i)
-        out.append((t, m.levels[i], cont, cont if m.derived_reward else m.reward[i]))
+        out.append((t, m.levels[i], continuation_at(m, prof, r, t, i),
+                    reward_from_profile(m, prof, r, t, i)))
     return tuple(out)

@@ -39,6 +39,16 @@ def test_mass_must_sum_to_one():
         from_atoms([(1.0, 0.7), (2.0, 0.7)])
 
 
+@pytest.mark.parametrize("probs", [(0.5, math.inf), (math.inf, 0.5),
+                                   (math.inf,), (0.5, math.nan)])
+def test_non_finite_mass_rejected(probs):
+    times = tuple(float(k) for k in range(1, len(probs) + 1))
+    with pytest.raises(ConfigError):
+        BreakthroughDist(times=times, probs=probs)
+    with pytest.raises(ConfigError):
+        from_atoms(list(zip(times, probs)))
+
+
 def test_times_strictly_increasing_and_nonnegative():
     with pytest.raises(ConfigError):
         BreakthroughDist(times=(1.0, 1.0), probs=(0.5, 0.5))

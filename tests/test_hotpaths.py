@@ -90,6 +90,22 @@ def test_cdf_matches_filtered_fsum(m):
             assert dist.cdf_left(t) == math.fsum(dist.probs[:k])
 
 
+def test_cdf_prefix_masses_exact_over_wide_exponent_range():
+    # masses from subnormal to near one: a prefix sum that is not exact (or
+    # not rounded once) shows up in the low bits
+    rng = random.Random(7)
+    small = [5e-324, 1e-305, 1e-300, 2.0 ** -60, 1e-17, 3e-9]
+    for _ in range(50):
+        rest = small + [rng.uniform(0.01, 0.2) for _ in range(5)]
+        rng.shuffle(rest)
+        probs = tuple(rest) + (1.0 - math.fsum(rest),)
+        dist = BreakthroughDist(times=tuple(float(k) for k in range(len(probs))),
+                                probs=probs)
+        for k, t in enumerate(dist.times):
+            assert exact(dist.cdf(t)) == exact(math.fsum(probs[:k + 1]))
+            assert exact(dist.cdf_left(t)) == exact(math.fsum(probs[:k]))
+
+
 def test_cdf_fraction_queries(dist_k3):
     for t in (Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(-1)):
         assert exact(dist_k3.cdf(t)) == exact(cdf_reference(dist_k3, t))
