@@ -10,13 +10,12 @@ oracles and an unemployment-insurance application.
 """
 
 from .deadline import (FocReport, OptimalDeadline, deadline_payoff, foc_check,
-                       optimize_deadline, pi_and_derivs, reward_at,
-                       t_underline)
+                       optimize_deadline, pi_and_derivs, t_underline)
 from .discrete import (DiscreteMechanism, ImproveStep, ScanEntry, continuation,
                        delay_slacks, ic_discrete, improve_slack, payoff_never,
                        payoff_point, payoff_vector, undominated_scan)
-from .distribution import (BreakthroughDist, OrderReport, cond_expect,
-                           discretize, from_atoms, order_checks)
+from .distribution import (BreakthroughDist, OrderReport, discretize,
+                           from_atoms, order_checks)
 from .errors import (AtomAtZero, BracketFailure, ConfigError, DiscloseError,
                      ModelAssumptionError, NotSimple, NothingToImprove,
                      SolverError)
@@ -26,8 +25,7 @@ from .euler import (ComparativeStatics, EulerSolution, GeneralSolution,
                     solve_general)
 from .frontier import (NEG_INF, Check, ModelReport, ParametricFrontier,
                        PiecewiseFrontier, TechnologyPair, affine_gap,
-                       build_piecewise, eval_derivs, is_neg_inf, peak, u_star,
-                       validate_model)
+                       is_neg_inf, u_star, validate_model)
 from .insurance import (SweepRow, UiConstants, UiPrimitives, UiScheduleRow,
                         build_frontiers, labor_choice, schedule,
                         shift_mechanism, ui_constants, welfare_sweep)
@@ -41,19 +39,19 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # frontiers
-    "PiecewiseFrontier", "ParametricFrontier", "TechnologyPair",
-    "build_piecewise", "eval_derivs", "peak", "u_star", "affine_gap",
-    "validate_model", "ModelReport", "Check", "NEG_INF", "is_neg_inf",
+    "PiecewiseFrontier", "ParametricFrontier", "TechnologyPair", "u_star",
+    "affine_gap", "validate_model", "ModelReport", "Check", "NEG_INF",
+    "is_neg_inf",
     # distributions
-    "BreakthroughDist", "from_atoms", "discretize", "cond_expect",
-    "order_checks", "OrderReport",
+    "BreakthroughDist", "from_atoms", "discretize", "order_checks",
+    "OrderReport",
     # mechanisms
     "Mechanism", "IcReport", "PayoffBreakdown", "FrontLoadResult",
     "continuation_profile", "continuation_value", "reward_value", "ic_check",
     "payoff", "front_load", "deadline_mechanism", "mechanism_rows",
     # deadline solver
-    "OptimalDeadline", "FocReport", "t_underline", "reward_at",
-    "deadline_payoff", "pi_and_derivs", "foc_check", "optimize_deadline",
+    "OptimalDeadline", "FocReport", "t_underline", "deadline_payoff",
+    "pi_and_derivs", "foc_check", "optimize_deadline",
     # reward-path solver
     "EulerSolution", "GeneralSolution", "ComparativeStatics", "solve",
     "solve_general", "psi", "backward_pass", "inv_deriv_f0", "euler_residuals",

@@ -26,7 +26,7 @@ from .errors import (ConfigError, DiscloseError, ModelAssumptionError,
                      NotSimple, NothingToImprove, SolverError)
 from .discrete import (DiscreteMechanism, ic_discrete, improve_slack,
                        payoff_vector, undominated_scan)
-from .frontier import (TechnologyPair, affine_gap, build_piecewise,
+from .frontier import (PiecewiseFrontier, TechnologyPair, affine_gap,
                        is_neg_inf, validate_model)
 from .mechanism import (Mechanism, front_load, ic_check, mechanism_rows,
                         payoff)
@@ -51,19 +51,46 @@ def _load_config(path: str) -> dict:
 
 
 def _require(cfg: dict, key: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected a JSON object holding '{key}', got {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"config is missing required key '{key}'")
     return cfg[key]
 
 
+def _num(value, what: str, *, integer: bool = False):
+    """A JSON number field as a float, or as an int when ``integer``.
+    Anything else, or a fraction where a whole number is needed, is a
+    ConfigError naming the field."""
+    is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_num or integer and isinstance(value, float) and not value.is_integer():
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"'{what}' must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _pairs(value, what: str) -> list:
+    """``value`` unchanged (integer breakpoints stay integers) if it is a
+    list of ``[x, y]`` number pairs; anything else is a ConfigError."""
+    if not isinstance(value, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in value):
+        raise ConfigError(f"'{what}' must be a list of [x, y] pairs, got {value!r}")
+    for x, y in value:
+        _num(x, what)
+        _num(y, what)
+    return value
+
+
+def _piecewise(tech: dict, key: str) -> PiecewiseFrontier:
+    return PiecewiseFrontier(_pairs(_require(tech, key), key))
+
+
 def _pair_from(cfg: dict) -> TechnologyPair:
     tech = _require(cfg, "technology")
-    r = float(cfg.get("r", 1.0))
+    r = _num(cfg.get("r", 1.0), "r")
     kind = _require(tech, "kind")
     if kind == "piecewise":
-        f0 = build_piecewise(_require(tech, "f0"))
-        f1 = build_piecewise(_require(tech, "f1"))
-        return TechnologyPair.build(f0, f1, r)
+        return TechnologyPair.build(_piecewise(tech, "f0"), _piecewise(tech, "f1"), r)
     if kind == "insurance":
         prims = _ui_from(tech)
         return insurance.build_frontiers(prims, r)
@@ -72,18 +99,16 @@ def _pair_from(cfg: dict) -> TechnologyPair:
 
 def _ui_from(tech: dict) -> insurance.UiPrimitives:
     return insurance.UiPrimitives(
-        a=float(_require(tech, "a")), b=float(_require(tech, "b")),
-        w=float(_require(tech, "w")), shadow=float(_require(tech, "shadow")))
+        **{k: _num(_require(tech, k), k) for k in ("a", "b", "w", "shadow")})
 
 
 def _dist_from(entry: dict) -> BreakthroughDist:
     kind = _require(entry, "kind")
     if kind == "atoms":
-        atoms = _require(entry, "atoms")
-        return from_atoms([(t, p) for t, p in atoms])
+        return from_atoms(_pairs(_require(entry, "atoms"), "atoms"))
     if kind in ("exponential", "weibull", "point"):
-        params = {k: float(v) for k, v in entry.items() if k not in ("kind", "m")}
-        return discretize(kind, int(entry.get("m", 64)), **params)
+        params = {k: _num(v, k) for k, v in entry.items() if k not in ("kind", "m")}
+        return discretize(kind, _num(entry.get("m", 64), "m", integer=True), **params)
     raise ConfigError(f"unknown distribution kind '{kind}'")
 
 
@@ -195,7 +220,7 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict) -> int:
 def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict) -> int:
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
-    shift = float(cfg.get("shift", 0.0))
+    shift = _num(cfg.get("shift", 0.0), "shift")
     solve_pair = pair.shifted(shift) if shift else pair
     sol = euler.solve(solve_pair, dist, tol_psi=tols["root"])
     res = euler.euler_residuals(solve_pair, dist, sol.levels, sol.conts)
@@ -311,7 +336,7 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict) -> int:
     if tech.get("kind") != "insurance":
         raise ConfigError("ui-schedule needs an insurance technology")
     prims = _ui_from(tech)
-    r = float(cfg.get("r", 1.0))
+    r = _num(cfg.get("r", 1.0), "r")
     pair = insurance.build_frontiers(prims, r)
     dist = _dist_from(_require(cfg, "distribution"))
     solver = cfg.get("solver", "deadline")
@@ -322,7 +347,7 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict) -> int:
         mech, extra = best.mechanism, dist.times
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
-        shift = float(cfg.get("shift_frac", 0.05)) * consts.u0
+        shift = _num(cfg.get("shift_frac", 0.05), "shift_frac") * consts.u0
         sol = euler.solve(pair.shifted(shift), dist, tol_psi=tols["root"])
         mech, extra = insurance.shift_mechanism(sol.mechanism, -shift), ()
         head = {"terminal_level": sol.lam - shift, "payoff": sol.payoff,
@@ -353,11 +378,11 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict) -> int:
     if tech.get("kind") != "insurance":
         raise ConfigError("ui-sweep needs an insurance technology")
     prims = _ui_from(tech)
-    r = float(cfg.get("r", 1.0))
+    r = _num(cfg.get("r", 1.0), "r")
     dist = _dist_from(_require(cfg, "distribution"))
-    shadows = [float(s) for s in _require(cfg, "shadows")]
-    rows = insurance.welfare_sweep(prims, shadows, dist, r,
-                                   shift_frac=float(cfg.get("shift_frac", 0.05)))
+    shadows = [_num(s, "shadows") for s in _require(cfg, "shadows")]
+    shift_frac = _num(cfg.get("shift_frac", 0.05), "shift_frac")
+    rows = insurance.welfare_sweep(prims, shadows, dist, r, shift_frac=shift_frac)
     _write_csv(out_dir, "sweep.csv",
                ("shadow", "u0", "t_deadline", "pi_deadline", "pi_path",
                 "gain", "ratio", "gap_bound", "eps_linear"),
@@ -377,9 +402,8 @@ def _cmd_oracle(cfg: dict, out_dir: str, tols: dict) -> int:
     tech = _require(cfg, "technology")
     if tech.get("kind") != "piecewise":
         raise ConfigError("oracle needs a piecewise technology")
-    f0 = build_piecewise(_require(tech, "f0"))
-    f1 = build_piecewise(_require(tech, "f1"))
-    beta = float(_require(cfg, "beta"))
+    f0, f1 = _piecewise(tech, "f0"), _piecewise(tech, "f1")
+    beta = _num(_require(cfg, "beta"), "beta")
     obj = {"command": "oracle", "tolerances": tols, "beta": beta}
 
     if "mechanism" in cfg:
@@ -402,7 +426,7 @@ def _cmd_oracle(cfg: dict, out_dir: str, tols: dict) -> int:
         _write_report(out_dir, obj)
         return 0
 
-    horizon = int(_require(cfg, "horizon"))
+    horizon = _num(_require(cfg, "horizon"), "horizon", integer=True)
     x_grid = list(_require(cfg, "x_grid"))
     reward_grid = list(_require(cfg, "reward_grid"))
     entries = undominated_scan(f0, f1, beta, horizon, x_grid, reward_grid)

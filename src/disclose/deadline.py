@@ -30,20 +30,14 @@ from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist
 from .errors import ModelAssumptionError, SolverError
-from .frontier import TechnologyPair
+from .frontier import TechnologyPair, affine_gap
 from .mechanism import Mechanism, deadline_mechanism, payoff
-from .numerics import bisect_down
+from .numerics import bisect_bracket
 
 FOC_TOL = 1e-9
-
-
-def reward_at(pair: TechnologyPair, T: float, t: float) -> float:
-    """Derived disclosure reward of the deadline-T mechanism at time t."""
-    u0, ustar = float(pair.u0), float(pair.u_star)
-    if t >= T:
-        return ustar
-    d = math.exp(-pair.r * (T - t))
-    return (1.0 - d) * u0 + d * ustar
+# largest deviation of f0 from its chord on [u_star, u0] that still counts
+# as affine
+AFFINE_TOL = 1e-9
 
 
 def t_underline(pair: TechnologyPair) -> float:
@@ -103,7 +97,7 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
     sum_minus = 0.0
     for k in range(_bisect.bisect_right(times, T)):
         t_k = times[k]
-        if t_k < T:  # reward_at(pair, T, t_k) inlined: the call costs ~12 % of a solve
+        if t_k < T:  # the reward X_{t_k}(T) inlined: a call per atom costs ~12 % of a solve
             d = math.exp(-r * (T - t_k))
             _, d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
             sum_plus += probs[k] * d_plus
@@ -165,19 +159,6 @@ class OptimalDeadline:
     warnings: Tuple[str, ...] = field(default=())
 
 
-def _affine_on_band(pair: TechnologyPair, *, n: int = 257, tol: float = 1e-9) -> bool:
-    """Is ``f0`` within tol of its chord on ``[u_star, u0]``?"""
-    u0, ustar = float(pair.u0), float(pair.u_star)
-    v_lo = float(pair.f0.value(ustar))
-    alpha = _alpha(pair)
-    for i in range(n + 1):
-        u = ustar + (u0 - ustar) * i / n
-        chord = v_lo + alpha * (u - ustar)
-        if abs(float(pair.f0.value(u)) - chord) > tol:
-            return False
-    return True
-
-
 def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                       *, tol: float = FOC_TOL,
                       n_scan: int = 256) -> OptimalDeadline:
@@ -194,13 +175,13 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     each candidate, for the never-stop profile and once in the final
     :func:`foc_check`.
     """
+    t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
+    alpha = _alpha(pair)
     warnings = []
-    if not _affine_on_band(pair):
+    u0, ustar = float(pair.u0), float(pair.u_star)
+    if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL:
         warnings.append("f0 is not affine between u_star and its peak; "
                         "using stationary-point scan with payoff argmax")
-
-    t_lo = t_underline(pair)
-    alpha = _alpha(pair)
 
     def bracket_plus(T: float) -> float:
         return _brackets(pair, dist, T, alpha)[0]
@@ -218,15 +199,8 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     candidates = [t_lo]
     for (ta, ba), (tb, bb) in zip(zip(ts, bs), zip(ts[1:], bs[1:])):
         if ba >= 0.0 > bb:
-            lo, hi = ta, tb
-            for _ in range(200):
-                if hi - lo <= 1e-13:
-                    break
-                mid = 0.5 * (lo + hi)
-                if bracket_plus(mid) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,
+                                    tol_x=1e-13)
             # pick the endpoint where the first-order sandwich holds: at a
             # smooth crossing the left endpoint's bracket is a hair above
             # zero (within tol), so keep it; a bracket that jumps across a

@@ -1,10 +1,11 @@
 """Finite breakthrough-time distributions.
 
 Everything downstream works with finitely many atoms; continuous families
-enter through equal-mass quantile discretization.  Times are snapped to
-1e-12 when merging, masses must be positive, and the total mass must be 1
-within 1e-12 — a defective ("never") scenario is not representable here and
-is handled explicitly by the discrete-time oracle instead.
+enter through equal-mass quantile discretization.  Times must be finite and
+are snapped to 1e-12 when merging, masses must be positive, and the total
+mass must be 1 within 1e-12 — a defective ("never") scenario is not
+representable here and is handled explicitly by the discrete-time oracle
+instead.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -53,6 +54,9 @@ class BreakthroughDist:
     def __post_init__(self):
         if len(self.times) != len(self.probs) or not self.times:
             raise ConfigError("distribution needs matching, non-empty times/probs")
+        for t in self.times:
+            if not math.isfinite(t):
+                raise ConfigError(f"atom times must be finite, got {t}")
         for t0, t1 in zip(self.times, self.times[1:]):
             if not t1 > t0:
                 raise ConfigError("atom times must be strictly increasing")
@@ -80,13 +84,6 @@ class BreakthroughDist:
     def support_hi(self) -> float:
         return self.times[-1]
 
-    def expect(self, phi: Callable[[float], float]) -> float:
-        return math.fsum(p * phi(t) for t, p in zip(self.times, self.probs))
-
-    def discount_weight(self, r: float) -> float:
-        """E exp(-r tau)."""
-        return self.expect(lambda t: math.exp(-r * t))
-
 
 def from_atoms(pairs: Sequence[Sequence[float]]) -> BreakthroughDist:
     """Build a distribution from ``(time, mass)`` pairs.
@@ -112,6 +109,10 @@ def from_atoms(pairs: Sequence[Sequence[float]]) -> BreakthroughDist:
                             probs=tuple(p for _, p in kept))
 
 
+# the parameters each named family takes, all required
+_FAMILIES = {"point": ("t",), "exponential": ("rate",), "weibull": ("shape", "scale")}
+
+
 def discretize(kind: str, m: int, **params) -> BreakthroughDist:
     """Equal-mass quantile discretization of a named family.
 
@@ -121,45 +122,28 @@ def discretize(kind: str, m: int, **params) -> BreakthroughDist:
     """
     if not isinstance(m, int) or m < 1:
         raise ConfigError(f"discretization size must be a positive integer, got {m}")
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown distribution kind {kind!r}")
+    if sorted(params) != sorted(_FAMILIES[kind]):
+        raise ConfigError(f"{kind} distribution takes parameters "
+                          f"{sorted(_FAMILIES[kind])}, got {sorted(params)}")
     if kind == "point":
-        t = params.pop("t")
-        if params:
-            raise ConfigError(f"unexpected parameters for point distribution: {sorted(params)}")
+        t = params["t"]
         if t < 0:
             raise ConfigError("point atom must be at a non-negative time")
         return from_atoms([(float(t), 1.0)])
     if kind == "exponential":
-        rate = params.pop("rate")
-        if params:
-            raise ConfigError(f"unexpected parameters for exponential: {sorted(params)}")
+        rate = params["rate"]
         if not rate > 0:
             raise ConfigError("exponential rate must be positive")
         inv = lambda q: -math.log1p(-q) / rate
-    elif kind == "weibull":
-        shape = params.pop("shape")
-        scale = params.pop("scale")
-        if params:
-            raise ConfigError(f"unexpected parameters for weibull: {sorted(params)}")
+    else:
+        shape, scale = params["shape"], params["scale"]
         if not (shape > 0 and scale > 0):
             raise ConfigError("weibull shape and scale must be positive")
         inv = lambda q: scale * (-math.log1p(-q)) ** (1.0 / shape)
-    else:
-        raise ConfigError(f"unknown distribution kind {kind!r}")
     atoms = [(inv((i - 0.5) / m), 1.0 / m) for i in range(1, m + 1)]
     return from_atoms(atoms)
-
-
-def cond_expect(dist: BreakthroughDist, t: float, phi: Callable[[float], float]) -> float:
-    """E(phi(tau) | tau > t), with a *strict* conditioning event."""
-    num = 0.0
-    mass = 0.0
-    for tk, p in zip(dist.times, dist.probs):
-        if tk > t:
-            num += p * phi(tk)
-            mass += p
-    if mass <= 0.0:
-        raise ConfigError(f"conditioning event tau > {t} has zero probability")
-    return num / mass
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ import bisect as _bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import ModelAssumptionError
-from .numerics import bisect_up
+from .numerics import bisect_down, bisect_up
 
 INF = float("inf")
 
@@ -216,7 +216,6 @@ class ParametricFrontier:
             return (self.u_lo, self.fn(self.u_lo))
         if d_hi >= 0.0:
             return (self.u_hi, self.fn(self.u_hi))
-        from .numerics import bisect_down
         u = bisect_down(self._slope, self.u_lo, self.u_hi,
                         f_lo=d_lo, f_hi=d_hi, tol_x=1e-13)
         return (u, self.fn(u))
@@ -231,31 +230,6 @@ class ParametricFrontier:
             dfn=None if dfn is None else (lambda u, _d=dfn, _k=k: _d(u - _k)),
             fd_step=self.fd_step,
         )
-
-
-# either concrete representation; useful for isinstance checks and typing
-Frontier = (PiecewiseFrontier, ParametricFrontier)
-FrontierT = object
-
-
-def build_piecewise(points: Sequence[Sequence[float]]) -> PiecewiseFrontier:
-    """Validate breakpoints and build a piecewise-linear frontier."""
-    return PiecewiseFrontier(tuple((u, v) for u, v in points))
-
-
-def eval_derivs(f, u):
-    """``(value, d_plus, d_minus)`` of frontier ``f`` at ``u``."""
-    return f.derivs(u)
-
-
-def peak(f):
-    """``(u, value)`` at the frontier's unique maximum."""
-    return f.peak
-
-
-def _supporting_interval(f, u):
-    _, d_plus, d_minus = f.derivs(u)
-    return d_plus, d_minus
 
 
 def u_star(f0, f1, *, tol: float = 1e-10) -> float:
@@ -287,8 +261,8 @@ def u_star(f0, f1, *, tol: float = 1e-10) -> float:
                 if lo < u < cap:
                     cands.add(u)
         for u in sorted(cands, reverse=True):
-            dp0, dm0 = _supporting_interval(f0, u)
-            dp1, dm1 = _supporting_interval(f1, u)
+            _, dp0, dm0 = f0.derivs(u)
+            _, dp1, dm1 = f1.derivs(u)
             lo_b = max(dp0, dp1, 0)
             hi_b = min(dm0, dm1)
             if lo_b <= hi_b:

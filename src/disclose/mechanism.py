@@ -142,12 +142,10 @@ def ic_check(m: Mechanism, r: float, *, tol: float = 1e-12, refine: int = 8) -> 
     for i in range(n):
         a = m.grid[i]
         b = m.grid[i + 1] if i + 1 < n else a + max(1.0 / r, 1.0)
-        x_next = prof[i + 1] if i + 1 < n else m.levels[-1]
         rew = m.reward[i]
         for j in range(refine + 1):
             t = a + (b - a) * j / refine
-            d = math.exp(-r * (b - t))
-            cont = (1.0 - d) * m.levels[i] + d * x_next
+            cont = continuation_at(m, prof, r, t, i)
             samples.append((t, math.exp(-r * t) * (rew - cont)))
 
     prev_h = None

@@ -1,4 +1,4 @@
-"""Small scalar routines: sign-change bisection and golden-section search.
+"""Sign-change bisection, the package's one bracketed root finder.
 
 Bisection is used everywhere a root is needed (never Newton: several of the
 functions we solve have kinks or one-sided derivatives, and bisection keeps
@@ -7,13 +7,38 @@ every result deterministic and bracketed).
 
 from __future__ import annotations
 
-import math
-
 from .errors import SolverError
 
-# 1/phi and 1/phi^2 for golden-section
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
+                   max_iter=200):
+    """Final bracket ``(lo, hi)`` of a down-crossing: f(lo) >= 0 >= f(hi).
+
+    Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
+    the others, until it is narrower than ``tol_x`` or ``max_iter`` halvings
+    are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
+    returns ``(mid, mid)``.
+    """
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
+    if f_lo < 0.0 or f_hi > 0.0:
+        raise SolverError(
+            f"bisection: no down-crossing bracket on [{lo}, {hi}] "
+            f"(f(lo)={f_lo}, f(hi)={f_hi})")
+    for _ in range(max_iter):
+        if hi - lo <= tol_x:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if tol_f is not None and abs(f_mid) <= tol_f:
+            return mid, mid
+        if f_mid >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
@@ -23,58 +48,11 @@ def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
     Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
     given) when |f(mid)| <= tol_f.  Returns the midpoint of the final bracket.
     """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise SolverError(
-            f"bisect_down: no down-crossing bracket on [{lo}, {hi}] "
-            f"(f(lo)={f_lo}, f(hi)={f_hi})")
-    for _ in range(max_iter):
-        if hi - lo <= tol_x:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if tol_f is not None and abs(f_mid) <= tol_f:
-            return mid
-        if f_mid >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_bracket(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x,
+                            tol_f=tol_f, max_iter=max_iter)
     return 0.5 * (lo + hi)
 
 
 def bisect_up(f, lo, hi, *, tol_x=1e-12, max_iter=200):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
     return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x, max_iter=max_iter)
-
-
-def golden_max(f, lo, hi, *, tol=1e-10, max_iter=300):
-    """Maximize a unimodal ``f`` on [lo, hi]; returns (argmax, max value)."""
-    a, b = float(lo), float(hi)
-    if b < a:
-        raise SolverError(f"golden_max: empty interval [{a}, {b}]")
-    dist = b - a
-    if dist <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INVPHI2 * dist
-    d = a + _INVPHI * dist
-    yc = f(c)
-    yd = f(d)
-    for _ in range(max_iter):
-        if dist <= tol:
-            break
-        dist *= _INVPHI
-        if yc > yd:
-            b, d, yd = d, c, yc
-            c = a + _INVPHI2 * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INVPHI * (b - a)
-            yd = f(d)
-    if yc > yd:
-        return c, yc
-    return d, yd

@@ -328,6 +328,63 @@ def test_exit_3_on_solver_breakdown(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+EXP_8 = {"kind": "exponential", "rate": 1.0, "m": 8}
+NO_CONFLICT = "model assumption violated: no conflict of interest: u1 >= u0"
+
+# solve-deadline configs that must fail cleanly: (exit code, stderr start, config)
+BAD_CONFIGS = {
+    # u1 >= u0 puts u_star at the f0 peak, where the chord slope divides by 0
+    "no-conflict-piecewise": (2, NO_CONFLICT, {
+        "technology": {"kind": "piecewise",
+                       "f0": [[0, 0], [1, 1], [2, 0]],
+                       "f1": [[0, 0.6], [1.2, 1.4], [1.8, 0.6]]},
+        "distribution": POINT_1}),
+    "no-conflict-insurance": (2, NO_CONFLICT, {
+        "technology": dict(UI_TECH, shadow=1e-9), "distribution": EXP_8}),
+    "missing-rate": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "exponential", "m": 8}}),
+    "missing-shape": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "weibull", "scale": 1.0}}),
+    "missing-scale": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "weibull", "shape": 1.0}}),
+    "missing-t": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "point"}}),
+    "r-not-a-number": (1, "config error", {
+        "technology": A_TECH, "r": "x", "distribution": POINT_1}),
+    "rate-not-a-number": (1, "config error", {
+        "technology": A_TECH, "distribution": dict(EXP_8, rate="x")}),
+    "short-atom": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "atoms", "atoms": [[1.0]]}}),
+    "short-breakpoint": (1, "config error", {
+        "technology": dict(A_TECH, f0=[[0.0, 0.0], [1], [2.0, 0.0]]),
+        "distribution": POINT_1}),
+    "technology-not-an-object": (1, "config error", {
+        "technology": 5, "distribution": POINT_1}),
+    "fractional-m": (1, "config error", {
+        "technology": A_TECH, "distribution": dict(EXP_8, m=8.7)}),
+    "nan-atom-time": (1, "config error", {
+        "technology": A_TECH,
+        "distribution": {"kind": "atoms", "atoms": [[math.nan, 1.0]]}}),
+    "infinite-atom-time": (1, "config error", {
+        "technology": A_TECH,
+        "distribution": {"kind": "atoms", "atoms": [[1.0, 0.5], [math.inf, 0.5]]}}),
+    "infinite-point-time": (1, "config error", {
+        "technology": A_TECH, "distribution": {"kind": "point", "t": math.inf}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
+    code, message, obj = BAD_CONFIGS[name]
+    cfg = write_cfg(tmp_path, obj)  # NaN and Infinity written as json.load reads them
+    assert main(["solve-deadline", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- entry point ---
 
 def test_module_entry_point(tmp_path):

@@ -14,13 +14,14 @@ import pytest
 
 from disclose import (
     ModelAssumptionError,
+    continuation_value,
+    deadline_mechanism,
     deadline_payoff,
     foc_check,
     from_atoms,
     optimize_deadline,
     payoff,
     pi_and_derivs,
-    reward_at,
     t_underline,
 )
 from disclose.frontier import PiecewiseFrontier, TechnologyPair
@@ -32,12 +33,16 @@ ROOT_TOL = 1e-8
 
 def test_reward_at_endpoints(pair_a):
     T = 2.0
-    assert reward_at(pair_a, T, 0.0) == pytest.approx(0.9052653017343711,
-                                                      abs=1e-12)
-    assert reward_at(pair_a, T, T) == pair_a.u_star
-    assert reward_at(pair_a, T, T + 5.0) == pair_a.u_star
+    m = deadline_mechanism(pair_a, T)
+
+    def reward(t):
+        return continuation_value(m, pair_a.r, t)
+
+    assert reward(0.0) == pytest.approx(0.9052653017343711, abs=1e-12)
+    assert reward(T) == pair_a.u_star
+    assert reward(T + 5.0) == pair_a.u_star
     # exponential decay of the promise toward the threshold
-    x1 = reward_at(pair_a, T, 1.0)
+    x1 = reward(1.0)
     assert x1 == pytest.approx(1.0 - 0.7 * math.exp(-1.0), abs=1e-12)
 
 

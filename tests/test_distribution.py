@@ -9,7 +9,6 @@ import pytest
 from disclose import (
     BreakthroughDist,
     ConfigError,
-    cond_expect,
     discretize,
     from_atoms,
     order_checks,
@@ -49,6 +48,16 @@ def test_non_finite_mass_rejected(probs):
         from_atoms(list(zip(times, probs)))
 
 
+@pytest.mark.parametrize("times", [(math.nan,), (math.inf,), (1.0, math.inf),
+                                   (-math.inf, 1.0)])
+def test_non_finite_times_rejected(times):
+    probs = (1.0 / len(times),) * len(times)
+    with pytest.raises(ConfigError, match="finite"):
+        BreakthroughDist(times=times, probs=probs)
+    with pytest.raises(ConfigError):
+        from_atoms(list(zip(times, probs)))
+
+
 def test_times_strictly_increasing_and_nonnegative():
     with pytest.raises(ConfigError):
         BreakthroughDist(times=(1.0, 1.0), probs=(0.5, 0.5))
@@ -63,12 +72,6 @@ def test_cdf_left_vs_right(dist_k2):
     assert dist_k2.cdf_left(1.5) == 0.5
     assert dist_k2.cdf(0.2) == 0.0
     assert dist_k2.support_hi == 1.5
-
-
-def test_expect_and_discount_weight(dist_k2):
-    assert dist_k2.expect(lambda t: t) == pytest.approx(1.0, abs=1e-12)
-    expected = 0.5 * math.exp(-0.5) + 0.5 * math.exp(-1.5)
-    assert dist_k2.discount_weight(1.0) == pytest.approx(expected, abs=1e-14)
 
 
 def test_discretize_point():
@@ -89,7 +92,8 @@ def test_discretize_exponential_discount_weight_converges():
     # E exp(-tau) for tau ~ exp(1) is 1/2; the midpoint-quantile rule should
     # land close even at moderate resolution
     d = discretize("exponential", 64, rate=1.0)
-    assert d.discount_weight(1.0) == pytest.approx(0.5, abs=5e-4)
+    weight = math.fsum(p * math.exp(-t) for t, p in zip(d.times, d.probs))
+    assert weight == pytest.approx(0.5, abs=5e-4)
 
 
 def test_discretize_weibull_shape_one_is_exponential():
@@ -97,6 +101,14 @@ def test_discretize_weibull_shape_one_is_exponential():
     de = discretize("exponential", 8, rate=2.0)
     for a, b in zip(dw.times, de.times):
         assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, params", [("exponential", {}), ("point", {}),
+                                          ("weibull", {"shape": 1.0}),
+                                          ("weibull", {"scale": 1.0})])
+def test_discretize_missing_parameter(kind, params):
+    with pytest.raises(ConfigError, match="takes parameters"):
+        discretize(kind, 8, **params)
 
 
 def test_discretize_rejects_bad_parameters():
@@ -108,13 +120,6 @@ def test_discretize_rejects_bad_parameters():
         discretize("gamma", 8, shape=1.0)
     with pytest.raises(ConfigError):
         discretize("exponential", 8, rate=1.0, scale=2.0)
-
-
-def test_cond_expect_strict(dist_k2):
-    # conditioning on tau > 0.5 keeps only the later atom
-    assert cond_expect(dist_k2, 0.5, lambda t: t) == 1.5
-    with pytest.raises(ConfigError):
-        cond_expect(dist_k2, 2.0, lambda t: t)
 
 
 def test_order_checks_mlr_and_fosd():

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from disclose import deadline, mechanism
-from disclose.deadline import _alpha, _brackets, pi_and_derivs, reward_at
+from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, PiecewiseFrontier,
                                TechnologyPair, is_neg_inf)
@@ -278,12 +278,21 @@ def test_piecewise_derivs_fraction_inputs(f0_exact, f1_exact):
 
 # ---------------------------------------------------------------- deadline ---
 
+def deadline_reward(pair, T, t):
+    """Derived disclosure reward of the deadline-T mechanism at time t."""
+    u0, ustar = float(pair.u0), float(pair.u_star)
+    if t >= T:
+        return ustar
+    d = math.exp(-pair.r * (T - t))
+    return (1.0 - d) * u0 + d * ustar
+
+
 def brackets_reference(pair, dist, T):
     """The bracket sums over every atom, as ``pi_and_derivs`` first did."""
     alpha = _alpha(pair)
     sum_plus = sum_minus = 0.0
     for t_k, p_k in zip(dist.times, dist.probs):
-        _, d_plus, d_minus = pair.f1.derivs(reward_at(pair, T, t_k))
+        _, d_plus, d_minus = pair.f1.derivs(deadline_reward(pair, T, t_k))
         if t_k <= T:
             sum_plus += p_k * d_plus
         if t_k < T:

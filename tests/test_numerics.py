@@ -1,4 +1,4 @@
-"""Root bracketing and golden-section search."""
+"""Root bracketing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import pytest
 
 from disclose import SolverError
-from disclose.numerics import bisect_down, bisect_up, golden_max
+from disclose.numerics import bisect_bracket, bisect_down, bisect_up
 
 
 def test_bisect_down_quadratic_root():
@@ -48,18 +48,9 @@ def test_bisect_up_mirror():
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
 
-def test_golden_max_parabola():
-    x, v = golden_max(lambda x: -(x - 0.3) ** 2, -1.0, 1.0, tol=1e-12)
-    assert x == pytest.approx(0.3, abs=1e-6)
-    assert v == pytest.approx(0.0, abs=1e-12)
-
-
-def test_golden_max_boundary_maximum():
-    x, v = golden_max(lambda x: x, 0.0, 1.0, tol=1e-12)
-    assert x == pytest.approx(1.0, abs=1e-6)
-    assert v == pytest.approx(1.0, abs=1e-6)
-
-
-def test_golden_max_rejects_empty_interval():
-    with pytest.raises(SolverError):
-        golden_max(lambda x: x, 1.0, 0.0)
+def test_bisect_bracket_keeps_the_sign_change():
+    f = lambda x: 1.0 - x * x
+    lo, hi = bisect_bracket(f, 0.0, 2.0, tol_x=1e-9)
+    assert 0.0 < hi - lo <= 1e-9
+    assert f(lo) >= 0.0 > f(hi)
+    assert bisect_down(f, 0.0, 2.0, tol_x=1e-9) == 0.5 * (lo + hi)
