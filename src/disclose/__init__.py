@@ -19,10 +19,9 @@ from .distribution import (BreakthroughDist, OrderReport, discretize,
 from .errors import (AtomAtZero, BracketFailure, ConfigError, DiscloseError,
                      ModelAssumptionError, NotSimple, NothingToImprove,
                      SolverError)
-from .euler import (ComparativeStatics, EulerSolution, GeneralSolution,
-                    assert_simple, backward_pass, comparative_statics_check,
-                    euler_residuals, inv_deriv_f0, psi, simple_reasons, solve,
-                    solve_general)
+from .euler import (ComparativeStatics, EulerSolution, assert_simple,
+                    backward_pass, comparative_statics_check, euler_residuals,
+                    inv_deriv_f0, psi, simple_reasons, solve)
 from .frontier import (NEG_INF, Check, ModelReport, ParametricFrontier,
                        PiecewiseFrontier, TechnologyPair, affine_gap,
                        is_neg_inf, u_star, validate_model)
@@ -53,9 +52,9 @@ __all__ = [
     "OptimalDeadline", "FocReport", "t_underline", "deadline_payoff",
     "pi_and_derivs", "foc_check", "optimize_deadline",
     # reward-path solver
-    "EulerSolution", "GeneralSolution", "ComparativeStatics", "solve",
-    "solve_general", "psi", "backward_pass", "inv_deriv_f0", "euler_residuals",
-    "assert_simple", "simple_reasons", "comparative_statics_check",
+    "EulerSolution", "ComparativeStatics", "solve", "psi", "backward_pass",
+    "inv_deriv_f0", "euler_residuals", "assert_simple", "simple_reasons",
+    "comparative_statics_check",
     # discrete oracle
     "DiscreteMechanism", "ImproveStep", "ScanEntry", "continuation",
     "delay_slacks", "ic_discrete", "improve_slack", "payoff_point",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import euler, insurance
@@ -59,14 +60,27 @@ def _require(cfg: dict, key: str):
 
 
 def _num(value, what: str, *, integer: bool = False):
-    """A JSON number field as a float, or as an int when ``integer``.
-    Anything else, or a fraction where a whole number is needed, is a
+    """A finite JSON number field as a float, or as an int when ``integer``.
+    Anything else (NaN, Infinity and integers beyond the float range
+    included), or a fraction where a whole number is needed, is a
     ConfigError naming the field."""
-    is_num = isinstance(value, (int, float)) and not isinstance(value, bool)
+    is_num = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
     if not is_num or integer and isinstance(value, float) and not value.is_integer():
-        kind = "an integer" if integer else "a number"
+        kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"'{what}' must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _numbers(cfg: dict, key: str) -> list:
+    """``cfg[key]`` unchanged (integer levels stay integers) if it is a list
+    of finite numbers; anything else is a ConfigError."""
+    value = _require(cfg, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list of numbers, got {value!r}")
+    for v in value:
+        _num(v, key)
+    return value
 
 
 def _pairs(value, what: str) -> list:
@@ -81,25 +95,36 @@ def _pairs(value, what: str) -> list:
     return value
 
 
-def _piecewise(tech: dict, key: str) -> PiecewiseFrontier:
-    return PiecewiseFrontier(_pairs(_require(tech, key), key))
+def _technology(cfg: dict, kind: str) -> dict:
+    """``cfg['technology']``, which must be of the given kind."""
+    tech = _require(cfg, "technology")
+    found = _require(tech, "kind")
+    if found != kind:
+        raise ConfigError(f"this command needs technology kind '{kind}', got '{found}'")
+    return tech
+
+
+def _piecewise_from(cfg: dict) -> tuple:
+    """``(f0, f1)`` of a piecewise technology."""
+    tech = _technology(cfg, "piecewise")
+    return tuple(PiecewiseFrontier(_pairs(_require(tech, k), k)) for k in ("f0", "f1"))
+
+
+def _insurance_from(cfg: dict) -> tuple:
+    """``(primitives, r)`` of an insurance technology."""
+    tech = _technology(cfg, "insurance")
+    prims = insurance.UiPrimitives(
+        **{k: _num(_require(tech, k), k) for k in ("a", "b", "w", "shadow")})
+    return prims, _num(cfg.get("r", 1.0), "r")
 
 
 def _pair_from(cfg: dict) -> TechnologyPair:
-    tech = _require(cfg, "technology")
-    r = _num(cfg.get("r", 1.0), "r")
-    kind = _require(tech, "kind")
+    kind = _require(_require(cfg, "technology"), "kind")
     if kind == "piecewise":
-        return TechnologyPair.build(_piecewise(tech, "f0"), _piecewise(tech, "f1"), r)
+        return TechnologyPair.build(*_piecewise_from(cfg), _num(cfg.get("r", 1.0), "r"))
     if kind == "insurance":
-        prims = _ui_from(tech)
-        return insurance.build_frontiers(prims, r)
+        return insurance.build_frontiers(*_insurance_from(cfg))
     raise ConfigError(f"unknown technology kind '{kind}'")
-
-
-def _ui_from(tech: dict) -> insurance.UiPrimitives:
-    return insurance.UiPrimitives(
-        **{k: _num(_require(tech, k), k) for k in ("a", "b", "w", "shadow")})
 
 
 def _dist_from(entry: dict) -> BreakthroughDist:
@@ -113,10 +138,9 @@ def _dist_from(entry: dict) -> BreakthroughDist:
 
 
 def _mech_from(entry: dict) -> Mechanism:
-    reward = entry.get("reward")
-    return Mechanism(grid=tuple(_require(entry, "grid")),
-                     levels=tuple(_require(entry, "levels")),
-                     reward=None if reward is None else tuple(reward))
+    grid, levels = _numbers(entry, "grid"), _numbers(entry, "levels")
+    reward = None if entry.get("reward") is None else _numbers(entry, "reward")
+    return Mechanism(grid=grid, levels=levels, reward=reward)
 
 
 # --------------------------------------------------------------- outputs ---
@@ -160,15 +184,20 @@ def _mechanism_csv(out_dir: str, m: Mechanism, r: float, extra=()) -> None:
 
 
 # -------------------------------------------------------------- commands ---
+# Each command writes its CSVs into ``out_dir`` and returns ``(report,
+# exit code)``; ``main`` adds the command name and tolerances to the report
+# and writes report.json.
 
-def _cmd_analyze(cfg: dict, out_dir: str, tols: dict) -> int:
+DEADLINE_CLASS = "deadline, T >= T_underline"
+PATH_CLASS = "reward path (strictly concave case)"
+
+
+def _cmd_analyze(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
-    report = validate_model(pair)
+    model = validate_model(pair)
     reasons = euler.simple_reasons(pair)
     band_gap = affine_gap(pair.f0, float(pair.u_star), float(pair.u0))
-    obj = {
-        "command": "analyze",
-        "tolerances": tols,
+    report = {
         "constants": {
             "r": pair.r,
             "u0": float(pair.u0),
@@ -178,34 +207,26 @@ def _cmd_analyze(cfg: dict, out_dir: str, tols: dict) -> int:
             "f1_peak_value": float(pair.f1_peak_value),
             "affine_gap": band_gap,
         },
-        "model_checks": [
-            {"name": c.name, "passed": c.passed, "witness": c.witness,
-             "detail": c.detail} for c in report.checks],
-        "classification": ("reward path (strictly concave case)"
-                           if not reasons else "deadline, T >= T_underline"),
+        "model_checks": [asdict(c) for c in model.checks],
+        "classification": DEADLINE_CLASS if reasons else PATH_CLASS,
         "not_simple_reasons": list(reasons),
     }
     try:
-        obj["constants"]["t_underline"] = t_underline(pair)
+        report["constants"]["t_underline"] = t_underline(pair)
     except ModelAssumptionError as e:
-        obj["constants"]["t_underline"] = None
-        obj["t_underline_error"] = str(e)
-    _write_report(out_dir, obj)
-    if not report.ok:
-        for c in report.failed():
-            print(f"model check failed: {c.name} ({c.detail})", file=sys.stderr)
-        return 2
-    return 0
+        report["constants"]["t_underline"] = None
+        report["t_underline_error"] = str(e)
+    for c in model.failed():
+        print(f"model check failed: {c.name} ({c.detail})", file=sys.stderr)
+    return report, 0 if model.ok else 2
 
 
-def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict) -> int:
+def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     best = optimize_deadline(pair, dist, tol=tols["root"])
     _mechanism_csv(out_dir, best.mechanism, pair.r, extra=dist.times)
-    _write_report(out_dir, {
-        "command": "solve-deadline",
-        "tolerances": tols,
+    return {
         "T": best.T,
         "t_underline": best.t_underline,
         "payoff": best.payoff,
@@ -213,11 +234,10 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict) -> int:
                 "alpha": best.foc.alpha, "satisfied": best.foc.satisfied,
                 "tol": best.foc.tol},
         "warnings": list(best.warnings),
-    })
-    return 0
+    }, 0
 
 
-def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict) -> int:
+def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     shift = _num(cfg.get("shift", 0.0), "shift")
@@ -231,112 +251,90 @@ def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict) -> int:
                [(k, t, lv - shift, cv - shift, rv)
                 for k, (t, lv, cv, rv) in enumerate(
                     zip(sol.times, sol.levels, sol.conts, res), start=1)])
-    _write_report(out_dir, {
-        "command": "solve-euler",
-        "tolerances": tols,
+    return {
         "terminal_level": sol.lam - shift,
         "terminal_residual": sol.psi,
         "max_abs_residual": max(abs(v) for v in res),
         "payoff": sol.payoff,
         "shift": shift,
         "extra_roots": [v - shift for v in sol.extra_roots],
-    })
-    return 0
+    }, 0
 
 
-def _cmd_verify(cfg: dict, out_dir: str, tols: dict) -> int:
+def _cmd_verify(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     model = validate_model(pair)
-    obj = {
-        "command": "verify",
-        "tolerances": tols,
-        "model_checks": [
-            {"name": c.name, "passed": c.passed, "witness": c.witness,
-             "detail": c.detail} for c in model.checks],
-    }
+    report = {"model_checks": [asdict(c) for c in model.checks]}
     ok = model.ok
 
     if "mechanism" in cfg:
         m = _mech_from(cfg["mechanism"])
         ic = ic_check(m, pair.r)
-        obj["mechanism_ic"] = {"ok": ic.ok, "time": ic.time, "clause": ic.clause}
+        report["mechanism_ic"] = asdict(ic)
         ok = ok and ic.ok
         if "distribution" in cfg:
             dist = _dist_from(cfg["distribution"])
             value = payoff(m, pair, dist)
-            obj["payoff"] = value.total
+            report["payoff"] = value.total
             fl = front_load(m, pair)
             fl_value = payoff(fl.mechanism, pair, dist)
-            obj["front_load"] = {"T": fl.T, "payoff": fl_value.total}
+            report["front_load"] = {"T": fl.T, "payoff": fl_value.total}
             if isinstance(value.total, float) and isinstance(fl_value.total, float):
                 dominated = fl_value.total >= value.total - tols["root"]
-                obj["front_load"]["dominates"] = dominated
+                report["front_load"]["dominates"] = dominated
                 ok = ok and dominated
     else:
         dist = _dist_from(_require(cfg, "distribution"))
         reasons = euler.simple_reasons(pair)
         if reasons:
             best = optimize_deadline(pair, dist, tol=tols["root"])
-            obj["classification"] = "deadline, T >= T_underline"
-            obj["T"] = best.T
-            obj["t_underline"] = best.t_underline
-            obj["payoff"] = best.payoff
-            obj["foc_satisfied"] = best.foc.satisfied
-            obj["not_simple_reasons"] = list(reasons)
+            report["classification"] = DEADLINE_CLASS
+            report["T"] = best.T
+            report["t_underline"] = best.t_underline
+            report["payoff"] = best.payoff
+            report["foc_satisfied"] = best.foc.satisfied
+            report["not_simple_reasons"] = list(reasons)
             ok = ok and best.foc.satisfied and best.T >= best.t_underline - 1e-12
         else:
             sol = euler.solve(pair, dist, tol_psi=tols["root"])
             res = euler.euler_residuals(pair, dist, sol.levels, sol.conts)
             worst = max(abs(v) for v in res)
-            obj["classification"] = "reward path (strictly concave case)"
-            obj["payoff"] = sol.payoff
-            obj["terminal_level"] = sol.lam
-            obj["max_abs_residual"] = worst
+            report["classification"] = PATH_CLASS
+            report["payoff"] = sol.payoff
+            report["terminal_level"] = sol.lam
+            report["max_abs_residual"] = worst
             ok = ok and worst <= tols["residual"]
 
-    obj["ok"] = ok
-    _write_report(out_dir, obj)
+    report["ok"] = ok
     if not ok:
         print("verification failed; see report.json", file=sys.stderr)
-        return 2
-    return 0
+    return report, 0 if ok else 2
 
 
-def _cmd_compare_statics(cfg: dict, out_dir: str, tols: dict) -> int:
+def _cmd_compare_statics(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     dist_dag = _dist_from(_require(cfg, "distribution_dag"))
-    obj = {"command": "compare-statics", "tolerances": tols}
-
-    order = order_checks(dist, dist_dag)
-    obj["order"] = {"fosd": order.fosd, "mlr": order.mlr,
-                    "equal_support": order.equal_support, "detail": order.detail}
+    report = {"order": asdict(order_checks(dist, dist_dag))}
 
     if euler.simple_reasons(pair):
         best = optimize_deadline(pair, dist, tol=tols["root"])
         best_dag = optimize_deadline(pair, dist_dag, tol=tols["root"])
-        obj["T"] = best.T
-        obj["T_dag"] = best_dag.T
-        obj["monotone"] = best.T >= best_dag.T - tols["root"]
-        ok = obj["monotone"]
+        report["T"] = best.T
+        report["T_dag"] = best_dag.T
+        report["monotone"] = ok = best.T >= best_dag.T - tols["root"]
     else:
         cs = euler.comparative_statics_check(pair, dist, dist_dag)
-        obj["pointwise_dominance"] = cs.ok
-        obj["max_violation"] = cs.max_violation
-        obj["witness_t"] = cs.witness
-        ok = cs.ok
+        report["pointwise_dominance"] = ok = cs.ok
+        report["max_violation"] = cs.max_violation
+        report["witness_t"] = cs.witness
 
-    obj["ok"] = ok
-    _write_report(out_dir, obj)
-    return 0 if ok else 2
+    report["ok"] = ok
+    return report, 0 if ok else 2
 
 
-def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict) -> int:
-    tech = _require(cfg, "technology")
-    if tech.get("kind") != "insurance":
-        raise ConfigError("ui-schedule needs an insurance technology")
-    prims = _ui_from(tech)
-    r = _num(cfg.get("r", 1.0), "r")
+def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
+    prims, r = _insurance_from(cfg)
     pair = insurance.build_frontiers(prims, r)
     dist = _dist_from(_require(cfg, "distribution"))
     solver = cfg.get("solver", "deadline")
@@ -363,24 +361,18 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict) -> int:
                [(w.t, w.flow_u, w.promise_u, w.benefit, w.consumption,
                  w.labor, w.net_output) for w in rows])
     _mechanism_csv(out_dir, mech, r, extra=dist.times)
-    _write_report(out_dir, {
-        "command": "ui-schedule", "tolerances": tols, "solver": solver,
-        "constants": {"u0": consts.u0, "c0": consts.c0, "v0": consts.v0,
-                      "eps_linear": consts.eps_linear},
+    return {
+        "solver": solver,
+        "constants": asdict(consts),
         "max_identity_err": max(abs(w.identity_err) for w in rows),
         **head,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict) -> int:
-    tech = _require(cfg, "technology")
-    if tech.get("kind") != "insurance":
-        raise ConfigError("ui-sweep needs an insurance technology")
-    prims = _ui_from(tech)
-    r = _num(cfg.get("r", 1.0), "r")
+def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict):
+    prims, r = _insurance_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
-    shadows = [_num(s, "shadows") for s in _require(cfg, "shadows")]
+    shadows = _numbers(cfg, "shadows")
     shift_frac = _num(cfg.get("shift_frac", 0.05), "shift_frac")
     rows = insurance.welfare_sweep(prims, shadows, dist, r, shift_frac=shift_frac)
     _write_csv(out_dir, "sweep.csv",
@@ -388,56 +380,47 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict) -> int:
                 "gain", "ratio", "gap_bound", "eps_linear"),
                [(w.shadow, w.u0, w.t_deadline, w.pi_deadline, w.pi_path,
                  w.gain, w.ratio, w.gap_bound, w.eps_linear) for w in rows])
-    _write_report(out_dir, {
-        "command": "ui-sweep", "tolerances": tols,
+    return {
         "rows": [{"shadow": w.shadow, "pi_deadline": w.pi_deadline,
                   "pi_path": w.pi_path, "gain": w.gain, "ratio": w.ratio,
                   "gap_bound": w.gap_bound} for w in rows],
         "gain_within_bound": all(w.gain <= w.gap_bound + 1e-8 for w in rows),
-    })
-    return 0
+    }, 0
 
 
-def _cmd_oracle(cfg: dict, out_dir: str, tols: dict) -> int:
-    tech = _require(cfg, "technology")
-    if tech.get("kind") != "piecewise":
-        raise ConfigError("oracle needs a piecewise technology")
-    f0, f1 = _piecewise(tech, "f0"), _piecewise(tech, "f1")
+def _cmd_oracle(cfg: dict, out_dir: str, tols: dict):
+    f0, f1 = _piecewise_from(cfg)
     beta = _num(_require(cfg, "beta"), "beta")
-    obj = {"command": "oracle", "tolerances": tols, "beta": beta}
+    report = {"beta": beta}
 
     if "mechanism" in cfg:
         entry = cfg["mechanism"]
-        m = DiscreteMechanism(beta, tuple(_require(entry, "x")),
-                              tuple(_require(entry, "x1")))
+        m = DiscreteMechanism(beta, _numbers(entry, "x"), _numbers(entry, "x1"))
         ic = ic_discrete(m)
-        obj["ic"] = {"ok": ic.ok, "period": ic.period, "clause": ic.clause}
-        obj["payoffs"] = list(payoff_vector(m, f0, f1))
+        report["ic"] = asdict(ic)
+        report["payoffs"] = list(payoff_vector(m, f0, f1))
         if ic.ok:
             u1 = f1.peak[0]
             try:
                 step = improve_slack(m, u1)
-                obj["improvement"] = {
+                report["improvement"] = {
                     "case": step.case, "period": step.period,
                     "delta": float(step.delta), "improves_at": step.improves_at,
                     "x": list(step.mechanism.x), "x1": list(step.mechanism.x1)}
             except NothingToImprove:
-                obj["improvement"] = None
-        _write_report(out_dir, obj)
-        return 0
+                report["improvement"] = None
+        return report, 0
 
     horizon = _num(_require(cfg, "horizon"), "horizon", integer=True)
-    x_grid = list(_require(cfg, "x_grid"))
-    reward_grid = list(_require(cfg, "reward_grid"))
-    entries = undominated_scan(f0, f1, beta, horizon, x_grid, reward_grid)
+    entries = undominated_scan(f0, f1, beta, horizon, _numbers(cfg, "x_grid"),
+                               _numbers(cfg, "reward_grid"))
     _write_csv(out_dir, "undominated.csv",
                tuple(f"x{s}" for s in range(horizon))
                + tuple(f"x1_{s}" for s in range(horizon))
                + tuple(f"payoff_{s}" for s in range(horizon)) + ("payoff_never",),
                [tuple(e.x) + tuple(e.x1) + tuple(e.payoffs) for e in entries])
-    obj["undominated_count"] = len(entries)
-    _write_report(out_dir, obj)
-    return 0
+    report["undominated_count"] = len(entries)
+    return report, 0
 
 
 _DISPATCH = {
@@ -470,13 +453,15 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = _load_config(args.config)
         command = args.command or cfg.get("command")
-        if command not in _DISPATCH:
+        if command not in COMMANDS:  # a tuple: an unhashable value is no error
             raise ConfigError(
                 f"unknown or missing command '{command}'; expected one of "
                 f"{', '.join(COMMANDS)}")
         os.makedirs(args.out, exist_ok=True)
         tols = {"root": args.tol_root, "residual": args.tol_residual}
-        return _DISPATCH[command](cfg, args.out, tols)
+        report, code = _DISPATCH[command](cfg, args.out, tols)
+        _write_report(args.out, {"command": command, "tolerances": tols, **report})
+        return code
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -35,6 +35,8 @@ from .mechanism import Mechanism, deadline_mechanism, payoff
 from .numerics import bisect_bracket
 
 FOC_TOL = 1e-9
+# equal steps of the right-bracket scan on [t_underline, T_hi]
+N_SCAN = 256
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
 # as affine
 AFFINE_TOL = 1e-9
@@ -160,8 +162,7 @@ class OptimalDeadline:
 
 
 def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
-                      *, tol: float = FOC_TOL,
-                      n_scan: int = 256) -> OptimalDeadline:
+                      *, tol: float = FOC_TOL) -> OptimalDeadline:
     """Best deadline at or above the participation threshold.
 
     The right bracket is scanned on ``[t_underline, T_hi]`` (T_hi doubled
@@ -194,7 +195,7 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     else:
         raise SolverError("right payoff derivative never turns negative")
 
-    ts = [t_lo + (t_hi - t_lo) * i / n_scan for i in range(n_scan + 1)]
+    ts = [t_lo + (t_hi - t_lo) * i / N_SCAN for i in range(N_SCAN + 1)]
     bs = [bracket_plus(t) for t in ts]
     candidates = [t_lo]
     for (ta, ba), (tb, bb) in zip(zip(ts, bs), zip(ts[1:], bs[1:])):

@@ -28,6 +28,9 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, NothingToImprove
 from .frontier import NEG_INF, is_neg_inf
 
+# most grid mechanisms undominated_scan will enumerate
+SCAN_BUDGET = 1e7
+
 
 @dataclass(frozen=True)
 class DiscreteMechanism:
@@ -206,16 +209,17 @@ class ScanEntry:
 
 
 def undominated_scan(f0, f1, beta, horizon: int,
-                     x_grid: Sequence, reward_grid: Sequence,
-                     *, budget: float = 1e7) -> Tuple[ScanEntry, ...]:
+                     x_grid: Sequence, reward_grid: Sequence) -> Tuple[ScanEntry, ...]:
     """Enumerate every grid mechanism, keep the incentive-compatible ones,
     and prune those weakly dominated across all point-mass beliefs plus
     "never".  Exact under exact inputs; refuses combinatorially hopeless
-    calls via ``budget``."""
+    calls: more than ``SCAN_BUDGET`` mechanisms is a ConfigError."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
     n_combo = (len(x_grid) * len(reward_grid)) ** horizon
-    if n_combo > budget:
+    if n_combo > SCAN_BUDGET:
         raise ConfigError(
-            f"scan would enumerate {n_combo:.3g} mechanisms (budget {budget:.3g})")
+            f"scan would enumerate {n_combo:.3g} mechanisms (budget {SCAN_BUDGET:.3g})")
 
     feasible = []
     for x in itertools.product(x_grid, repeat=horizon):

@@ -19,6 +19,8 @@ from .errors import ConfigError
 
 SNAP = 1e-12
 MASS_TOL = 1e-12
+# slack in the cdf and mass-ratio comparisons of the stochastic-order checks
+ORDER_TOL = 1e-12
 
 
 def _prefix_masses(probs: Sequence[float]) -> Tuple[float, ...]:
@@ -156,8 +158,7 @@ class OrderReport:
     detail: str = ""
 
 
-def order_checks(d: BreakthroughDist, d_dag: BreakthroughDist,
-                 *, tol: float = 1e-12) -> OrderReport:
+def order_checks(d: BreakthroughDist, d_dag: BreakthroughDist) -> OrderReport:
     """Numerically check stochastic orderings of ``d`` over ``d_dag``.
 
     FOSD holds when the cdf of ``d`` is everywhere <= the cdf of ``d_dag``
@@ -167,7 +168,7 @@ def order_checks(d: BreakthroughDist, d_dag: BreakthroughDist,
     dividing).  When supports differ, ``mlr`` is None rather than a guess.
     """
     union = sorted(set(d.times) | set(d_dag.times))
-    fosd = all(d.cdf(t) <= d_dag.cdf(t) + tol for t in union)
+    fosd = all(d.cdf(t) <= d_dag.cdf(t) + ORDER_TOL for t in union)
 
     equal = len(d.times) == len(d_dag.times) and all(
         abs(a - b) <= SNAP for a, b in zip(d.times, d_dag.times))
@@ -177,7 +178,7 @@ def order_checks(d: BreakthroughDist, d_dag: BreakthroughDist,
     mlr = True
     for k in range(len(d.times) - 1):
         # p_{k+1}/pdag_{k+1} >= p_k/pdag_k  <=>  p_{k+1} pdag_k >= p_k pdag_{k+1}
-        if d.probs[k + 1] * d_dag.probs[k] < d.probs[k] * d_dag.probs[k + 1] - tol:
+        if d.probs[k + 1] * d_dag.probs[k] < d.probs[k] * d_dag.probs[k + 1] - ORDER_TOL:
             mlr = False
             break
     return OrderReport(fosd=fosd, mlr=mlr, equal_support=True)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .distribution import BreakthroughDist, discretize, order_checks, OrderReport
+from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import TechnologyPair, is_neg_inf
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
@@ -34,6 +34,14 @@ from .numerics import bisect_down
 
 PSI_TOL = 1e-10
 LAM_TOL = 1e-12
+# equal steps of the psi scan on [u_star, u0]
+N_SCAN = 32
+# points of the second-difference concavity grid on [u_star, u0]
+SIMPLE_GRID = 201
+# evenly spaced probe times, and the pointwise tolerance, of the
+# comparative-statics check
+STATICS_PROBES = 100
+STATICS_TOL = 1e-9
 
 
 def _slope(f, u: float) -> float:
@@ -47,7 +55,7 @@ def _slope(f, u: float) -> float:
     raise NotSimple([f"no finite slope at u={u}"])
 
 
-def simple_reasons(pair: TechnologyPair, *, n_grid: int = 201) -> Tuple[str, ...]:
+def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     """Why the pair falls outside the strictly-concave class (empty = simple).
 
     Checks, on the band ``[u_star, u0]``: strictly negative second
@@ -63,19 +71,19 @@ def simple_reasons(pair: TechnologyPair, *, n_grid: int = 201) -> Tuple[str, ...
         reasons.append(f"empty band: u0={u0} <= u_star={ustar}")
         return tuple(reasons)
 
-    h = (u0 - ustar) / (n_grid - 1)
+    h = (u0 - ustar) / (SIMPLE_GRID - 1)
     for name, f in (("f0", pair.f0), ("f1", pair.f1)):
         vals = []
-        for i in range(n_grid):
+        for i in range(SIMPLE_GRID):
             v = f.value(ustar + h * i)
             if is_neg_inf(v):
                 reasons.append(f"{name} undefined inside [u_star, u0] at u={ustar + h * i}")
                 break
             vals.append(float(v))
-        if len(vals) < n_grid:
+        if len(vals) < SIMPLE_GRID:
             continue
         worst = max(vals[i + 1] - 2.0 * vals[i] + vals[i - 1]
-                    for i in range(1, n_grid - 1))
+                    for i in range(1, SIMPLE_GRID - 1))
         if not worst < -1e-9:
             reasons.append(
                 f"{name} is not strictly concave on [u_star, u0] "
@@ -177,8 +185,7 @@ def _assemble(pair: TechnologyPair, dist: BreakthroughDist,
 
 
 def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
-          tol_psi: float = PSI_TOL, tol_lam: float = LAM_TOL,
-          n_scan: int = 32) -> EulerSolution:
+          tol_psi: float = PSI_TOL) -> EulerSolution:
     """Solve for the optimal reward path of a simple pair.
 
     ``psi`` is scanned on ``[u_star, u0]``; every down-crossing is bisected
@@ -193,7 +200,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     def f(lam: float) -> float:
         return psi(pair, dist, lam)
 
-    grid = [ustar + (u0 - ustar) * i / n_scan for i in range(n_scan + 1)]
+    grid = [ustar + (u0 - ustar) * i / N_SCAN for i in range(N_SCAN + 1)]
     vals = [f(lam) for lam in grid]
     if vals[0] < -1e-9:
         raise BracketFailure(
@@ -205,11 +212,11 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     roots = []
     if vals[0] <= 0.0:
         roots.append(grid[0])
-    for i in range(n_scan):
+    for i in range(N_SCAN):
         if vals[i] >= 0.0 > vals[i + 1]:
             roots.append(bisect_down(f, grid[i], grid[i + 1],
                                      f_lo=vals[i], f_hi=vals[i + 1],
-                                     tol_x=tol_lam, tol_f=tol_psi))
+                                     tol_x=LAM_TOL, tol_f=tol_psi))
     if vals[-1] >= 0.0:
         roots.append(grid[-1])
     if not roots:
@@ -256,41 +263,6 @@ def euler_residuals(pair: TechnologyPair, dist: BreakthroughDist,
 
 
 @dataclass(frozen=True)
-class GeneralSolution:
-    """Reward path under a discretized continuous breakthrough law, with a
-    self-convergence gap against the half-resolution discretization."""
-
-    solution: EulerSolution
-    m: int
-    m_coarse: int
-    gap: float
-
-
-def solve_general(pair: TechnologyPair, kind: str, m: int,
-                  *, n_probe: int = 201, **params) -> GeneralSolution:
-    """Discretize a named continuous law at ``m`` and ``m // 2`` support
-    points, solve both, and report the sup gap between the two continuation
-    profiles as the convergence diagnostic."""
-    if m < 4:
-        raise BracketFailure(f"need at least 4 support points, got {m}")
-    fine = discretize(kind, m, **params)
-    coarse = discretize(kind, max(m // 2, 2), **params)
-    sol_f = solve(pair, fine)
-    sol_c = solve(pair, coarse)
-    t_hi = max(fine.support_hi, coarse.support_hi)
-    m_f, m_c = sol_f.mechanism, sol_c.mechanism
-    prof_f = continuation_profile(m_f, pair.r)
-    prof_c = continuation_profile(m_c, pair.r)
-    gap = 0.0
-    for i in range(n_probe):
-        t = t_hi * i / (n_probe - 1)
-        a = continuation_at(m_f, prof_f, pair.r, t)
-        b = continuation_at(m_c, prof_c, pair.r, t)
-        gap = max(gap, abs(a - b))
-    return GeneralSolution(solution=sol_f, m=m, m_coarse=max(m // 2, 2), gap=gap)
-
-
-@dataclass(frozen=True)
 class ComparativeStatics:
     """Pointwise comparison of two solved reward paths.
 
@@ -304,9 +276,7 @@ class ComparativeStatics:
 
 
 def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
-                              dist_dag: BreakthroughDist, *,
-                              n_probe: int = 100,
-                              tol: float = 1e-9) -> ComparativeStatics:
+                              dist_dag: BreakthroughDist) -> ComparativeStatics:
     """Solve under both laws and check the continuation profile under
     ``dist`` dominates the one under ``dist_dag`` pointwise (the predicted
     direction when ``dist`` likelihood-ratio dominates ``dist_dag``)."""
@@ -315,7 +285,7 @@ def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
     sol_dag = solve(pair, dist_dag)
     t_hi = max(dist.support_hi, dist_dag.support_hi) * 1.25
     probes = sorted(set(dist.times) | set(dist_dag.times)
-                    | {t_hi * i / (n_probe - 1) for i in range(n_probe)})
+                    | {t_hi * i / (STATICS_PROBES - 1) for i in range(STATICS_PROBES)})
     m, m_dag = sol.mechanism, sol_dag.mechanism
     prof = continuation_profile(m, pair.r)
     prof_dag = continuation_profile(m_dag, pair.r)
@@ -325,6 +295,6 @@ def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
         b = continuation_at(m_dag, prof_dag, pair.r, t)
         if b - a > worst:
             worst, witness = b - a, t
-    ok = worst <= tol
+    ok = worst <= STATICS_TOL
     return ComparativeStatics(order=order, ok=ok, max_violation=worst,
                               witness=None if ok else witness)

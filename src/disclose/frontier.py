@@ -10,9 +10,8 @@ Two representations are supported:
 
 * piecewise-linear frontiers given by breakpoints, evaluated with plain
   arithmetic so exact types (``fractions.Fraction``) pass through untouched;
-* parametric frontiers given by callables over a stated interval, used by the
-  insurance application, with analytic derivatives when available and
-  central differences otherwise.
+* parametric frontiers given by a callable and its analytic derivative over
+  a stated interval, used by the insurance application.
 
 Evaluation outside the effective domain returns the distinguished ``NEG_INF``
 sentinel.  ``NEG_INF`` supports comparisons but deliberately no arithmetic:
@@ -39,6 +38,13 @@ INF = float("inf")
 # breakpoint when selecting one-sided slopes; breakpoints are assumed to be
 # separated by far more than this
 KINK_SNAP = 1e-9
+# bracket width at which the smooth-pair u_star bisection stops
+U_STAR_TOL = 1e-10
+# validate_model: grid points of the dominance check, offset of the probes
+# beside u_star, and the slack in their strict-maximum comparison
+VALIDATE_GRID = 400
+GAP_PROBE = 1e-4
+GAP_TOL = 1e-12
 
 
 class _NegInf:
@@ -169,38 +175,24 @@ class PiecewiseFrontier:
 
 @dataclass(frozen=True)
 class ParametricFrontier:
-    """Frontier given by callables on a closed interval.
-
-    ``dfn`` (the derivative) is optional; central differences with a 1e-6
-    relative step fill in when it is missing, which costs roughly half the
-    significant digits — supply the analytic derivative whenever the solver
-    output feeds further computation.
-    """
+    """Frontier given by a callable ``fn`` and its derivative ``dfn`` on a
+    closed interval."""
 
     fn: Callable[[float], float]
     u_lo: float
     u_hi: float
-    dfn: Optional[Callable[[float], float]] = None
-    fd_step: float = 1e-6
+    dfn: Callable[[float], float]
 
     def value(self, u):
         if u < self.u_lo or u > self.u_hi:
             return NEG_INF
         return self.fn(u)
 
-    def _slope(self, u: float) -> float:
-        if self.dfn is not None:
-            return self.dfn(u)
-        h = self.fd_step * max(1.0, abs(u))
-        a = max(self.u_lo, u - h)
-        b = min(self.u_hi, u + h)
-        return (self.fn(b) - self.fn(a)) / (b - a)
-
     def derivs(self, u):
         if u < self.u_lo or u > self.u_hi:
             return (NEG_INF, None, None)
         v = self.fn(u)
-        d = self._slope(u)
+        d = self.dfn(u)
         if u == self.u_lo:
             return (v, d, INF)
         if u == self.u_hi:
@@ -210,13 +202,13 @@ class ParametricFrontier:
     @cached_property
     def peak(self):
         """``(u, value)`` of the maximum, via sign bisection on the slope."""
-        d_lo = self._slope(self.u_lo)
-        d_hi = self._slope(self.u_hi)
+        d_lo = self.dfn(self.u_lo)
+        d_hi = self.dfn(self.u_hi)
         if d_lo <= 0.0:
             return (self.u_lo, self.fn(self.u_lo))
         if d_hi >= 0.0:
             return (self.u_hi, self.fn(self.u_hi))
-        u = bisect_down(self._slope, self.u_lo, self.u_hi,
+        u = bisect_down(self.dfn, self.u_lo, self.u_hi,
                         f_lo=d_lo, f_hi=d_hi, tol_x=1e-13)
         return (u, self.fn(u))
 
@@ -227,12 +219,11 @@ class ParametricFrontier:
             fn=lambda u, _f=fn, _k=k: _f(u - _k),
             u_lo=self.u_lo + k,
             u_hi=self.u_hi + k,
-            dfn=None if dfn is None else (lambda u, _d=dfn, _k=k: _d(u - _k)),
-            fd_step=self.fd_step,
+            dfn=lambda u, _d=dfn, _k=k: _d(u - _k),
         )
 
 
-def u_star(f0, f1, *, tol: float = 1e-10) -> float:
+def u_star(f0, f1) -> float:
     """Rightmost ``u`` in ``[0, u0]`` where ``f0`` and ``f1`` share a
     non-negative supporting slope.
 
@@ -284,7 +275,7 @@ def u_star(f0, f1, *, tol: float = 1e-10) -> float:
     vals = [psi(u) for u in grid]
     for i in range(n - 1, -1, -1):
         if vals[i] <= 0.0:
-            return bisect_up(psi, grid[i], grid[i + 1], tol_x=tol)
+            return bisect_up(psi, grid[i], grid[i + 1], tol_x=U_STAR_TOL)
     return lo
 
 
@@ -331,8 +322,9 @@ class TechnologyPair:
 
     @classmethod
     def build(cls, f0, f1, r) -> "TechnologyPair":
-        if not r > 0:
-            raise ModelAssumptionError(f"discount rate must be positive, got {r}")
+        if not 0 < r < INF:
+            raise ModelAssumptionError(
+                f"discount rate must be positive and finite, got {r}")
         return cls(f0=f0, f1=f1, r=r,
                    u0=f0.peak[0], u1=f1.peak[0], u_star=u_star(f0, f1))
 
@@ -370,8 +362,7 @@ class ModelReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def validate_model(pair: TechnologyPair, *, n_grid: int = 400,
-                   probe: float = 1e-4, tol: float = 1e-12) -> ModelReport:
+def validate_model(pair: TechnologyPair) -> ModelReport:
     """Grid-check the pair-level model assumptions.
 
     Returns a report rather than raising: a saddle or a dominance failure is
@@ -391,8 +382,8 @@ def validate_model(pair: TechnologyPair, *, n_grid: int = 400,
     dom_ok = True
     dom_witness = None
     lo_f, hi_f = float(lo), float(hi)
-    for i in range(n_grid + 1):
-        u = lo_f + (hi_f - lo_f) * i / n_grid
+    for i in range(VALIDATE_GRID + 1):
+        u = lo_f + (hi_f - lo_f) * i / VALIDATE_GRID
         v0 = pair.f0.value(u)
         v1 = pair.f1.value(u)
         if is_neg_inf(v0) or is_neg_inf(v1):
@@ -419,10 +410,10 @@ def validate_model(pair: TechnologyPair, *, n_grid: int = 400,
         return float(v1) - float(v0)
 
     g0 = gap(us)
-    g_right = gap(min(float(us) + probe, hi_f))
-    g_left = gap(max(float(us) - probe, lo_f)) if float(us) - probe > lo_f else None
-    strict_ok = g0 is not None and g_right is not None and g_right < g0 - tol
-    left_ok = g_left is None or g_left <= g0 + tol
+    g_right = gap(min(float(us) + GAP_PROBE, hi_f))
+    g_left = gap(max(float(us) - GAP_PROBE, lo_f)) if float(us) - GAP_PROBE > lo_f else None
+    strict_ok = g0 is not None and g_right is not None and g_right < g0 - GAP_TOL
+    left_ok = g_left is None or g_left <= g0 + GAP_TOL
     checks.append(Check(
         "u_star_strict_local_max", bool(strict_ok and left_ok),
         witness=float(us),

@@ -34,6 +34,9 @@ from .frontier import ParametricFrontier, TechnologyPair, affine_gap
 from .mechanism import Mechanism, continuation_profile, reward_from_profile
 from .numerics import bisect_down
 
+# frontier domain [0, DOMAIN_FACTOR * u0]
+DOMAIN_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class UiPrimitives:
@@ -99,8 +102,7 @@ def ui_constants(p: UiPrimitives) -> UiConstants:
     return UiConstants(u0=u0, c0=c0, v0=v0, eps_linear=v0)
 
 
-def build_frontiers(p: UiPrimitives, r: float, *,
-                    domain_factor: float = 2.0) -> TechnologyPair:
+def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
     """Technology pair for the primitives, on the domain ``[0, 2 u0]``.
 
     Both frontiers carry analytic derivatives (the post-breakthrough one by
@@ -109,7 +111,7 @@ def build_frontiers(p: UiPrimitives, r: float, *,
     """
     a, b, w, lam = p.a, p.b, p.w, p.shadow
     u0 = ui_constants(p).u0
-    hi = domain_factor * u0
+    hi = DOMAIN_FACTOR * u0
 
     def f0_fn(u: float) -> float:
         return u - lam * u ** (1.0 / a)

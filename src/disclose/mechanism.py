@@ -22,6 +22,11 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, ModelAssumptionError
 from .frontier import NEG_INF, TechnologyPair, is_neg_inf
 
+# slack allowed in the incentive premium before a sample counts as a violation
+IC_TOL = 1e-12
+# equal steps per cell at which the incentive premium is sampled
+IC_REFINE = 8
+
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -38,6 +43,8 @@ class Mechanism:
         grid = tuple(float(t) for t in self.grid)
         levels = tuple(float(x) for x in self.levels)
         reward = None if self.reward is None else tuple(float(x) for x in self.reward)
+        if not all(map(math.isfinite, grid + levels + (reward or ()))):
+            raise ConfigError("mechanism grid, levels and reward must be finite")
         if not grid or grid[0] != 0.0:
             raise ConfigError("mechanism grid must start at t=0")
         for a, b in zip(grid, grid[1:]):
@@ -121,14 +128,14 @@ class IcReport:
     clause: Optional[str] = None   # "non_disclosure" or "delay"
 
 
-def ic_check(m: Mechanism, r: float, *, tol: float = 1e-12, refine: int = 8) -> IcReport:
+def ic_check(m: Mechanism, r: float) -> IcReport:
     """Incentive compatibility of the mechanism.
 
     The agent discloses immediately iff the discounted reward premium
     ``h(t) = exp(-r t) * (reward_t - continuation_t)`` is non-negative (the
     non-disclosure clause) and non-increasing (the delay clause).  Within a
     cell both paths move smoothly, so h is monotone there and sampling each
-    cell ``refine`` times plus both sides of every jump decides the check;
+    cell ``IC_REFINE`` times plus both sides of every jump decides the check;
     the constant tail needs only ``reward >= level``.
 
     The first failing sample time and clause are reported.
@@ -143,20 +150,20 @@ def ic_check(m: Mechanism, r: float, *, tol: float = 1e-12, refine: int = 8) -> 
         a = m.grid[i]
         b = m.grid[i + 1] if i + 1 < n else a + max(1.0 / r, 1.0)
         rew = m.reward[i]
-        for j in range(refine + 1):
-            t = a + (b - a) * j / refine
+        for j in range(IC_REFINE + 1):
+            t = a + (b - a) * j / IC_REFINE
             cont = continuation_at(m, prof, r, t, i)
             samples.append((t, math.exp(-r * t) * (rew - cont)))
 
     prev_h = None
     for t, h in samples:
-        if h < -tol:
+        if h < -IC_TOL:
             return IcReport(ok=False, time=t, clause="non_disclosure")
-        if prev_h is not None and h > prev_h + tol:
+        if prev_h is not None and h > prev_h + IC_TOL:
             return IcReport(ok=False, time=t, clause="delay")
         prev_h = h
     # constant tail: h(t) = exp(-r t) (reward - level) -> 0, monotone
-    if m.reward[-1] < m.levels[-1] - tol:
+    if m.reward[-1] < m.levels[-1] - IC_TOL:
         return IcReport(ok=False, time=m.grid[-1], clause="non_disclosure")
     return IcReport(ok=True)
 

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from .errors import SolverError
 
+# halvings after which a bisection stops and returns its bracket
+MAX_ITER = 200
 
-def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
-                   max_iter=200):
+
+def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
     """Final bracket ``(lo, hi)`` of a down-crossing: f(lo) >= 0 >= f(hi).
 
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
-    the others, until it is narrower than ``tol_x`` or ``max_iter`` halvings
+    the others, until it is narrower than ``tol_x`` or ``MAX_ITER`` halvings
     are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
     returns ``(mid, mid)``.
     """
@@ -27,7 +29,7 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
         raise SolverError(
             f"bisection: no down-crossing bracket on [{lo}, {hi}] "
             f"(f(lo)={f_lo}, f(hi)={f_hi})")
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if hi - lo <= tol_x:
             break
         mid = 0.5 * (lo + hi)
@@ -41,18 +43,17 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
     return lo, hi
 
 
-def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None,
-                max_iter=200):
+def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
     """Root of ``f`` on [lo, hi] assuming a down-crossing: f(lo) >= 0 >= f(hi).
 
     Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
     given) when |f(mid)| <= tol_f.  Returns the midpoint of the final bracket.
     """
     lo, hi = bisect_bracket(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x,
-                            tol_f=tol_f, max_iter=max_iter)
+                            tol_f=tol_f)
     return 0.5 * (lo + hi)
 
 
-def bisect_up(f, lo, hi, *, tol_x=1e-12, max_iter=200):
+def bisect_up(f, lo, hi, *, tol_x=1e-12):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
-    return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x, max_iter=max_iter)
+    return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)

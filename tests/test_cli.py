@@ -9,11 +9,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import disclose
 from disclose import SolverError
 from disclose.cli import main
 
@@ -307,6 +310,9 @@ def test_exit_1_on_config_problems(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"technology": A_TECH}, "cmd.json")
     assert main(["frobnicate", "--config", cfg,
                  "--out", str(tmp_path / "o4")]) == 1
+
+    listed = write_cfg(tmp_path, {"command": ["analyze"]}, "listed.json")
+    assert main(["--config", listed, "--out", str(tmp_path / "o5")]) == 1
     assert "config error" in capsys.readouterr().err
 
 
@@ -330,54 +336,93 @@ def test_exit_3_on_solver_breakdown(tmp_path, monkeypatch, capsys):
 
 EXP_8 = {"kind": "exponential", "rate": 1.0, "m": 8}
 NO_CONFLICT = "model assumption violated: no conflict of interest: u1 >= u0"
+MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
 
-# solve-deadline configs that must fail cleanly: (exit code, stderr start, config)
+# configs that must fail cleanly: (command, exit code, stderr start, config)
 BAD_CONFIGS = {
     # u1 >= u0 puts u_star at the f0 peak, where the chord slope divides by 0
-    "no-conflict-piecewise": (2, NO_CONFLICT, {
+    "no-conflict-piecewise": ("solve-deadline", 2, NO_CONFLICT, {
         "technology": {"kind": "piecewise",
                        "f0": [[0, 0], [1, 1], [2, 0]],
                        "f1": [[0, 0.6], [1.2, 1.4], [1.8, 0.6]]},
         "distribution": POINT_1}),
-    "no-conflict-insurance": (2, NO_CONFLICT, {
+    "no-conflict-insurance": ("solve-deadline", 2, NO_CONFLICT, {
         "technology": dict(UI_TECH, shadow=1e-9), "distribution": EXP_8}),
-    "missing-rate": (1, "config error", {
+    "missing-rate": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "exponential", "m": 8}}),
-    "missing-shape": (1, "config error", {
+    "missing-shape": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "weibull", "scale": 1.0}}),
-    "missing-scale": (1, "config error", {
+    "missing-scale": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "weibull", "shape": 1.0}}),
-    "missing-t": (1, "config error", {
+    "missing-t": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "point"}}),
-    "r-not-a-number": (1, "config error", {
+    "r-not-a-number": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "r": "x", "distribution": POINT_1}),
-    "rate-not-a-number": (1, "config error", {
+    "rate-not-a-number": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": dict(EXP_8, rate="x")}),
-    "short-atom": (1, "config error", {
+    "short-atom": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "atoms", "atoms": [[1.0]]}}),
-    "short-breakpoint": (1, "config error", {
+    "short-breakpoint": ("solve-deadline", 1, "config error", {
         "technology": dict(A_TECH, f0=[[0.0, 0.0], [1], [2.0, 0.0]]),
         "distribution": POINT_1}),
-    "technology-not-an-object": (1, "config error", {
+    "technology-not-an-object": ("solve-deadline", 1, "config error", {
         "technology": 5, "distribution": POINT_1}),
-    "fractional-m": (1, "config error", {
+    "fractional-m": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": dict(EXP_8, m=8.7)}),
-    "nan-atom-time": (1, "config error", {
+    "nan-atom-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH,
         "distribution": {"kind": "atoms", "atoms": [[math.nan, 1.0]]}}),
-    "infinite-atom-time": (1, "config error", {
+    "infinite-atom-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH,
         "distribution": {"kind": "atoms", "atoms": [[1.0, 0.5], [math.inf, 0.5]]}}),
-    "infinite-point-time": (1, "config error", {
+    "infinite-point-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "point", "t": math.inf}}),
+    # malformed list fields
+    "grid-entry-not-a-number": ("verify", 1, "config error: 'grid'", {
+        "technology": A_TECH, "mechanism": dict(MECH, grid=[0.0, "x"])}),
+    "grid-not-a-list": ("verify", 1, "config error: 'grid'", {
+        "technology": A_TECH, "mechanism": dict(MECH, grid=5)}),
+    "reward-not-a-list": ("verify", 1, "config error: 'reward'", {
+        "technology": A_TECH, "mechanism": dict(MECH, reward=0.9)}),
+    "shadows-not-a-list": ("ui-sweep", 1, "config error: 'shadows'", {
+        "technology": UI_TECH, "shadows": 0.5, "distribution": EXP_8}),
+    "oracle-x-not-a-number": ("oracle", 1, "config error: 'x'", {
+        "technology": A_TECH, "beta": 0.5,
+        "mechanism": {"x": ["a"], "x1": [0.9]}}),
+    "oracle-x-grid-not-a-list": ("oracle", 1, "config error: 'x_grid'", {
+        "technology": A_TECH, "beta": 0.5, "horizon": 1,
+        "x_grid": 3, "reward_grid": [0.9]}),
+    "negative-horizon": ("oracle", 1, "config error: horizon", {
+        "technology": A_TECH, "beta": 0.5, "horizon": -1,
+        "x_grid": [0.9], "reward_grid": [0.9]}),
+    "ui-technology-not-an-object": ("ui-schedule", 1, "config error", {
+        "technology": 5, "distribution": EXP_8}),
+    "mechanism-not-an-object": ("verify", 1, "config error", {
+        "technology": A_TECH, "mechanism": 5}),
+    # non-finite numbers
+    "r-infinite": ("solve-deadline", 1, "config error: 'r'", {
+        "technology": A_TECH, "r": math.inf, "distribution": POINT_1}),
+    "r-nan": ("solve-deadline", 1, "config error: 'r'", {
+        "technology": A_TECH, "r": math.nan, "distribution": POINT_1}),
+    "w-infinite": ("solve-deadline", 1, "config error: 'w'", {
+        "technology": dict(UI_TECH, w=math.inf), "distribution": EXP_8}),
+    "shift-infinite": ("solve-euler", 1, "config error: 'shift'", {
+        "technology": UI_TECH, "shift": math.inf, "distribution": EXP_8}),
+    "shift-frac-nan": ("ui-sweep", 1, "config error: 'shift_frac'", {
+        "technology": UI_TECH, "shadows": [0.5], "shift_frac": math.nan,
+        "distribution": EXP_8}),
+    # a NaN level used to reach front_load and come out as a NaN deadline
+    "nan-level": ("verify", 1, "config error: 'levels'", {
+        "technology": A_TECH, "mechanism": dict(MECH, levels=[1.0, math.nan]),
+        "distribution": POINT_1}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
-    code, message, obj = BAD_CONFIGS[name]
+    command, code, message, obj = BAD_CONFIGS[name]
     cfg = write_cfg(tmp_path, obj)  # NaN and Infinity written as json.load reads them
-    assert main(["solve-deadline", "--config", cfg,
+    assert main([command, "--config", cfg,
                  "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -390,9 +435,12 @@ def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, {"technology": A_TECH})
     out = tmp_path / "out"
+    # the subprocess imports the package this test imported, installed or not
+    package_parent = str(Path(disclose.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "disclose.cli", "analyze",
          "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert (out / "report.json").exists()

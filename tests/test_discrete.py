@@ -168,6 +168,8 @@ def test_scan_matches_brute_force_front(f0_exact, f1_exact):
 
 
 def test_scan_respects_budget(f0_exact, f1_exact):
-    grid = tuple(Fr(i, 10) for i in range(3, 11))
-    with pytest.raises(ConfigError):
-        undominated_scan(f0_exact, f1_exact, BETA, 2, grid, grid, budget=100)
+    # (57 * 57) ** 2 grid mechanisms exceed the budget; the check runs
+    # before any is enumerated
+    grid = tuple(Fr(i, 100) for i in range(57))
+    with pytest.raises(ConfigError, match="budget"):
+        undominated_scan(f0_exact, f1_exact, BETA, 2, grid, grid)

@@ -14,7 +14,6 @@ import pytest
 
 from disclose import (
     AtomAtZero,
-    BracketFailure,
     NotSimple,
     assert_simple,
     backward_pass,
@@ -27,7 +26,6 @@ from disclose import (
     psi,
     simple_reasons,
     solve,
-    solve_general,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -146,18 +144,6 @@ def test_path_beats_deadline(pair_b, dist_k2):
     sol = solve(pair_b, dist_k2)
     best_deadline = optimize_deadline(pair_b, dist_k2).payoff
     assert sol.payoff >= best_deadline - 1e-12
-
-
-# ---------------------------------------------------------- discretization ---
-
-def test_solve_general_convergence_diagnostic(pair_b):
-    g = solve_general(pair_b, "exponential", 8, rate=1.0)
-    assert g.m == 8 and g.m_coarse == 4
-    assert 0.0 <= g.gap < 0.15
-    g16 = solve_general(pair_b, "exponential", 16, rate=1.0)
-    assert g16.gap < g.gap
-    with pytest.raises(BracketFailure):
-        solve_general(pair_b, "exponential", 2, rate=1.0)
 
 
 # ----------------------------------------------------- comparative statics ---

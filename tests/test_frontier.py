@@ -102,16 +102,6 @@ def test_parametric_derivs_match_analytic(pair_b):
         assert d_plus == d_minus
 
 
-def test_parametric_fd_fallback_close_to_analytic():
-    f0 = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2)  # no dfn
-    for u in (0.25, 0.5, 0.75):
-        _, d_plus, _ = f0.derivs(u)
-        assert d_plus == pytest.approx(2.0 - 2.0 * u, abs=1e-5)
-    u_peak, v_peak = f0.peak
-    assert u_peak == pytest.approx(1.0, abs=1e-6)
-    assert v_peak == pytest.approx(1.0, abs=1e-9)
-
-
 def test_parametric_peak_at_boundary():
     f = ParametricFrontier(fn=lambda u: -u, u_lo=0.0, u_hi=1.0,
                            dfn=lambda u: -1.0)
@@ -177,8 +167,9 @@ def test_affine_gap_empty_interval(pair_b):
 # ------------------------------------------------------- technology pair ---
 
 def test_pair_build_requires_positive_rate(pair_a):
-    with pytest.raises(ModelAssumptionError):
-        TechnologyPair.build(pair_a.f0, pair_a.f1, 0.0)
+    for r in (0.0, math.nan, math.inf):
+        with pytest.raises(ModelAssumptionError):
+            TechnologyPair.build(pair_a.f0, pair_a.f1, r)
 
 
 def test_pair_peak_values(pair_a, pair_b):

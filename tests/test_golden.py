@@ -1,9 +1,11 @@
 """Golden CLI outputs: every report and CSV must stay byte-identical.
 
 Each case runs one CLI command on a fixed config and compares the sha256 of
-``report.json`` and of every CSV written next to it against digests
-recorded before the deadline, payoff and cdf fast paths went in.  A speed
-change that moves any float in any output by one ulp fails here.
+``report.json`` and of every CSV written next to it against recorded
+digests: the first ten from before the deadline, payoff and cdf fast paths
+went in, the rest (every command and branch not covered by the first ten)
+from before the CLI moved to a single report path.  A change that moves
+any float in any output by one ulp fails here.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -35,6 +37,18 @@ KINKED_TECH = {
     "f1": A_TECH["f1"],
 }
 UI_TECH = {"kind": "insurance", "a": 0.5, "b": 2.0, "w": 1.0, "shadow": 0.5}
+# instance B sampled at 241 breakpoints: a kink inside every triple of the
+# 201-point concavity grid, so the pair classifies as strictly concave and
+# the CLI takes its reward-path branches
+_H = 1.2 / 240
+DENSE_B_TECH = {
+    "kind": "piecewise",
+    "f0": [[i * _H, 2.0 * i * _H - (i * _H) ** 2] for i in range(241)],
+    "f1": [[i * _H, 1.45 - 1.5 * (i * _H - 0.7) ** 2] for i in range(241)],
+}
+LATE = {"kind": "atoms", "atoms": [[1.0, 0.3], [2.0, 0.7]]}
+EARLY = {"kind": "atoms", "atoms": [[1.0, 0.7], [2.0, 0.3]]}
+ORACLE_GRID = [0.3, 0.5, 0.8, 0.9, 1]
 
 CASES = {
     "solve-deadline-exp256": ("solve-deadline", {
@@ -72,6 +86,35 @@ CASES = {
         "technology": A_TECH, "r": 1.0,
         "mechanism": {"grid": [0.0, 1.0], "levels": [1.0, 0.3],
                       "reward": [1.9, 0.8]},
+        "distribution": {"kind": "exponential", "m": 16, "rate": 1.0}}),
+    "analyze-piecewise": ("analyze", {"technology": A_TECH, "r": 1.0}),
+    "analyze-insurance": ("analyze", {"technology": UI_TECH, "r": 1.0}),
+    # u1 >= u0: failed model checks and a t_underline error in the report
+    "analyze-broken": ("analyze", {"technology": {
+        "kind": "piecewise", "f0": [[0.0, 0.0], [0.5, 0.5], [2.0, 0.2]],
+        "f1": A_TECH["f1"]}}),
+    "analyze-dense": ("analyze", {"technology": DENSE_B_TECH, "r": 1.0}),
+    "compare-statics-deadline": ("compare-statics", {
+        "technology": A_TECH, "r": 1.0,
+        "distribution": {"kind": "weibull", "m": 32, "shape": 1.5, "scale": 2.0},
+        "distribution_dag": {"kind": "exponential", "m": 32, "rate": 1.0}}),
+    # the early law first: the dominance fails and the witness is reported
+    "compare-statics-path": ("compare-statics", {
+        "technology": DENSE_B_TECH, "r": 1.0,
+        "distribution": EARLY, "distribution_dag": LATE}),
+    "verify-path": ("verify", {
+        "technology": DENSE_B_TECH, "r": 1.0, "distribution": LATE}),
+    "oracle-mechanism": ("oracle", {
+        "technology": A_TECH, "beta": 0.5,
+        "mechanism": {"x": [0.8, 0.8, 1], "x1": [1, 0.95, 1]}}),
+    "oracle-scan": ("oracle", {
+        "technology": A_TECH, "beta": 0.5, "horizon": 2,
+        "x_grid": ORACLE_GRID, "reward_grid": ORACLE_GRID}),
+    "ui-schedule-path16": ("ui-schedule", {
+        "technology": UI_TECH, "r": 1.0, "solver": "path",
+        "distribution": {"kind": "weibull", "m": 16, "shape": 2.0, "scale": 1.0}}),
+    "solve-euler-dense16": ("solve-euler", {
+        "technology": DENSE_B_TECH, "r": 1.0,
         "distribution": {"kind": "exponential", "m": 16, "rate": 1.0}}),
 }
 
@@ -132,6 +175,60 @@ GOLDEN = {
     'verify-off-domain-reward': (0, {
         'report.json':
             '5850613eb6d6236ec3ae18842394ba560a83ae5056fa6a8b390a44fe06e76704',
+    }),
+    'analyze-broken': (2, {
+        'report.json':
+            '32feec7d87164a101559bc0b5d07535d4b3361834fbf7aa20ae04438b11ddb0c',
+    }),
+    'analyze-dense': (2, {
+        'report.json':
+            'd62350d63a19a807eb73043245d3995896f6595bce6d9967a8cab2097c6c4a5e',
+    }),
+    'analyze-insurance': (0, {
+        'report.json':
+            '7f7a5239aaa86149b2e6347c867cd0049dcfceff9c6fe97abeba09ebe4d206ac',
+    }),
+    'analyze-piecewise': (0, {
+        'report.json':
+            '65366ed26f75f99b6037794c888b7d051407415cd1d9c4545391aec85fe325eb',
+    }),
+    'compare-statics-deadline': (0, {
+        'report.json':
+            'f3bdaf4145b0c594bf87f4ff92c0cf87a6eb0d8247021f3f03269832a65ab666',
+    }),
+    'compare-statics-path': (2, {
+        'report.json':
+            '63f016cc2434054af310f0bfbd5dd964773125e3915679629cd99435e23f1624',
+    }),
+    'oracle-mechanism': (0, {
+        'report.json':
+            '1c4c162a3f4585cd149acfb03a3876b2f73f939dfe61f8285cd815443374c0d2',
+    }),
+    'oracle-scan': (0, {
+        'report.json':
+            '0120cca34eaf4171dfcaf970aedd1ba2d23e93709b6ea4fc33ef9c699f25f463',
+        'undominated.csv':
+            'b80fc8bcfffc4f72ef1622e4445a98059ae123fe03c648df31275126142abb0c',
+    }),
+    'solve-euler-dense16': (0, {
+        'mechanism.csv':
+            'ffe62f331f73112ddad95ffdecb588f5ae49a1cfef3cd094df3aa0dcf8eccbcb',
+        'report.json':
+            'cf65cdd269e26fe4c6677b7bdcd574b6c381468373670ccf2cff694cf37aa5b2',
+        'residuals.csv':
+            'c79dea64793b4b8d834ce661c40af645babf32382fff76a86b70546cb963ec1a',
+    }),
+    'ui-schedule-path16': (0, {
+        'mechanism.csv':
+            '1801c82d168d40f7d33e91cdc549d2b35c847900721e65656cbd87aa0d57678b',
+        'report.json':
+            '0dc559b3d19649a4867576a9fbe30585283158883fccffa0f5b8eeb8e267d192',
+        'schedule.csv':
+            'bbec6c3eaf8bf62d4a52c9148890b516fcb6ffb6c5423423d7a19b9ed42ae6b8',
+    }),
+    'verify-path': (2, {
+        'report.json':
+            'dc17eb09138d55eb46227e1efce87734ce058674a896608ada11734eb40f94b8',
     }),
 }
 

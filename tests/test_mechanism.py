@@ -52,6 +52,13 @@ def test_mechanism_validation():
         Mechanism(grid=(0.0, 1.0), levels=(0.5,))      # level count
     with pytest.raises(ConfigError):
         Mechanism(grid=(0.0,), levels=(0.5,), reward=(0.5, 0.6))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            Mechanism(grid=(0.0, 1.0), levels=(1.0, bad))
+        with pytest.raises(ConfigError, match="finite"):
+            Mechanism(grid=(0.0, 1.0), levels=(1.0, 0.3), reward=(bad, 0.3))
+    with pytest.raises(ConfigError, match="finite"):
+        Mechanism(grid=(0.0, math.inf), levels=(1.0, 0.3))
     m = Mechanism(grid=(0.0, 1.0), levels=(1.0, 0.3))
     with pytest.raises(ConfigError):
         m.cell_index(-0.5)
