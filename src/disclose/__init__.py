@@ -28,7 +28,7 @@ from .frontier import (NEG_INF, Check, ModelReport, ParametricFrontier,
 from .insurance import (SweepRow, UiConstants, UiPrimitives, UiScheduleRow,
                         build_frontiers, labor_choice, schedule,
                         shift_mechanism, ui_constants, welfare_sweep)
-from .mechanism import (FrontLoadResult, IcReport, Mechanism, PayoffBreakdown,
+from .mechanism import (FrontLoadResult, IcReport, Mechanism,
                         continuation_profile, continuation_value,
                         deadline_mechanism, front_load, ic_check,
                         mechanism_rows, payoff, reward_value)
@@ -45,7 +45,7 @@ __all__ = [
     "BreakthroughDist", "from_atoms", "discretize", "order_checks",
     "OrderReport",
     # mechanisms
-    "Mechanism", "IcReport", "PayoffBreakdown", "FrontLoadResult",
+    "Mechanism", "IcReport", "FrontLoadResult",
     "continuation_profile", "continuation_value", "reward_value", "ic_check",
     "payoff", "front_load", "deadline_mechanism", "mechanism_rows",
     # deadline solver

@@ -275,12 +275,12 @@ def _cmd_verify(cfg: dict, out_dir: str, tols: dict):
         if "distribution" in cfg:
             dist = _dist_from(cfg["distribution"])
             value = payoff(m, pair, dist)
-            report["payoff"] = value.total
+            report["payoff"] = value
             fl = front_load(m, pair)
             fl_value = payoff(fl.mechanism, pair, dist)
-            report["front_load"] = {"T": fl.T, "payoff": fl_value.total}
-            if isinstance(value.total, float) and isinstance(fl_value.total, float):
-                dominated = fl_value.total >= value.total - tols["root"]
+            report["front_load"] = {"T": fl.T, "payoff": fl_value}
+            if isinstance(value, float) and isinstance(fl_value, float):
+                dominated = fl_value >= value - tols["root"]
                 report["front_load"]["dominates"] = dominated
                 ok = ok and dominated
     else:

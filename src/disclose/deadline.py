@@ -59,7 +59,7 @@ def t_underline(pair: TechnologyPair) -> float:
 def deadline_payoff(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> float:
     """Expected payoff of the deadline-T mechanism (NEG_INF sentinel if some
     reward leaves the ``f1`` domain)."""
-    return payoff(deadline_mechanism(pair, T), pair, dist).total
+    return payoff(deadline_mechanism(pair, T), pair, dist)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,14 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
 
     Only atoms with ``t_k <= T`` enter either sum, so the loop stops at
     ``bisect_right(times, T)``; ``alpha`` is :func:`_alpha` of the pair.
+    The rewards lie in ``[u_star, u0]``, where ``f1`` must be defined.
     """
     if not T >= 0:
         raise ModelAssumptionError(f"deadline must be non-negative, got {T}")
     u0, ustar, r = float(pair.u0), float(pair.u_star), pair.r
+    if pair.f1.u_hi < u0:
+        raise ModelAssumptionError(
+            f"f1 domain ends at {pair.f1.u_hi}, below the f0 peak u0={u0}")
     f1_derivs = pair.f1.derivs
     times, probs = dist.times, dist.probs
 
@@ -101,11 +105,11 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
         t_k = times[k]
         if t_k < T:  # the reward X_{t_k}(T) inlined: a call per atom costs ~12 % of a solve
             d = math.exp(-r * (T - t_k))
-            _, d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
+            d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
             sum_plus += probs[k] * d_plus
             sum_minus += probs[k] * d_minus
         else:  # the atom at T is rewarded u_star and enters the right sum only
-            _, d_plus, _ = f1_derivs(ustar)
+            d_plus, _ = f1_derivs(ustar)
             sum_plus += probs[k] * d_plus
 
     return ((1.0 - dist.cdf(T)) * alpha + sum_plus,
@@ -219,7 +223,7 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
 
     # an unbounded deadline is never optimal under the maintained assumptions;
     # flag the anomaly rather than returning it if the numbers disagree
-    pi_inf = payoff(deadline_mechanism(pair, math.inf), pair, dist).total
+    pi_inf = payoff(deadline_mechanism(pair, math.inf), pair, dist)
     if isinstance(pi_inf, float) and pi_inf > best_pi + tol:
         warnings.append("payoff of the never-stop profile exceeds every finite "
                         "candidate; model assumptions are suspect")

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
-from .frontier import TechnologyPair, is_neg_inf
+from .frontier import TechnologyPair, is_neg_inf, slope
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
 from .numerics import bisect_down
 
@@ -42,17 +42,6 @@ SIMPLE_GRID = 201
 # comparative-statics check
 STATICS_PROBES = 100
 STATICS_TOL = 1e-9
-
-
-def _slope(f, u: float) -> float:
-    """One-sided frontier derivative, finite side preferred (the two sides
-    agree in the smooth interior; only the domain endpoints differ)."""
-    _, d_plus, d_minus = f.derivs(u)
-    if d_plus is not None and math.isfinite(d_plus):
-        return d_plus
-    if d_minus is not None and math.isfinite(d_minus):
-        return d_minus
-    raise NotSimple([f"no finite slope at u={u}"])
 
 
 def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
@@ -90,12 +79,9 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
                 f"(max second difference {worst:.3e})")
         for u in (ustar, u0):
             try:
-                d = _slope(f, u)
+                slope(f, u)
             except NotSimple:
                 reasons.append(f"{name} has no finite slope at u={u}")
-                continue
-            if not math.isfinite(d):
-                reasons.append(f"{name} slope at u={u} is not finite")
     return tuple(reasons)
 
 
@@ -115,7 +101,7 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     ustar, u0 = float(pair.u_star), float(pair.u0)
 
     def g(u: float) -> float:
-        return _slope(pair.f0, u) - y
+        return slope(pair.f0, u) - y
 
     g_lo = g(ustar)
     if g_lo <= 0.0:
@@ -126,11 +112,12 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     return bisect_down(g, ustar, u0, f_lo=g_lo, f_hi=g_hi, tol_x=1e-13)
 
 
-def backward_pass(pair: TechnologyPair, dist: BreakthroughDist,
-                  lam: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Flow levels and continuation values at the breakthrough atoms for a
-    trial terminal level ``lam``.  Returns ``(levels, conts)``, one entry
-    per atom; ``levels[-1] == conts[-1] == lam``."""
+def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float
+                  ) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
+    """Flow levels, continuation values and ``f1`` slope terms at the
+    breakthrough atoms for a trial terminal level ``lam``.  Returns
+    ``(levels, conts, terms)``, one entry per atom, with
+    ``terms[k] = p_k * f1'(conts[k])``; ``levels[-1] == conts[-1] == lam``."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero(
@@ -138,24 +125,25 @@ def backward_pass(pair: TechnologyPair, dist: BreakthroughDist,
     k_n = len(times)
     x = [0.0] * k_n
     cx = [0.0] * k_n
+    terms = [0.0] * k_n
     x[-1] = cx[-1] = float(lam)
-    tail_sum = probs[-1] * _slope(pair.f1, cx[-1])
+    tail_sum = terms[-1] = probs[-1] * slope(pair.f1, cx[-1])
     tail_mass = probs[-1]
     for k in range(k_n - 2, -1, -1):
         x[k] = inv_deriv_f0(pair, tail_sum / tail_mass)
         d = math.exp(-pair.r * (times[k + 1] - times[k]))
         cx[k] = (1.0 - d) * x[k] + d * cx[k + 1]
-        tail_sum += probs[k] * _slope(pair.f1, cx[k])
+        terms[k] = probs[k] * slope(pair.f1, cx[k])
+        tail_sum += terms[k]
         tail_mass += probs[k]
-    return tuple(x), tuple(cx)
+    return tuple(x), tuple(cx), tuple(terms)
 
 
 def psi(pair: TechnologyPair, dist: BreakthroughDist, lam: float) -> float:
     """Expected ``f1`` slope at the atom continuation values — the scalar
-    whose root in ``lam`` closes the backward recursion."""
-    _, conts = backward_pass(pair, dist, lam)
-    return math.fsum(p * _slope(pair.f1, c)
-                     for p, c in zip(dist.probs, conts))
+    whose root in ``lam`` closes the backward recursion; the slope terms
+    come from :func:`backward_pass`."""
+    return math.fsum(backward_pass(pair, dist, lam)[2])
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,7 @@ class EulerSolution:
 
 def _assemble(pair: TechnologyPair, dist: BreakthroughDist,
               lam: float) -> Tuple[Tuple[float, ...], Tuple[float, ...], Mechanism]:
-    levels, conts = backward_pass(pair, dist, lam)
+    levels, conts, _ = backward_pass(pair, dist, lam)
     mech = Mechanism(grid=(0.0,) + dist.times,
                      levels=(float(pair.u0),) + levels)
     return levels, conts, mech
@@ -225,7 +213,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     best = None
     for lam in roots:
         levels, conts, mech = _assemble(pair, dist, lam)
-        val = payoff(mech, pair, dist).total
+        val = payoff(mech, pair, dist)
         if not isinstance(val, float):
             continue
         if best is None or val > best[0]:
@@ -256,9 +244,9 @@ def euler_residuals(pair: TechnologyPair, dist: BreakthroughDist,
     out = []
     running = 0.0
     for t_k, p_k, x_k, c_k in zip(dist.times, dist.probs, levels, conts):
-        running += p_k * _slope(pair.f1, c_k)
+        running += p_k * slope(pair.f1, c_k)
         survival = 1.0 - dist.cdf(t_k)
-        out.append(survival * _slope(pair.f0, x_k) + running)
+        out.append(survival * slope(pair.f0, x_k) + running)
     return tuple(out)
 
 

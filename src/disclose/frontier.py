@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .errors import ModelAssumptionError
+from .errors import ModelAssumptionError, NotSimple
 from .numerics import bisect_down, bisect_up
 
 INF = float("inf")
@@ -134,12 +134,11 @@ class PiecewiseFrontier:
         return v_i + self._slopes[i] * (u - u_i)
 
     def derivs(self, u):
-        """``(value, d_plus, d_minus)`` at ``u``.
+        """``(d_plus, d_minus)`` at ``u``: the right and the left slope.
 
-        ``d_plus`` is the right slope, ``d_minus`` the left slope.  At the
-        left domain endpoint ``d_minus`` is +inf and at the right endpoint
-        ``d_plus`` is -inf, so ``[d_plus, d_minus]`` is the supporting-slope
-        interval everywhere.  Off-domain: ``(NEG_INF, None, None)``.
+        At the left domain endpoint ``d_minus`` is +inf and at the right
+        endpoint ``d_plus`` is -inf, so ``[d_plus, d_minus]`` is the
+        supporting-slope interval everywhere.  Off-domain: ``(None, None)``.
 
         Queries within ``KINK_SNAP`` of a breakpoint are treated as sitting
         on it, so both one-sided slopes of a kink are reported even when the
@@ -151,16 +150,15 @@ class PiecewiseFrontier:
         for k in (j - 1, j):
             if 0 <= k < len(us) and abs(u - us[k]) <= KINK_SNAP:
                 if k == 0:
-                    return (self.points[0][1], slopes[0], INF)
+                    return (slopes[0], INF)
                 if k == len(us) - 1:
-                    return (self.points[-1][1], -INF, slopes[-1])
-                return (self.points[k][1], slopes[k], slopes[k - 1])
+                    return (-INF, slopes[-1])
+                return (slopes[k], slopes[k - 1])
         if u < us[0] or u > us[-1]:
-            return (NEG_INF, None, None)
+            return (None, None)
         # strictly inside segment j - 1 (NaN lands on the last segment)
-        u_i, v_i = self.points[j - 1]
         s = slopes[j - 1]
-        return (v_i + s * (u - u_i), s, s)
+        return (s, s)
 
     @cached_property
     def peak(self):
@@ -189,15 +187,16 @@ class ParametricFrontier:
         return self.fn(u)
 
     def derivs(self, u):
+        """``(d_plus, d_minus)`` at ``u``, as :meth:`PiecewiseFrontier.derivs`;
+        ``dfn`` gives both sides in the interior and ``fn`` is not called."""
         if u < self.u_lo or u > self.u_hi:
-            return (NEG_INF, None, None)
-        v = self.fn(u)
+            return (None, None)
         d = self.dfn(u)
         if u == self.u_lo:
-            return (v, d, INF)
+            return (d, INF)
         if u == self.u_hi:
-            return (v, -INF, d)
-        return (v, d, d)
+            return (-INF, d)
+        return (d, d)
 
     @cached_property
     def peak(self):
@@ -223,6 +222,18 @@ class ParametricFrontier:
         )
 
 
+def slope(f, u) -> float:
+    """Frontier slope at ``u``, finite side preferred (the two sides agree in
+    the smooth interior; only the domain endpoints differ).  Raises
+    :class:`NotSimple` when neither side is finite or ``u`` is off-domain."""
+    d_plus, d_minus = f.derivs(u)
+    if d_plus is not None and math.isfinite(d_plus):
+        return d_plus
+    if d_minus is not None and math.isfinite(d_minus):
+        return d_minus
+    raise NotSimple([f"no finite slope at u={u}"])
+
+
 def u_star(f0, f1) -> float:
     """Rightmost ``u`` in ``[0, u0]`` where ``f0`` and ``f1`` share a
     non-negative supporting slope.
@@ -234,9 +245,10 @@ def u_star(f0, f1) -> float:
     of a piecewise-linear ``f0`` would otherwise create where the gap is
     locally *minimal*.
 
-    Piecewise pairs are scanned breakpoint-by-breakpoint right to left
-    (exact; preserves Fraction inputs).  Smooth pairs use sign bisection on
-    ``d+f0 - d+f1``; if the slopes never cross, the frontiers share a slope
+    Only one-sided slopes are read.  Piecewise pairs are scanned
+    breakpoint-by-breakpoint right to left (exact; preserves Fraction
+    inputs).  Smooth pairs use sign bisection on ``slope(f0) - slope(f1)``
+    (:func:`slope`); if the slopes never cross, the frontiers share a slope
     only at the bottom of the domain, which is then returned.
     """
     u0 = f0.peak[0]
@@ -252,8 +264,8 @@ def u_star(f0, f1) -> float:
                 if lo < u < cap:
                     cands.add(u)
         for u in sorted(cands, reverse=True):
-            _, dp0, dm0 = f0.derivs(u)
-            _, dp1, dm1 = f1.derivs(u)
+            dp0, dm0 = f0.derivs(u)
+            dp1, dm1 = f1.derivs(u)
             lo_b = max(dp0, dp1, 0)
             hi_b = min(dm0, dm1)
             if lo_b <= hi_b:
@@ -261,11 +273,7 @@ def u_star(f0, f1) -> float:
         raise ModelAssumptionError("no shared supporting slope found")  # pragma: no cover
 
     def psi(u: float) -> float:
-        _, dp0, dm0 = f0.derivs(u)
-        _, dp1, dm1 = f1.derivs(u)
-        a = dp0 if math.isfinite(dp0) else dm0
-        b = dp1 if math.isfinite(dp1) else dm1
-        return a - b
+        return slope(f0, u) - slope(f1, u)
 
     if psi(cap) < 0.0:
         raise ModelAssumptionError(

@@ -17,13 +17,17 @@ zero and the reward-path solver needs the participation shift exposed by
 ``TechnologyPair.shifted`` (payoffs are invariant; levels map back by the
 shift).  Solved mechanisms translate into benefit/consumption/labor
 schedules via the same closed forms.
+
+``f1`` and its slope both need the inner maximization over labor.  Each
+pair built by :func:`build_frontiers` memoizes it per utility level; the
+memo is shared with the pair's ``shifted`` copies and freed with them, so
+no state outlives the frontiers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .deadline import optimize_deadline
@@ -59,13 +63,13 @@ class UiPrimitives:
             raise ConfigError(f"need a positive shadow price, got {self.shadow}")
 
 
-@lru_cache(maxsize=None)
 def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     """``argmax_L`` and ``max_L`` of ``w L - (u + L**b)**(1/a)`` for L >= 0.
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
     maximizer is the unique root of the slope, bracketed by geometric
-    growth and bisected.
+    growth and bisected.  Nothing is cached here: ``build_frontiers`` keeps
+    a memo per pair.
     """
 
     def gp(L: float) -> float:
@@ -108,10 +112,20 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
     Both frontiers carry analytic derivatives (the post-breakthrough one by
     the envelope theorem: ``f1'(u) = 1 - (shadow/a) C(u)**(1-a)`` with
     ``C(u)`` the compensating consumption at the optimal labor choice).
+    ``f1`` and its derivative read one inner maximization per level from a
+    memo that lives as long as the frontiers.
     """
     a, b, w, lam = p.a, p.b, p.w, p.shadow
     u0 = ui_constants(p).u0
     hi = DOMAIN_FACTOR * u0
+    memo = {}
+
+    def inner(u: float) -> Tuple[float, float]:
+        u = float(u)
+        out = memo.get(u)
+        if out is None:
+            out = memo[u] = _inner_max(a, b, w, u)
+        return out
 
     def f0_fn(u: float) -> float:
         return u - lam * u ** (1.0 / a)
@@ -120,10 +134,10 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
         return 1.0 - (lam / a) * u ** ((1.0 - a) / a)
 
     def f1_fn(u: float) -> float:
-        return u + lam * _inner_max(a, b, w, float(u))[1]
+        return u + lam * inner(u)[1]
 
     def f1_dfn(u: float) -> float:
-        l_star = _inner_max(a, b, w, float(u))[0]
+        l_star = inner(u)[0]
         return 1.0 - (lam / a) * (u + l_star ** b) ** ((1.0 - a) / a)
 
     f0 = ParametricFrontier(fn=f0_fn, u_lo=0.0, u_hi=hi, dfn=f0_dfn)

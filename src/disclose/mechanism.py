@@ -168,32 +168,10 @@ def ic_check(m: Mechanism, r: float) -> IcReport:
     return IcReport(ok=True)
 
 
-@dataclass(frozen=True)
-class AtomPayoff:
-    t: float
-    p: float
-    pre: Optional[float]    # None when an off-domain value was hit
-    post: Optional[float]
-
-
-@dataclass(frozen=True)
-class PayoffBreakdown:
-    """Expected principal value split into pre/post disclosure parts.
-
-    ``total`` is the NEG_INF sentinel (never a float -inf) whenever some atom
-    hit a frontier value outside its effective domain; the offending atom
-    times are listed in ``off_domain`` so callers can report rather than
-    crash."""
-
-    total: object
-    pre_disclosure: float
-    post_disclosure: float
-    atoms: Tuple[AtomPayoff, ...]
-    off_domain: Tuple[float, ...] = ()
-
-
-def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
-    """Exact expected payoff under a finite breakthrough distribution.
+def payoff(m: Mechanism, pair: TechnologyPair, dist):
+    """Exact expected payoff under a finite breakthrough distribution: a
+    float, or the NEG_INF sentinel (never a float -inf) when some atom hits a
+    frontier value outside its effective domain.
 
     Pre-disclosure flow value is integrated cell by cell in closed form
     (each cell contributes ``f0(level) * (exp(-r a) - exp(-r b))``), and each
@@ -219,31 +197,17 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist) -> PayoffBreakdown:
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
 
     prof = continuation_profile(m, r)
-    rows = []
-    bad_times = []
+    terms = []
     for t, p in zip(dist.times, dist.probs):
         i = m.cell_index(t)
-        bad = first_bad[i] or (t > m.grid[i] and flow_vals[i] is None)
-        pre = None
-        if not bad:
-            pre = prefix[i] + (flow_vals[i] or 0.0) * (math.exp(-r * m.grid[i]) - math.exp(-r * t))
+        if first_bad[i] or (t > m.grid[i] and flow_vals[i] is None):
+            return NEG_INF
+        pre = prefix[i] + (flow_vals[i] or 0.0) * (math.exp(-r * m.grid[i]) - math.exp(-r * t))
         v1 = pair.f1.value(reward_from_profile(m, prof, r, t, i))
-        post = None if is_neg_inf(v1) else math.exp(-r * t) * float(v1)
-        if post is None or bad:
-            bad_times.append(t)
-        rows.append(AtomPayoff(t=t, p=p, pre=pre, post=post))
-
-    clean = [(row.p, row.pre, row.post) for row in rows
-             if row.pre is not None and row.post is not None]
-    pre_total = math.fsum(p * pre for p, pre, _ in clean)
-    post_total = math.fsum(p * post for p, _, post in clean)
-    if bad_times:
-        return PayoffBreakdown(total=NEG_INF, pre_disclosure=pre_total,
-                               post_disclosure=post_total, atoms=tuple(rows),
-                               off_domain=tuple(bad_times))
-    total = math.fsum(p * (pre + post) for p, pre, post in clean)
-    return PayoffBreakdown(total=total, pre_disclosure=pre_total,
-                           post_disclosure=post_total, atoms=tuple(rows))
+        if is_neg_inf(v1):
+            return NEG_INF
+        terms.append(p * (pre + math.exp(-r * t) * float(v1)))
+    return math.fsum(terms)
 
 
 def deadline_mechanism(pair: TechnologyPair, T: float) -> Mechanism:

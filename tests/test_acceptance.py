@@ -145,8 +145,8 @@ def test_criterion_05_front_loading_dominance(pair_a, dist_exp16):
                       levels=tuple(rng.uniform(0.3, 1.0) for _ in range(n)))
         fl = front_load(m, pair_a).mechanism
         for j, dist in enumerate(dists):
-            base = payoff(m, pair_a, dist).total
-            plus = payoff(fl, pair_a, dist).total
+            base = payoff(m, pair_a, dist)
+            plus = payoff(fl, pair_a, dist)
             assert plus >= base - 1e-9
             if j == 4:
                 assert plus - base > 1e-6

@@ -337,6 +337,8 @@ def test_exit_3_on_solver_breakdown(tmp_path, monkeypatch, capsys):
 EXP_8 = {"kind": "exponential", "rate": 1.0, "m": 8}
 NO_CONFLICT = "model assumption violated: no conflict of interest: u1 >= u0"
 MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
+SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
+SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
 
 # configs that must fail cleanly: (command, exit code, stderr start, config)
 BAD_CONFIGS = {
@@ -346,6 +348,11 @@ BAD_CONFIGS = {
                        "f0": [[0, 0], [1, 1], [2, 0]],
                        "f1": [[0, 0.6], [1.2, 1.4], [1.8, 0.6]]},
         "distribution": POINT_1}),
+    # the deadline rewards reach u0 = 1, past the end of this f1 at 0.9
+    "f1-domain-below-f0-peak": ("solve-deadline", 2, SHORT_F1, {
+        "technology": dict(A_TECH, f1=SHORT_F1_POINTS), "distribution": EXP_8}),
+    "f1-domain-below-f0-peak-verify": ("verify", 2, SHORT_F1, {
+        "technology": dict(A_TECH, f1=SHORT_F1_POINTS), "distribution": EXP_8}),
     "no-conflict-insurance": ("solve-deadline", 2, NO_CONFLICT, {
         "technology": dict(UI_TECH, shadow=1e-9), "distribution": EXP_8}),
     "missing-rate": ("solve-deadline", 1, "config error", {

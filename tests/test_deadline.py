@@ -68,7 +68,7 @@ def test_deadline_payoff_matches_mechanism(pair_a, dist_k2):
     from disclose import deadline_mechanism
     for T in (0.5, math.log(3.5), 2.0, 6.0):
         direct = deadline_payoff(pair_a, dist_k2, T)
-        via_mech = payoff(deadline_mechanism(pair_a, T), pair_a, dist_k2).total
+        via_mech = payoff(deadline_mechanism(pair_a, T), pair_a, dist_k2)
         assert direct == pytest.approx(via_mech, abs=1e-14)
 
 

@@ -63,13 +63,15 @@ def test_inv_deriv_f0(pair_b):
 # ---------------------------------------------------------- backward pass ---
 
 def test_backward_pass_two_atoms(pair_b, dist_k2):
-    levels, conts = backward_pass(pair_b, dist_k2, 0.6)
+    levels, conts, terms = backward_pass(pair_b, dist_k2, 0.6)
     assert levels[-1] == conts[-1] == 0.6
     # f1'(0.6) = 0.3, so x_0 solves 2 - 2u = 0.3
     assert levels[0] == pytest.approx(0.85, abs=1e-12)
     d = math.exp(-1.0)
     assert conts[0] == pytest.approx((1 - d) * 0.85 + d * 0.6, abs=1e-12)
     assert conts[0] == pytest.approx(0.7580301397071496, abs=1e-12)
+    # p_k * f1'(X_k) with f1'(u) = -3 (u - 0.7)
+    assert terms == (0.5 * -3.0 * (conts[0] - 0.7), 0.5 * -3.0 * (0.6 - 0.7))
 
 
 def test_backward_pass_rejects_atom_at_zero(pair_b):

@@ -5,12 +5,16 @@ one-bisection ``PiecewiseFrontier.derivs`` and the payoff-free deadline
 bracket must return exactly what the plain implementations kept here as
 oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
-``optimize_deadline`` call may compute only the payoffs it reads.
+``optimize_deadline`` call may compute only the payoffs it reads, slopes
+cost no frontier value, ``psi`` reads one ``f1`` slope per atom, and the
+insurance inner maximization runs once per level of a pair and leaves no
+state behind.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -18,15 +22,14 @@ from fractions import Fraction
 
 import pytest
 
-from disclose import deadline, mechanism
+from disclose import deadline, euler, insurance, mechanism
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize
-from disclose.frontier import (INF, KINK_SNAP, NEG_INF, PiecewiseFrontier,
-                               TechnologyPair, is_neg_inf)
-from disclose.insurance import schedule
-from disclose.mechanism import (AtomPayoff, Mechanism, PayoffBreakdown,
-                                continuation_value, mechanism_rows, payoff,
-                                reward_value)
+from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
+                               PiecewiseFrontier, TechnologyPair, is_neg_inf)
+from disclose.insurance import UiPrimitives, schedule
+from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
+                                payoff, reward_value)
 
 from conftest import A_F0_POINTS, A_F1_POINTS
 
@@ -38,8 +41,6 @@ def exact(v):
         return ("float", v.hex())
     if isinstance(v, (tuple, list)):
         return tuple(exact(x) for x in v)
-    if isinstance(v, (PayoffBreakdown, AtomPayoff)):
-        return (type(v).__name__,) + exact(tuple(vars(v).values()))
     return (type(v).__name__, v)
 
 
@@ -130,30 +131,20 @@ def payoff_reference(m, pair, dist):
         contrib = 0.0 if flow_vals[i - 1] is None else flow_vals[i - 1] * w
         prefix[i] = prefix[i - 1] + contrib
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
-    rows, bad_times = [], []
+    rows, bad = [], False
     for t, p in zip(dist.times, dist.probs):
         i = m.cell_index(t)
-        bad = first_bad[i] or (t > m.grid[i] and flow_vals[i] is None)
         pre = None
-        if not bad:
+        if not (first_bad[i] or (t > m.grid[i] and flow_vals[i] is None)):
             pre = prefix[i] + (flow_vals[i] or 0.0) * (
                 math.exp(-r * m.grid[i]) - math.exp(-r * t))
         v1 = pair.f1.value(reward_value(m, r, t))
         post = None if is_neg_inf(v1) else math.exp(-r * t) * float(v1)
-        if post is None or bad:
-            bad_times.append(t)
-        rows.append(AtomPayoff(t=t, p=p, pre=pre, post=post))
-    clean = [(row.p, row.pre, row.post) for row in rows
-             if row.pre is not None and row.post is not None]
-    pre_total = math.fsum(p * pre for p, pre, _ in clean)
-    post_total = math.fsum(p * post for p, _, post in clean)
-    if bad_times:
-        return PayoffBreakdown(total=NEG_INF, pre_disclosure=pre_total,
-                               post_disclosure=post_total, atoms=tuple(rows),
-                               off_domain=tuple(bad_times))
-    total = math.fsum(p * (pre + post) for p, pre, post in clean)
-    return PayoffBreakdown(total=total, pre_disclosure=pre_total,
-                           post_disclosure=post_total, atoms=tuple(rows))
+        bad = bad or pre is None or post is None
+        rows.append((p, pre, post))
+    if bad:
+        return NEG_INF
+    return math.fsum(p * (pre + post) for p, pre, post in rows)
 
 
 def random_mechanism(rng, dist, *, explicit: bool, hi: float) -> Mechanism:
@@ -221,17 +212,29 @@ def derivs_reference(f, u):
             u = f._us[idx]
             break
     if u < f.u_lo or u > f.u_hi:
-        return (NEG_INF, None, None)
+        return (None, None)
     i = f._segment(u)
-    u_i, v_i = f.points[i]
     if u == f.u_lo:
-        return (f.points[0][1], f._slopes[0], INF)
+        return (f._slopes[0], INF)
     if u == f.u_hi:
-        return (f.points[-1][1], -INF, f._slopes[-1])
+        return (-INF, f._slopes[-1])
     j = bisect.bisect_left(f._us, u)
     if j < len(f._us) and f._us[j] == u:
-        return (f.points[j][1], f._slopes[j], f._slopes[j - 1])
-    return (v_i + f._slopes[i] * (u - u_i), f._slopes[i], f._slopes[i])
+        return (f._slopes[j], f._slopes[j - 1])
+    return (f._slopes[i], f._slopes[i])
+
+
+def value_reference(f, u):
+    """Value on the last segment starting at or left of ``u`` (a linear
+    scan; the first segment for NaN)."""
+    if u < f.u_lo or u > f.u_hi:
+        return NEG_INF
+    i = 0
+    for k in range(len(f._us) - 1):
+        if f._us[k] <= u:
+            i = k
+    u_i, v_i = f.points[i]
+    return v_i + f._slopes[i] * (u - u_i)
 
 
 def random_concave_points(rng, k):
@@ -264,6 +267,7 @@ def test_piecewise_derivs_match_reference():
     for f in frontiers:
         for u in probe_points(rng, f._us):
             assert exact(f.derivs(u)) == exact(derivs_reference(f, u)), (f.points, u)
+            assert exact(f.value(u)) == exact(value_reference(f, u)), (f.points, u)
 
 
 def test_piecewise_derivs_fraction_inputs(f0_exact, f1_exact):
@@ -292,7 +296,7 @@ def brackets_reference(pair, dist, T):
     alpha = _alpha(pair)
     sum_plus = sum_minus = 0.0
     for t_k, p_k in zip(dist.times, dist.probs):
-        _, d_plus, d_minus = pair.f1.derivs(deadline_reward(pair, T, t_k))
+        d_plus, d_minus = pair.f1.derivs(deadline_reward(pair, T, t_k))
         if t_k <= T:
             sum_plus += p_k * d_plus
         if t_k < T:
@@ -370,3 +374,79 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
     assert counts["payoff"] <= candidates + 2
     # deadline mechanisms derive their reward: one profile per payoff
     assert counts["continuation_profile"] == counts["payoff"]
+
+
+def test_parametric_derivs_call_no_fn():
+    calls = Counter()
+
+    def fn(u):
+        calls["fn"] += 1
+        return -u * u
+
+    f = ParametricFrontier(fn=fn, u_lo=-1.0, u_hi=1.0, dfn=lambda u: -2.0 * u)
+    for u in (-1.0, -0.5, 0.0, 0.25, 1.0, 1.5, -2.0):
+        f.derivs(u)
+    assert calls["fn"] == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 16])
+def test_psi_reads_one_f1_slope_per_atom(pair_b, monkeypatch, m):
+    dist = discretize("exponential", m, rate=1.0)
+    orig = ParametricFrontier.derivs
+    calls = Counter()
+
+    def derivs(self, u):
+        calls[self is pair_b.f1] += 1
+        return orig(self, u)
+
+    monkeypatch.setattr(ParametricFrontier, "derivs", derivs)
+    euler.psi(pair_b, dist, 0.5)
+    assert calls[True] == m
+
+
+# primitives no other test uses, so nothing computed earlier can be reused
+SWEEP_PRIMS = UiPrimitives(a=0.47, b=1.9, w=1.1, shadow=0.5)
+SWEEP_SHADOWS = (0.5, 0.2)
+
+
+def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
+    orig_build, orig_inner = insurance.build_frontiers, insurance._inner_max
+    current = []
+    levels = Counter()
+
+    def build_frontiers(p, r):
+        current.append(p.shadow)
+        return orig_build(p, r)
+
+    def inner_max(a, b, w, u):
+        levels[(current[-1], u)] += 1
+        return orig_inner(a, b, w, u)
+
+    monkeypatch.setattr(insurance, "build_frontiers", build_frontiers)
+    monkeypatch.setattr(insurance, "_inner_max", inner_max)
+    insurance.welfare_sweep(SWEEP_PRIMS, SWEEP_SHADOWS,
+                            discretize("exponential", 4, rate=1.0), 1.0)
+    assert current == list(SWEEP_SHADOWS)
+    assert levels and max(levels.values()) == 1
+
+
+def test_welfare_sweep_leaves_no_state(monkeypatch):
+    # every inner maximization runs one bisection; a process-wide cache
+    # would let the second sweep skip them
+    calls = Counter()
+    orig = insurance.bisect_down
+
+    def bisect_down(*args, **kwargs):
+        calls["inner"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(insurance, "bisect_down", bisect_down)
+    dist = discretize("exponential", 4, rate=1.0)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        insurance.welfare_sweep(dataclasses.replace(SWEEP_PRIMS, w=1.2),
+                                SWEEP_SHADOWS, dist, 1.0)
+        counts.append(calls["inner"])
+    assert counts[0] > 0
+    assert counts[1] == counts[0]

@@ -97,9 +97,9 @@ def test_shift_mechanism_translates_levels():
 def test_payoff_invariant_under_shift(pair_ui, dist_k2):
     # translating levels and frontiers together cannot change model payoffs
     m = _stop_at_two()
-    base = payoff(m, pair_ui, dist_k2).total
+    base = payoff(m, pair_ui, dist_k2)
     k = 0.05
-    shifted = payoff(shift_mechanism(m, k), pair_ui.shifted(k), dist_k2).total
+    shifted = payoff(shift_mechanism(m, k), pair_ui.shifted(k), dist_k2)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 

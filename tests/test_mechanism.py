@@ -157,10 +157,8 @@ def test_payoff_point_mass_anchor(pair_a):
     T = 1.0 + math.log(3.5)
     value = payoff(deadline_mechanism(pair_a, T), pair_a, from_atoms([(1.0, 1.0)]))
     expected = (1 - math.exp(-1.0)) + 1.4 * math.exp(-1.0)
-    assert value.total == pytest.approx(expected, abs=1e-12)
-    assert value.total == pytest.approx(1.147151776468577, abs=1e-12)
-    assert value.pre_disclosure == pytest.approx(1 - math.exp(-1.0), abs=1e-12)
-    assert value.post_disclosure == pytest.approx(1.4 * math.exp(-1.0), abs=1e-12)
+    assert value == pytest.approx(expected, abs=1e-12)
+    assert value == pytest.approx(1.147151776468577, abs=1e-12)
 
 
 def test_payoff_matches_quadrature_oracle(pair_a, dist_k2):
@@ -178,7 +176,7 @@ def test_payoff_matches_quadrature_oracle(pair_a, dist_k2):
             post = math.exp(-t_k) * float(
                 f1.value(continuation_value(m, 1.0, t_k)))
             total += p_k * (pre + post)
-        assert payoff(m, pair_a, dist_k2).total == pytest.approx(total, abs=1e-9)
+        assert payoff(m, pair_a, dist_k2) == pytest.approx(total, abs=1e-9)
 
 
 def test_payoff_affine_decomposition(pair_a, dist_k2, dist_exp8):
@@ -188,7 +186,7 @@ def test_payoff_affine_decomposition(pair_a, dist_k2, dist_exp8):
     for dist in (dist_k2, dist_exp8):
         for _ in range(20):
             m = random_step_mechanism(rng)
-            lhs = payoff(m, pair_a, dist).total
+            lhs = payoff(m, pair_a, dist)
             x0 = continuation_value(m, 1.0, 0.0)
             gaps = 0.0
             for t_k, p_k in zip(dist.times, dist.probs):
@@ -202,16 +200,24 @@ def test_payoff_affine_decomposition(pair_a, dist_k2, dist_exp8):
 def test_payoff_off_domain_sentinel(pair_a, dist_point1):
     m = Mechanism(grid=(0.0,), levels=(1.0,), reward=(1.9,))  # beyond f1's domain
     value = payoff(m, pair_a, dist_point1)
-    assert is_neg_inf(value.total)
-    assert value.off_domain == (1.0,)
-    assert not isinstance(value.total, float)
+    assert is_neg_inf(value)
+    assert not isinstance(value, float)
+    # a flow level beyond f0's domain counts only in a cell before an atom
+    before = Mechanism(grid=(0.0, 0.5), levels=(2.5, 1.0), reward=(1.0, 1.0))
+    assert is_neg_inf(payoff(before, pair_a, dist_point1))
+    after = Mechanism(grid=(0.0, 2.0), levels=(1.0, 2.5), reward=(1.0, 1.0))
+    assert isinstance(payoff(after, pair_a, dist_point1), float)
 
 
 def test_payoff_atom_rows(pair_a, dist_k2):
+    # deadline T=2: flow at the f0 peak before each atom, reward X_t after
     value = payoff(deadline_mechanism(pair_a, 2.0), pair_a, dist_k2)
-    assert len(value.atoms) == 2
-    assert value.total == pytest.approx(
-        value.pre_disclosure + value.post_disclosure, abs=1e-14)
+    expected = 0.0
+    for t, p in zip(dist_k2.times, dist_k2.probs):
+        d = math.exp(-(2.0 - t))
+        reward = (1.0 - d) * 1.0 + d * 0.3
+        expected += p * ((1.0 - math.exp(-t)) + math.exp(-t) * pair_a.f1.value(reward))
+    assert value == pytest.approx(expected, abs=1e-14)
 
 
 # ------------------------------------------------------------ deadline shape ---
@@ -252,8 +258,8 @@ def test_front_load_weakly_improves(pair_a, dist_k2, dist_exp8):
         m = random_step_mechanism(rng)
         fl = front_load(m, pair_a).mechanism
         for dist in (dist_k2, dist_exp8):
-            assert payoff(fl, pair_a, dist).total >= \
-                payoff(m, pair_a, dist).total - PAYOFF_TOL
+            assert payoff(fl, pair_a, dist) >= \
+                payoff(m, pair_a, dist) - PAYOFF_TOL
 
 
 # ------------------------------------------------------------------- rows ---
