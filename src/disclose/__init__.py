@@ -9,60 +9,41 @@ declining reward path in the strictly concave case, plus exact discrete
 oracles and an unemployment-insurance application.
 """
 
-from .deadline import (FocReport, OptimalDeadline, deadline_payoff, foc_check,
-                       optimize_deadline, pi_and_derivs, t_underline)
-from .discrete import (DiscreteMechanism, ImproveStep, ScanEntry, continuation,
-                       delay_slacks, ic_discrete, improve_slack, payoff_never,
-                       payoff_point, payoff_vector, undominated_scan)
-from .distribution import (BreakthroughDist, OrderReport, discretize,
-                           from_atoms, order_checks)
+from .deadline import (deadline_payoff, optimize_deadline, pi_and_derivs,
+                       t_underline)
+from .discrete import (DiscreteMechanism, continuation, ic_discrete,
+                       improve_slack, payoff_vector, undominated_scan)
+from .distribution import discretize, from_atoms, order_checks
 from .errors import (AtomAtZero, BracketFailure, ConfigError, DiscloseError,
                      ModelAssumptionError, NotSimple, NothingToImprove,
                      SolverError)
-from .euler import (ComparativeStatics, EulerSolution, assert_simple,
-                    backward_pass, comparative_statics_check, euler_residuals,
-                    inv_deriv_f0, psi, simple_reasons, solve)
-from .frontier import (NEG_INF, Check, ModelReport, ParametricFrontier,
-                       PiecewiseFrontier, TechnologyPair, affine_gap,
-                       is_neg_inf, u_star, validate_model)
-from .insurance import (SweepRow, UiConstants, UiPrimitives, UiScheduleRow,
-                        build_frontiers, labor_choice, schedule,
-                        shift_mechanism, ui_constants, welfare_sweep)
-from .mechanism import (FrontLoadResult, IcReport, Mechanism,
-                        continuation_profile, continuation_value,
-                        deadline_mechanism, front_load, ic_check,
-                        mechanism_rows, payoff, reward_value)
+from .euler import comparative_statics_check, euler_residuals, solve
+from .frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
+                       affine_gap)
+from .insurance import UiPrimitives, build_frontiers, welfare_sweep
+from .mechanism import Mechanism, continuation_value, front_load, payoff
 
 __version__ = "0.1.0"
 
+# what the acceptance suite, the benchmark and the README use; anything
+# else is imported from its module (from disclose.euler import psi)
 __all__ = [
     "__version__",
     # frontiers
-    "PiecewiseFrontier", "ParametricFrontier", "TechnologyPair", "u_star",
-    "affine_gap", "validate_model", "ModelReport", "Check", "NEG_INF",
-    "is_neg_inf",
+    "PiecewiseFrontier", "ParametricFrontier", "TechnologyPair", "affine_gap",
     # distributions
-    "BreakthroughDist", "from_atoms", "discretize", "order_checks",
-    "OrderReport",
+    "from_atoms", "discretize", "order_checks",
     # mechanisms
-    "Mechanism", "IcReport", "FrontLoadResult",
-    "continuation_profile", "continuation_value", "reward_value", "ic_check",
-    "payoff", "front_load", "deadline_mechanism", "mechanism_rows",
+    "Mechanism", "continuation_value", "payoff", "front_load",
     # deadline solver
-    "OptimalDeadline", "FocReport", "t_underline", "deadline_payoff",
-    "pi_and_derivs", "foc_check", "optimize_deadline",
+    "t_underline", "deadline_payoff", "pi_and_derivs", "optimize_deadline",
     # reward-path solver
-    "EulerSolution", "ComparativeStatics", "solve", "psi", "backward_pass",
-    "inv_deriv_f0", "euler_residuals", "assert_simple", "simple_reasons",
-    "comparative_statics_check",
+    "solve", "euler_residuals", "comparative_statics_check",
     # discrete oracle
-    "DiscreteMechanism", "ImproveStep", "ScanEntry", "continuation",
-    "delay_slacks", "ic_discrete", "improve_slack", "payoff_point",
-    "payoff_never", "payoff_vector", "undominated_scan",
+    "DiscreteMechanism", "continuation", "ic_discrete", "improve_slack",
+    "payoff_vector", "undominated_scan",
     # insurance application
-    "UiPrimitives", "UiConstants", "UiScheduleRow", "SweepRow",
-    "build_frontiers", "ui_constants", "labor_choice", "schedule",
-    "shift_mechanism", "welfare_sweep",
+    "UiPrimitives", "build_frontiers", "welfare_sweep",
     # errors
     "DiscloseError", "ConfigError", "ModelAssumptionError", "SolverError",
     "NotSimple", "AtomAtZero", "BracketFailure", "NothingToImprove",

@@ -5,8 +5,9 @@ command-specific CSVs) into ``--out``.  Outputs are byte-stable: keys are
 sorted, line endings fixed, and nothing time- or path-dependent is written,
 so reruns on the same config diff clean.
 
-Exit codes: 0 success; 1 configuration problem; 2 model-assumption failure
-(including a failed verification); 3 solver breakdown.
+Exit codes: 0 success; 1 configuration problem (a bad command line
+included); 2 model-assumption failure (including a failed verification);
+3 solver breakdown.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def _write_csv(out_dir: str, name: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _mechanism_csv(out_dir: str, m: Mechanism, r: float, extra=()) -> None:
@@ -342,19 +342,18 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
 
     if solver == "deadline":
         best = optimize_deadline(pair, dist, tol=tols["root"])
-        mech, extra = best.mechanism, dist.times
+        mech = best.mechanism
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
         shift = _num(cfg.get("shift_frac", 0.05), "shift_frac") * consts.u0
         sol = euler.solve(pair.shifted(shift), dist, tol_psi=tols["root"])
-        mech, extra = insurance.shift_mechanism(sol.mechanism, -shift), ()
+        mech = insurance.shift_mechanism(sol.mechanism, -shift)
         head = {"terminal_level": sol.lam - shift, "payoff": sol.payoff,
                 "shift": shift}
     else:
         raise ConfigError(f"unknown solver '{solver}' (use 'deadline' or 'path')")
 
-    times = sorted(set(mech.grid) | set(dist.times) | set(extra))
-    rows = insurance.schedule(prims, pair, mech, times)
+    rows = insurance.schedule(prims, pair, mech, dist.times)
     _write_csv(out_dir, "schedule.csv",
                ("t", "flow_u", "promise_u", "benefit", "consumption",
                 "labor", "net_output"),
@@ -435,8 +434,13 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with one line, not argparse's usage and 2
+        raise ConfigError(message)
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="disclose",
         description="Solvers for optimal breakthrough-disclosure mechanisms.")
     parser.add_argument("command", nargs="?", default=None,
@@ -448,9 +452,16 @@ def main(argv: Optional[list] = None) -> int:
                         help="first-order / root-residual tolerance")
     parser.add_argument("--tol-residual", type=float, default=1e-8,
                         help="stationarity-residual tolerance for verify")
-    args = parser.parse_args(argv)
 
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # --help printed the usage
+            return e.code
+        tols = {"root": args.tol_root, "residual": args.tol_residual}
+        for name, tol in tols.items():
+            if not 0.0 <= tol < math.inf:
+                raise ConfigError(f"--tol-{name} must be a finite number >= 0, got {tol}")
         cfg = _load_config(args.config)
         command = args.command or cfg.get("command")
         if command not in COMMANDS:  # a tuple: an unhashable value is no error
@@ -458,7 +469,6 @@ def main(argv: Optional[list] = None) -> int:
                 f"unknown or missing command '{command}'; expected one of "
                 f"{', '.join(COMMANDS)}")
         os.makedirs(args.out, exist_ok=True)
-        tols = {"root": args.tol_root, "residual": args.tol_residual}
         report, code = _DISPATCH[command](cfg, args.out, tols)
         _write_report(args.out, {"command": command, "tolerances": tols, **report})
         return code

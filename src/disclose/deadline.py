@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .distribution import BreakthroughDist
 from .errors import ModelAssumptionError, SolverError

@@ -100,45 +100,24 @@ def ic_discrete(m: DiscreteMechanism) -> DiscreteIcReport:
     return DiscreteIcReport(ok=True)
 
 
-def payoff_point(m: DiscreteMechanism, f0, f1, p: int):
-    """Principal value when the breakthrough arrives exactly at period p:
-    discounted flow up to p, then the reward frontier at ``x1[p]``.
-    NEG_INF if any value is taken off its frontier's domain."""
-    if not 0 <= p < m.horizon:
-        raise ConfigError(f"period {p} outside horizon {m.horizon}")
-    total = 0
-    for s in range(p):
-        v = f0.value(m.x[s])
-        if is_neg_inf(v):
-            return NEG_INF
-        total += (1 - m.beta) * m.beta ** s * v
-    w = f1.value(m.x1[p])
-    if is_neg_inf(w):
-        return NEG_INF
-    return total + m.beta ** p * w
-
-
-def payoff_never(m: DiscreteMechanism, f0):
-    """Principal value when no breakthrough ever arrives: the discounted
-    flow value of the whole path, stationary tail folded in closed form."""
-    h = m.horizon
-    total = 0
-    for s in range(h - 1):
-        v = f0.value(m.x[s])
-        if is_neg_inf(v):
-            return NEG_INF
-        total += (1 - m.beta) * m.beta ** s * v
-    v = f0.value(m.x[-1])
-    if is_neg_inf(v):
-        return NEG_INF
-    return total + m.beta ** (h - 1) * v
-
-
 def payoff_vector(m: DiscreteMechanism, f0, f1) -> Tuple[object, ...]:
     """Payoffs under every point-mass breakthrough belief plus "never";
-    the coordinates a dominance comparison ranges over."""
-    return tuple(payoff_point(m, f0, f1, p) for p in range(m.horizon)) + (
-        payoff_never(m, f0),)
+    the coordinates a dominance comparison ranges over.  Coordinate p is the
+    discounted flow up to p plus the reward frontier at ``x1[p]``; "never"
+    folds the stationary tail in closed form.  A coordinate that reads a
+    value off its frontier's domain is NEG_INF."""
+    h = m.horizon
+    out = []
+    total = 0
+    for p in range(h):
+        w = f1.value(m.x1[p])
+        out.append(NEG_INF if is_neg_inf(w) else total + m.beta ** p * w)
+        v = f0.value(m.x[p])
+        if is_neg_inf(v):
+            return tuple(out) + (NEG_INF,) * (h - p)
+        if p < h - 1:
+            total += (1 - m.beta) * m.beta ** p * v
+    return tuple(out) + (total + m.beta ** (h - 1) * v,)
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,6 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     return tuple(reasons)
 
 
-def assert_simple(pair: TechnologyPair) -> None:
-    reasons = simple_reasons(pair)
-    if reasons:
-        raise NotSimple(reasons)
-
-
 def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
@@ -164,17 +158,10 @@ class EulerSolution:
     extra_roots: Tuple[float, ...] = ()
 
 
-def _assemble(pair: TechnologyPair, dist: BreakthroughDist,
-              lam: float) -> Tuple[Tuple[float, ...], Tuple[float, ...], Mechanism]:
-    levels, conts, _ = backward_pass(pair, dist, lam)
-    mech = Mechanism(grid=(0.0,) + dist.times,
-                     levels=(float(pair.u0),) + levels)
-    return levels, conts, mech
-
-
 def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
           tol_psi: float = PSI_TOL) -> EulerSolution:
-    """Solve for the optimal reward path of a simple pair.
+    """Solve for the optimal reward path of a simple pair; any other pair
+    raises ``NotSimple`` carrying its :func:`simple_reasons`.
 
     ``psi`` is scanned on ``[u_star, u0]``; every down-crossing is bisected
     and the candidate with the best expected payoff wins (they coincide when
@@ -182,7 +169,9 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     negative at ``u_star`` or positive at ``u0`` beyond tolerance means the
     theoretical bracket failed, which is reported rather than papered over.
     """
-    assert_simple(pair)
+    reasons = simple_reasons(pair)
+    if reasons:
+        raise NotSimple(reasons)
     ustar, u0 = float(pair.u_star), float(pair.u0)
 
     def f(lam: float) -> float:
@@ -212,7 +201,9 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
 
     best = None
     for lam in roots:
-        levels, conts, mech = _assemble(pair, dist, lam)
+        levels, conts, _ = backward_pass(pair, dist, lam)
+        mech = Mechanism(grid=(0.0,) + dist.times,
+                         levels=(float(pair.u0),) + levels)
         val = payoff(mech, pair, dist)
         if not isinstance(val, float):
             continue

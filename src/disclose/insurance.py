@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .deadline import optimize_deadline
 from .distribution import BreakthroughDist
 from .errors import ConfigError
 from .euler import solve as solve_path
 from .frontier import ParametricFrontier, TechnologyPair, affine_gap
-from .mechanism import Mechanism, continuation_profile, reward_from_profile
+from .mechanism import Mechanism, mechanism_rows
 from .numerics import bisect_down
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
@@ -61,6 +61,13 @@ class UiPrimitives:
             raise ConfigError(f"need a positive wage, got w={self.w}")
         if not self.shadow > 0.0:
             raise ConfigError(f"need a positive shadow price, got {self.shadow}")
+        try:  # c0 = u0**(1/a) is finite iff u0 is
+            finite = math.isfinite(ui_constants(self).c0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("the f0 peak utility or its consumption overflows a "
+                              f"float at a={self.a}, shadow={self.shadow}")
 
 
 def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
@@ -80,15 +87,10 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
         if gp(hi) < 0.0:
             break
         hi *= 2.0
-    else:  # pragma: no cover - parameters validated to rule this out
+    else:  # a wage beyond the slope at L = 2**200
         raise ConfigError("search-cost slope never exceeds the wage")
     l_star = bisect_down(gp, 0.0, hi, f_lo=w, tol_x=1e-13 * hi)
     return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
-
-
-def labor_choice(p: UiPrimitives, u: float) -> float:
-    """Optimal post-breakthrough labor when the promised utility is ``u``."""
-    return _inner_max(p.a, p.b, p.w, float(u))[0]
 
 
 @dataclass(frozen=True)
@@ -162,24 +164,19 @@ class UiScheduleRow:
 
 
 def schedule(p: UiPrimitives, pair: TechnologyPair, m: Mechanism,
-             times: Optional[Sequence[float]] = None) -> Tuple[UiScheduleRow, ...]:
-    """Translate a mechanism into the benefit/consumption/labor schedule.
+             times: Sequence[float]) -> Tuple[UiScheduleRow, ...]:
+    """Translate a mechanism into the benefit/consumption/labor schedule at
+    the grid points and ``times`` (the rows of :func:`mechanism_rows`).
 
     The benefit pays the flow utility (``benefit = flow**(1/a)``); on
     disclosure at t the promised utility is the reward value, delivered by
-    working ``labor_choice`` and consuming what compensates utility plus
-    search cost.  ``identity_err`` reports how far the package is from
-    delivering the promise exactly (should be numerically zero)."""
-    if times is None:
-        times = m.grid
-    prof = continuation_profile(m, pair.r)
+    the optimal post-breakthrough labor and the consumption that compensates
+    utility plus search cost.  ``identity_err`` reports how far the package
+    is from delivering the promise exactly (should be numerically zero)."""
     rows = []
-    for t in sorted(set(float(t) for t in times)):
-        i = m.cell_index(t)
-        x = m.levels[i]
-        promise = reward_from_profile(m, prof, pair.r, t, i)
+    for t, x, _, promise in mechanism_rows(m, pair.r, times):
         benefit = x ** (1.0 / p.a)
-        labor = labor_choice(p, promise)
+        labor = _inner_max(p.a, p.b, p.w, promise)[0]
         cons = (promise + labor ** p.b) ** (1.0 / p.a)
         err = cons ** p.a - labor ** p.b - promise
         rows.append(UiScheduleRow(

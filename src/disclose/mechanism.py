@@ -67,9 +67,6 @@ class Mechanism:
             raise ConfigError(f"negative time {t}")
         return max(_bisect.bisect_right(self.grid, t) - 1, 0)
 
-    def flow_at(self, t: float) -> float:
-        return self.levels[self.cell_index(t)]
-
 
 def continuation_profile(m: Mechanism, r: float) -> Tuple[float, ...]:
     """Continuation values of the flow path at the grid points.
@@ -114,11 +111,6 @@ def reward_from_profile(m: Mechanism, prof: Sequence[float], r: float, t: float,
     if m.derived_reward:
         return continuation_at(m, prof, r, t, i)
     return m.reward[i]
-
-
-def reward_value(m: Mechanism, r: float, t: float) -> float:
-    """Disclosure reward at an arbitrary time ``t``."""
-    return reward_from_profile(m, continuation_profile(m, r), r, t, m.cell_index(t))
 
 
 @dataclass(frozen=True)

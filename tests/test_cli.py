@@ -339,6 +339,7 @@ NO_CONFLICT = "model assumption violated: no conflict of interest: u1 >= u0"
 MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
 SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
 SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
+UI_OVERFLOW = "config error: the f0 peak utility or its consumption overflows"
 
 # configs that must fail cleanly: (command, exit code, stderr start, config)
 BAD_CONFIGS = {
@@ -422,6 +423,15 @@ BAD_CONFIGS = {
     "nan-level": ("verify", 1, "config error: 'levels'", {
         "technology": A_TECH, "mechanism": dict(MECH, levels=[1.0, math.nan]),
         "distribution": POINT_1}),
+    # insurance constants that overflow a float used to end in OverflowError
+    "ui-peak-overflow": ("solve-deadline", 1, UI_OVERFLOW, {
+        "technology": dict(UI_TECH, a=0.999, shadow=0.001), "distribution": EXP_8}),
+    "ui-tiny-shadow": ("solve-deadline", 1, UI_OVERFLOW, {
+        "technology": dict(UI_TECH, shadow=1e-200), "distribution": EXP_8}),
+    "ui-sweep-tiny-shadow": ("ui-sweep", 1, UI_OVERFLOW, {
+        "technology": UI_TECH, "shadows": [0.5, 1e-200], "distribution": EXP_8}),
+    "ui-huge-wage": ("solve-deadline", 1, "config error: search-cost slope", {
+        "technology": dict(UI_TECH, w=1e300), "distribution": EXP_8}),
 }
 
 
@@ -435,6 +445,49 @@ def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
     assert err.startswith(message)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+# bad command lines: exit 1 with one line, never argparse's exit 2
+BAD_FLAGS = {
+    "tol-root-not-a-number": ["--tol-root", "abc"],
+    "tol-root-nan": ["--tol-root", "nan"],
+    "tol-root-negative": ["--tol-root", "-1"],
+    "tol-root-infinite": ["--tol-root", "inf"],
+    "tol-residual-nan": ["--tol-residual", "nan"],
+    "tol-residual-negative": ["--tol-residual", "-1e-8"],
+    "unknown-flag": ["--frobnicate"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+def test_bad_flags_exit_1_with_one_line(tmp_path, capsys, name):
+    cfg = write_cfg(tmp_path, {"technology": A_TECH, "distribution": POINT_1})
+    out = tmp_path / "o"
+    assert main(["solve-deadline", "--config", cfg, "--out", str(out)]
+                + BAD_FLAGS[name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+def test_missing_config_flag_exits_1(tmp_path, capsys):
+    assert main(["analyze", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: the following arguments are required: --config\n"
+
+
+def test_zero_tolerance_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, {"technology": A_TECH, "distribution": POINT_1})
+    out = tmp_path / "o"
+    assert main(["solve-deadline", "--config", cfg, "--out", str(out),
+                 "--tol-root", "0", "--tol-residual", "0"]) == 0
+    assert read_report(out)["tolerances"] == {"root": 0.0, "residual": 0.0}
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: disclose")
 
 
 # -------------------------------------------------------------- entry point ---

@@ -15,16 +15,16 @@ import pytest
 from disclose import (
     ModelAssumptionError,
     continuation_value,
-    deadline_mechanism,
     deadline_payoff,
-    foc_check,
     from_atoms,
     optimize_deadline,
     payoff,
     pi_and_derivs,
     t_underline,
 )
+from disclose.deadline import foc_check
 from disclose.frontier import PiecewiseFrontier, TechnologyPair
+from disclose.mechanism import deadline_mechanism
 
 ROOT_TOL = 1e-8
 
@@ -65,7 +65,6 @@ def test_t_underline_requires_room_to_reward():
 # ------------------------------------------------------- payoff derivative ---
 
 def test_deadline_payoff_matches_mechanism(pair_a, dist_k2):
-    from disclose import deadline_mechanism
     for T in (0.5, math.log(3.5), 2.0, 6.0):
         direct = deadline_payoff(pair_a, dist_k2, T)
         via_mech = payoff(deadline_mechanism(pair_a, T), pair_a, dist_k2)

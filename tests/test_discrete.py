@@ -16,14 +16,13 @@ from disclose import (
     DiscreteMechanism,
     NothingToImprove,
     continuation,
-    delay_slacks,
     ic_discrete,
     improve_slack,
-    payoff_never,
-    payoff_point,
     payoff_vector,
     undominated_scan,
 )
+from disclose.discrete import delay_slacks
+from disclose.frontier import is_neg_inf
 
 BETA = Fr(1, 2)
 U1 = Fr(4, 5)     # post-breakthrough peak location of the piecewise pair
@@ -63,18 +62,36 @@ def test_ic_clauses_exact():
 
 def test_payoff_point_exact(f0_exact, f1_exact):
     m = DiscreteMechanism(BETA, (Fr(1), Fr(3, 10)), (Fr(13, 20), Fr(3, 10)))
+    pv = payoff_vector(m, f0_exact, f1_exact)
     # breakthrough at period 1: half a period of flow at the peak, then
     # the reward frontier at 3/10 (its peak), discounted one period
-    assert payoff_point(m, f0_exact, f1_exact, 1) == \
-        Fr(1, 2) * Fr(1) + Fr(1, 2) * Fr(6, 5)
-    assert payoff_point(m, f0_exact, f1_exact, 0) == f1_exact.value(Fr(13, 20))
-    with pytest.raises(ConfigError):
-        payoff_point(m, f0_exact, f1_exact, 2)
+    assert pv[1] == Fr(1, 2) * Fr(1) + Fr(1, 2) * Fr(6, 5)
+    assert pv[0] == f1_exact.value(Fr(13, 20))
 
 
-def test_payoff_never_folds_tail(f0_exact):
+def test_payoff_never_folds_tail(f0_exact, f1_exact):
     m = DiscreteMechanism(BETA, (Fr(1), Fr(3, 10)), (Fr(13, 20), Fr(3, 10)))
-    assert payoff_never(m, f0_exact) == Fr(1, 2) + Fr(1, 2) * Fr(3, 10)
+    assert payoff_vector(m, f0_exact, f1_exact)[-1] == \
+        Fr(1, 2) + Fr(1, 2) * Fr(3, 10)
+
+
+def test_payoff_vector_off_domain_coordinates(f0_exact, f1_exact):
+    # an off-domain reward spoils only its own coordinate
+    m = DiscreteMechanism(BETA, (Fr(1), Fr(1), Fr(3, 10)),
+                          (Fr(13, 20), Fr(2), Fr(3, 10)))
+    pv = payoff_vector(m, f0_exact, f1_exact)
+    assert [is_neg_inf(v) for v in pv] == [False, True, False, False]
+    assert pv[2] == Fr(1, 2) + Fr(1, 4) + Fr(1, 4) * Fr(6, 5)
+    # an off-domain flow spoils every later coordinate and "never"
+    m = DiscreteMechanism(BETA, (Fr(1), Fr(3), Fr(3, 10)),
+                          (Fr(13, 20), Fr(3, 10), Fr(3, 10)))
+    pv = payoff_vector(m, f0_exact, f1_exact)
+    assert [is_neg_inf(v) for v in pv] == [False, False, True, True]
+    assert pv[1] == Fr(1, 2) + Fr(1, 2) * Fr(6, 5)
+    # the tail level is the last flow read
+    m = DiscreteMechanism(BETA, (Fr(1), Fr(3)), (Fr(13, 20), Fr(3, 10)))
+    pv = payoff_vector(m, f0_exact, f1_exact)
+    assert [is_neg_inf(v) for v in pv] == [False, False, True]
 
 
 def test_payoff_vector_layout(f0_exact, f1_exact):

@@ -6,13 +6,8 @@ import math
 
 import pytest
 
-from disclose import (
-    BreakthroughDist,
-    ConfigError,
-    discretize,
-    from_atoms,
-    order_checks,
-)
+from disclose import ConfigError, discretize, from_atoms, order_checks
+from disclose.distribution import BreakthroughDist
 
 
 def test_from_atoms_sorts_and_merges():

@@ -15,18 +15,13 @@ import pytest
 from disclose import (
     AtomAtZero,
     NotSimple,
-    assert_simple,
-    backward_pass,
     comparative_statics_check,
     continuation_value,
-    deadline_payoff,
     euler_residuals,
     from_atoms,
-    inv_deriv_f0,
-    psi,
-    simple_reasons,
     solve,
 )
+from disclose.euler import backward_pass, inv_deriv_f0, psi, simple_reasons
 
 RESIDUAL_TOL = 1e-8
 
@@ -43,11 +38,11 @@ def test_simple_reasons(pair_a, pair_b, pair_ui):
     assert simple_reasons(pair_ui.shifted(0.05)) == ()
 
 
-def test_assert_simple_raises(pair_a, dist_point1):
-    with pytest.raises(NotSimple):
-        assert_simple(pair_a)
-    with pytest.raises(NotSimple):
-        solve(pair_a, dist_point1)
+def test_solve_rejects_non_simple_pair(pair_a, pair_ui, dist_point1):
+    for pair in (pair_a, pair_ui):
+        with pytest.raises(NotSimple) as exc:
+            solve(pair, dist_point1)
+        assert exc.value.reasons == simple_reasons(pair)
 
 
 # -------------------------------------------------------------- inversion ---

@@ -13,10 +13,8 @@ from disclose import (
     PiecewiseFrontier,
     TechnologyPair,
     affine_gap,
-    is_neg_inf,
-    u_star,
-    validate_model,
 )
+from disclose.frontier import is_neg_inf, u_star, validate_model
 from conftest import b_f0, b_f0_d, b_f1
 from test_golden import DENSE_B_TECH
 

@@ -29,7 +29,7 @@ from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
                                PiecewiseFrontier, TechnologyPair, is_neg_inf)
 from disclose.insurance import UiPrimitives, schedule
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
-                                payoff, reward_value)
+                                payoff)
 
 from conftest import A_F0_POINTS, A_F1_POINTS
 
@@ -115,8 +115,21 @@ def test_cdf_fraction_queries(dist_k3):
 
 # --------------------------------------------------------------- mechanism ---
 
+def cell_reference(m, t):
+    """The cell of ``t`` by a linear scan of the grid."""
+    return max(i for i, g in enumerate(m.grid) if g <= t)
+
+
+def reward_reference(m, r, t):
+    """The disclosure reward at ``t``: the continuation value (rebuilding the
+    profile) when DERIVED, else the explicit reward of the cell."""
+    if m.reward is None:
+        return continuation_value(m, r, t)
+    return m.reward[cell_reference(m, t)]
+
+
 def payoff_reference(m, pair, dist):
-    """The payoff as the sum over atoms of per-atom ``reward_value``
+    """The payoff as the sum over atoms of per-atom ``reward_reference``
     (which rebuilds the continuation profile for every atom)."""
     r = pair.r
     n = len(m.grid)
@@ -138,7 +151,7 @@ def payoff_reference(m, pair, dist):
         if not (first_bad[i] or (t > m.grid[i] and flow_vals[i] is None)):
             pre = prefix[i] + (flow_vals[i] or 0.0) * (
                 math.exp(-r * m.grid[i]) - math.exp(-r * t))
-        v1 = pair.f1.value(reward_value(m, r, t))
+        v1 = pair.f1.value(reward_reference(m, r, t))
         post = None if is_neg_inf(v1) else math.exp(-r * t) * float(v1)
         bad = bad or pre is None or post is None
         rows.append((p, pre, post))
@@ -192,13 +205,15 @@ def test_rows_and_schedule_match_per_time_values(pair_ui, ui_prims, explicit):
     rows = mechanism_rows(mech, pair_ui.r, extra_times=extra)
     times = sorted(set(mech.grid) | set(extra))
     assert exact(rows) == exact(tuple(
-        (t, mech.flow_at(t), continuation_value(mech, pair_ui.r, t),
-         reward_value(mech, pair_ui.r, t)) for t in times))
-    sched = schedule(ui_prims, pair_ui, mech, times)
+        (t, mech.levels[cell_reference(mech, t)],
+         continuation_value(mech, pair_ui.r, t),
+         reward_reference(mech, pair_ui.r, t)) for t in times))
+    sched = schedule(ui_prims, pair_ui, mech, extra)
+    assert exact(tuple(w.t for w in sched)) == exact(tuple(times))
     assert exact(tuple(w.promise_u for w in sched)) == exact(
-        tuple(reward_value(mech, pair_ui.r, t) for t in times))
+        tuple(reward_reference(mech, pair_ui.r, t) for t in times))
     assert exact(tuple(w.flow_u for w in sched)) == exact(
-        tuple(mech.flow_at(t) for t in times))
+        tuple(mech.levels[cell_reference(mech, t)] for t in times))
 
 
 # ---------------------------------------------------------------- frontier ---

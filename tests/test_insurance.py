@@ -8,21 +8,10 @@ solves 4L(u + L^2) = 1 jointly with u + L^2 = 1, so L = 1/4 and u = 15/16.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from disclose import (
-    ConfigError,
-    Mechanism,
-    UiPrimitives,
-    labor_choice,
-    payoff,
-    schedule,
-    shift_mechanism,
-    ui_constants,
-    welfare_sweep,
-)
+from disclose import ConfigError, Mechanism, UiPrimitives, payoff, welfare_sweep
+from disclose.insurance import schedule, shift_mechanism, ui_constants
 
 IDENTITY_TOL = 1e-9
 
@@ -38,6 +27,10 @@ def test_primitives_validation():
         UiPrimitives(a=0.5, b=2.0, w=0.0, shadow=0.5)
     with pytest.raises(ConfigError):
         UiPrimitives(a=0.5, b=2.0, w=1.0, shadow=-0.1)
+    # the f0 peak (a/shadow)**(a/(1-a)) or its consumption overflows a float
+    for a, shadow in ((0.999, 0.001), (0.5, 1e-200), (0.5, 1e-320)):
+        with pytest.raises(ConfigError, match="overflows"):
+            UiPrimitives(a=a, b=2.0, w=1.0, shadow=shadow)
 
 
 def test_constants_closed_form(ui_prims):
@@ -52,10 +45,13 @@ def test_frontier_peaks(ui_prims, pair_ui):
     assert pair_ui.u0 == pytest.approx(1.0, abs=1e-10)
     assert pair_ui.u1 == pytest.approx(0.9375, abs=1e-9)
     assert float(pair_ui.f1.value(pair_ui.u1)) == pytest.approx(0.5625, abs=1e-9)
-    assert labor_choice(ui_prims, 0.9375) == pytest.approx(0.25, abs=1e-10)
+    # the labor that delivers a constant promise u from time 0
+    def labor(u):
+        return schedule(ui_prims, pair_ui, Mechanism((0.0,), (u,)), ())[0].labor
+
+    assert labor(0.9375) == pytest.approx(0.25, abs=1e-10)
     # promising nothing still makes work worthwhile: 4 L^3 = 1
-    assert labor_choice(ui_prims, 0.0) == pytest.approx(0.25 ** (1 / 3),
-                                                        abs=1e-10)
+    assert labor(0.0) == pytest.approx(0.25 ** (1 / 3), abs=1e-10)
     assert pair_ui.u_star == 0.0
     assert pair_ui.f0.u_hi == pytest.approx(2.0, abs=1e-12)
 

@@ -17,17 +17,14 @@ from disclose import (
     ConfigError,
     Mechanism,
     ModelAssumptionError,
-    continuation_profile,
     continuation_value,
-    deadline_mechanism,
     from_atoms,
     front_load,
-    ic_check,
-    is_neg_inf,
-    mechanism_rows,
     payoff,
-    reward_value,
 )
+from disclose.frontier import is_neg_inf
+from disclose.mechanism import (continuation_profile, deadline_mechanism,
+                                ic_check, mechanism_rows)
 
 PAYOFF_TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -66,10 +63,9 @@ def test_mechanism_validation():
 
 def test_flow_at_cells():
     m = Mechanism(grid=(0.0, 1.0, 2.5), levels=(1.0, 0.6, 0.3))
-    assert m.flow_at(0.0) == 1.0
-    assert m.flow_at(0.999) == 1.0
-    assert m.flow_at(1.0) == 0.6
-    assert m.flow_at(7.0) == 0.3
+    rows = mechanism_rows(m, 1.0, extra_times=(0.999, 7.0))
+    assert [(t, flow) for t, flow, _, _ in rows] == [
+        (0.0, 1.0), (0.999, 1.0), (1.0, 0.6), (2.5, 0.3), (7.0, 0.3)]
     assert m.derived_reward
 
 
@@ -114,11 +110,11 @@ def _cell(grid, s):
 def test_reward_value_derived_vs_explicit():
     r = 1.0
     m = Mechanism(grid=(0.0, 1.0), levels=(1.0, 0.3))
-    assert reward_value(m, r, 0.2) == pytest.approx(
-        continuation_value(m, r, 0.2), abs=1e-14)
+    derived = mechanism_rows(m, r, extra_times=(0.2,))[1][3]
+    assert derived == pytest.approx(continuation_value(m, r, 0.2), abs=1e-14)
     m2 = Mechanism(grid=(0.0, 1.0), levels=(1.0, 0.3), reward=(0.9, 0.4))
-    assert reward_value(m2, r, 0.2) == 0.9
-    assert reward_value(m2, r, 1.0) == 0.4
+    assert [row[3] for row in mechanism_rows(m2, r, extra_times=(0.2,))] == [
+        0.9, 0.9, 0.4]
 
 
 # ---------------------------------------------------------------- incentives ---
@@ -269,5 +265,5 @@ def test_mechanism_rows_include_extras():
     rows = mechanism_rows(m, 1.0, extra_times=(0.5,))
     assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
     for t, flow, cont, rew in rows:
-        assert flow == m.flow_at(t)
+        assert flow == m.levels[m.cell_index(t)]
         assert rew == pytest.approx(cont, abs=1e-14)  # derived reward

@@ -1,23 +1,70 @@
-"""The export list and the names the benchmark tracer patches must resolve,
-and the runtime imports only the standard library.
+"""The export list is what its users import, the names the benchmark
+tracer patches resolve, and the runtime imports only the standard library.
+
+``disclose.__all__`` is pinned to the names the acceptance suite and its
+fixtures import from ``disclose``, the ``pkg.X`` names the benchmark
+workloads call, and the README quickstart, plus ``__version__`` and the
+error classes; everything else is imported from its module.
 
 ``bench/tracing.py`` wraps package functions by module and attribute name.
 Deleting or renaming one of them would break the traced benchmark without
 failing any solver test, so this module checks every name in its
-``BOUNDARIES`` table.  The file is read as text and executed in a private
-namespace: nothing is imported from, or written under, ``bench/``.
+``BOUNDARIES`` table.  The bench files are read as text (``tracing.py`` is
+executed in a private namespace): nothing is imported from, or written
+under, ``bench/``.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
+import math
+import re
 import sys
 from pathlib import Path
 
-import disclose
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import disclose
+from disclose import errors
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
+README = ROOT / "README.md"
+TESTS = Path(__file__).resolve().parent
+
+
+def imported_from_package(path: Path) -> set:
+    """Names a file imports with ``from disclose import ...``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == disclose.__name__ for alias in node.names}
+
+
+def quickstart() -> str:
+    """The python block of the README's "Library quickstart" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def used_names() -> set:
+    """The package-level names the acceptance suite, its fixtures, the
+    benchmark workloads and the README quickstart use."""
+    names = imported_from_package(TESTS / "test_acceptance.py")
+    names |= imported_from_package(TESTS / "conftest.py")
+    pkg_dir = Path(disclose.__file__).resolve().parent
+    names |= {name for name in re.findall(r"\bpkg\.([A-Za-z_]\w*)",
+                                          WORKLOADS.read_text(encoding="utf-8"))
+              if not (pkg_dir / f"{name}.py").exists()}   # submodules: pkg.cli
+    tree = ast.parse(quickstart())
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return names
 
 
 def traced_names():
@@ -29,6 +76,24 @@ def traced_names():
 
 def test_exports_resolve():
     assert [name for name in disclose.__all__ if not hasattr(disclose, name)] == []
+
+
+def test_exports_are_what_users_use():
+    error_classes = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and issubclass(obj, errors.DiscloseError)}
+    expected = used_names() | error_classes | {"__version__"}
+    assert len(disclose.__all__) == len(set(disclose.__all__))
+    assert sorted(disclose.__all__) == sorted(expected)
+
+
+def test_readme_quickstart_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(quickstart(), str(README), "exec"), {"__name__": "quickstart"})
+    t, value, satisfied = out.getvalue().split()
+    assert float(t) == pytest.approx(1.0 + math.log(3.5), abs=1e-8)
+    assert float(value) == pytest.approx(1.147151776468577, abs=1e-9)
+    assert satisfied == "True"
 
 
 def test_traced_boundaries_resolve():
