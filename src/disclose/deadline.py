@@ -10,14 +10,16 @@ The deadline payoff is one-sided differentiable in T; the two one-sided
 derivatives are ``exp(-rT) (u0 - u_star)`` times simple brackets mixing the
 survival weight of the breakthrough time against the ``f1`` slopes at the
 atom rewards.  When ``f0`` is affine on ``[u_star, u0]`` the right bracket
-is non-increasing in T after scaling by ``exp(rT)``, so a sign bisection
-finds the optimum; the optimizer below scans and bisects every sign change
-and keeps the payoff argmax, which also behaves sensibly outside the affine
-case (with a warning).
+is non-increasing in T after scaling by ``exp(rT)``, so its sign changes
+once and a sign bisection finds the optimum.  The optimizer below
+binary-searches a grid for that one change in the affine case; otherwise it
+scans the whole grid, bisects every sign change and keeps the payoff argmax
+(with a warning).
 
 Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
-to find them, then O(atoms <= T)) and computes no payoff; payoffs are
-computed once per candidate deadline, each O(atoms) on the two-cell
+to find them, then O(atoms <= T)) and computes no payoff.  The affine case
+makes O(log N_SCAN) grid evaluations, any other case N_SCAN + 1.  Payoffs
+are computed once per candidate deadline, each O(atoms) on the two-cell
 deadline mechanism.
 """
 
@@ -35,7 +37,8 @@ from .mechanism import Mechanism, deadline_mechanism, payoff
 from .numerics import bisect_bracket
 
 FOC_TOL = 1e-9
-# equal steps of the right-bracket scan on [t_underline, T_hi]
+# equal steps of the right-bracket grid on [t_underline, T_hi]; the affine
+# case binary-searches the grid, any other case scans all of it
 N_SCAN = 256
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
 # as affine
@@ -169,22 +172,25 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                       *, tol: float = FOC_TOL) -> OptimalDeadline:
     """Best deadline at or above the participation threshold.
 
-    The right bracket is scanned on ``[t_underline, T_hi]`` (T_hi doubled
-    until the bracket is negative), every +/- crossing is bisected, and the
+    The right bracket is sampled on an ``N_SCAN``-step grid over
+    ``[t_underline, T_hi]`` (T_hi doubled until the bracket is negative),
+    each grid cell where it crosses from >= 0 to < 0 is bisected, and the
     payoff argmax over the crossing roots plus the threshold itself is
-    returned.  In the affine case the bracket crosses once and this is the
-    textbook bisection; otherwise the scan still isolates every stationary
-    point and a warning is attached.
+    returned.  In the affine case the bracket crosses once, so a binary
+    search over the grid finds the cell in O(log N_SCAN) evaluations: the
+    textbook bisection.  Otherwise all N_SCAN + 1 grid points are evaluated,
+    which isolates every stationary point, and a warning is attached.
 
-    The scan and bisection evaluate brackets only; a payoff is computed for
-    each candidate, for the never-stop profile and once in the final
-    :func:`foc_check`.
+    The grid search and bisection evaluate brackets only; a payoff is
+    computed for each candidate, for the never-stop profile and once in the
+    final :func:`foc_check`.
     """
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
     warnings = []
     u0, ustar = float(pair.u0), float(pair.u_star)
-    if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL:
+    curved = affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL
+    if curved:
         warnings.append("f0 is not affine between u_star and its peak; "
                         "using stationary-point scan with payoff argmax")
 
@@ -200,18 +206,36 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
         raise SolverError("right payoff derivative never turns negative")
 
     ts = [t_lo + (t_hi - t_lo) * i / N_SCAN for i in range(N_SCAN + 1)]
-    bs = [bracket_plus(t) for t in ts]
-    candidates = [t_lo]
-    for (ta, ba), (tb, bb) in zip(zip(ts, bs), zip(ts[1:], bs[1:])):
+    if curved:
+        bs = [bracket_plus(t) for t in ts]
+        cells = [(ta, ba, tb, bb) for ta, ba, tb, bb
+                 in zip(ts, bs, ts[1:], bs[1:]) if ba >= 0.0 > bb]
+    else:
+        # one sign change: binary-search the grid for the cell the full
+        # scan would find, keeping the invariant ba >= 0 > bb
+        i, ba = 0, bracket_plus(ts[0])
+        j, bb = N_SCAN, bracket_plus(ts[N_SCAN])
+        cells = []
         if ba >= 0.0 > bb:
-            lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,
-                                    tol_x=1e-13)
-            # pick the endpoint where the first-order sandwich holds: at a
-            # smooth crossing the left endpoint's bracket is a hair above
-            # zero (within tol), so keep it; a bracket that jumps across a
-            # kink stays far from zero on the left, and only the right
-            # endpoint sees both one-sided slopes of the kink
-            candidates.append(lo if bracket_plus(lo) <= tol else hi)
+            while j - i > 1:
+                k = (i + j) // 2
+                bk = bracket_plus(ts[k])
+                if bk >= 0.0:
+                    i, ba = k, bk
+                else:
+                    j, bb = k, bk
+            cells.append((ts[i], ba, ts[j], bb))
+
+    candidates = [t_lo]
+    for ta, ba, tb, bb in cells:
+        lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,
+                                tol_x=1e-13)
+        # pick the endpoint where the first-order sandwich holds: at a
+        # smooth crossing the left endpoint's bracket is a hair above
+        # zero (within tol), so keep it; a bracket that jumps across a
+        # kink stays far from zero on the left, and only the right
+        # endpoint sees both one-sided slopes of the kink
+        candidates.append(lo if bracket_plus(lo) <= tol else hi)
 
     best_t, best_pi = None, -math.inf
     for t in candidates:

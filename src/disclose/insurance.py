@@ -82,13 +82,17 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     def gp(L: float) -> float:
         return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
 
+    never = "search-cost slope never exceeds the wage"
     hi = 1.0
     for _ in range(200):
-        if gp(hi) < 0.0:
-            break
+        try:
+            if gp(hi) < 0.0:
+                break
+        except OverflowError:  # the slope overflows a float while below the wage
+            raise ConfigError(never) from None
         hi *= 2.0
     else:  # a wage beyond the slope at L = 2**200
-        raise ConfigError("search-cost slope never exceeds the wage")
+        raise ConfigError(never)
     l_star = bisect_down(gp, 0.0, hi, f_lo=w, tol_x=1e-13 * hi)
     return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
 

@@ -432,6 +432,9 @@ BAD_CONFIGS = {
         "technology": UI_TECH, "shadows": [0.5, 1e-200], "distribution": EXP_8}),
     "ui-huge-wage": ("solve-deadline", 1, "config error: search-cost slope", {
         "technology": dict(UI_TECH, w=1e300), "distribution": EXP_8}),
+    # the slope's L ** b overflows a float while still below the wage
+    "ui-wage-overflow": ("solve-deadline", 1, "config error: search-cost slope", {
+        "technology": dict(UI_TECH, a=0.99, b=10, w=1e300), "distribution": EXP_8}),
 }
 
 

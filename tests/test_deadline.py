@@ -3,12 +3,15 @@
 The first-order bracket for a point mass at t=1 on the piecewise instance
 steps through three regimes (chord slope before the atom, then the two
 one-sided slopes of the post-breakthrough frontier around its kink), which
-pins the optimizer's stopping rule independently of the scan logic.
+pins the optimizer's stopping rule independently of the scan logic.  On
+random affine pairs the optimizer's grid binary search must return exactly
+what its full grid scan returns.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -22,9 +25,13 @@ from disclose import (
     pi_and_derivs,
     t_underline,
 )
+from disclose import deadline
 from disclose.deadline import foc_check
-from disclose.frontier import PiecewiseFrontier, TechnologyPair
+from disclose.distribution import discretize
+from disclose.frontier import ParametricFrontier, PiecewiseFrontier, TechnologyPair
 from disclose.mechanism import deadline_mechanism
+
+from conftest import A_F0_POINTS, A_F1_POINTS
 
 ROOT_TOL = 1e-8
 
@@ -162,3 +169,115 @@ def test_early_mass_shifts_deadline(pair_a):
     # all mass at t=0.25 just translates the threshold time
     res = optimize_deadline(pair_a, from_atoms([(0.25, 1.0)]))
     assert res.T == pytest.approx(0.25 + math.log(3.5), abs=ROOT_TOL)
+
+
+# ------------------------------------------ grid search against full scan ---
+
+def random_affine_pair(rng):
+    """A pair with ``f0`` affine on ``[u_star, u0]``: rescaled fixture A, a
+    random concave piecewise ``f1`` above the tent ``f0``, or a smooth
+    quadratic ``f1`` over a chord ``f0``."""
+    r = rng.uniform(0.2, 3.0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        su, sv = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)
+        f0, f1 = ([(u * su, v * sv) for u, v in pts]
+                  for pts in (A_F0_POINTS, A_F1_POINTS))
+        return TechnologyPair.build(PiecewiseFrontier(f0),
+                                    PiecewiseFrontier(f1), r)
+    if kind == 1:
+        # slopes falling from positive to negative, peak u1 left of u0 = 1
+        u1 = rng.uniform(0.3, 0.9)
+        n_up = rng.randint(1, 3)
+        us = ([0.0] + sorted(rng.uniform(0.0, u1) for _ in range(n_up - 1))
+              + [u1, rng.uniform(u1 + 0.05, 1.3), rng.uniform(1.4, 2.0)])
+        slopes = (sorted((rng.uniform(0.05, 3.0) for _ in range(n_up)), reverse=True)
+                  + [-rng.uniform(0.05, 1.0), -rng.uniform(1.0, 3.0)])
+        vs = [0.0]
+        for u_a, u_b, s in zip(us, us[1:], slopes):
+            vs.append(vs[-1] + s * (u_b - u_a))
+        f1 = PiecewiseFrontier(list(zip(us, vs)))
+        # lift f1 above the tent f0(u) = min(u, 2 - u): checking the knots
+        # of both suffices
+        lift = max(min(u, 2.0 - u) - f1.value(u) for u in us + [1.0])
+        lift += rng.uniform(0.0, 0.5)
+        f1 = PiecewiseFrontier([(u, v + lift) for u, v in zip(us, vs)])
+        return TechnologyPair.build(PiecewiseFrontier(A_F0_POINTS), f1, r)
+    c, k, u1 = rng.uniform(1.2, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.3, 0.9)
+    f1 = ParametricFrontier(fn=lambda u: c - k * (u - u1) ** 2, u_lo=0.0,
+                            u_hi=2.0, dfn=lambda u: -2.0 * k * (u - u1))
+    # the tent from the shared-slope level (f1 slope 1 there) to the peak
+    us = u1 - 0.5 / k
+    f0 = A_F0_POINTS if us <= 0.0 else ((us, us),) + A_F0_POINTS[1:]
+    return TechnologyPair.build(PiecewiseFrontier(f0), f1, r)
+
+
+def scan_grid(pair, dist):
+    """The ``ts`` grid ``optimize_deadline`` searches for this pair and law."""
+    t_lo = t_underline(pair)
+    alpha = deadline._alpha(pair)
+    t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0))
+    while deadline._brackets(pair, dist, t_hi, alpha)[0] >= 0.0:
+        t_hi = t_lo + 2.0 * (t_hi - t_lo)
+    n = deadline.N_SCAN
+    return [t_lo + (t_hi - t_lo) * i / n for i in range(n + 1)]
+
+
+def normalized(atoms):
+    total = math.fsum(p for _, p in atoms)
+    return from_atoms([(t, p / total) for t, p in atoms])
+
+
+def random_law(rng, pair):
+    kind = rng.randrange(5)
+    m = rng.choice((1, 2, 3, 5, 8, 16, 32, 64, 128, 256))
+    scale = rng.uniform(0.3, 3.0) / pair.r
+    if kind == 0:
+        return discretize("exponential", m, rate=1.0 / scale)
+    if kind == 1:
+        return discretize("weibull", m, shape=rng.uniform(0.5, 4.0), scale=scale)
+    if kind == 2:
+        return from_atoms([(rng.uniform(0.0, 3.0) * scale, 1.0)])
+    if kind == 3:  # mass at t=0 pulls the bracket below zero at t_underline
+        return normalized([(0.0, rng.uniform(1.0, 4.0)), (scale, 1.0)])
+    # atoms exactly on grid times; the grid moves with the law, so settle it
+    law = from_atoms([(scale, 1.0)])
+    for _ in range(5):
+        ts = scan_grid(pair, law)
+        picks = sorted(rng.sample(range(deadline.N_SCAN + 1), min(m, 16)))
+        law = normalized([(ts[i], rng.uniform(0.1, 1.0)) for i in picks])
+        if set(law.times) <= set(scan_grid(pair, law)):
+            return law
+    return law
+
+
+def test_grid_search_matches_full_scan(monkeypatch):
+    rng = random.Random(20201)
+    cases, on_grid, negative_at_t_lo = [], 0, 0
+    while len(cases) < 320:
+        try:
+            pair = random_affine_pair(rng)
+            t_underline(pair)
+        except ModelAssumptionError:
+            continue
+        dist = random_law(rng, pair)
+        cases.append((pair, dist))
+        on_grid += set(dist.times) <= set(scan_grid(pair, dist))
+        t_lo = t_underline(pair)
+        negative_at_t_lo += deadline._brackets(pair, dist, t_lo,
+                                               deadline._alpha(pair))[0] < 0.0
+
+    searched = [optimize_deadline(pair, dist) for pair, dist in cases]
+    monkeypatch.setattr(deadline, "affine_gap", lambda *a, **k: math.inf)
+    scanned = [optimize_deadline(pair, dist) for pair, dist in cases]
+
+    for fast, full in zip(searched, scanned):
+        assert not any("affine" in w for w in fast.warnings)
+        assert any("affine" in w for w in full.warnings)
+        assert fast.T.hex() == full.T.hex()
+        assert fast.payoff.hex() == full.payoff.hex()
+        assert fast.foc == full.foc
+        assert fast.t_underline == full.t_underline
+        assert fast.mechanism == full.mechanism
+    assert on_grid >= 40
+    assert negative_at_t_lo >= 20

@@ -5,8 +5,9 @@ one-bisection ``PiecewiseFrontier.derivs`` and the payoff-free deadline
 bracket must return exactly what the plain implementations kept here as
 oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
-``optimize_deadline`` call may compute only the payoffs it reads, slopes
-cost no frontier value, ``psi`` reads one ``f1`` slope per atom, and the
+``optimize_deadline`` call may compute only the payoffs it reads and, in
+the affine case only, skips most of the bracket grid, slopes cost no
+frontier value, ``psi`` reads one ``f1`` slope per atom, and the
 insurance inner maximization runs once per level of a pair and leaves no
 state behind.
 """
@@ -358,22 +359,24 @@ def count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapped)
 
 
-@pytest.mark.parametrize("case", ["affine-exp64", "affine-exp256",
-                                  "affine-smooth", "kinked", "curved"])
-def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case):
+def deadline_case(request, case):
     if case == "kinked":
         pair = TechnologyPair.build(PiecewiseFrontier(KINKED_F0),
                                     PiecewiseFrontier(A_F1_POINTS), 1.0)
-        dist = discretize("exponential", 64, rate=0.8)
-    else:
-        name, dist = {
-            "affine-exp64": ("pair_a", discretize("exponential", 64, rate=1.0)),
-            "affine-exp256": ("pair_a", discretize("weibull", 256, shape=1.5, scale=2.0)),
-            "affine-smooth": ("pair_b_affine", discretize("exponential", 32, rate=1.0)),
-            "curved": ("pair_b", discretize("exponential", 16, rate=1.0)),
-        }[case]
-        pair = request.getfixturevalue(name)
+        return pair, discretize("exponential", 64, rate=0.8)
+    name, dist = {
+        "affine-exp64": ("pair_a", discretize("exponential", 64, rate=1.0)),
+        "affine-exp256": ("pair_a", discretize("weibull", 256, shape=1.5, scale=2.0)),
+        "affine-smooth": ("pair_b_affine", discretize("exponential", 32, rate=1.0)),
+        "curved": ("pair_b", discretize("exponential", 16, rate=1.0)),
+    }[case]
+    return request.getfixturevalue(name), dist
 
+
+@pytest.mark.parametrize("case", ["affine-exp64", "affine-exp256",
+                                  "affine-smooth", "kinked", "curved"])
+def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case):
+    pair, dist = deadline_case(request, case)
     counts = Counter()
     for module, name in ((deadline, "payoff"), (deadline, "deadline_payoff"),
                          (deadline, "pi_and_derivs"),
@@ -389,6 +392,19 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
     assert counts["payoff"] <= candidates + 2
     # deadline mechanisms derive their reward: one profile per payoff
     assert counts["continuation_profile"] == counts["payoff"]
+
+
+@pytest.mark.parametrize("case, fewest, most", [
+    ("affine-exp256", 0, 60),                   # binary search of the grid
+    ("kinked", deadline.N_SCAN + 1, math.inf),  # full scan: f0 not affine
+    ("curved", deadline.N_SCAN + 1, math.inf),
+])
+def test_optimize_deadline_bracket_count(request, monkeypatch, case, fewest, most):
+    pair, dist = deadline_case(request, case)
+    counts = Counter()
+    count_calls(monkeypatch, deadline, "_brackets", counts)
+    deadline.optimize_deadline(pair, dist)
+    assert fewest <= counts["_brackets"] <= most
 
 
 def test_parametric_derivs_call_no_fn():
