@@ -345,7 +345,7 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
         mech = best.mechanism
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
-        shift = _num(cfg.get("shift_frac", 0.05), "shift_frac") * consts.u0
+        shift = _num(cfg.get("shift_frac", insurance.SHIFT_FRAC), "shift_frac") * consts.u0
         sol = euler.solve(pair.shifted(shift), dist, tol_psi=tols["root"])
         mech = insurance.shift_mechanism(sol.mechanism, -shift)
         head = {"terminal_level": sol.lam - shift, "payoff": sol.payoff,
@@ -372,7 +372,7 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict):
     prims, r = _insurance_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     shadows = _numbers(cfg, "shadows")
-    shift_frac = _num(cfg.get("shift_frac", 0.05), "shift_frac")
+    shift_frac = _num(cfg.get("shift_frac", insurance.SHIFT_FRAC), "shift_frac")
     rows = insurance.welfare_sweep(prims, shadows, dist, r, shift_frac=shift_frac)
     _write_csv(out_dir, "sweep.csv",
                ("shadow", "u0", "t_deadline", "pi_deadline", "pi_path",

@@ -19,8 +19,8 @@ scans the whole grid, bisects every sign change and keeps the payoff argmax
 Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
 to find them, then O(atoms <= T)) and computes no payoff.  The affine case
 makes O(log N_SCAN) grid evaluations, any other case N_SCAN + 1.  Payoffs
-are computed once per candidate deadline, each O(atoms) on the two-cell
-deadline mechanism.
+are computed for the candidate deadlines and the never-stop profile only,
+each O(atoms) on the two-cell deadline mechanism.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .distribution import BreakthroughDist
 from .errors import ModelAssumptionError, SolverError
 from .frontier import TechnologyPair, affine_gap
 from .mechanism import Mechanism, deadline_mechanism, payoff
-from .numerics import bisect_bracket
+from .numerics import bisect_bracket, crossing_cells
 
 FOC_TOL = 1e-9
 # equal steps of the right-bracket grid on [t_underline, T_hi]; the affine
@@ -129,17 +129,13 @@ def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiD
     bracket_plus, bracket_minus = _brackets(pair, dist, T, _alpha(pair))
     scale = math.exp(-pair.r * T) * (float(pair.u0) - float(pair.u_star))
     return PiDerivs(pi=deadline_payoff(pair, dist, T),
-                    pi_plus=scale * bracket_plus,
-                    pi_minus=scale * bracket_minus,
-                    bracket_plus=bracket_plus,
-                    bracket_minus=bracket_minus)
+                    pi_plus=scale * bracket_plus, pi_minus=scale * bracket_minus,
+                    bracket_plus=bracket_plus, bracket_minus=bracket_minus)
 
 
 @dataclass(frozen=True)
 class FocReport:
-    T: float
     alpha: float
-    pi: float
     pi_plus: float
     pi_minus: float
     satisfied: bool
@@ -149,13 +145,15 @@ class FocReport:
 def foc_check(pair: TechnologyPair, dist: BreakthroughDist, T: float,
               *, tol: float = FOC_TOL) -> FocReport:
     """First-order optimality at T: right derivative <= tol and left
-    derivative >= -tol (the left clause is vacuous at T = 0)."""
-    d = pi_and_derivs(pair, dist, T)
-    ok_plus = d.pi_plus <= tol
-    ok_minus = True if T == 0.0 else d.pi_minus >= -tol
-    return FocReport(T=T, alpha=_alpha(pair), pi=d.pi,
-                     pi_plus=d.pi_plus, pi_minus=d.pi_minus,
-                     satisfied=ok_plus and ok_minus, tol=tol)
+    derivative >= -tol (the left clause is vacuous at T = 0).  The
+    derivatives are those of :func:`pi_and_derivs`, without its payoff."""
+    alpha = _alpha(pair)
+    bracket_plus, bracket_minus = _brackets(pair, dist, T, alpha)
+    scale = math.exp(-pair.r * T) * (float(pair.u0) - float(pair.u_star))
+    pi_plus, pi_minus = scale * bracket_plus, scale * bracket_minus
+    ok_minus = True if T == 0.0 else pi_minus >= -tol
+    return FocReport(alpha=alpha, pi_plus=pi_plus, pi_minus=pi_minus,
+                     satisfied=pi_plus <= tol and ok_minus, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -172,18 +170,15 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                       *, tol: float = FOC_TOL) -> OptimalDeadline:
     """Best deadline at or above the participation threshold.
 
-    The right bracket is sampled on an ``N_SCAN``-step grid over
-    ``[t_underline, T_hi]`` (T_hi doubled until the bracket is negative),
-    each grid cell where it crosses from >= 0 to < 0 is bisected, and the
-    payoff argmax over the crossing roots plus the threshold itself is
-    returned.  In the affine case the bracket crosses once, so a binary
-    search over the grid finds the cell in O(log N_SCAN) evaluations: the
-    textbook bisection.  Otherwise all N_SCAN + 1 grid points are evaluated,
-    which isolates every stationary point, and a warning is attached.
-
-    The grid search and bisection evaluate brackets only; a payoff is
-    computed for each candidate, for the never-stop profile and once in the
-    final :func:`foc_check`.
+    :func:`numerics.crossing_cells` finds where the right bracket crosses
+    from >= 0 to < 0 on an ``N_SCAN``-step grid over ``[t_underline, T_hi]``
+    (T_hi doubled until the bracket is negative); each such cell is
+    bisected, and the payoff argmax over the crossing roots plus the
+    threshold itself is returned.  In the affine case the bracket crosses
+    once, so the grid is binary-searched: the textbook bisection.  Otherwise
+    every grid point is evaluated, which isolates every stationary point,
+    and a warning is attached.  Only the candidates and the never-stop
+    profile cost a payoff; the final :func:`foc_check` reads brackets.
     """
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
@@ -205,27 +200,7 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     else:
         raise SolverError("right payoff derivative never turns negative")
 
-    ts = [t_lo + (t_hi - t_lo) * i / N_SCAN for i in range(N_SCAN + 1)]
-    if curved:
-        bs = [bracket_plus(t) for t in ts]
-        cells = [(ta, ba, tb, bb) for ta, ba, tb, bb
-                 in zip(ts, bs, ts[1:], bs[1:]) if ba >= 0.0 > bb]
-    else:
-        # one sign change: binary-search the grid for the cell the full
-        # scan would find, keeping the invariant ba >= 0 > bb
-        i, ba = 0, bracket_plus(ts[0])
-        j, bb = N_SCAN, bracket_plus(ts[N_SCAN])
-        cells = []
-        if ba >= 0.0 > bb:
-            while j - i > 1:
-                k = (i + j) // 2
-                bk = bracket_plus(ts[k])
-                if bk >= 0.0:
-                    i, ba = k, bk
-                else:
-                    j, bb = k, bk
-            cells.append((ts[i], ba, ts[j], bb))
-
+    _, _, cells = crossing_cells(bracket_plus, t_lo, t_hi, N_SCAN, once=not curved)
     candidates = [t_lo]
     for ta, ba, tb, bb in cells:
         lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,
@@ -255,5 +230,4 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     return OptimalDeadline(T=best_t, payoff=best_pi,
                            mechanism=deadline_mechanism(pair, best_t),
                            foc=foc_check(pair, dist, best_t, tol=tol),
-                           t_underline=t_lo,
-                           warnings=tuple(warnings))
+                           t_underline=t_lo, warnings=tuple(warnings))

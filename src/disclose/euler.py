@@ -17,7 +17,8 @@ where ``d0``/``d1`` are the frontier derivatives and ``invd0`` inverts
     psi(lam) = E[ d1(X_tau^lam) ]
 
 is decreasing with psi(u_star) = d0(u_star) >= 0 >= d1(u0) = psi(u0), so a
-sign bisection in ``lam`` closes the system.
+sign bisection in ``lam`` closes the system; :func:`solve` binary-searches
+a grid for the cell of that sign change first.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import TechnologyPair, is_neg_inf, slope
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
-from .numerics import bisect_down
+from .numerics import bisect_down, clamped_root, crossing_cells
 
 PSI_TOL = 1e-10
 LAM_TOL = 1e-12
-# equal steps of the psi scan on [u_star, u0]
+# equal steps of the psi grid on [u_star, u0]
 N_SCAN = 32
 # points of the second-difference concavity grid on [u_star, u0]
 SIMPLE_GRID = 201
@@ -97,13 +98,7 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     def g(u: float) -> float:
         return slope(pair.f0, u) - y
 
-    g_lo = g(ustar)
-    if g_lo <= 0.0:
-        return ustar
-    g_hi = g(u0)
-    if g_hi >= 0.0:
-        return u0
-    return bisect_down(g, ustar, u0, f_lo=g_lo, f_hi=g_hi, tol_x=1e-13)
+    return clamped_root(g, ustar, u0, tol_x=1e-13)
 
 
 def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float
@@ -145,8 +140,9 @@ class EulerSolution:
     """Solved reward path: atom times, flow levels and continuation values
     per atom cell, the terminal level and its residual, the assembled step
     mechanism (peak flow before the first atom), and its expected payoff.
-    ``extra_roots`` lists other residual roots found by the scan (normally
-    empty — the residual is monotone for simple pairs)."""
+    ``extra_roots`` lists the other candidate roots: grid ends where the
+    residual is already <= 0 (bottom) or >= 0 (top) that lost the payoff
+    argmax (normally empty)."""
 
     times: Tuple[float, ...]
     levels: Tuple[float, ...]
@@ -163,11 +159,12 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     """Solve for the optimal reward path of a simple pair; any other pair
     raises ``NotSimple`` carrying its :func:`simple_reasons`.
 
-    ``psi`` is scanned on ``[u_star, u0]``; every down-crossing is bisected
-    and the candidate with the best expected payoff wins (they coincide when
-    ``psi`` is monotone, which is the normal case).  A ``psi`` that is
-    negative at ``u_star`` or positive at ``u0`` beyond tolerance means the
-    theoretical bracket failed, which is reported rather than papered over.
+    ``psi`` decreases on ``[u_star, u0]``: the grid cell where it crosses
+    zero is binary-searched and bisected, grid ends where it already is
+    <= 0 (bottom) or >= 0 (top) are roots too, and the best payoff wins.  A
+    ``psi`` that is negative at ``u_star`` or positive at ``u0`` beyond
+    tolerance means the theoretical bracket failed, which is reported
+    rather than papered over.
     """
     reasons = simple_reasons(pair)
     if reasons:
@@ -177,44 +174,39 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     def f(lam: float) -> float:
         return psi(pair, dist, lam)
 
-    grid = [ustar + (u0 - ustar) * i / N_SCAN for i in range(N_SCAN + 1)]
-    vals = [f(lam) for lam in grid]
-    if vals[0] < -1e-9:
+    psi_lo, psi_hi, cells = crossing_cells(f, ustar, u0, N_SCAN, once=True)
+    if psi_lo < -1e-9:
         raise BracketFailure(
-            f"psi(u_star)={vals[0]:.3e} < 0; expected >= 0 at the bottom level")
-    if vals[-1] > 1e-9:
+            f"psi(u_star)={psi_lo:.3e} < 0; expected >= 0 at the bottom level")
+    if psi_hi > 1e-9:
         raise BracketFailure(
-            f"psi(u0)={vals[-1]:.3e} > 0; expected <= 0 at the peak level")
+            f"psi(u0)={psi_hi:.3e} > 0; expected <= 0 at the peak level")
 
-    roots = []
-    if vals[0] <= 0.0:
-        roots.append(grid[0])
-    for i in range(N_SCAN):
-        if vals[i] >= 0.0 > vals[i + 1]:
-            roots.append(bisect_down(f, grid[i], grid[i + 1],
-                                     f_lo=vals[i], f_hi=vals[i + 1],
-                                     tol_x=LAM_TOL, tol_f=tol_psi))
-    if vals[-1] >= 0.0:
-        roots.append(grid[-1])
+    roots = [ustar] if psi_lo <= 0.0 else []
+    roots += [bisect_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL, tol_f=tol_psi)
+              for a, fa, b, fb in cells]
+    if psi_hi >= 0.0:
+        # the grid's last point, where psi_hi was taken; it can miss u0 by an ulp
+        roots.append(ustar + (u0 - ustar) * N_SCAN / N_SCAN)
     if not roots:
         raise BracketFailure("no psi root located on [u_star, u0]")
 
     best = None
     for lam in roots:
-        levels, conts, _ = backward_pass(pair, dist, lam)
+        levels, conts, terms = backward_pass(pair, dist, lam)
         mech = Mechanism(grid=(0.0,) + dist.times,
                          levels=(float(pair.u0),) + levels)
         val = payoff(mech, pair, dist)
         if not isinstance(val, float):
             continue
         if best is None or val > best[0]:
-            best = (val, lam, levels, conts, mech)
+            best = (val, lam, levels, conts, terms, mech)
     if best is None:
         raise BracketFailure("every psi root produced an off-domain payoff")
 
-    val, lam, levels, conts, mech = best
+    val, lam, levels, conts, terms, mech = best
     return EulerSolution(times=dist.times, levels=levels, conts=conts,
-                         lam=lam, psi=f(lam), mechanism=mech, payoff=val,
+                         lam=lam, psi=math.fsum(terms), mechanism=mech, payoff=val,
                          extra_roots=tuple(r for r in roots if r != lam))
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .errors import ModelAssumptionError, NotSimple
-from .numerics import bisect_down, bisect_up
+from .numerics import bisect_up, clamped_root
 
 INF = float("inf")
 
@@ -201,14 +201,7 @@ class ParametricFrontier:
     @cached_property
     def peak(self):
         """``(u, value)`` of the maximum, via sign bisection on the slope."""
-        d_lo = self.dfn(self.u_lo)
-        d_hi = self.dfn(self.u_hi)
-        if d_lo <= 0.0:
-            return (self.u_lo, self.fn(self.u_lo))
-        if d_hi >= 0.0:
-            return (self.u_hi, self.fn(self.u_hi))
-        u = bisect_down(self.dfn, self.u_lo, self.u_hi,
-                        f_lo=d_lo, f_hi=d_hi, tol_x=1e-13)
+        u = clamped_root(self.dfn, self.u_lo, self.u_hi, tol_x=1e-13)
         return (u, self.fn(u))
 
     def shifted(self, k):

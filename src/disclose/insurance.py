@@ -40,6 +40,8 @@ from .numerics import bisect_down
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
+# participation shift of the reward-path solve (see welfare_sweep), per unit of u0
+SHIFT_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ class SweepRow:
 
 def welfare_sweep(template: UiPrimitives, shadows: Sequence[float],
                   dist: BreakthroughDist, r: float, *,
-                  shift_frac: float = 0.05) -> Tuple[SweepRow, ...]:
+                  shift_frac: float = SHIFT_FRAC) -> Tuple[SweepRow, ...]:
     """Compare the best deadline against the solved reward path across
     shadow prices.
 

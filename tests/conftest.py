@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from disclose import (
     ParametricFrontier,
@@ -21,6 +22,11 @@ from disclose import (
     discretize,
     from_atoms,
 )
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # instance A: f0 affine (slope 1) up to its peak at u=1, f1 peaking at 0.8;
 # shared-slope level 0.3, so the threshold deadline is ln 3.5

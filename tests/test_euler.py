@@ -9,11 +9,13 @@ is bisected independently here and compared against the solver.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from disclose import (
     AtomAtZero,
+    BracketFailure,
     NotSimple,
     comparative_statics_check,
     continuation_value,
@@ -21,7 +23,12 @@ from disclose import (
     from_atoms,
     solve,
 )
+from disclose import euler, numerics
+from disclose.distribution import discretize
+from disclose.errors import DiscloseError
 from disclose.euler import backward_pass, inv_deriv_f0, psi, simple_reasons
+from disclose.frontier import ParametricFrontier, TechnologyPair
+from disclose.insurance import SHIFT_FRAC, UiPrimitives, build_frontiers, ui_constants
 
 RESIDUAL_TOL = 1e-8
 
@@ -141,6 +148,74 @@ def test_path_beats_deadline(pair_b, dist_k2):
     sol = solve(pair_b, dist_k2)
     best_deadline = optimize_deadline(pair_b, dist_k2).payoff
     assert sol.payoff >= best_deadline - 1e-12
+
+
+# --------------------------------------------- grid search against full scan ---
+
+def random_simple_pair(rng):
+    """Fixture B rescaled, with a random ``f1`` curvature and peak, or (one
+    in four: building one costs two ``u_star`` scans) an insurance pair
+    shifted as ``welfare_sweep`` shifts it."""
+    r = rng.uniform(0.2, 3.0)
+    if rng.random() < 0.75:
+        su, sv = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        c, k, u1 = rng.uniform(1.2, 2.0), rng.uniform(1.1, 4.0), rng.uniform(0.3, 0.95)
+        f0 = ParametricFrontier(fn=lambda u: sv * (2.0 * u / su - (u / su) ** 2),
+                                u_lo=0.0, u_hi=1.2 * su,
+                                dfn=lambda u: sv * (2.0 - 2.0 * u / su) / su)
+        f1 = ParametricFrontier(fn=lambda u: sv * (c - k * (u / su - u1) ** 2),
+                                u_lo=0.0, u_hi=1.2 * su,
+                                dfn=lambda u: -2.0 * sv * k * (u / su - u1) / su)
+        return TechnologyPair.build(f0, f1, r)
+    p = UiPrimitives(a=rng.uniform(0.3, 0.8), b=rng.uniform(1.5, 3.0),
+                     w=rng.uniform(0.5, 2.0), shadow=rng.uniform(0.2, 1.0))
+    return build_frontiers(p, r).shifted(SHIFT_FRAC * ui_constants(p).u0)
+
+
+def random_law(rng, r):
+    # mostly few atoms, which keeps the full scans cheap; 1 in 20 has many
+    m = rng.choice((16, 32, 64) if rng.random() < 0.05 else (1, 2, 3, 4, 6, 8))
+    scale = rng.uniform(0.3, 3.0) / r
+    if rng.random() < 0.5:
+        return discretize("exponential", m, rate=1.0 / scale)
+    return discretize("weibull", m, shape=rng.uniform(0.5, 4.0), scale=scale)
+
+
+def solve_outcome(pair, dist):
+    """Every float of the solution by ``.hex()``, and ``extra_roots``; or
+    the message of the ``BracketFailure`` it raised."""
+    try:
+        sol = solve(pair, dist)
+    except BracketFailure as exc:
+        return str(exc)
+    return (sol.lam.hex(), sol.psi.hex(), sol.payoff.hex(),
+            [v.hex() for v in sol.levels], [v.hex() for v in sol.conts],
+            sol.extra_roots)
+
+
+def test_grid_search_matches_full_scan(monkeypatch):
+    rng = random.Random(20208)
+    cases = []
+    while len(cases) < 200:
+        try:
+            pair = random_simple_pair(rng)
+        except DiscloseError:
+            continue
+        if not simple_reasons(pair):
+            cases.append((pair, random_law(rng, pair.r)))
+
+    searched = [solve_outcome(pair, dist) for pair, dist in cases]
+    full_scan = numerics.crossing_cells
+    monkeypatch.setattr(euler, "crossing_cells",
+                        lambda f, lo, hi, n, *, once: full_scan(f, lo, hi, n, once=False))
+    scanned = [solve_outcome(pair, dist) for pair, dist in cases]
+
+    assert searched == scanned
+    # insurance pairs with a high wage and shadow price fail the psi bracket
+    # at the bottom level under either search; most cases must solve
+    solved = [o for o in searched if not isinstance(o, str)]
+    assert len(solved) >= 170
+    assert sum(len(o[3]) >= 16 for o in solved) >= 5
 
 
 # ----------------------------------------------------- comparative statics ---

@@ -7,7 +7,8 @@ oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
 ``optimize_deadline`` call may compute only the payoffs it reads and, in
 the affine case only, skips most of the bracket grid, slopes cost no
-frontier value, ``psi`` reads one ``f1`` slope per atom, and the
+frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
+binary-searches its ``psi`` grid, and the
 insurance inner maximization runs once per level of a pair and leaves no
 state behind.
 """
@@ -384,12 +385,12 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
         count_calls(monkeypatch, module, name, counts)
     deadline.optimize_deadline(pair, dist)
 
-    # every pi_and_derivs makes one deadline_payoff; the rest are candidates
-    candidates = counts["deadline_payoff"] - counts["pi_and_derivs"]
+    # foc_check reads brackets only, so every deadline_payoff is a candidate
+    assert counts["pi_and_derivs"] == 0
+    candidates = counts["deadline_payoff"]
     assert candidates >= 1
-    assert counts["pi_and_derivs"] == 1          # foc_check only
-    # candidates, the never-stop profile, foc_check
-    assert counts["payoff"] <= candidates + 2
+    # candidates and the never-stop profile
+    assert counts["payoff"] <= candidates + 1
     # deadline mechanisms derive their reward: one profile per payoff
     assert counts["continuation_profile"] == counts["payoff"]
 
@@ -433,6 +434,16 @@ def test_psi_reads_one_f1_slope_per_atom(pair_b, monkeypatch, m):
     monkeypatch.setattr(ParametricFrontier, "derivs", derivs)
     euler.psi(pair_b, dist, 0.5)
     assert calls[True] == m
+
+
+@pytest.mark.parametrize("m", [1, 2, 16])
+def test_solve_binary_searches_the_psi_grid(pair_b, monkeypatch, m):
+    # the two grid ends, log2(N_SCAN) = 5 halvings, then the cell bisection
+    # to tol_psi; a scan of all N_SCAN + 1 grid points alone makes 33
+    counts = Counter()
+    count_calls(monkeypatch, euler, "psi", counts)
+    euler.solve(pair_b, discretize("exponential", m, rate=1.0))
+    assert counts["psi"] <= 40
 
 
 # primitives no other test uses, so nothing computed earlier can be reused
