@@ -449,7 +449,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--tol-root", type=float, default=1e-9,
-                        help="first-order / root-residual tolerance")
+                        help="first-order / root-residual tolerance; ui-sweep and "
+                             "the reward-path branch of compare-statics do not "
+                             "read it (they solve at the library defaults)")
     parser.add_argument("--tol-residual", type=float, default=1e-8,
                         help="stationarity-residual tolerance for verify")
 

@@ -29,9 +29,9 @@ from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
-from .frontier import TechnologyPair, is_neg_inf, slope
+from .frontier import ParametricFrontier, TechnologyPair, is_neg_inf, slope
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
-from .numerics import bisect_down, clamped_root, crossing_cells
+from .numerics import bisect_down, brent_down, clamped_root, crossing_cells
 
 PSI_TOL = 1e-10
 LAM_TOL = 1e-12
@@ -89,16 +89,21 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
 def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
-    The slope is strictly decreasing there, so bisection applies; targets
-    above the slope at ``u_star`` clamp to ``u_star`` and targets below the
-    slope at the peak (which is ~0) clamp to ``u0``.
+    The slope is strictly decreasing there, so a bracketed root search
+    applies; targets above the slope at ``u_star`` clamp to ``u_star`` and
+    targets below the slope at the peak (which is ~0) clamp to ``u0``.  A
+    parametric ``f0`` has a smooth slope and is inverted by Brent's method.
+    A piecewise ``f0`` keeps bisection: its slope is a step function, so
+    Brent's method gains nothing there and would only move the level to the
+    other side of a kink.
     """
     ustar, u0 = float(pair.u_star), float(pair.u0)
 
     def g(u: float) -> float:
         return slope(pair.f0, u) - y
 
-    return clamped_root(g, ustar, u0, tol_x=1e-13)
+    root = brent_down if isinstance(pair.f0, ParametricFrontier) else bisect_down
+    return clamped_root(g, ustar, u0, tol_x=1e-13, root=root)
 
 
 def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float

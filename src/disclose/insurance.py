@@ -36,7 +36,7 @@ from .errors import ConfigError
 from .euler import solve as solve_path
 from .frontier import ParametricFrontier, TechnologyPair, affine_gap
 from .mechanism import Mechanism, mechanism_rows
-from .numerics import bisect_down
+from .numerics import brent_down
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
@@ -76,9 +76,9 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     """``argmax_L`` and ``max_L`` of ``w L - (u + L**b)**(1/a)`` for L >= 0.
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
-    maximizer is the unique root of the slope, bracketed by geometric
-    growth and bisected.  Nothing is cached here: ``build_frontiers`` keeps
-    a memo per pair.
+    maximizer is the unique root of the smooth slope, bracketed by geometric
+    growth and located by Brent's method.  Nothing is cached here:
+    ``build_frontiers`` keeps a memo per pair.
     """
 
     def gp(L: float) -> float:
@@ -88,14 +88,15 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     hi = 1.0
     for _ in range(200):
         try:
-            if gp(hi) < 0.0:
+            g_hi = gp(hi)
+            if g_hi < 0.0:
                 break
         except OverflowError:  # the slope overflows a float while below the wage
             raise ConfigError(never) from None
         hi *= 2.0
     else:  # a wage beyond the slope at L = 2**200
         raise ConfigError(never)
-    l_star = bisect_down(gp, 0.0, hi, f_lo=w, tol_x=1e-13 * hi)
+    l_star = brent_down(gp, 0.0, hi, f_lo=w, f_hi=g_hi, tol_x=1e-13 * hi)
     return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
 
 

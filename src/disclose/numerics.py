@@ -1,18 +1,26 @@
-"""Root location: sign-change bisection, the package's one bracketed root
-finder, and the grid search and end clamp the solvers put in front of it.
+"""Root location: sign-change bisection, Brent's method, and the grid search
+and end clamp the solvers put in front of them.
 
-Bisection is used everywhere a root is needed (never Newton: several of the
-functions we solve have kinks or one-sided derivatives, and bisection keeps
-every result deterministic and bracketed).  Every search here looks for a
-down-crossing, f(lo) >= 0 > f(hi).
+Every root found here stays bracketed by a sign change, and every search
+looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
+derivative (never Newton: several of the functions we solve have kinks or
+one-sided derivatives).  Bisection is the default.  :func:`brent_down`
+(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
+serves the two inner solves of smooth functions, the ``f0`` slope
+inversion of a parametric pair and the insurance labor maximization, where
+its interpolation steps converge superlinearly; on a step-function slope
+it has no such step to take, so piecewise frontiers keep bisection.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .errors import SolverError
 
-# halvings after which a bisection stops and returns its bracket
+# steps after which a bisection or Brent search stops and returns its estimate
 MAX_ITER = 200
+EPS = sys.float_info.epsilon
 
 
 def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
@@ -56,6 +64,66 @@ def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
     return 0.5 * (lo + hi)
 
 
+def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
+    """Root of ``f`` on [lo, hi] by Brent's method, assuming a down-crossing:
+    f(lo) >= 0 >= f(hi).
+
+    Returns ``lo`` or ``hi`` when ``f`` is exactly 0 there, and otherwise
+    the end ``b`` of a shrinking sign-change bracket ``[b, c]`` once
+    ``|c - b| / 2 <= 2 * EPS * |b| + tol_x / 2`` (or after ``MAX_ITER``
+    steps).  Each step takes the inverse quadratic or secant estimate when it
+    lands well inside the bracket and shrinks it fast enough, and a bisection
+    step otherwise.  A NaN from ``f`` raises :class:`SolverError`.
+    """
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
+    if not (f_lo >= 0.0 and f_hi <= 0.0):
+        raise SolverError(
+            f"brent: no down-crossing bracket on [{lo}, {hi}] "
+            f"(f(lo)={f_lo}, f(hi)={f_hi})")
+    # b: best estimate; a: previous b; c: the bracket's other end,
+    # f(b) and f(c) of opposite signs
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(MAX_ITER):
+        if (fb > 0.0) == (fc > 0.0):  # the sign change moved to [a, b]
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # keep b the end with the smaller |f|
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * EPS * abs(b) + 0.5 * tol_x
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
+        fb = f(b)
+        if fb != fb:
+            raise SolverError(f"brent: f({b}) is NaN")
+    return b
+
+
 def bisect_up(f, lo, hi, *, tol_x=1e-12):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
     return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)
@@ -86,12 +154,12 @@ def crossing_cells(f, lo, hi, n, *, once):
     return f_first, f_last, [(xs[i], fa, xs[j], fb)]
 
 
-def clamped_root(f, lo, hi, *, tol_x):
+def clamped_root(f, lo, hi, *, tol_x, root=bisect_down):
     """Root of a non-increasing ``f`` on [lo, hi], clamped to the interval:
-    ``lo`` if f(lo) <= 0, else ``hi`` if f(hi) >= 0, else the
-    :func:`bisect_down` root."""
+    ``lo`` if f(lo) <= 0, else ``hi`` if f(hi) >= 0, else the root that
+    ``root`` (:func:`bisect_down` or :func:`brent_down`) finds between."""
     f_lo = f(lo)
     if f_lo <= 0.0:
         return lo
     f_hi = f(hi)
-    return hi if f_hi >= 0.0 else bisect_down(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)
+    return hi if f_hi >= 0.0 else root(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)

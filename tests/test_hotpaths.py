@@ -11,6 +11,12 @@ frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 binary-searches its ``psi`` grid, and the
 insurance inner maximization runs once per level of a pair and leaves no
 state behind.
+
+The two inner root solves, the ``f0`` slope inversion of a parametric pair
+and the insurance labor maximization, use Brent's method and so may land
+a few ulps from where bisection lands: they are compared against in-test
+bisections within 1e-12, as are the ``solve`` outputs built on them, and
+their slope evaluations per solve are counted.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import bisect
 import dataclasses
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -27,13 +34,17 @@ import pytest
 from disclose import deadline, euler, insurance, mechanism
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize
+from disclose.errors import BracketFailure
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
-                               PiecewiseFrontier, TechnologyPair, is_neg_inf)
-from disclose.insurance import UiPrimitives, schedule
+                               PiecewiseFrontier, TechnologyPair, is_neg_inf,
+                               slope)
+from disclose.insurance import (SHIFT_FRAC, UiPrimitives, build_frontiers,
+                                schedule, ui_constants)
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
 
 from conftest import A_F0_POINTS, A_F1_POINTS
+from test_golden import DENSE_B_TECH
 
 
 def exact(v):
@@ -473,16 +484,16 @@ def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
 
 
 def test_welfare_sweep_leaves_no_state(monkeypatch):
-    # every inner maximization runs one bisection; a process-wide cache
+    # every inner maximization runs one root search; a process-wide cache
     # would let the second sweep skip them
     calls = Counter()
-    orig = insurance.bisect_down
+    orig = insurance.brent_down
 
-    def bisect_down(*args, **kwargs):
+    def brent_down(*args, **kwargs):
         calls["inner"] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(insurance, "bisect_down", bisect_down)
+    monkeypatch.setattr(insurance, "brent_down", brent_down)
     dist = discretize("exponential", 4, rate=1.0)
     counts = []
     for _ in range(2):
@@ -492,3 +503,204 @@ def test_welfare_sweep_leaves_no_state(monkeypatch):
         counts.append(calls["inner"])
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+# ------------------------------------------------------- inner root solves ---
+
+INNER_TOL = 1e-12
+
+
+def bisection_reference(g, lo, hi):
+    """Root of ``g`` on [lo, hi], g(lo) >= 0 > g(hi), halving until the
+    midpoint no longer lies strictly inside: full float resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def inv_deriv_f0_reference(pair, y):
+    ustar, u0 = float(pair.u_star), float(pair.u0)
+
+    def g(u):
+        return slope(pair.f0, u) - y
+
+    if g(ustar) <= 0.0:
+        return ustar
+    if g(u0) >= 0.0:
+        return u0
+    return bisection_reference(g, ustar, u0)
+
+
+def inner_max_reference(a, b, w, u):
+    def gp(L):
+        return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
+
+    hi = 1.0
+    while gp(hi) >= 0.0:
+        hi *= 2.0
+    l_star = bisection_reference(gp, 0.0, hi)
+    return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
+
+
+def fixture_b_pair(rng, calls=None):
+    """Fixture B with both axes rescaled, as the path-smooth workload draws
+    it; ``calls["f0'"]`` counts the ``f0`` slope evaluations."""
+    su, sv, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    k = sv / su
+
+    def f0_d(u):
+        if calls is not None:
+            calls["f0'"] += 1
+        return k * (2.0 - 2.0 * u / su)
+
+    f0 = ParametricFrontier(fn=lambda u: sv * (2.0 * u / su - (u / su) ** 2),
+                            u_lo=0.0, u_hi=1.2 * su, dfn=f0_d)
+    f1 = ParametricFrontier(fn=lambda u: sv * (1.45 - 1.5 * (u / su - 0.7) ** 2),
+                            u_lo=0.0, u_hi=1.2 * su,
+                            dfn=lambda u: k * -3.0 * (u / su - 0.7))
+    return TechnologyPair.build(f0, f1, r)
+
+
+def random_ui_primitives(rng):
+    return UiPrimitives(a=rng.uniform(0.3, 0.8), b=rng.uniform(1.5, 3.0),
+                        w=rng.uniform(0.5, 2.0), shadow=rng.uniform(0.2, 1.0))
+
+
+def smooth_cases(seed, n_b, n_ui):
+    """``(build, dist)`` pairs: ``build()`` makes a fresh rescaled fixture-B
+    pair, or an insurance pair shifted as ``welfare_sweep`` shifts it, so
+    a rebuild reads whatever inner solve is in place at the time."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(n_b + n_ui):
+        if i < n_b:
+            def build(seed=rng.random()):
+                return fixture_b_pair(random.Random(seed))
+        else:
+            p = random_ui_primitives(rng)
+            r = rng.uniform(0.5, 2.0)
+
+            def build(p=p, r=r):
+                return build_frontiers(p, r).shifted(SHIFT_FRAC * ui_constants(p).u0)
+        m = rng.choice((1, 2, 3, 8, 16, 32))
+        cases.append((build, discretize("exponential", m, rate=rng.uniform(0.3, 3.0))))
+    return cases
+
+
+def test_inv_deriv_f0_matches_bisection():
+    rng = random.Random(9101)
+    for build, _ in smooth_cases(9100, 30, 6):
+        pair = build()
+        top = slope(pair.f0, float(pair.u_star))
+        bottom = slope(pair.f0, float(pair.u0))
+        for _ in range(20):  # a few targets beyond either end: the clamps
+            y = rng.uniform(bottom - 0.1 * (top - bottom), top + 0.1 * (top - bottom))
+            assert abs(euler.inv_deriv_f0(pair, y)
+                       - inv_deriv_f0_reference(pair, y)) <= INNER_TOL, y
+
+
+def test_inner_max_matches_bisection():
+    rng = random.Random(9102)
+    for _ in range(300):
+        p = random_ui_primitives(rng)
+        u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
+        l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
+        l_ref, value_ref = inner_max_reference(p.a, p.b, p.w, u)
+        assert abs(l_star - l_ref) <= INNER_TOL
+        assert abs(value - value_ref) <= INNER_TOL
+
+
+def solved(build, dist):
+    try:
+        return euler.solve(build(), dist)
+    except BracketFailure as exc:
+        return str(exc)
+
+
+def test_solve_matches_bisection_inner_solves(monkeypatch):
+    cases = smooth_cases(9103, 30, 8)
+    fast = [solved(build, dist) for build, dist in cases]
+    monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0_reference)
+    monkeypatch.setattr(insurance, "_inner_max", inner_max_reference)
+    reference = [solved(build, dist) for build, dist in cases]
+
+    n_solved = 0
+    for sol, ref in zip(fast, reference):
+        if isinstance(ref, str):
+            assert sol == ref
+            continue
+        n_solved += 1
+        assert abs(sol.lam - ref.lam) <= INNER_TOL
+        assert len(sol.levels) == len(ref.levels)
+        assert max(abs(x - y) for x, y in zip(sol.levels, ref.levels)) <= INNER_TOL
+        assert abs(sol.payoff - ref.payoff) <= INNER_TOL
+    assert n_solved >= 34
+
+
+def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
+    # two clamp checks, then Brent's steps; bisection to 1e-13 takes ~43
+    calls = Counter()
+    per_inversion = []
+    orig = euler.inv_deriv_f0
+
+    def inv_deriv_f0(pair, y):
+        before = calls["f0'"]
+        out = orig(pair, y)
+        per_inversion.append(calls["f0'"] - before)
+        return out
+
+    monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0)
+    rng = random.Random(9104)
+    for m in (2, 16, 64):
+        euler.solve(fixture_b_pair(rng, calls), discretize("exponential", m, rate=1.0))
+    assert len(per_inversion) > 1000
+    assert max(per_inversion) <= 8
+
+
+def test_inner_max_reads_few_slopes():
+    # the growth loop, then Brent's steps; bisection to 1e-13 * hi takes ~46
+    code = insurance.__file__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "gp" \
+                and frame.f_code.co_filename == code:
+            calls["gp"] += 1
+
+    rng = random.Random(9105)
+    worst = 0
+    for _ in range(200):
+        p = random_ui_primitives(rng)
+        u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            insurance._inner_max(p.a, p.b, p.w, u)
+        finally:
+            sys.setprofile(None)
+        worst = max(worst, calls["gp"])
+    assert 0 < worst <= 12
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "parametric"])
+def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
+    # a step-function slope gains nothing from Brent's steps, which would
+    # only move the level to the other side of a kink
+    if kind == "piecewise":
+        pair = TechnologyPair.build(
+            PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f0"]))),
+            PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f1"]))), 1.0)
+    else:
+        pair = pair_b
+    counts = Counter()
+    count_calls(monkeypatch, euler, "bisect_down", counts)
+    count_calls(monkeypatch, euler, "brent_down", counts)
+    for y in (0.3, 0.77, 1.2, 1.5):  # inside the slope range of either f0
+        euler.inv_deriv_f0(pair, y)
+    expected = "bisect_down" if kind == "piecewise" else "brent_down"
+    assert counts == Counter({expected: 4})
