@@ -9,18 +9,24 @@ shared-slope level ``u_star`` afterwards, with the derived reward path
 The deadline payoff is one-sided differentiable in T; the two one-sided
 derivatives are ``exp(-rT) (u0 - u_star)`` times simple brackets mixing the
 survival weight of the breakthrough time against the ``f1`` slopes at the
-atom rewards.  When ``f0`` is affine on ``[u_star, u0]`` the right bracket
-is non-increasing in T after scaling by ``exp(rT)``, so its sign changes
-once and a sign bisection finds the optimum.  The optimizer below
-binary-searches a grid for that one change in the affine case; otherwise it
-scans the whole grid, bisects every sign change and keeps the payoff argmax
-(with a warning).
+atom rewards.  Between two breakthrough atoms ``G(T)`` is flat and every
+atom reward ``X_{t_k}(T)`` rises with T, so, ``f1`` being concave, the
+right bracket is non-increasing there; it can jump up only at an atom.
+When ``f0`` is affine on ``[u_star, u0]`` the right bracket is
+non-increasing in T outright (after scaling by ``exp(rT)``), so its sign
+changes once and a sign bisection finds the optimum.  The optimizer below
+binary-searches a grid for that one change in the affine case.  Otherwise
+it binary-searches the grid between each pair of atoms, which locates every
+sign change of the bracket atom by atom, bisects each, and keeps the payoff
+argmax (with a warning).  Both cases rely on ``f1`` being concave.
 
 Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
 to find them, then O(atoms <= T)) and computes no payoff.  The affine case
-makes O(log N_SCAN) grid evaluations, any other case N_SCAN + 1.  Payoffs
-are computed for the candidate deadlines and the never-stop profile only,
-each O(atoms) on the two-cell deadline mechanism.
+makes O(log N_SCAN) grid evaluations; any other case two per grid cell
+holding an atom plus O(log N_SCAN) per atom-free run of cells whose ends
+straddle zero, never more than N_SCAN + 1.  Payoffs are computed for the
+candidate deadlines and the never-stop profile only, each O(atoms) on the
+two-cell deadline mechanism.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .mechanism import Mechanism, deadline_mechanism, payoff
 from .numerics import bisect_bracket, crossing_cells
 
 FOC_TOL = 1e-9
-# equal steps of the right-bracket grid on [t_underline, T_hi]; the affine
-# case binary-searches the grid, any other case scans all of it
+# equal steps of the right-bracket grid on [t_underline, T_hi], searched
+# between the atoms where the bracket may jump up (none in the affine case)
 N_SCAN = 256
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
 # as affine
@@ -176,9 +182,13 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     bisected, and the payoff argmax over the crossing roots plus the
     threshold itself is returned.  In the affine case the bracket crosses
     once, so the grid is binary-searched: the textbook bisection.  Otherwise
-    every grid point is evaluated, which isolates every stationary point,
-    and a warning is attached.  Only the candidates and the never-stop
-    profile cost a payoff; the final :func:`foc_check` reads brackets.
+    the bracket is non-increasing between atoms, so the cells holding an
+    atom are tested directly and each atom-free run of cells is
+    binary-searched; this isolates every stationary point the full grid
+    would, and a warning is attached.  Both searches rely on ``f1`` being
+    concave.  Only the candidates and the
+    never-stop profile cost a payoff; the final :func:`foc_check` reads
+    brackets.
     """
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
@@ -200,7 +210,8 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     else:
         raise SolverError("right payoff derivative never turns negative")
 
-    _, _, cells = crossing_cells(bracket_plus, t_lo, t_hi, N_SCAN, once=not curved)
+    _, _, cells = crossing_cells(bracket_plus, t_lo, t_hi, N_SCAN,
+                                 rises=dist.times if curved else ())
     candidates = [t_lo]
     for ta, ba, tb, bb in cells:
         lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,

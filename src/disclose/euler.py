@@ -179,7 +179,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     def f(lam: float) -> float:
         return psi(pair, dist, lam)
 
-    psi_lo, psi_hi, cells = crossing_cells(f, ustar, u0, N_SCAN, once=True)
+    psi_lo, psi_hi, cells = crossing_cells(f, ustar, u0, N_SCAN)
     if psi_lo < -1e-9:
         raise BracketFailure(
             f"psi(u_star)={psi_lo:.3e} < 0; expected >= 0 at the bottom level")

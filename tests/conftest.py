@@ -22,11 +22,25 @@ from disclose import (
     discretize,
     from_atoms,
 )
+from disclose.numerics import crossing_cells
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def grid_points(lo, hi, n):
+    """The grid ``crossing_cells`` searches: ``n`` equal steps on [lo, hi]."""
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
+def full_scan(f, lo, hi, n, *, rises=()):
+    """``crossing_cells`` with a rise at every grid point, whatever ``rises``
+    holds: it evaluates the whole grid in order and returns every
+    down-crossing cell.  Tests patch it over a solver's search."""
+    return crossing_cells(f, lo, hi, n, rises=grid_points(lo, hi, n))
+
 
 # instance A: f0 affine (slope 1) up to its peak at u=1, f1 peaking at 0.8;
 # shared-slope level 0.3, so the threshold deadline is ln 3.5

@@ -4,14 +4,17 @@ The first-order bracket for a point mass at t=1 on the piecewise instance
 steps through three regimes (chord slope before the atom, then the two
 one-sided slopes of the post-breakthrough frontier around its kink), which
 pins the optimizer's stopping rule independently of the scan logic.  On
-random affine pairs the optimizer's grid binary search must return exactly
-what its full grid scan returns.
+random affine pairs the optimizer's grid binary search, and on random
+curved pairs its search between the breakthrough atoms, must return
+exactly what a full scan of the grid returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,10 +31,13 @@ from disclose import (
 from disclose import deadline
 from disclose.deadline import foc_check
 from disclose.distribution import discretize
-from disclose.frontier import ParametricFrontier, PiecewiseFrontier, TechnologyPair
+from disclose.errors import DiscloseError
+from disclose.frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
+                               affine_gap)
+from disclose.insurance import UiPrimitives, build_frontiers
 from disclose.mechanism import deadline_mechanism
 
-from conftest import A_F0_POINTS, A_F1_POINTS
+from conftest import A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1, full_scan
 
 ROOT_TOL = 1e-8
 
@@ -240,7 +246,12 @@ def random_law(rng, pair):
         return from_atoms([(rng.uniform(0.0, 3.0) * scale, 1.0)])
     if kind == 3:  # mass at t=0 pulls the bracket below zero at t_underline
         return normalized([(0.0, rng.uniform(1.0, 4.0)), (scale, 1.0)])
-    # atoms exactly on grid times; the grid moves with the law, so settle it
+    return grid_law(rng, pair, m, scale)
+
+
+def grid_law(rng, pair, m, scale):
+    """Up to 16 atoms exactly on grid times; the grid moves with the law,
+    so settle it."""
     law = from_atoms([(scale, 1.0)])
     for _ in range(5):
         ts = scan_grid(pair, law)
@@ -269,6 +280,7 @@ def test_grid_search_matches_full_scan(monkeypatch):
 
     searched = [optimize_deadline(pair, dist) for pair, dist in cases]
     monkeypatch.setattr(deadline, "affine_gap", lambda *a, **k: math.inf)
+    monkeypatch.setattr(deadline, "crossing_cells", full_scan)
     scanned = [optimize_deadline(pair, dist) for pair, dist in cases]
 
     for fast, full in zip(searched, scanned):
@@ -281,3 +293,94 @@ def test_grid_search_matches_full_scan(monkeypatch):
         assert fast.mechanism == full.mechanism
     assert on_grid >= 40
     assert negative_at_t_lo >= 20
+
+
+# ------------------------------------------- curved search against full scan ---
+
+SWEEP_SHADOWS = (0.5, 0.2, 0.1, 0.05)
+
+
+def random_curved_pair(rng):
+    """A pair whose ``f0`` is usually curved on ``[u_star, u0]``: an
+    insurance pair at one of the sweep shadows, fixture B rescaled with a
+    random ``f1`` curvature and peak, or fixture B sampled at 7-41
+    breakpoints."""
+    r = rng.uniform(0.2, 3.0)
+    kind = rng.randrange(4)
+    if kind == 0:  # one in four: the full scans of these cost the most
+        p = UiPrimitives(a=rng.uniform(0.3, 0.8), b=rng.uniform(1.5, 3.0),
+                         w=rng.uniform(0.5, 2.0), shadow=rng.choice(SWEEP_SHADOWS))
+        return build_frontiers(p, r)
+    if kind % 2:
+        su, sv = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        c, k, u1 = rng.uniform(1.2, 2.0), rng.uniform(1.1, 4.0), rng.uniform(0.3, 0.95)
+        f0 = ParametricFrontier(fn=lambda u: sv * b_f0(u / su), u_lo=0.0,
+                                u_hi=1.2 * su, dfn=lambda u: sv * b_f0_d(u / su) / su)
+        f1 = ParametricFrontier(fn=lambda u: sv * (c - k * (u / su - u1) ** 2),
+                                u_lo=0.0, u_hi=1.2 * su,
+                                dfn=lambda u: -2.0 * sv * k * (u / su - u1) / su)
+        return TechnologyPair.build(f0, f1, r)
+    n = rng.randint(7, 41)
+    us = [0.0] + sorted(rng.uniform(0.0, 1.2) for _ in range(n - 2)) + [1.2]
+    return TechnologyPair.build(PiecewiseFrontier([(u, b_f0(u)) for u in us]),
+                                PiecewiseFrontier([(u, b_f1(u)) for u in us]), r)
+
+
+def deadline_outcome(pair, dist):
+    """Every float of the optimum by ``.hex()``, or the message of the
+    error it raised."""
+    try:
+        opt = optimize_deadline(pair, dist)
+    except DiscloseError as exc:
+        return type(exc).__name__, str(exc)
+    foc = dataclasses.astuple(opt.foc)
+    return (opt.T.hex(), opt.payoff.hex(), opt.t_underline.hex(),
+            tuple(v.hex() if isinstance(v, float) else v for v in foc),
+            opt.warnings, [t.hex() for t in opt.mechanism.grid],
+            [x.hex() for x in opt.mechanism.levels], opt.mechanism.reward)
+
+
+def test_curved_search_matches_full_scan(monkeypatch):
+    rng = random.Random(20210)
+    cases, on_grid = [], 0
+    while len(cases) < 300:
+        try:
+            pair = random_curved_pair(rng)
+            t_underline(pair)
+        except DiscloseError:
+            continue
+        u0, ustar = float(pair.u0), float(pair.u_star)
+        if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) <= deadline.AFFINE_TOL:
+            continue
+        # mostly few atoms, which keeps the full scans cheap; one law in
+        # five puts its atoms on grid points, the ends of the cells they rise in
+        m = rng.choice((32, 64, 128) if rng.random() < 0.1 else (2, 3, 4, 6, 8, 12, 16))
+        scale = rng.uniform(0.3, 3.0) / pair.r
+        kind = rng.randrange(5)
+        if kind == 0:
+            dist = grid_law(rng, pair, m, scale)
+            on_grid += set(dist.times) <= set(scan_grid(pair, dist))
+        elif kind % 2:
+            dist = discretize("exponential", m, rate=1.0 / scale)
+        else:
+            dist = discretize("weibull", m, shape=rng.uniform(0.5, 4.0), scale=scale)
+        cases.append((pair, dist))
+
+    evals = Counter()
+    brackets = deadline._brackets
+
+    def counted(*args):
+        evals[deadline.crossing_cells is full_scan] += 1
+        return brackets(*args)
+
+    monkeypatch.setattr(deadline, "_brackets", counted)
+    searched = [deadline_outcome(pair, dist) for pair, dist in cases]
+    monkeypatch.setattr(deadline, "crossing_cells", full_scan)
+    scanned = [deadline_outcome(pair, dist) for pair, dist in cases]
+
+    assert searched == scanned
+    solved = [o for o in searched if len(o) > 2]
+    assert len(solved) >= 290
+    assert all(any("affine" in w for w in o[4]) for o in solved)
+    assert on_grid >= 30
+    assert 4 * evals[False] < evals[True]

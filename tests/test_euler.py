@@ -23,12 +23,14 @@ from disclose import (
     from_atoms,
     solve,
 )
-from disclose import euler, numerics
+from disclose import euler
 from disclose.distribution import discretize
 from disclose.errors import DiscloseError
 from disclose.euler import backward_pass, inv_deriv_f0, psi, simple_reasons
 from disclose.frontier import ParametricFrontier, TechnologyPair
 from disclose.insurance import SHIFT_FRAC, UiPrimitives, build_frontiers, ui_constants
+
+from conftest import full_scan
 
 RESIDUAL_TOL = 1e-8
 
@@ -205,9 +207,7 @@ def test_grid_search_matches_full_scan(monkeypatch):
             cases.append((pair, random_law(rng, pair.r)))
 
     searched = [solve_outcome(pair, dist) for pair, dist in cases]
-    full_scan = numerics.crossing_cells
-    monkeypatch.setattr(euler, "crossing_cells",
-                        lambda f, lo, hi, n, *, once: full_scan(f, lo, hi, n, once=False))
+    monkeypatch.setattr(euler, "crossing_cells", full_scan)
     scanned = [solve_outcome(pair, dist) for pair, dist in cases]
 
     assert searched == scanned

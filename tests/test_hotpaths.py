@@ -5,8 +5,9 @@ one-bisection ``PiecewiseFrontier.derivs`` and the payoff-free deadline
 bracket must return exactly what the plain implementations kept here as
 oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
-``optimize_deadline`` call may compute only the payoffs it reads and, in
-the affine case only, skips most of the bracket grid, slopes cost no
+``optimize_deadline`` call may compute only the payoffs it reads and skips
+most of the bracket grid (in the curved case, all but the cells holding
+an atom and a binary search between them), slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 binary-searches its ``psi`` grid, and the
 insurance inner maximization runs once per level of a pair and leaves no
@@ -381,6 +382,7 @@ def deadline_case(request, case):
         "affine-exp256": ("pair_a", discretize("weibull", 256, shape=1.5, scale=2.0)),
         "affine-smooth": ("pair_b_affine", discretize("exponential", 32, rate=1.0)),
         "curved": ("pair_b", discretize("exponential", 16, rate=1.0)),
+        "insurance": ("pair_ui", discretize("exponential", 32, rate=1.0)),
     }[case]
     return request.getfixturevalue(name), dist
 
@@ -407,9 +409,12 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
 
 
 @pytest.mark.parametrize("case, fewest, most", [
-    ("affine-exp256", 0, 60),                   # binary search of the grid
-    ("kinked", deadline.N_SCAN + 1, math.inf),  # full scan: f0 not affine
-    ("curved", deadline.N_SCAN + 1, math.inf),
+    ("affine-exp256", 0, 60),  # binary search of the grid
+    # f0 not affine: binary searches between the atoms; a full scan of the
+    # grid alone makes N_SCAN + 1 = 257
+    ("kinked", 0, 75),
+    ("curved", 0, 60),
+    ("insurance", 0, 60),
 ])
 def test_optimize_deadline_bracket_count(request, monkeypatch, case, fewest, most):
     pair, dist = deadline_case(request, case)
