@@ -194,20 +194,19 @@ PATH_CLASS = "reward path (strictly concave case)"
 
 def _cmd_analyze(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
-    model = validate_model(pair)
+    checks = validate_model(pair)
     reasons = euler.simple_reasons(pair)
-    band_gap = affine_gap(pair.f0, float(pair.u_star), float(pair.u0))
     report = {
         "constants": {
             "r": pair.r,
-            "u0": float(pair.u0),
-            "u1": float(pair.u1),
-            "u_star": float(pair.u_star),
-            "f0_peak_value": float(pair.f0_peak_value),
-            "f1_peak_value": float(pair.f1_peak_value),
-            "affine_gap": band_gap,
+            "u0": pair.u0,
+            "u1": pair.u1,
+            "u_star": pair.u_star,
+            "f0_peak_value": float(pair.f0.value(pair.u0)),
+            "f1_peak_value": float(pair.f1.value(pair.u1)),
+            "affine_gap": affine_gap(pair.f0, pair.u_star, pair.u0),
         },
-        "model_checks": [asdict(c) for c in model.checks],
+        "model_checks": [asdict(c) for c in checks],
         "classification": DEADLINE_CLASS if reasons else PATH_CLASS,
         "not_simple_reasons": list(reasons),
     }
@@ -216,9 +215,10 @@ def _cmd_analyze(cfg: dict, out_dir: str, tols: dict):
     except ModelAssumptionError as e:
         report["constants"]["t_underline"] = None
         report["t_underline_error"] = str(e)
-    for c in model.failed():
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
         print(f"model check failed: {c.name} ({c.detail})", file=sys.stderr)
-    return report, 0 if model.ok else 2
+    return report, 2 if failed else 0
 
 
 def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
@@ -263,9 +263,9 @@ def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict):
 
 def _cmd_verify(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
-    model = validate_model(pair)
-    report = {"model_checks": [asdict(c) for c in model.checks]}
-    ok = model.ok
+    checks = validate_model(pair)
+    report = {"model_checks": [asdict(c) for c in checks]}
+    ok = all(c.passed for c in checks)
 
     if "mechanism" in cfg:
         m = _mech_from(cfg["mechanism"])
@@ -345,7 +345,7 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
         mech = best.mechanism
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
-        shift = _num(cfg.get("shift_frac", insurance.SHIFT_FRAC), "shift_frac") * consts.u0
+        shift = insurance.SHIFT_FRAC * consts.u0
         sol = euler.solve(pair.shifted(shift), dist, tol_psi=tols["root"])
         mech = insurance.shift_mechanism(sol.mechanism, -shift)
         head = {"terminal_level": sol.lam - shift, "payoff": sol.payoff,
@@ -372,8 +372,7 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict):
     prims, r = _insurance_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     shadows = _numbers(cfg, "shadows")
-    shift_frac = _num(cfg.get("shift_frac", insurance.SHIFT_FRAC), "shift_frac")
-    rows = insurance.welfare_sweep(prims, shadows, dist, r, shift_frac=shift_frac)
+    rows = insurance.welfare_sweep(prims, shadows, dist, r)
     _write_csv(out_dir, "sweep.csv",
                ("shadow", "u0", "t_deadline", "pi_deadline", "pi_path",
                 "gain", "ratio", "gap_bound", "eps_linear"),

@@ -54,7 +54,7 @@ AFFINE_TOL = 1e-9
 def t_underline(pair: TechnologyPair) -> float:
     """Shortest deadline whose time-0 reward reaches the ``f1`` peak:
     ``T = -(1/r) log((u0 - u1) / (u0 - u_star))``."""
-    u0, u1, ustar = float(pair.u0), float(pair.u1), float(pair.u_star)
+    u0, u1, ustar = pair.u0, pair.u1, pair.u_star
     if u1 >= u0:
         raise ModelAssumptionError("no conflict of interest: u1 >= u0")
     if u0 <= ustar:
@@ -85,7 +85,7 @@ class PiDerivs:
 
 def _alpha(pair: TechnologyPair) -> float:
     """Chord slope of ``f0`` between ``u_star`` and the peak."""
-    u0, ustar = float(pair.u0), float(pair.u_star)
+    u0, ustar = pair.u0, pair.u_star
     v0 = float(pair.f0.value(u0))
     vs = float(pair.f0.value(ustar))
     return (v0 - vs) / (u0 - ustar)
@@ -101,7 +101,7 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
     """
     if not T >= 0:
         raise ModelAssumptionError(f"deadline must be non-negative, got {T}")
-    u0, ustar, r = float(pair.u0), float(pair.u_star), pair.r
+    u0, ustar, r = pair.u0, pair.u_star, pair.r
     if pair.f1.u_hi < u0:
         raise ModelAssumptionError(
             f"f1 domain ends at {pair.f1.u_hi}, below the f0 peak u0={u0}")
@@ -133,7 +133,7 @@ def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiD
     each multiplied by ``exp(-rT) (u0 - u_star)``.
     """
     bracket_plus, bracket_minus = _brackets(pair, dist, T, _alpha(pair))
-    scale = math.exp(-pair.r * T) * (float(pair.u0) - float(pair.u_star))
+    scale = math.exp(-pair.r * T) * (pair.u0 - pair.u_star)
     return PiDerivs(pi=deadline_payoff(pair, dist, T),
                     pi_plus=scale * bracket_plus, pi_minus=scale * bracket_minus,
                     bracket_plus=bracket_plus, bracket_minus=bracket_minus)
@@ -155,7 +155,7 @@ def foc_check(pair: TechnologyPair, dist: BreakthroughDist, T: float,
     derivatives are those of :func:`pi_and_derivs`, without its payoff."""
     alpha = _alpha(pair)
     bracket_plus, bracket_minus = _brackets(pair, dist, T, alpha)
-    scale = math.exp(-pair.r * T) * (float(pair.u0) - float(pair.u_star))
+    scale = math.exp(-pair.r * T) * (pair.u0 - pair.u_star)
     pi_plus, pi_minus = scale * bracket_plus, scale * bracket_minus
     ok_minus = True if T == 0.0 else pi_minus >= -tol
     return FocReport(alpha=alpha, pi_plus=pi_plus, pi_minus=pi_minus,
@@ -193,7 +193,7 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
     warnings = []
-    u0, ustar = float(pair.u0), float(pair.u_star)
+    u0, ustar = pair.u0, pair.u_star
     curved = affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL
     if curved:
         warnings.append("f0 is not affine between u_star and its peak; "

@@ -21,6 +21,8 @@ SNAP = 1e-12
 MASS_TOL = 1e-12
 # slack in the cdf and mass-ratio comparisons of the stochastic-order checks
 ORDER_TOL = 1e-12
+# largest discretization size: discretize builds all m atoms up front
+MAX_ATOMS = 100_000
 
 
 def _prefix_masses(probs: Sequence[float]) -> Tuple[float, ...]:
@@ -82,10 +84,6 @@ class BreakthroughDist:
         """G(t-) = P(tau < t)."""
         return self._cum[_bisect.bisect_left(self.times, t)]
 
-    @property
-    def support_hi(self) -> float:
-        return self.times[-1]
-
 
 def from_atoms(pairs: Sequence[Sequence[float]]) -> BreakthroughDist:
     """Build a distribution from ``(time, mass)`` pairs.
@@ -124,6 +122,8 @@ def discretize(kind: str, m: int, **params) -> BreakthroughDist:
     """
     if not isinstance(m, int) or m < 1:
         raise ConfigError(f"discretization size must be a positive integer, got {m}")
+    if m > MAX_ATOMS:
+        raise ConfigError(f"discretization size m={m} exceeds the limit of {MAX_ATOMS}")
     if kind not in _FAMILIES:
         raise ConfigError(f"unknown distribution kind {kind!r}")
     if sorted(params) != sorted(_FAMILIES[kind]):

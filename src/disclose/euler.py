@@ -54,7 +54,7 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     the terminal level), and finite one-sided slopes at the band endpoints.
     """
     reasons = []
-    ustar, u0 = float(pair.u_star), float(pair.u0)
+    ustar, u0 = pair.u_star, pair.u0
     if not ustar > 0.0:
         reasons.append(f"u_star={ustar} is not strictly positive")
     if not u0 > ustar:
@@ -97,7 +97,7 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     Brent's method gains nothing there and would only move the level to the
     other side of a kink.
     """
-    ustar, u0 = float(pair.u_star), float(pair.u0)
+    ustar, u0 = pair.u_star, pair.u0
 
     def g(u: float) -> float:
         return slope(pair.f0, u) - y
@@ -174,7 +174,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     reasons = simple_reasons(pair)
     if reasons:
         raise NotSimple(reasons)
-    ustar, u0 = float(pair.u_star), float(pair.u0)
+    ustar, u0 = pair.u_star, pair.u0
 
     def f(lam: float) -> float:
         return psi(pair, dist, lam)
@@ -200,7 +200,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     for lam in roots:
         levels, conts, terms = backward_pass(pair, dist, lam)
         mech = Mechanism(grid=(0.0,) + dist.times,
-                         levels=(float(pair.u0),) + levels)
+                         levels=(pair.u0,) + levels)
         val = payoff(mech, pair, dist)
         if not isinstance(val, float):
             continue
@@ -259,7 +259,7 @@ def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
     order = order_checks(dist, dist_dag)
     sol = solve(pair, dist)
     sol_dag = solve(pair, dist_dag)
-    t_hi = max(dist.support_hi, dist_dag.support_hi) * 1.25
+    t_hi = max(dist.times[-1], dist_dag.times[-1]) * 1.25
     probes = sorted(set(dist.times) | set(dist_dag.times)
                     | {t_hi * i / (STATICS_PROBES - 1) for i in range(STATICS_PROBES)})
     m, m_dag = sol.mechanism, sol_dag.mechanism

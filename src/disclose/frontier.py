@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
@@ -311,7 +311,9 @@ class TechnologyPair:
 
     ``u0``/``u1`` are the peak agent-utility levels of ``f0``/``f1`` and
     ``u_star`` is the rightmost shared-slope level (see :func:`u_star`).
-    Build through :meth:`build` so the derived fields stay consistent.
+    Build through :meth:`build` so the derived fields stay consistent; it
+    stores them as floats, whatever exact type the breakpoints carry (the
+    frontiers themselves stay exact for the discrete oracle).
     """
 
     f0: object
@@ -326,16 +328,8 @@ class TechnologyPair:
         if not 0 < r < INF:
             raise ModelAssumptionError(
                 f"discount rate must be positive and finite, got {r}")
-        return cls(f0=f0, f1=f1, r=r,
-                   u0=f0.peak[0], u1=f1.peak[0], u_star=u_star(f0, f1))
-
-    @property
-    def f0_peak_value(self):
-        return self.f0.value(self.u0)
-
-    @property
-    def f1_peak_value(self):
-        return self.f1.value(self.u1)
+        return cls(f0=f0, f1=f1, r=r, u0=float(f0.peak[0]),
+                   u1=float(f1.peak[0]), u_star=float(u_star(f0, f1)))
 
     def shifted(self, k) -> "TechnologyPair":
         """Translate both frontiers by +k in agent utility (participation
@@ -351,32 +345,19 @@ class Check:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    checks: Tuple[Check, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> Tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate_model(pair: TechnologyPair) -> ModelReport:
+def validate_model(pair: TechnologyPair) -> Tuple[Check, ...]:
     """Grid-check the pair-level model assumptions.
 
-    Returns a report rather than raising: a saddle or a dominance failure is
-    something callers may want to surface verbatim (the CLI turns a failed
-    report into exit code 2).
+    Returns the checks rather than raising: a saddle or a dominance failure
+    is something callers may want to surface verbatim (the CLI turns a
+    failed check into exit code 2).
     """
     checks = []
     checks.append(Check("discount_rate_positive", pair.r > 0, witness=None,
                         detail=f"r={pair.r}"))
     checks.append(Check(
         "conflict_of_interest", pair.u1 < pair.u0,
-        witness=float(pair.u1),
-        detail=f"u1={pair.u1}, u0={pair.u0}"))
+        witness=pair.u1, detail=f"u1={pair.u1}, u0={pair.u0}"))
 
     lo = max(pair.f0.u_lo, pair.f1.u_lo)
     hi = min(pair.f0.u_hi, pair.f1.u_hi)
@@ -399,7 +380,7 @@ def validate_model(pair: TechnologyPair) -> ModelReport:
     us = pair.u_star
     checks.append(Check(
         "u_star_in_range", 0 <= us <= pair.u1 + 1e-12,
-        witness=float(us), detail=f"u_star={us}, u1={pair.u1}"))
+        witness=us, detail=f"u_star={us}, u1={pair.u1}"))
 
     # strict local max of the gap at u_star: strictly decreasing just right,
     # not increasing just left (left probe skipped at a domain edge)
@@ -411,14 +392,13 @@ def validate_model(pair: TechnologyPair) -> ModelReport:
         return float(v1) - float(v0)
 
     g0 = gap(us)
-    g_right = gap(min(float(us) + GAP_PROBE, hi_f))
-    g_left = gap(max(float(us) - GAP_PROBE, lo_f)) if float(us) - GAP_PROBE > lo_f else None
+    g_right = gap(min(us + GAP_PROBE, hi_f))
+    g_left = gap(max(us - GAP_PROBE, lo_f)) if us - GAP_PROBE > lo_f else None
     strict_ok = g0 is not None and g_right is not None and g_right < g0 - GAP_TOL
     left_ok = g_left is None or g_left <= g0 + GAP_TOL
     checks.append(Check(
-        "u_star_strict_local_max", bool(strict_ok and left_ok),
-        witness=float(us),
+        "u_star_strict_local_max", bool(strict_ok and left_ok), witness=us,
         detail="saddle or flat gap at the shared-slope level" if not (strict_ok and left_ok)
         else "gap strictly falls to the right, does not rise from the left"))
 
-    return ModelReport(checks=tuple(checks))
+    return tuple(checks)

@@ -11,12 +11,18 @@ minus, once employable, a search cost ``kappa(L) = L**b`` (b > 1) for labor
   — the planner collects output net of the consumption that compensates the
   promised utility plus the search cost.
 
-``f0`` peaks at ``u0 = (a/shadow)**(a/(1-a))`` with value ``(1-a) * u0``;
-the frontiers share a slope only at ``u = 0``, so the shared-slope level is
-zero and the reward-path solver needs the participation shift exposed by
-``TechnologyPair.shifted`` (payoffs are invariant; levels map back by the
-shift).  Solved mechanisms translate into benefit/consumption/labor
-schedules via the same closed forms.
+``f0`` peaks at ``u0 = (a/shadow)**(a/(1-a))`` with value ``(1-a) * u0``.
+Its slope starts at ``f0'(0) = 1``, while ``f1'(0) < 1`` whenever the
+agent works, and the two slopes need not meet anywhere on ``[0, u0]`` (at
+``a = 0.5, b = 2, w = 1, shadow = 0.5`` they stay at least 0.056 apart).
+``u_star = 0`` is then only the fallback of :func:`frontier.u_star`, the
+bottom of the domain, not a level where the frontiers share a slope.  At a
+high wage ``f1`` already falls at zero (``f1'(0) = -0.353`` at ``a = 0.2588,
+b = 2.3211, w = 4.0924, shadow = 0.6737``), and the reward-path solve
+fails its bracket.  That solver needs ``u_star > 0`` and is run on the
+participation shift exposed by ``TechnologyPair.shifted`` (payoffs are
+invariant; levels map back by the shift).  Solved mechanisms translate into
+benefit/consumption/labor schedules via the same closed forms.
 
 ``f1`` and its slope both need the inner maximization over labor.  Each
 pair built by :func:`build_frontiers` memoizes it per utility level; the
@@ -219,14 +225,13 @@ class SweepRow:
 
 
 def welfare_sweep(template: UiPrimitives, shadows: Sequence[float],
-                  dist: BreakthroughDist, r: float, *,
-                  shift_frac: float = SHIFT_FRAC) -> Tuple[SweepRow, ...]:
+                  dist: BreakthroughDist, r: float) -> Tuple[SweepRow, ...]:
     """Compare the best deadline against the solved reward path across
     shadow prices.
 
-    The shared-slope level sits at zero here, so the reward-path solver is
-    run on a participation-shifted copy (shift ``shift_frac * u0``), which
-    leaves payoffs untouched.  Each row carries the payoff gain, the ratio,
+    ``u_star`` sits at zero here, so the reward-path solver is run on a
+    participation-shifted copy (shift ``SHIFT_FRAC * u0``), which leaves
+    payoffs untouched.  Each row carries the payoff gain, the ratio,
     and the curvature bound ``gap_bound`` that must dominate the gain."""
     rows = []
     for shadow in shadows:
@@ -234,10 +239,9 @@ def welfare_sweep(template: UiPrimitives, shadows: Sequence[float],
         pair = build_frontiers(p, r)
         consts = ui_constants(p)
         best = optimize_deadline(pair, dist)
-        shift = shift_frac * consts.u0
-        sol = solve_path(pair.shifted(shift), dist)
+        sol = solve_path(pair.shifted(SHIFT_FRAC * consts.u0), dist)
         gain = sol.payoff - best.payoff
-        bound = affine_gap(pair.f0, float(pair.u_star), float(pair.u0))
+        bound = affine_gap(pair.f0, pair.u_star, pair.u0)
         rows.append(SweepRow(
             shadow=float(shadow), u0=consts.u0, t_deadline=best.T,
             pi_deadline=best.payoff, pi_path=sol.payoff, gain=gain,

@@ -205,8 +205,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
 def deadline_mechanism(pair: TechnologyPair, T: float) -> Mechanism:
     """The deadline profile: flow at the ``f0`` peak until ``T``, at the
     shared-slope level afterwards, with the DERIVED reward."""
-    u0 = float(pair.u0)
-    ustar = float(pair.u_star)
+    u0, ustar = pair.u0, pair.u_star
     if T == math.inf:
         return Mechanism(grid=(0.0,), levels=(u0,))
     if T < 0:
@@ -229,8 +228,7 @@ def front_load(m: Mechanism, pair: TechnologyPair) -> FrontLoadResult:
     Solving ``(1 - exp(-rT)) u0 + exp(-rT) u_star = X0`` for T is exact; a
     mechanism whose X0 exceeds the ``f0`` peak is refused (cap its flows at
     the peak first — that is always weakly improving)."""
-    u0 = float(pair.u0)
-    ustar = float(pair.u_star)
+    u0, ustar = pair.u0, pair.u_star
     x0 = continuation_value(m, pair.r, 0.0)
     if x0 > u0 + 1e-9:
         raise ModelAssumptionError(

@@ -32,7 +32,7 @@ MAX_ITER = 200
 EPS = sys.float_info.epsilon
 
 
-def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
+def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     """Final bracket ``(lo, hi)`` of a down-crossing: f(lo) >= 0 >= f(hi).
 
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
@@ -62,7 +62,7 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
     return lo, hi
 
 
-def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x=1e-12, tol_f=None):
+def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     """Root of ``f`` on [lo, hi] assuming a down-crossing: f(lo) >= 0 >= f(hi).
 
     Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
@@ -133,7 +133,7 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
     return b
 
 
-def bisect_up(f, lo, hi, *, tol_x=1e-12):
+def bisect_up(f, lo, hi, *, tol_x):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
     return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)
 

@@ -19,6 +19,7 @@ import pytest
 import disclose
 from disclose import SolverError
 from disclose.cli import main
+from disclose.distribution import MAX_ATOMS
 
 A_TECH = {
     "kind": "piecewise",
@@ -377,6 +378,9 @@ BAD_CONFIGS = {
         "technology": 5, "distribution": POINT_1}),
     "fractional-m": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": dict(EXP_8, m=8.7)}),
+    # rejected before any of the atoms is built
+    "m-above-limit": ("solve-deadline", 1, "config error: discretization size", {
+        "technology": A_TECH, "distribution": dict(EXP_8, m=MAX_ATOMS + 1)}),
     "nan-atom-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH,
         "distribution": {"kind": "atoms", "atoms": [[math.nan, 1.0]]}}),
@@ -416,9 +420,6 @@ BAD_CONFIGS = {
         "technology": dict(UI_TECH, w=math.inf), "distribution": EXP_8}),
     "shift-infinite": ("solve-euler", 1, "config error: 'shift'", {
         "technology": UI_TECH, "shift": math.inf, "distribution": EXP_8}),
-    "shift-frac-nan": ("ui-sweep", 1, "config error: 'shift_frac'", {
-        "technology": UI_TECH, "shadows": [0.5], "shift_frac": math.nan,
-        "distribution": EXP_8}),
     # a NaN level used to reach front_load and come out as a NaN deadline
     "nan-level": ("verify", 1, "config error: 'levels'", {
         "technology": A_TECH, "mechanism": dict(MECH, levels=[1.0, math.nan]),

@@ -66,7 +66,6 @@ def test_cdf_left_vs_right(dist_k2):
     assert dist_k2.cdf(1.5) == 1.0
     assert dist_k2.cdf_left(1.5) == 0.5
     assert dist_k2.cdf(0.2) == 0.0
-    assert dist_k2.support_hi == 1.5
 
 
 def test_discretize_point():

@@ -15,7 +15,7 @@ from disclose import (
     affine_gap,
 )
 from disclose.frontier import is_neg_inf, u_star, validate_model
-from conftest import b_f0, b_f0_d, b_f1
+from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d, b_f1
 from test_golden import DENSE_B_TECH
 
 
@@ -184,9 +184,28 @@ def test_pair_build_requires_positive_rate(pair_a):
 
 
 def test_pair_peak_values(pair_a, pair_b):
-    assert pair_a.f0_peak_value == 1.0
-    assert pair_a.f1_peak_value == 1.4
-    assert float(pair_b.f1_peak_value) == pytest.approx(1.45, abs=1e-9)
+    assert pair_a.f0.value(pair_a.u0) == 1.0
+    assert pair_a.f1.value(pair_a.u1) == 1.4
+    assert pair_b.f1.value(pair_b.u1) == pytest.approx(1.45, abs=1e-9)
+
+
+# integer breakpoints: u0 = 2, u1 = 1, and the slopes meet at u_star = 1
+INT_F0 = ((0, 0), (2, 2), (4, 0))
+INT_F1 = ((0, 1), (1, 3), (4, 0))
+
+
+@pytest.mark.parametrize("f0_points, f1_points",
+                         [(INT_F0, INT_F1), (A_F0_EXACT, A_F1_EXACT)],
+                         ids=["int", "fraction"])
+def test_pair_constants_are_floats(f0_points, f1_points):
+    # the frontiers stay exact; the pair stores their constants as floats
+    f0, f1 = PiecewiseFrontier(f0_points), PiecewiseFrontier(f1_points)
+    exact = (f0.peak[0], f1.peak[0], u_star(f0, f1))
+    assert not any(isinstance(v, float) for v in exact)
+    pair = TechnologyPair.build(f0, f1, 1)
+    got = (pair.u0, pair.u1, pair.u_star)
+    assert all(type(v) is float for v in got)
+    assert got == tuple(float(v) for v in exact)
 
 
 def test_pair_shift_translates_constants(pair_b):
@@ -194,16 +213,16 @@ def test_pair_shift_translates_constants(pair_b):
     assert moved.u0 == pytest.approx(pair_b.u0 + 0.05, abs=1e-9)
     assert moved.u1 == pytest.approx(pair_b.u1 + 0.05, abs=1e-9)
     assert moved.u_star == pytest.approx(pair_b.u_star + 0.05, abs=1e-9)
-    assert float(moved.f0_peak_value) == pytest.approx(
-        float(pair_b.f0_peak_value), abs=1e-9)
+    assert moved.f0.value(moved.u0) == pytest.approx(
+        pair_b.f0.value(pair_b.u0), abs=1e-9)
 
 
 # ----------------------------------------------------------- validation ----
 
 def test_validate_model_passes_reference_pairs(pair_a, pair_b, pair_ui):
     for pair in (pair_a, pair_b, pair_ui):
-        report = validate_model(pair)
-        assert report.ok, report.failed()
+        checks = validate_model(pair)
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_validate_model_flags_missing_conflict():
@@ -211,9 +230,8 @@ def test_validate_model_flags_missing_conflict():
     f0 = PiecewiseFrontier(((0.0, 0.0), (0.5, 0.5), (2.0, 0.2)))
     f1 = PiecewiseFrontier(((0.0, 0.6), (0.8, 1.4), (1.8, 0.6)))
     pair = TechnologyPair.build(f0, f1, 1.0)
-    report = validate_model(pair)
-    assert not report.ok
-    assert any(c.name == "conflict_of_interest" for c in report.failed())
+    failed = [c.name for c in validate_model(pair) if not c.passed]
+    assert "conflict_of_interest" in failed
 
 
 def test_validate_model_flags_dominance_failure(pair_a):
@@ -221,6 +239,5 @@ def test_validate_model_flags_dominance_failure(pair_a):
     f1_low = PiecewiseFrontier(((0.0, 0.0), (0.4, 0.3), (1.8, 0.1)))
     pair = TechnologyPair(f0=pair_a.f0, f1=f1_low, r=1.0,
                           u0=1.0, u1=0.4, u_star=0.3)
-    report = validate_model(pair)
     assert any(c.name == "f1_dominates_f0" and not c.passed
-               for c in report.checks)
+               for c in validate_model(pair))

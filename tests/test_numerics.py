@@ -16,7 +16,7 @@ from conftest import grid_points
 
 
 def test_bisect_down_quadratic_root():
-    root = bisect_down(lambda x: 1.0 - x * x, 0.0, 2.0)
+    root = bisect_down(lambda x: 1.0 - x * x, 0.0, 2.0, tol_x=1e-12)
     assert root == pytest.approx(1.0, abs=1e-11)
 
 
@@ -27,7 +27,7 @@ def test_bisect_down_accepts_precomputed_endpoints():
         calls.append(x)
         return 0.5 - x
 
-    root = bisect_down(f, 0.0, 1.0, f_lo=0.5, f_hi=-0.5)
+    root = bisect_down(f, 0.0, 1.0, f_lo=0.5, f_hi=-0.5, tol_x=1e-12)
     assert root == pytest.approx(0.5, abs=1e-11)
     assert all(0.0 < x < 1.0 for x in calls)  # endpoints never re-evaluated
 
@@ -39,17 +39,17 @@ def test_bisect_down_tol_f_early_exit():
         evals.append(x)
         return math.cos(x)
 
-    bisect_down(f, 1.0, 2.0, tol_f=1e-3)
+    bisect_down(f, 1.0, 2.0, tol_x=1e-12, tol_f=1e-3)
     assert len(evals) < 20  # far fewer than the ~50 needed for tol_x
 
 
 def test_bisect_down_requires_bracket():
     with pytest.raises(SolverError):
-        bisect_down(lambda x: x + 1.0, 0.0, 1.0)  # positive at both ends
+        bisect_down(lambda x: x + 1.0, 0.0, 1.0, tol_x=1e-12)  # positive at both ends
 
 
 def test_bisect_up_mirror():
-    root = bisect_up(lambda x: x * x - 2.0, 0.0, 2.0)
+    root = bisect_up(lambda x: x * x - 2.0, 0.0, 2.0, tol_x=1e-12)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
 
