@@ -240,24 +240,20 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
 def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
-    shift = _num(cfg.get("shift", 0.0), "shift")
-    solve_pair = pair.shifted(shift) if shift else pair
-    sol = euler.solve(solve_pair, dist, tol_psi=tols["root"])
-    res = euler.euler_residuals(solve_pair, dist, sol.levels, sol.conts)
-    mech_out = insurance.shift_mechanism(sol.mechanism, -shift) if shift else sol.mechanism
-    _mechanism_csv(out_dir, mech_out, pair.r)
+    sol = euler.solve(pair, dist, tol_psi=tols["root"])
+    res = euler.euler_residuals(pair, dist, sol.levels, sol.conts)
+    _mechanism_csv(out_dir, sol.mechanism, pair.r)
     _write_csv(out_dir, "residuals.csv",
                ("k", "t", "flow_u", "continuation_u", "residual"),
-               [(k, t, lv - shift, cv - shift, rv)
+               [(k, t, lv, cv, rv)
                 for k, (t, lv, cv, rv) in enumerate(
                     zip(sol.times, sol.levels, sol.conts, res), start=1)])
     return {
-        "terminal_level": sol.lam - shift,
+        "terminal_level": sol.lam,
         "terminal_residual": sol.psi,
         "max_abs_residual": max(abs(v) for v in res),
         "payoff": sol.payoff,
-        "shift": shift,
-        "extra_roots": [v - shift for v in sol.extra_roots],
+        "extra_roots": list(sol.extra_roots),
     }, 0
 
 
@@ -345,11 +341,9 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
         mech = best.mechanism
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
-        shift = insurance.SHIFT_FRAC * consts.u0
-        sol = euler.solve(pair.shifted(shift), dist, tol_psi=tols["root"])
-        mech = insurance.shift_mechanism(sol.mechanism, -shift)
-        head = {"terminal_level": sol.lam - shift, "payoff": sol.payoff,
-                "shift": shift}
+        sol = euler.solve(pair, dist, tol_psi=tols["root"])
+        mech = sol.mechanism
+        head = {"terminal_level": sol.lam, "payoff": sol.payoff}
     else:
         raise ConfigError(f"unknown solver '{solver}' (use 'deadline' or 'path')")
 

@@ -49,18 +49,16 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     """Why the pair falls outside the strictly-concave class (empty = simple).
 
     Checks, on the band ``[u_star, u0]``: strictly negative second
-    differences of both frontiers (kinks and flat pieces fail this), a
-    strictly positive ``u_star`` (the backward recursion needs slack below
-    the terminal level), and finite one-sided slopes at the band endpoints.
+    differences of both frontiers (kinks and flat pieces fail this) and
+    finite one-sided slopes at the band endpoints.  No check depends on
+    where the utility axis starts, so a pair translated in ``u`` classifies
+    the same.
     """
-    reasons = []
     ustar, u0 = pair.u_star, pair.u0
-    if not ustar > 0.0:
-        reasons.append(f"u_star={ustar} is not strictly positive")
     if not u0 > ustar:
-        reasons.append(f"empty band: u0={u0} <= u_star={ustar}")
-        return tuple(reasons)
+        return (f"empty band: u0={u0} <= u_star={ustar}",)
 
+    reasons = []
     h = (u0 - ustar) / (SIMPLE_GRID - 1)
     for name, f in (("f0", pair.f0), ("f1", pair.f1)):
         vals = []

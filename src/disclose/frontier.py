@@ -166,10 +166,6 @@ class PiecewiseFrontier:
         best = max(self.points, key=lambda p: p[1])
         return (best[0], best[1])
 
-    def shifted(self, k):
-        """The same frontier with the agent-utility axis translated by +k."""
-        return PiecewiseFrontier(tuple((u + k, v) for u, v in self.points))
-
 
 @dataclass(frozen=True)
 class ParametricFrontier:
@@ -203,16 +199,6 @@ class ParametricFrontier:
         """``(u, value)`` of the maximum, via sign bisection on the slope."""
         u = clamped_root(self.dfn, self.u_lo, self.u_hi, tol_x=1e-13)
         return (u, self.fn(u))
-
-    def shifted(self, k):
-        fn = self.fn
-        dfn = self.dfn
-        return ParametricFrontier(
-            fn=lambda u, _f=fn, _k=k: _f(u - _k),
-            u_lo=self.u_lo + k,
-            u_hi=self.u_hi + k,
-            dfn=lambda u, _d=dfn, _k=k: _d(u - _k),
-        )
 
 
 def slope(f, u) -> float:
@@ -330,11 +316,6 @@ class TechnologyPair:
                 f"discount rate must be positive and finite, got {r}")
         return cls(f0=f0, f1=f1, r=r, u0=float(f0.peak[0]),
                    u1=float(f1.peak[0]), u_star=float(u_star(f0, f1)))
-
-    def shifted(self, k) -> "TechnologyPair":
-        """Translate both frontiers by +k in agent utility (participation
-        shift).  Payoffs are unchanged; levels map back by subtracting k."""
-        return TechnologyPair.build(self.f0.shifted(k), self.f1.shifted(k), self.r)
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,12 @@ agent works, and the two slopes need not meet anywhere on ``[0, u0]`` (at
 bottom of the domain, not a level where the frontiers share a slope.  At a
 high wage ``f1`` already falls at zero (``f1'(0) = -0.353`` at ``a = 0.2588,
 b = 2.3211, w = 4.0924, shadow = 0.6737``), and the reward-path solve
-fails its bracket.  That solver needs ``u_star > 0`` and is run on the
-participation shift exposed by ``TechnologyPair.shifted`` (payoffs are
-invariant; levels map back by the shift).  Solved mechanisms translate into
-benefit/consumption/labor schedules via the same closed forms.
+fails its bracket.  Solved mechanisms translate into benefit/consumption/
+labor schedules via the same closed forms.
 
 ``f1`` and its slope both need the inner maximization over labor.  Each
 pair built by :func:`build_frontiers` memoizes it per utility level; the
-memo is shared with the pair's ``shifted`` copies and freed with them, so
-no state outlives the frontiers.
+memo is freed with the frontiers, so no state outlives them.
 """
 
 from __future__ import annotations
@@ -46,8 +43,6 @@ from .numerics import brent_down
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
-# participation shift of the reward-path solve (see welfare_sweep), per unit of u0
-SHIFT_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -199,14 +194,6 @@ def schedule(p: UiPrimitives, pair: TechnologyPair, m: Mechanism,
     return tuple(rows)
 
 
-def shift_mechanism(m: Mechanism, k: float) -> Mechanism:
-    """Translate all utility levels of a mechanism by ``k`` (used to map a
-    participation-shifted solution back to original coordinates)."""
-    reward = None if m.reward is None else tuple(v + k for v in m.reward)
-    return Mechanism(grid=m.grid, levels=tuple(v + k for v in m.levels),
-                     reward=reward)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """Deadline-vs-reward-path comparison at one shadow price.  ``ratio`` is
@@ -229,17 +216,15 @@ def welfare_sweep(template: UiPrimitives, shadows: Sequence[float],
     """Compare the best deadline against the solved reward path across
     shadow prices.
 
-    ``u_star`` sits at zero here, so the reward-path solver is run on a
-    participation-shifted copy (shift ``SHIFT_FRAC * u0``), which leaves
-    payoffs untouched.  Each row carries the payoff gain, the ratio,
-    and the curvature bound ``gap_bound`` that must dominate the gain."""
+    Each row carries the payoff gain, the ratio, and the curvature bound
+    ``gap_bound`` that must dominate the gain."""
     rows = []
     for shadow in shadows:
         p = replace(template, shadow=float(shadow))
         pair = build_frontiers(p, r)
         consts = ui_constants(p)
         best = optimize_deadline(pair, dist)
-        sol = solve_path(pair.shifted(SHIFT_FRAC * consts.u0), dist)
+        sol = solve_path(pair, dist)
         gain = sol.payoff - best.payoff
         bound = affine_gap(pair.f0, pair.u_star, pair.u0)
         rows.append(SweepRow(

@@ -42,6 +42,19 @@ def full_scan(f, lo, hi, n, *, rises=()):
     return crossing_cells(f, lo, hi, n, rises=grid_points(lo, hi, n))
 
 
+def translated(pair: TechnologyPair, k: float) -> TechnologyPair:
+    """``pair`` with the agent-utility axis moved by ``k``: each frontier
+    becomes ``u -> f(u - k)`` on its domain moved by ``k``.  The model is
+    invariant under this move: classes, payoffs and deadlines stay, and
+    every level moves by ``k``."""
+    def move(f):
+        if isinstance(f, PiecewiseFrontier):
+            return PiecewiseFrontier(tuple((u + k, v) for u, v in f.points))
+        return ParametricFrontier(fn=lambda u: f.fn(u - k), u_lo=f.u_lo + k,
+                                  u_hi=f.u_hi + k, dfn=lambda u: f.dfn(u - k))
+    return TechnologyPair.build(move(pair.f0), move(pair.f1), pair.r)
+
+
 # instance A: f0 affine (slope 1) up to its peak at u=1, f1 peaking at 0.8;
 # shared-slope level 0.3, so the threshold deadline is ln 3.5
 A_F0_POINTS = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))

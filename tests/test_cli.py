@@ -63,14 +63,15 @@ def test_analyze_piecewise(tmp_path):
     assert all(c["passed"] for c in rep["model_checks"])
 
 
-def test_analyze_insurance_classified_simple_after_shift(tmp_path):
+def test_analyze_insurance_classified_simple(tmp_path):
     cfg = write_cfg(tmp_path, {"technology": UI_TECH, "r": 1.0})
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     rep = read_report(out)
     assert rep["constants"]["u_star"] == 0.0
-    # at the boundary the pair is not simple as-is (shift required)
-    assert rep["classification"] == "deadline, T >= T_underline"
+    # strictly concave on [u_star, u0]; u_star at the domain bottom is no bar
+    assert rep["classification"] == "reward path (strictly concave case)"
+    assert rep["not_simple_reasons"] == []
 
 
 def test_analyze_reports_broken_model(tmp_path, capsys):
@@ -125,20 +126,19 @@ def test_command_from_config_and_tol_passthrough(tmp_path):
 
 # ------------------------------------------------------------- solve-euler ---
 
-def test_solve_euler_insurance_with_shift(tmp_path):
+def test_solve_euler_insurance(tmp_path):
     cfg = write_cfg(tmp_path, {
-        "technology": UI_TECH, "r": 1.0, "shift": 0.05,
+        "technology": UI_TECH, "r": 1.0,
         "distribution": {"kind": "atoms", "atoms": [[0.5, 0.5], [1.5, 0.5]]}})
     out = tmp_path / "out"
     assert main(["solve-euler", "--config", cfg, "--out", str(out)]) == 0
     rep = read_report(out)
     assert rep["max_abs_residual"] <= 1e-8
     assert rep["extra_roots"] == []
-    assert rep["shift"] == 0.05
     rows = read_csv(out / "residuals.csv")
     assert rows[0] == ["k", "t", "flow_u", "continuation_u", "residual"]
     assert len(rows) == 3
-    # levels in the CSVs are mapped back to unshifted coordinates
+    # the path starts at the f0 peak u0 = 1
     mech = read_csv(out / "mechanism.csv")
     assert float(mech[1][1]) == pytest.approx(1.0, abs=1e-9)
 
@@ -418,8 +418,6 @@ BAD_CONFIGS = {
         "technology": A_TECH, "r": math.nan, "distribution": POINT_1}),
     "w-infinite": ("solve-deadline", 1, "config error: 'w'", {
         "technology": dict(UI_TECH, w=math.inf), "distribution": EXP_8}),
-    "shift-infinite": ("solve-euler", 1, "config error: 'shift'", {
-        "technology": UI_TECH, "shift": math.inf, "distribution": EXP_8}),
     # a NaN level used to reach front_load and come out as a NaN deadline
     "nan-level": ("verify", 1, "config error: 'levels'", {
         "technology": A_TECH, "mechanism": dict(MECH, levels=[1.0, math.nan]),
@@ -436,6 +434,12 @@ BAD_CONFIGS = {
     # the slope's L ** b overflows a float while still below the wage
     "ui-wage-overflow": ("solve-deadline", 1, "config error: search-cost slope", {
         "technology": dict(UI_TECH, a=0.99, b=10, w=1e300), "distribution": EXP_8}),
+    # f0 and f1 share no slope on [0, u0]; verify classifies the pair as
+    # strictly concave and the path's bracket fails at the domain bottom
+    "ui-verify-path-bracket": ("verify", 3, "solver failure: psi(u_star)=-1.109e-01 < 0", {
+        "technology": {"kind": "insurance", "a": 0.38, "b": 2.75, "w": 1.91,
+                       "shadow": 0.58},
+        "r": 2.14, "distribution": EXP_8}),
 }
 
 

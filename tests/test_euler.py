@@ -28,7 +28,7 @@ from disclose.distribution import discretize
 from disclose.errors import DiscloseError
 from disclose.euler import backward_pass, inv_deriv_f0, psi, simple_reasons
 from disclose.frontier import ParametricFrontier, TechnologyPair
-from disclose.insurance import SHIFT_FRAC, UiPrimitives, build_frontiers, ui_constants
+from disclose.insurance import UiPrimitives, build_frontiers
 
 from conftest import full_scan
 
@@ -41,17 +41,15 @@ def test_simple_reasons(pair_a, pair_b, pair_ui):
     assert simple_reasons(pair_b) == ()
     reasons_a = simple_reasons(pair_a)
     assert reasons_a and any("concave" in r for r in reasons_a)
-    reasons_ui = simple_reasons(pair_ui)
-    assert reasons_ui and any("strictly positive" in r for r in reasons_ui)
-    # a small upward shift moves the band interior, where the pair is smooth
-    assert simple_reasons(pair_ui.shifted(0.05)) == ()
+    # smooth and strictly concave on [u_star, u0], with u_star at the bottom
+    # of the domain
+    assert simple_reasons(pair_ui) == ()
 
 
-def test_solve_rejects_non_simple_pair(pair_a, pair_ui, dist_point1):
-    for pair in (pair_a, pair_ui):
-        with pytest.raises(NotSimple) as exc:
-            solve(pair, dist_point1)
-        assert exc.value.reasons == simple_reasons(pair)
+def test_solve_rejects_non_simple_pair(pair_a, dist_point1):
+    with pytest.raises(NotSimple) as exc:
+        solve(pair_a, dist_point1)
+    assert exc.value.reasons == simple_reasons(pair_a)
 
 
 # -------------------------------------------------------------- inversion ---
@@ -156,8 +154,7 @@ def test_path_beats_deadline(pair_b, dist_k2):
 
 def random_simple_pair(rng):
     """Fixture B rescaled, with a random ``f1`` curvature and peak, or (one
-    in four: building one costs two ``u_star`` scans) an insurance pair
-    shifted as ``welfare_sweep`` shifts it."""
+    in four: building one costs a ``u_star`` scan) an insurance pair."""
     r = rng.uniform(0.2, 3.0)
     if rng.random() < 0.75:
         su, sv = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
@@ -171,7 +168,7 @@ def random_simple_pair(rng):
         return TechnologyPair.build(f0, f1, r)
     p = UiPrimitives(a=rng.uniform(0.3, 0.8), b=rng.uniform(1.5, 3.0),
                      w=rng.uniform(0.5, 2.0), shadow=rng.uniform(0.2, 1.0))
-    return build_frontiers(p, r).shifted(SHIFT_FRAC * ui_constants(p).u0)
+    return build_frontiers(p, r)
 
 
 def random_law(rng, r):

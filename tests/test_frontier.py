@@ -15,7 +15,7 @@ from disclose import (
     affine_gap,
 )
 from disclose.frontier import is_neg_inf, u_star, validate_model
-from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d, b_f1
+from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
 from test_golden import DENSE_B_TECH
 
 
@@ -79,11 +79,8 @@ def test_piecewise_rejects_non_concave():
         PiecewiseFrontier(((0.0, 0.0),))  # single point
 
 
-def test_piecewise_peak_and_shift(pair_a):
+def test_piecewise_peak(pair_a):
     assert pair_a.f1.peak == (0.8, 1.4)
-    shifted = pair_a.f1.shifted(0.1)
-    assert shifted.peak == (pytest.approx(0.9), 1.4)
-    assert shifted.value(0.9) == pytest.approx(1.4, abs=1e-12)
 
 
 # ------------------------------------------------------------ parametric ---
@@ -103,12 +100,6 @@ def test_parametric_peak_at_boundary():
     f = ParametricFrontier(fn=lambda u: -u, u_lo=0.0, u_hi=1.0,
                            dfn=lambda u: -1.0)
     assert f.peak == (0.0, 0.0)
-
-
-def test_parametric_shift_round_trip(pair_b):
-    g = pair_b.f1.shifted(0.2)
-    assert g.value(0.9) == pytest.approx(b_f1(0.7), abs=1e-12)
-    assert g.peak[0] == pytest.approx(0.9, abs=1e-9)
 
 
 # -------------------------------------------------------------- u_star -----
@@ -206,15 +197,6 @@ def test_pair_constants_are_floats(f0_points, f1_points):
     got = (pair.u0, pair.u1, pair.u_star)
     assert all(type(v) is float for v in got)
     assert got == tuple(float(v) for v in exact)
-
-
-def test_pair_shift_translates_constants(pair_b):
-    moved = pair_b.shifted(0.05)
-    assert moved.u0 == pytest.approx(pair_b.u0 + 0.05, abs=1e-9)
-    assert moved.u1 == pytest.approx(pair_b.u1 + 0.05, abs=1e-9)
-    assert moved.u_star == pytest.approx(pair_b.u_star + 0.05, abs=1e-9)
-    assert moved.f0.value(moved.u0) == pytest.approx(
-        pair_b.f0.value(pair_b.u0), abs=1e-9)
 
 
 # ----------------------------------------------------------- validation ----

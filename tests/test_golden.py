@@ -9,7 +9,17 @@ cases (``solve-euler-ui64``, ``ui-schedule-deadline16``,
 ``ui-schedule-path16``, ``ui-sweep-m8``) were recorded again when the
 labor maximization and the parametric ``f0`` slope inversion moved from
 bisection to Brent's method; no output field moved by more than 6.9e-14.
+Five were recorded again when the reward path stopped being solved on a
+copy of the insurance pair moved up by ``0.05 * u0``: ``analyze-insurance``
+(the pair now classifies as a reward path, with no reasons),
+``solve-euler-dense16`` and ``solve-euler-ui64`` (no ``shift`` field; the
+dense case's CSVs stayed byte-identical), ``ui-schedule-path16`` and
+``ui-sweep-m8``; no float moved by more than 8.9e-16.
 A change that moves any float in any output by one ulp fails here.
+
+``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
+config, outputs and exit code to ``OUT/<case>/``, so the outputs of two
+checkouts can be compared with ``diff -r``.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -65,7 +75,7 @@ CASES = {
         "technology": KINKED_TECH, "r": 1.0,
         "distribution": {"kind": "exponential", "m": 64, "rate": 0.8}}),
     "solve-euler-ui64": ("solve-euler", {
-        "technology": UI_TECH, "r": 1.0, "shift": 0.05,
+        "technology": UI_TECH, "r": 1.0,
         "distribution": {"kind": "exponential", "m": 64, "rate": 1.0}}),
     "ui-sweep-m8": ("ui-sweep", {
         "technology": UI_TECH, "r": 1.0, "shadows": [0.5, 0.2],
@@ -144,11 +154,11 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            'e827b182f07a799d7647d68eca5c760ca76b39755af0a0d3bc7ea295e98b2e98',
+            '9ba9abf2dce0dc03d2333f3dd9c35574af6a62ee2a66d5f302c9a40b824eefa3',
         'report.json':
-            'd56bd40a110b55cc0c91fc800e77e20dd3e0075c9f483dab61c675dbfcafed47',
+            '29ecb4eb48faef013503d81366bc0aaec49904597147af0f999d279079850104',
         'residuals.csv':
-            '2aa0f95ed82000cc5171f44d11330361998ee619663f445e21a9fdfab9d117e4',
+            '843be7eddd44f5368c814ba5966632a15e4001cc9773cc7c7f4189afa599ad08',
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
@@ -160,9 +170,9 @@ GOLDEN = {
     }),
     'ui-sweep-m8': (0, {
         'report.json':
-            '73cb3cdeb16bdb113a20e065d4845465a54279dc9edbe9d687253898a1e6bf50',
+            'c3369cca5d7536ada3ee78145c6f1bb2030b767119ded1b0679d401ced731742',
         'sweep.csv':
-            'a60763dd7579d170990c40cf0132f9cc0bc72b05988606074d5953209fd5618f',
+            'e211ff347c2b956e605501d1c72533ac664e48a12012efd6438f13bffc66181e',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -190,7 +200,7 @@ GOLDEN = {
     }),
     'analyze-insurance': (0, {
         'report.json':
-            '7f7a5239aaa86149b2e6347c867cd0049dcfceff9c6fe97abeba09ebe4d206ac',
+            'c2accb7507fcd5551fc019367546aa6596786dee7ec40cee881557aef461e91d',
     }),
     'analyze-piecewise': (0, {
         'report.json':
@@ -218,17 +228,17 @@ GOLDEN = {
         'mechanism.csv':
             'ffe62f331f73112ddad95ffdecb588f5ae49a1cfef3cd094df3aa0dcf8eccbcb',
         'report.json':
-            'cf65cdd269e26fe4c6677b7bdcd574b6c381468373670ccf2cff694cf37aa5b2',
+            '0e686e37293477e6ac6f152251aae67f9fb290040a5d60697e84ffe1353551be',
         'residuals.csv':
             'c79dea64793b4b8d834ce661c40af645babf32382fff76a86b70546cb963ec1a',
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            '2774e21b3f508547684701d7f8f2f6fbf263bbad3f985d3425eb1b12e8d61ce3',
+            '3e0ace869d719cfae81ec0451c352c55e4362d2bee03e3ac10009954e30e6137',
         'report.json':
-            'f6d3c0183fbd4a3f017947aec6dfe4563c09e4538915f113ca255321195e82b7',
+            '546925a689b6f84ef59e3b55ac743fd29ddc0f031c835d2b11527fa5aed3eb89',
         'schedule.csv':
-            '5433b566c3b84e588df73941d051bc0c86b947acefe49da588ce12074c471acb',
+            '594ade1f6e3d5e865b6f159bd6746425fed595665776ffcba48172ce7f914a36',
     }),
     'verify-path': (2, {
         'report.json':
@@ -258,3 +268,18 @@ RECORDED_ON = ("x86_64", ("glibc", "2.36"))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_byte_identical(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py OUT writes every case to
+    # OUT/<case>/ (cfg.json, out/, code); compare two checkouts with diff -r
+    import sys
+    from pathlib import Path
+
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/test_golden.py OUT")
+    for case in sorted(CASES):
+        case_dir = Path(sys.argv[1]) / case
+        case_dir.mkdir(parents=True)
+        code, _ = run_case(case, case_dir)
+        (case_dir / "code").write_text(f"{code}\n", encoding="utf-8")

@@ -39,8 +39,7 @@ from disclose.errors import BracketFailure
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
                                PiecewiseFrontier, TechnologyPair, is_neg_inf,
                                slope)
-from disclose.insurance import (SHIFT_FRAC, UiPrimitives, build_frontiers,
-                                schedule, ui_constants)
+from disclose.insurance import UiPrimitives, build_frontiers, schedule, ui_constants
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
 
@@ -578,8 +577,8 @@ def random_ui_primitives(rng):
 
 def smooth_cases(seed, n_b, n_ui):
     """``(build, dist)`` pairs: ``build()`` makes a fresh rescaled fixture-B
-    pair, or an insurance pair shifted as ``welfare_sweep`` shifts it, so
-    a rebuild reads whatever inner solve is in place at the time."""
+    pair, or an insurance pair, so a rebuild reads whatever inner solve is
+    in place at the time."""
     rng = random.Random(seed)
     cases = []
     for i in range(n_b + n_ui):
@@ -591,7 +590,7 @@ def smooth_cases(seed, n_b, n_ui):
             r = rng.uniform(0.5, 2.0)
 
             def build(p=p, r=r):
-                return build_frontiers(p, r).shifted(SHIFT_FRAC * ui_constants(p).u0)
+                return build_frontiers(p, r)
         m = rng.choice((1, 2, 3, 8, 16, 32))
         cases.append((build, discretize("exponential", m, rate=rng.uniform(0.3, 3.0))))
     return cases

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from disclose import ConfigError, Mechanism, UiPrimitives, payoff, welfare_sweep
-from disclose.insurance import schedule, shift_mechanism, ui_constants
+from disclose import ConfigError, Mechanism, UiPrimitives, welfare_sweep
+from disclose.insurance import schedule, ui_constants
 
 IDENTITY_TOL = 1e-9
 
@@ -76,27 +76,6 @@ def test_schedule_identities(ui_prims, pair_ui, dist_exp8):
     assert rows[-1].labor == pytest.approx(0.25 ** (1 / 3), abs=1e-9)
     # the promise decays, so benefits and consumption fall over time
     assert rows[0].promise_u > rows[1].promise_u > rows[2].promise_u
-
-
-# ------------------------------------------------------ participation shift ---
-
-def _stop_at_two():
-    return Mechanism(grid=(0.0, 2.0), levels=(1.0, 0.0))
-
-
-def test_shift_mechanism_translates_levels():
-    m = shift_mechanism(_stop_at_two(), 0.05)
-    assert m.levels == pytest.approx((1.05, 0.05))
-    assert m.grid == (0.0, 2.0)
-
-
-def test_payoff_invariant_under_shift(pair_ui, dist_k2):
-    # translating levels and frontiers together cannot change model payoffs
-    m = _stop_at_two()
-    base = payoff(m, pair_ui, dist_k2)
-    k = 0.05
-    shifted = payoff(shift_mechanism(m, k), pair_ui.shifted(k), dist_k2)
-    assert shifted == pytest.approx(base, abs=1e-12)
 
 
 # ------------------------------------------------------------------ sweep ---
