@@ -444,7 +444,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--tol-root", type=float, default=1e-9,
                         help="first-order / root-residual tolerance; ui-sweep and "
                              "the reward-path branch of compare-statics do not "
-                             "read it (they solve at the library defaults)")
+                             "read it (they solve at the library defaults), nor "
+                             "does the reward path of a parametric pair")
     parser.add_argument("--tol-residual", type=float, default=1e-8,
                         help="stationarity-residual tolerance for verify")
 

@@ -17,8 +17,10 @@ where ``d0``/``d1`` are the frontier derivatives and ``invd0`` inverts
     psi(lam) = E[ d1(X_tau^lam) ]
 
 is decreasing with psi(u_star) = d0(u_star) >= 0 >= d1(u0) = psi(u0), so a
-sign bisection in ``lam`` closes the system; :func:`solve` binary-searches
-a grid for the cell of that sign change first.
+bracketed root in ``lam`` closes the system: :func:`solve` binary-searches
+a grid for the cell of that sign change, then closes the cell by Brent's
+method when both frontiers are parametric (``psi`` is smooth) and by
+bisection when either is piecewise (``psi`` is then a step function).
 """
 
 from __future__ import annotations
@@ -89,19 +91,21 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
 
     The slope is strictly decreasing there, so a bracketed root search
     applies; targets above the slope at ``u_star`` clamp to ``u_star`` and
-    targets below the slope at the peak (which is ~0) clamp to ``u0``.  A
+    targets below the slope at the peak (which is ~0) clamp to ``u0``; both
+    band-end slopes are read once per pair (``pair.f0_band_slopes``).  A
     parametric ``f0`` has a smooth slope and is inverted by Brent's method.
     A piecewise ``f0`` keeps bisection: its slope is a step function, so
     Brent's method gains nothing there and would only move the level to the
     other side of a kink.
     """
-    ustar, u0 = pair.u_star, pair.u0
+    top, bottom = pair.f0_band_slopes
 
     def g(u: float) -> float:
         return slope(pair.f0, u) - y
 
     root = brent_down if isinstance(pair.f0, ParametricFrontier) else bisect_down
-    return clamped_root(g, ustar, u0, tol_x=1e-13, root=root)
+    return clamped_root(g, pair.u_star, pair.u0, f_lo=top - y, f_hi=bottom - y,
+                        tol_x=1e-13, root=root)
 
 
 def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float
@@ -163,11 +167,16 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     raises ``NotSimple`` carrying its :func:`simple_reasons`.
 
     ``psi`` decreases on ``[u_star, u0]``: the grid cell where it crosses
-    zero is binary-searched and bisected, grid ends where it already is
+    zero is binary-searched and then closed, grid ends where it already is
     <= 0 (bottom) or >= 0 (top) are roots too, and the best payoff wins.  A
     ``psi`` that is negative at ``u_star`` or positive at ``u0`` beyond
     tolerance means the theoretical bracket failed, which is reported
     rather than papered over.
+
+    When both frontiers are parametric, ``psi`` is smooth and Brent's method
+    closes the cell to ``LAM_TOL``.  Otherwise ``psi`` is a step function
+    and bisection closes it, stopping early at ``|psi| <= tol_psi``;
+    ``tol_psi`` applies to such piecewise pairs only.
     """
     reasons = simple_reasons(pair)
     if reasons:
@@ -185,9 +194,15 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
         raise BracketFailure(
             f"psi(u0)={psi_hi:.3e} > 0; expected <= 0 at the peak level")
 
+    smooth = (isinstance(pair.f0, ParametricFrontier)
+              and isinstance(pair.f1, ParametricFrontier))
     roots = [ustar] if psi_lo <= 0.0 else []
-    roots += [bisect_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL, tol_f=tol_psi)
-              for a, fa, b, fb in cells]
+    for a, fa, b, fb in cells:
+        if smooth:
+            roots.append(brent_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL))
+        else:
+            roots.append(bisect_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL,
+                                     tol_f=tol_psi))
     if psi_hi >= 0.0:
         # the grid's last point, where psi_hi was taken; it can miss u0 by an ulp
         roots.append(ustar + (u0 - ustar) * N_SCAN / N_SCAN)

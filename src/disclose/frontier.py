@@ -214,8 +214,8 @@ def slope(f, u) -> float:
 
 
 def u_star(f0, f1) -> float:
-    """Rightmost ``u`` in ``[0, u0]`` where ``f0`` and ``f1`` share a
-    non-negative supporting slope.
+    """Rightmost ``u`` in ``[lo, u0]`` where ``f0`` and ``f1`` share a
+    non-negative supporting slope, ``lo`` the bottom of the shared domain.
 
     The non-negativity requirement is what makes the definition match the
     intended object (the local peak of the gap ``f1 - f0``): left of the
@@ -317,6 +317,13 @@ class TechnologyPair:
         return cls(f0=f0, f1=f1, r=r, u0=float(f0.peak[0]),
                    u1=float(f1.peak[0]), u_star=float(u_star(f0, f1)))
 
+    @cached_property
+    def f0_band_slopes(self) -> Tuple[float, float]:
+        """``(slope(f0, u_star), slope(f0, u0))``, the ``f0`` slopes at the
+        band ends, read once per pair on first use (raises
+        :class:`NotSimple` if either is infinite)."""
+        return slope(self.f0, self.u_star), slope(self.f0, self.u0)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -360,7 +367,7 @@ def validate_model(pair: TechnologyPair) -> Tuple[Check, ...]:
 
     us = pair.u_star
     checks.append(Check(
-        "u_star_in_range", 0 <= us <= pair.u1 + 1e-12,
+        "u_star_in_range", lo_f <= us <= pair.u1 + 1e-12,
         witness=us, detail=f"u_star={us}, u1={pair.u1}"))
 
     # strict local max of the gap at u_star: strictly decreasing just right,

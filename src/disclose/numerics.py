@@ -6,10 +6,11 @@ looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
 derivative (never Newton: several of the functions we solve have kinks or
 one-sided derivatives).  Bisection is the default.  :func:`brent_down`
 (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
-serves the two inner solves of smooth functions, the ``f0`` slope
-inversion of a parametric pair and the insurance labor maximization, where
-its interpolation steps converge superlinearly; on a step-function slope
-it has no such step to take, so piecewise frontiers keep bisection.
+serves the three solves of smooth functions: the ``f0`` slope inversion
+and the ``psi`` root (the terminal level of a reward path) of a parametric
+pair, and the insurance labor maximization.  There its interpolation steps
+converge superlinearly; on a step function it has no such step to take,
+so piecewise frontiers keep bisection for both reward-path solves.
 
 :func:`crossing_cells` finds the down-crossing cells of a grid for a
 function that is non-increasing between known points where it may jump up
@@ -177,12 +178,15 @@ def crossing_cells(f, lo, hi, n, *, rises=()):
     return f_first, fi, cells
 
 
-def clamped_root(f, lo, hi, *, tol_x, root=bisect_down):
+def clamped_root(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, root=bisect_down):
     """Root of a non-increasing ``f`` on [lo, hi], clamped to the interval:
     ``lo`` if f(lo) <= 0, else ``hi`` if f(hi) >= 0, else the root that
-    ``root`` (:func:`bisect_down` or :func:`brent_down`) finds between."""
-    f_lo = f(lo)
+    ``root`` (:func:`bisect_down` or :func:`brent_down`) finds between.
+    ``f_lo``/``f_hi``, when given, stand for f(lo)/f(hi)."""
+    if f_lo is None:
+        f_lo = f(lo)
     if f_lo <= 0.0:
         return lo
-    f_hi = f(hi)
+    if f_hi is None:
+        f_hi = f(hi)
     return hi if f_hi >= 0.0 else root(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)

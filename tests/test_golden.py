@@ -14,12 +14,20 @@ copy of the insurance pair moved up by ``0.05 * u0``: ``analyze-insurance``
 (the pair now classifies as a reward path, with no reasons),
 ``solve-euler-dense16`` and ``solve-euler-ui64`` (no ``shift`` field; the
 dense case's CSVs stayed byte-identical), ``ui-schedule-path16`` and
-``ui-sweep-m8``; no float moved by more than 8.9e-16.
+``ui-sweep-m8``; no float moved by more than 8.9e-16.  Three were recorded
+again when the terminal level of a smooth pair moved from a bisection that
+stopped at ``|psi| <= 1e-9`` to Brent's method run to ``LAM_TOL``:
+``solve-euler-ui64`` (levels 1.4e-9, ``terminal_residual`` -9.3e-10 to
+3.6e-16), ``ui-schedule-path16`` (levels 5.3e-10, schedule columns at most
+1.0e-9) and ``ui-sweep-m8`` (at most 2.2e-16).  The new terminal levels
+agree to 1 ulp with a full-resolution bisection of ``psi``.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
-config, outputs and exit code to ``OUT/<case>/``, so the outputs of two
-checkouts can be compared with ``diff -r``.
+config, outputs and exit code to ``OUT/<case>/``.  ``python
+tests/test_golden.py --diff OLD NEW`` compares two such trees (say, of two
+checkouts) and prints, per case and output file, the largest absolute
+difference of each field that moved.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -30,13 +38,13 @@ references (bit for bit, or within 1e-12 for the Brent inner solves).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import platform
 
 import pytest
-
-from disclose.cli import main
 
 A_TECH = {
     "kind": "piecewise",
@@ -154,11 +162,11 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            '9ba9abf2dce0dc03d2333f3dd9c35574af6a62ee2a66d5f302c9a40b824eefa3',
+            'caa0ad4eba3afffbe3799df26aee63de8457886da77ed4708ca0e97034c722a8',
         'report.json':
-            '29ecb4eb48faef013503d81366bc0aaec49904597147af0f999d279079850104',
+            '22531af241a3e180355f7e54305767058a65560e5229a5a5ababdc353a90b301',
         'residuals.csv':
-            '843be7eddd44f5368c814ba5966632a15e4001cc9773cc7c7f4189afa599ad08',
+            '3a5e552713c08925cfb04572ed5f15c2ea27b1ca137a7e3484fb5d523af68a24',
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
@@ -170,9 +178,9 @@ GOLDEN = {
     }),
     'ui-sweep-m8': (0, {
         'report.json':
-            'c3369cca5d7536ada3ee78145c6f1bb2030b767119ded1b0679d401ced731742',
+            '414dbb200115cff97d1aa7765b5dd05558fad3f3eea1b5f00349cac5f9123a2d',
         'sweep.csv':
-            'e211ff347c2b956e605501d1c72533ac664e48a12012efd6438f13bffc66181e',
+            '21c30d3cc5f4f62308d99c399e6a3a6ea9a3b587d1571762ecd4d79c54214b2b',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -234,11 +242,11 @@ GOLDEN = {
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            '3e0ace869d719cfae81ec0451c352c55e4362d2bee03e3ac10009954e30e6137',
+            '4c3c86bca46a3911ba0cdf63a2032ef9bc62baf2dc76381f13c3227bd5718fce',
         'report.json':
-            '546925a689b6f84ef59e3b55ac743fd29ddc0f031c835d2b11527fa5aed3eb89',
+            '2839b09382682323d2335c53a464d10461011bd4e0421d522de46e5350b23f47',
         'schedule.csv':
-            '594ade1f6e3d5e865b6f159bd6746425fed595665776ffcba48172ce7f914a36',
+            'ae9e16b7862f00edf79b685ad0351bd92f25d52c040c974dac52749ae2b37e2e',
     }),
     'verify-path': (2, {
         'report.json':
@@ -249,6 +257,8 @@ GOLDEN = {
 
 def run_case(name: str, tmp_path) -> tuple:
     """Run one case; return its exit code and the digest of every output."""
+    from disclose.cli import main  # imported here so --diff needs no package
+
     command, cfg = CASES[name]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -270,16 +280,92 @@ def test_cli_outputs_byte_identical(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
 
 
+def output_fields(path) -> dict:
+    """``{field: [values]}`` of one output file: a CSV's columns, or the
+    leaves of a JSON report under their key path (list indices dropped, so
+    the entries of one list field pool together)."""
+    text = path.read_text(encoding="utf-8")
+    out = {}
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        for row in rows:
+            for name, cell in zip(header, row):
+                out.setdefault(name, []).append(cell)
+        return out
+
+    def walk(v, key):
+        if isinstance(v, dict):
+            for k, x in v.items():
+                walk(x, f"{key}.{k}" if key else k)
+        elif isinstance(v, list):
+            for x in v:
+                walk(x, key)
+        else:
+            out.setdefault(key, []).append(v)
+
+    walk(json.loads(text), "")
+    return out
+
+
+def moved_fields(old: dict, new: dict) -> dict:
+    """Largest absolute difference of each field whose values differ, or
+    ``"changed"`` where they are not numbers or their counts differ."""
+    moved = {}
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, []), new.get(name, [])
+        if a == b:
+            continue
+        try:
+            if len(a) != len(b):
+                raise ValueError(name)
+            moved[name] = max(abs(float(x) - float(y)) for x, y in zip(a, b))
+        except (TypeError, ValueError):
+            moved[name] = "changed"
+    return moved
+
+
+def diff_outputs(old_root, new_root) -> list:
+    """``(case, file, field, largest move)`` for every field that differs
+    between two trees written by this module's ``OUT`` mode; a file on one
+    side only, or a different exit code, is a ``"changed"`` field."""
+    lines = []
+    for case in sorted(CASES):
+        old_dir, new_dir = old_root / case, new_root / case
+        files = {p.name for d in (old_dir / "out", new_dir / "out")
+                 if d.is_dir() for p in d.iterdir()}
+        for name in sorted(files | {"code"}):
+            paths = [d / name if name == "code" else d / "out" / name
+                     for d in (old_dir, new_dir)]
+            if not all(p.is_file() for p in paths):
+                lines.append((case, name, "(file)", "changed"))
+            elif paths[0].read_bytes() != paths[1].read_bytes():
+                if name == "code":
+                    lines.append((case, name, "(exit code)", "changed"))
+                    continue
+                old, new = (output_fields(p) for p in paths)
+                lines += [(case, name, field, d)
+                          for field, d in moved_fields(old, new).items()]
+    return lines
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py OUT writes every case to
-    # OUT/<case>/ (cfg.json, out/, code); compare two checkouts with diff -r
+    # OUT/<case>/ (cfg.json, out/, code); then
+    # python tests/test_golden.py --diff OLD NEW prints, per case and file,
+    # the largest absolute move of each field that differs between two such
+    # trees
     import sys
     from pathlib import Path
 
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/test_golden.py OUT")
-    for case in sorted(CASES):
-        case_dir = Path(sys.argv[1]) / case
-        case_dir.mkdir(parents=True)
-        code, _ = run_case(case, case_dir)
-        (case_dir / "code").write_text(f"{code}\n", encoding="utf-8")
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--diff":
+        for case, name, field, d in diff_outputs(Path(args[1]), Path(args[2])):
+            print(f"{case}\t{name}\t{field}\t{d if isinstance(d, str) else f'{d:.2e}'}")
+    elif len(args) == 1:
+        for case in sorted(CASES):
+            case_dir = Path(args[0]) / case
+            case_dir.mkdir(parents=True)
+            code, _ = run_case(case, case_dir)
+            (case_dir / "code").write_text(f"{code}\n", encoding="utf-8")
+    else:
+        sys.exit("usage: python tests/test_golden.py OUT | --diff OLD NEW")

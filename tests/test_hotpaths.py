@@ -13,11 +13,12 @@ binary-searches its ``psi`` grid, and the
 insurance inner maximization runs once per level of a pair and leaves no
 state behind.
 
-The two inner root solves, the ``f0`` slope inversion of a parametric pair
-and the insurance labor maximization, use Brent's method and so may land
-a few ulps from where bisection lands: they are compared against in-test
-bisections within 1e-12, as are the ``solve`` outputs built on them, and
-their slope evaluations per solve are counted.
+The three smooth root solves, the ``f0`` slope inversion and the ``psi``
+root of a parametric pair and the insurance labor maximization, use
+Brent's method and so may land a few ulps from where bisection lands: they
+are compared against in-test full-resolution bisections within 1e-12, as
+are the ``solve`` outputs built on them, and their slope evaluations per
+solve are counted.
 """
 
 from __future__ import annotations
@@ -453,12 +454,38 @@ def test_psi_reads_one_f1_slope_per_atom(pair_b, monkeypatch, m):
 
 @pytest.mark.parametrize("m", [1, 2, 16])
 def test_solve_binary_searches_the_psi_grid(pair_b, monkeypatch, m):
-    # the two grid ends, log2(N_SCAN) = 5 halvings, then the cell bisection
-    # to tol_psi; a scan of all N_SCAN + 1 grid points alone makes 33
+    # the two grid ends, log2(N_SCAN) = 5 halvings, then Brent's steps in
+    # the cell; a scan of all N_SCAN + 1 grid points alone makes 33, and
+    # bisecting the cell to tol_psi makes ~36 in all
     counts = Counter()
     count_calls(monkeypatch, euler, "psi", counts)
     euler.solve(pair_b, discretize("exponential", m, rate=1.0))
-    assert counts["psi"] <= 40
+    assert counts["psi"] <= 16
+
+
+def dense_b_pair():
+    return TechnologyPair.build(
+        PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f0"]))),
+        PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f1"]))), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "parametric"])
+def test_psi_root_finder_follows_the_pair_kind(monkeypatch, pair_b, kind):
+    # psi of a piecewise pair is a step function: Brent's steps gain nothing
+    pair = dense_b_pair() if kind == "piecewise" else pair_b
+    counts = Counter()
+    for name in ("bisect_down", "brent_down"):
+        orig = getattr(euler, name)
+
+        def wrapped(f, *args, name=name, orig=orig, **kwargs):
+            if f.__qualname__.startswith("solve.<locals>."):  # psi, not f0'
+                counts[name] += 1
+            return orig(f, *args, **kwargs)
+
+        monkeypatch.setattr(euler, name, wrapped)
+    euler.solve(pair, discretize("exponential", 8, rate=1.0))
+    expected = "bisect_down" if kind == "piecewise" else "brent_down"
+    assert counts == Counter({expected: 1})
 
 
 # primitives no other test uses, so nothing computed earlier can be reused
@@ -626,11 +653,19 @@ def solved(build, dist):
         return str(exc)
 
 
+def psi_root_reference(f, lo, hi, **_):
+    return bisection_reference(f, lo, hi)
+
+
 def test_solve_matches_bisection_inner_solves(monkeypatch):
+    # the reference bisects psi to full resolution too, with no |psi| early
+    # exit; a tol_psi stop lands up to ~1e-9 away from the root
     cases = smooth_cases(9103, 30, 8)
     fast = [solved(build, dist) for build, dist in cases]
     monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0_reference)
     monkeypatch.setattr(insurance, "_inner_max", inner_max_reference)
+    monkeypatch.setattr(euler, "brent_down", psi_root_reference)
+    monkeypatch.setattr(euler, "bisect_down", psi_root_reference)
     reference = [solved(build, dist) for build, dist in cases]
 
     n_solved = 0
@@ -647,7 +682,8 @@ def test_solve_matches_bisection_inner_solves(monkeypatch):
 
 
 def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
-    # two clamp checks, then Brent's steps; bisection to 1e-13 takes ~43
+    # the clamp checks read the band-end slopes once per pair, then Brent's
+    # steps; bisection to 1e-13 takes ~43
     calls = Counter()
     per_inversion = []
     orig = euler.inv_deriv_f0
@@ -660,10 +696,11 @@ def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
 
     monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0)
     rng = random.Random(9104)
-    for m in (2, 16, 64):
+    for m in (2, 16, 64, 128):
         euler.solve(fixture_b_pair(rng, calls), discretize("exponential", m, rate=1.0))
     assert len(per_inversion) > 1000
     assert max(per_inversion) <= 8
+    assert sum(per_inversion) <= 2 * len(per_inversion)
 
 
 def test_inner_max_reads_few_slopes():
@@ -695,12 +732,7 @@ def test_inner_max_reads_few_slopes():
 def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
     # a step-function slope gains nothing from Brent's steps, which would
     # only move the level to the other side of a kink
-    if kind == "piecewise":
-        pair = TechnologyPair.build(
-            PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f0"]))),
-            PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f1"]))), 1.0)
-    else:
-        pair = pair_b
+    pair = dense_b_pair() if kind == "piecewise" else pair_b
     counts = Counter()
     count_calls(monkeypatch, euler, "bisect_down", counts)
     count_calls(monkeypatch, euler, "brent_down", counts)

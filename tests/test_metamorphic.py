@@ -1,8 +1,9 @@
 """Metamorphic checks: answers that must not change when the input is moved.
 
 The model is invariant under translating the agent-utility axis: moving
-both frontiers by ``k`` keeps the strictly-concave classification, the
-payoffs and the optimal deadline, and moves every level by ``k``.  The
+both frontiers by ``k`` keeps the model checks, the strictly-concave
+classification, the payoffs and the optimal deadline, and moves every
+level by ``k``.  The
 shifts include ``k < 0``, which puts ``u_star`` below zero.
 """
 
@@ -12,6 +13,7 @@ import pytest
 
 from disclose import PiecewiseFrontier, TechnologyPair, optimize_deadline, solve
 from disclose.euler import simple_reasons
+from disclose.frontier import validate_model
 
 from conftest import translated
 from test_golden import DENSE_B_TECH
@@ -53,3 +55,11 @@ def test_deadline_invariant_under_translation(pair_a, dist_exp8):
         best = optimize_deadline(translated(pair_a, k), dist_exp8)
         assert best.T == pytest.approx(base.T, abs=TOL)
         assert best.payoff == pytest.approx(base.payoff, abs=TOL)
+
+
+@pytest.mark.parametrize("name", ("pair_a", "pair_b", "pair_ui"))
+def test_model_checks_invariant_under_translation(name, request):
+    pair = request.getfixturevalue(name)
+    for k in shifts(pair):
+        failed = [c for c in validate_model(translated(pair, k)) if not c.passed]
+        assert failed == [], k
