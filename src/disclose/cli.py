@@ -240,7 +240,7 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
 def _cmd_solve_euler(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
-    sol = euler.solve(pair, dist, tol_psi=tols["root"])
+    sol = euler.solve(pair, dist)
     res = euler.euler_residuals(pair, dist, sol.levels, sol.conts)
     _mechanism_csv(out_dir, sol.mechanism, pair.r)
     _write_csv(out_dir, "residuals.csv",
@@ -292,7 +292,7 @@ def _cmd_verify(cfg: dict, out_dir: str, tols: dict):
             report["not_simple_reasons"] = list(reasons)
             ok = ok and best.foc.satisfied and best.T >= best.t_underline - 1e-12
         else:
-            sol = euler.solve(pair, dist, tol_psi=tols["root"])
+            sol = euler.solve(pair, dist)
             res = euler.euler_residuals(pair, dist, sol.levels, sol.conts)
             worst = max(abs(v) for v in res)
             report["classification"] = PATH_CLASS
@@ -341,7 +341,7 @@ def _cmd_ui_schedule(cfg: dict, out_dir: str, tols: dict):
         mech = best.mechanism
         head = {"T": best.T, "payoff": best.payoff}
     elif solver == "path":
-        sol = euler.solve(pair, dist, tol_psi=tols["root"])
+        sol = euler.solve(pair, dist)
         mech = sol.mechanism
         head = {"terminal_level": sol.lam, "payoff": sol.payoff}
     else:
@@ -442,10 +442,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--tol-root", type=float, default=1e-9,
-                        help="first-order / root-residual tolerance; ui-sweep and "
-                             "the reward-path branch of compare-statics do not "
-                             "read it (they solve at the library defaults), nor "
-                             "does the reward path of a parametric pair")
+                        help="first-order tolerance of the deadline solver (ui-sweep "
+                             "solves at the library default) and slack of the "
+                             "verify and compare-statics deadline checks")
     parser.add_argument("--tol-residual", type=float, default=1e-8,
                         help="stationarity-residual tolerance for verify")
 

@@ -214,14 +214,14 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                                  rises=dist.times if curved else ())
     candidates = [t_lo]
     for ta, ba, tb, bb in cells:
-        lo, hi = bisect_bracket(bracket_plus, ta, tb, f_lo=ba, f_hi=bb,
-                                tol_x=1e-13)
+        lo, b_lo, hi, _ = bisect_bracket(bracket_plus, ta, tb, f_lo=ba,
+                                         f_hi=bb, tol_x=1e-13)
         # pick the endpoint where the first-order sandwich holds: at a
         # smooth crossing the left endpoint's bracket is a hair above
         # zero (within tol), so keep it; a bracket that jumps across a
         # kink stays far from zero on the left, and only the right
         # endpoint sees both one-sided slopes of the kink
-        candidates.append(lo if bracket_plus(lo) <= tol else hi)
+        candidates.append(lo if b_lo <= tol else hi)
 
     best_t, best_pi = None, -math.inf
     for t in candidates:

@@ -17,10 +17,10 @@ where ``d0``/``d1`` are the frontier derivatives and ``invd0`` inverts
     psi(lam) = E[ d1(X_tau^lam) ]
 
 is decreasing with psi(u_star) = d0(u_star) >= 0 >= d1(u0) = psi(u0), so a
-bracketed root in ``lam`` closes the system: :func:`solve` binary-searches
-a grid for the cell of that sign change, then closes the cell by Brent's
-method when both frontiers are parametric (``psi`` is smooth) and by
-bisection when either is piecewise (``psi`` is then a step function).
+bracketed root in ``lam`` closes the system: :func:`solve` runs one root
+search on ``[u_star, u0]``, by Brent's method when both frontiers are
+parametric (``psi`` is smooth) and by bisection when either is piecewise
+(``psi`` is then a step function).
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import ParametricFrontier, TechnologyPair, is_neg_inf, slope
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
-from .numerics import bisect_down, brent_down, clamped_root, crossing_cells
+from .numerics import bisect_down, brent_down, clamped_root
 
+# |psi| at which the bisection of a piecewise pair's psi stops early
 PSI_TOL = 1e-10
 LAM_TOL = 1e-12
-# equal steps of the psi grid on [u_star, u0]
-N_SCAN = 32
 # points of the second-difference concavity grid on [u_star, u0]
 SIMPLE_GRID = 201
 # evenly spaced probe times, and the pointwise tolerance, of the
@@ -147,7 +146,7 @@ class EulerSolution:
     """Solved reward path: atom times, flow levels and continuation values
     per atom cell, the terminal level and its residual, the assembled step
     mechanism (peak flow before the first atom), and its expected payoff.
-    ``extra_roots`` lists the other candidate roots: grid ends where the
+    ``extra_roots`` lists the other candidate roots: band ends where the
     residual is already <= 0 (bottom) or >= 0 (top) that lost the payoff
     argmax (normally empty)."""
 
@@ -161,22 +160,20 @@ class EulerSolution:
     extra_roots: Tuple[float, ...] = ()
 
 
-def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
-          tol_psi: float = PSI_TOL) -> EulerSolution:
+def solve(pair: TechnologyPair, dist: BreakthroughDist) -> EulerSolution:
     """Solve for the optimal reward path of a simple pair; any other pair
     raises ``NotSimple`` carrying its :func:`simple_reasons`.
 
-    ``psi`` decreases on ``[u_star, u0]``: the grid cell where it crosses
-    zero is binary-searched and then closed, grid ends where it already is
-    <= 0 (bottom) or >= 0 (top) are roots too, and the best payoff wins.  A
-    ``psi`` that is negative at ``u_star`` or positive at ``u0`` beyond
-    tolerance means the theoretical bracket failed, which is reported
-    rather than papered over.
+    ``psi`` decreases on ``[u_star, u0]``, so one bracketed search there
+    finds its root; ``u_star`` is a root too if ``psi`` is already <= 0
+    there, and ``u0`` if it is still >= 0 there, and the best payoff wins.
+    A ``psi`` that is negative at ``u_star`` or positive at ``u0`` beyond
+    1e-9 means the theoretical bracket failed, which is reported rather
+    than papered over.
 
     When both frontiers are parametric, ``psi`` is smooth and Brent's method
-    closes the cell to ``LAM_TOL``.  Otherwise ``psi`` is a step function
-    and bisection closes it, stopping early at ``|psi| <= tol_psi``;
-    ``tol_psi`` applies to such piecewise pairs only.
+    finds the root to ``LAM_TOL``.  Otherwise ``psi`` is a step function and
+    bisection finds it, stopping early at ``|psi| <= PSI_TOL``.
     """
     reasons = simple_reasons(pair)
     if reasons:
@@ -186,7 +183,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
     def f(lam: float) -> float:
         return psi(pair, dist, lam)
 
-    psi_lo, psi_hi, cells = crossing_cells(f, ustar, u0, N_SCAN)
+    psi_lo, psi_hi = f(ustar), f(u0)
     if psi_lo < -1e-9:
         raise BracketFailure(
             f"psi(u_star)={psi_lo:.3e} < 0; expected >= 0 at the bottom level")
@@ -194,18 +191,17 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist, *,
         raise BracketFailure(
             f"psi(u0)={psi_hi:.3e} > 0; expected <= 0 at the peak level")
 
-    smooth = (isinstance(pair.f0, ParametricFrontier)
-              and isinstance(pair.f1, ParametricFrontier))
     roots = [ustar] if psi_lo <= 0.0 else []
-    for a, fa, b, fb in cells:
-        if smooth:
-            roots.append(brent_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL))
+    if psi_lo >= 0.0 > psi_hi:
+        if (isinstance(pair.f0, ParametricFrontier)
+                and isinstance(pair.f1, ParametricFrontier)):
+            roots.append(brent_down(f, ustar, u0, f_lo=psi_lo, f_hi=psi_hi,
+                                    tol_x=LAM_TOL))
         else:
-            roots.append(bisect_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=LAM_TOL,
-                                     tol_f=tol_psi))
+            roots.append(bisect_down(f, ustar, u0, f_lo=psi_lo, f_hi=psi_hi,
+                                     tol_x=LAM_TOL, tol_f=PSI_TOL))
     if psi_hi >= 0.0:
-        # the grid's last point, where psi_hi was taken; it can miss u0 by an ulp
-        roots.append(ustar + (u0 - ustar) * N_SCAN / N_SCAN)
+        roots.append(u0)
     if not roots:
         raise BracketFailure("no psi root located on [u_star, u0]")
 

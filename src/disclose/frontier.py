@@ -226,9 +226,10 @@ def u_star(f0, f1) -> float:
 
     Only one-sided slopes are read.  Piecewise pairs are scanned
     breakpoint-by-breakpoint right to left (exact; preserves Fraction
-    inputs).  Smooth pairs use sign bisection on ``slope(f0) - slope(f1)``
-    (:func:`slope`); if the slopes never cross, the frontiers share a slope
-    only at the bottom of the domain, which is then returned.
+    inputs).  Smooth pairs scan a 512-step grid of ``slope(f0) - slope(f1)``
+    (:func:`slope`) right to left for the first point where it is <= 0,
+    then bisect that cell; if the slopes never cross, the frontiers share a
+    slope only at the bottom of the domain, which is then returned.
     """
     u0 = f0.peak[0]
     lo = max(f0.u_lo, f1.u_lo)
@@ -258,11 +259,10 @@ def u_star(f0, f1) -> float:
         raise ModelAssumptionError(
             "frontiers still diverging at the f0 peak; check the conflict of interest")
     n = 512
-    grid = [lo + (cap - lo) * i / n for i in range(n + 1)]
-    vals = [psi(u) for u in grid]
-    for i in range(n - 1, -1, -1):
-        if vals[i] <= 0.0:
-            return bisect_up(psi, grid[i], grid[i + 1], tol_x=U_STAR_TOL)
+    for i in range(n - 1, -1, -1):  # right to left: the first psi <= 0 wins
+        a = lo + (cap - lo) * i / n
+        if psi(a) <= 0.0:
+            return bisect_up(psi, a, lo + (cap - lo) * (i + 1) / n, tol_x=U_STAR_TOL)
     return lo
 
 

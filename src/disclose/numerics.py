@@ -34,12 +34,13 @@ EPS = sys.float_info.epsilon
 
 
 def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
-    """Final bracket ``(lo, hi)`` of a down-crossing: f(lo) >= 0 >= f(hi).
+    """Final bracket ``(lo, f(lo), hi, f(hi))`` of a down-crossing:
+    f(lo) >= 0 >= f(hi).
 
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
     the others, until it is narrower than ``tol_x`` or ``MAX_ITER`` halvings
     are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
-    returns ``(mid, mid)``.
+    returns ``(mid, f(mid), mid, f(mid))``.
     """
     if f_lo is None:
         f_lo = f(lo)
@@ -55,12 +56,12 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if tol_f is not None and abs(f_mid) <= tol_f:
-            return mid, mid
+            return mid, f_mid, mid, f_mid
         if f_mid >= 0.0:
-            lo = mid
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    return lo, hi
+            hi, f_hi = mid, f_mid
+    return lo, f_lo, hi, f_hi
 
 
 def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
@@ -69,8 +70,8 @@ def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
     given) when |f(mid)| <= tol_f.  Returns the midpoint of the final bracket.
     """
-    lo, hi = bisect_bracket(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x,
-                            tol_f=tol_f)
+    lo, _, hi, _ = bisect_bracket(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x,
+                                  tol_f=tol_f)
     return 0.5 * (lo + hi)
 
 

@@ -21,6 +21,8 @@ from disclose import SolverError
 from disclose.cli import main
 from disclose.distribution import MAX_ATOMS
 
+from test_golden import DENSE_B_TECH
+
 A_TECH = {
     "kind": "piecewise",
     "f0": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
@@ -141,6 +143,26 @@ def test_solve_euler_insurance(tmp_path):
     # the path starts at the f0 peak u0 = 1
     mech = read_csv(out / "mechanism.csv")
     assert float(mech[1][1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_tol_root_moves_no_reward_path_output(tmp_path):
+    # the terminal level of a piecewise pair is bisected to |psi| <= PSI_TOL
+    # whatever --tol-root says
+    cfg = write_cfg(tmp_path, {
+        "technology": DENSE_B_TECH, "r": 1.0,
+        "distribution": {"kind": "exponential", "m": 16, "rate": 1.0}})
+    runs = []
+    for name, extra in (("default", []), ("loose", ["--tol-root", "0.01"])):
+        out = tmp_path / name
+        assert main(["solve-euler", "--config", cfg, "--out", str(out)] + extra) == 0
+        runs.append(out)
+    default, loose = runs
+    for name in ("mechanism.csv", "residuals.csv"):
+        assert (default / name).read_bytes() == (loose / name).read_bytes()
+    rep, rep_loose = read_report(default), read_report(loose)
+    assert rep_loose.pop("tolerances")["root"] == 0.01
+    rep.pop("tolerances")
+    assert rep_loose == rep
 
 
 def test_solve_euler_rejects_kinked_pair(tmp_path, capsys):

@@ -21,13 +21,26 @@ stopped at ``|psi| <= 1e-9`` to Brent's method run to ``LAM_TOL``:
 3.6e-16), ``ui-schedule-path16`` (levels 5.3e-10, schedule columns at most
 1.0e-9) and ``ui-sweep-m8`` (at most 2.2e-16).  The new terminal levels
 agree to 1 ulp with a full-resolution bisection of ``psi``.
+Four were recorded again when the terminal level came from one search on
+``[u_star, u0]`` instead of a 32-step grid and a search in its crossing
+cell: ``solve-euler-dense16`` (the piecewise pair's bisection now halves
+the band from its ends, not from grid points; levels at most 1.1e-16),
+``solve-euler-ui64`` (levels at most 1.0e-15, ``terminal_residual``
+6.2e-16), ``ui-schedule-path16`` (schedule columns at most 3.3e-16) and
+``ui-sweep-m8`` (at most 2.2e-16).  Every other case stayed byte-identical.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
 config, outputs and exit code to ``OUT/<case>/``.  ``python
 tests/test_golden.py --diff OLD NEW`` compares two such trees (say, of two
 checkouts) and prints, per case and output file, the largest absolute
-difference of each field that moved.
+difference of each field that moved.  It exits 1 when a field moved by more
+than ``MAX_MOVE = 1e-12`` or is ``"changed"`` (a file on one side only, a
+new exit code, a non-numeric change), and 0 otherwise; the bound is fixed,
+as a larger move in an output is a bug.  To re-record a case after a change
+that moves its outputs on purpose, write both trees, read the ``--diff``,
+note the moved fields here, and paste the new digests (``run_case``) into
+``GOLDEN``.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -162,11 +175,11 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            'caa0ad4eba3afffbe3799df26aee63de8457886da77ed4708ca0e97034c722a8',
+            '7dc73e8d7f4fd1b1fb63d950c7a1ff24fbca390cf370aa6781ca9314dc60369c',
         'report.json':
-            '22531af241a3e180355f7e54305767058a65560e5229a5a5ababdc353a90b301',
+            'dd6062e4124afc406634af58b2f711582647044960ae1edd33efeeb4ed5a31d8',
         'residuals.csv':
-            '3a5e552713c08925cfb04572ed5f15c2ea27b1ca137a7e3484fb5d523af68a24',
+            'd0e1a897ed87e950f9c05cfd174eabb57ac3230e80ae32cbc687894be57bd6b6',
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
@@ -178,9 +191,9 @@ GOLDEN = {
     }),
     'ui-sweep-m8': (0, {
         'report.json':
-            '414dbb200115cff97d1aa7765b5dd05558fad3f3eea1b5f00349cac5f9123a2d',
+            'c3369cca5d7536ada3ee78145c6f1bb2030b767119ded1b0679d401ced731742',
         'sweep.csv':
-            '21c30d3cc5f4f62308d99c399e6a3a6ea9a3b587d1571762ecd4d79c54214b2b',
+            'e211ff347c2b956e605501d1c72533ac664e48a12012efd6438f13bffc66181e',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -234,19 +247,19 @@ GOLDEN = {
     }),
     'solve-euler-dense16': (0, {
         'mechanism.csv':
-            'ffe62f331f73112ddad95ffdecb588f5ae49a1cfef3cd094df3aa0dcf8eccbcb',
+            '974ef6f66903cdf9e99fdacbbd4359206b99945a0cd186dec8d167568bcaa1aa',
         'report.json':
-            '0e686e37293477e6ac6f152251aae67f9fb290040a5d60697e84ffe1353551be',
+            'b6d754c491c33cb59e2584804886b0af7ba7f8e11bea2e5a7828dbec55b58688',
         'residuals.csv':
-            'c79dea64793b4b8d834ce661c40af645babf32382fff76a86b70546cb963ec1a',
+            '86e28065a3123236e6f9e3a37b29813305c8574fe91c831887226bfcd60a5760',
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            '4c3c86bca46a3911ba0cdf63a2032ef9bc62baf2dc76381f13c3227bd5718fce',
+            'e0901a334f7467dbf97756d6aa6c8e9639f084204e1d6b91e18fb85fa2a596f0',
         'report.json':
-            '2839b09382682323d2335c53a464d10461011bd4e0421d522de46e5350b23f47',
+            'dfc4f17df42db00403918446b263b5f664c05a67c19694978b5cd49a795b9e21',
         'schedule.csv':
-            'ae9e16b7862f00edf79b685ad0351bd92f25d52c040c974dac52749ae2b37e2e',
+            '221167b3f0c871d5b0b8e4b7fa662bdd817966f3a887219eaa4e5fe800001f17',
     }),
     'verify-path': (2, {
         'report.json':
@@ -270,6 +283,8 @@ def run_case(name: str, tmp_path) -> tuple:
 
 
 RECORDED_ON = ("x86_64", ("glibc", "2.36"))
+# largest move of an output field that --diff lets pass
+MAX_MOVE = 1e-12
 
 
 @pytest.mark.skipif((platform.machine(), platform.libc_ver()) != RECORDED_ON,
@@ -353,14 +368,16 @@ if __name__ == "__main__":
     # OUT/<case>/ (cfg.json, out/, code); then
     # python tests/test_golden.py --diff OLD NEW prints, per case and file,
     # the largest absolute move of each field that differs between two such
-    # trees
+    # trees, and exits 1 if one moved by more than MAX_MOVE or changed
     import sys
     from pathlib import Path
 
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--diff":
-        for case, name, field, d in diff_outputs(Path(args[1]), Path(args[2])):
+        moved = diff_outputs(Path(args[1]), Path(args[2]))
+        for case, name, field, d in moved:
             print(f"{case}\t{name}\t{field}\t{d if isinstance(d, str) else f'{d:.2e}'}")
+        sys.exit(any(isinstance(d, str) or d > MAX_MOVE for *_, d in moved))
     elif len(args) == 1:
         for case in sorted(CASES):
             case_dir = Path(args[0]) / case

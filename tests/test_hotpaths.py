@@ -9,7 +9,7 @@ never approximate.  The last tests count work instead of timing it: one
 most of the bracket grid (in the curved case, all but the cells holding
 an atom and a binary search between them), slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
-binary-searches its ``psi`` grid, and the
+searches ``[u_star, u0]`` once for the ``psi`` root, and the
 insurance inner maximization runs once per level of a pair and leaves no
 state behind.
 
@@ -408,20 +408,26 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
     assert counts["continuation_profile"] == counts["payoff"]
 
 
-@pytest.mark.parametrize("case, fewest, most", [
-    ("affine-exp256", 0, 60),  # binary search of the grid
+# bracket evaluations: the T_hi doubling, the grid search, the bisection of
+# each crossing cell to 1e-13 (whose end values the endpoint choice reuses)
+# and foc_check
+BRACKET_COUNTS = {
+    "affine-exp256": 50,  # binary search of the grid
     # f0 not affine: binary searches between the atoms; a full scan of the
     # grid alone makes N_SCAN + 1 = 257
-    ("kinked", 0, 75),
-    ("curved", 0, 60),
-    ("insurance", 0, 60),
-])
-def test_optimize_deadline_bracket_count(request, monkeypatch, case, fewest, most):
+    "kinked": 68,
+    "curved": 52,
+    "insurance": 52,
+}
+
+
+@pytest.mark.parametrize("case", BRACKET_COUNTS)
+def test_optimize_deadline_bracket_count(request, monkeypatch, case):
     pair, dist = deadline_case(request, case)
     counts = Counter()
     count_calls(monkeypatch, deadline, "_brackets", counts)
     deadline.optimize_deadline(pair, dist)
-    assert fewest <= counts["_brackets"] <= most
+    assert counts["_brackets"] <= BRACKET_COUNTS[case]
 
 
 def test_parametric_derivs_call_no_fn():
@@ -452,21 +458,27 @@ def test_psi_reads_one_f1_slope_per_atom(pair_b, monkeypatch, m):
     assert calls[True] == m
 
 
-@pytest.mark.parametrize("m", [1, 2, 16])
-def test_solve_binary_searches_the_psi_grid(pair_b, monkeypatch, m):
-    # the two grid ends, log2(N_SCAN) = 5 halvings, then Brent's steps in
-    # the cell; a scan of all N_SCAN + 1 grid points alone makes 33, and
-    # bisecting the cell to tol_psi makes ~36 in all
-    counts = Counter()
-    count_calls(monkeypatch, euler, "psi", counts)
-    euler.solve(pair_b, discretize("exponential", m, rate=1.0))
-    assert counts["psi"] <= 16
-
-
 def dense_b_pair():
     return TechnologyPair.build(
         PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f0"]))),
         PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f1"]))), 1.0)
+
+
+@pytest.mark.parametrize("kind, m, most", [
+    # the two band ends, then Brent's steps: psi is linear in lam for one
+    # atom, so its secant step lands on the root
+    ("parametric", 1, 3),
+    ("parametric", 2, 6),
+    ("parametric", 16, 9),
+    # the two band ends, then bisection until |psi| <= PSI_TOL
+    ("piecewise", 16, 42),
+])
+def test_solve_searches_the_psi_band_once(pair_b, monkeypatch, kind, m, most):
+    pair = dense_b_pair() if kind == "piecewise" else pair_b
+    counts = Counter()
+    count_calls(monkeypatch, euler, "psi", counts)
+    euler.solve(pair, discretize("exponential", m, rate=1.0))
+    assert counts["psi"] <= most
 
 
 @pytest.mark.parametrize("kind", ["piecewise", "parametric"])
@@ -658,8 +670,7 @@ def psi_root_reference(f, lo, hi, **_):
 
 
 def test_solve_matches_bisection_inner_solves(monkeypatch):
-    # the reference bisects psi to full resolution too, with no |psi| early
-    # exit; a tol_psi stop lands up to ~1e-9 away from the root
+    # the reference bisects psi to full resolution too
     cases = smooth_cases(9103, 30, 8)
     fast = [solved(build, dist) for build, dist in cases]
     monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0_reference)

@@ -55,10 +55,16 @@ def test_bisect_up_mirror():
 
 def test_bisect_bracket_keeps_the_sign_change():
     f = lambda x: 1.0 - x * x
-    lo, hi = bisect_bracket(f, 0.0, 2.0, tol_x=1e-9)
+    lo, f_lo, hi, f_hi = bisect_bracket(f, 0.0, 2.0, tol_x=1e-9)
     assert 0.0 < hi - lo <= 1e-9
-    assert f(lo) >= 0.0 > f(hi)
+    # the values it returns are the ones it computed at the final ends
+    assert (f_lo, f_hi) == (f(lo), f(hi))
+    assert f_lo >= 0.0 > f_hi
     assert bisect_down(f, 0.0, 2.0, tol_x=1e-9) == 0.5 * (lo + hi)
+    # an end that never moves keeps the value passed in for it
+    assert bisect_bracket(f, 0.0, 4.0, f_lo=7.0, tol_x=2.5) == (0.0, 7.0, 2.0, -3.0)
+    # the tol_f early exit returns the midpoint as both ends
+    assert bisect_bracket(f, 0.0, 2.0, tol_x=1e-9, tol_f=0.5) == (1.0, 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- brent_down ---
