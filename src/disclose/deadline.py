@@ -11,20 +11,25 @@ derivatives are ``exp(-rT) (u0 - u_star)`` times simple brackets mixing the
 survival weight of the breakthrough time against the ``f1`` slopes at the
 atom rewards.  Between two breakthrough atoms ``G(T)`` is flat and every
 atom reward ``X_{t_k}(T)`` rises with T, so, ``f1`` being concave, the
-right bracket is non-increasing there; it can jump up only at an atom.
-When ``f0`` is affine on ``[u_star, u0]`` the right bracket is
-non-increasing in T outright (after scaling by ``exp(rT)``), so its sign
-changes once and a sign bisection finds the optimum.  The optimizer below
-binary-searches a grid for that one change in the affine case.  Otherwise
-it binary-searches the grid between each pair of atoms, which locates every
-sign change of the bracket atom by atom, bisects each, and keeps the payoff
-argmax (with a warning).  Both cases rely on ``f1`` being concave.
+right bracket is non-increasing there.  At atom k it jumps by exactly
+``J_k = p_k (f1'(u_star+) - alpha)``: the atom's survival weight ``alpha``
+gives way to the slope at its reward ``u_star``.  The optimizer runs a
+branch and bound over the atoms on this structure.  On an interval
+between two points already read, the bracket can rise above its value at
+the left end, or fall below its left limit at the right end, by at most
+the sum of the positive jumps at the atoms inside.  An interval where
+these bounds keep it on one side of zero holds no stationary point and is
+dropped; the others are split at their middle atom, and an atom-free
+piece whose ends straddle zero is bisected.  This finds every stationary
+point, at an atom or between two, and the payoff argmax over them is the
+best deadline.  When ``f0`` is affine on ``[u_star, u0]`` no jump is
+positive, and the search is one binary search over the atoms.
 
 Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
-to find them, then O(atoms <= T)) and computes no payoff.  The affine case
-makes O(log N_SCAN) grid evaluations; any other case two per grid cell
-holding an atom plus O(log N_SCAN) per atom-free run of cells whose ends
-straddle zero, never more than N_SCAN + 1.  Payoffs are computed for the
+to find them, then O(atoms <= T)), returns both one-sided brackets and
+computes no payoff.  The affine case makes O(log m) of them at atoms; a
+curved ``f0`` one per split atom, as many as the pruning leaves.  Each
+bisection to 1e-13 adds about 40.  Payoffs are computed for the
 candidate deadlines and the never-stop profile only, each O(atoms) on the
 two-cell deadline mechanism.
 """
@@ -40,12 +45,9 @@ from .distribution import BreakthroughDist
 from .errors import ModelAssumptionError, SolverError
 from .frontier import TechnologyPair, affine_gap
 from .mechanism import Mechanism, deadline_mechanism, payoff
-from .numerics import bisect_bracket, crossing_cells
+from .numerics import bisect_bracket
 
 FOC_TOL = 1e-9
-# equal steps of the right-bracket grid on [t_underline, T_hi], searched
-# between the atoms where the bracket may jump up (none in the affine case)
-N_SCAN = 256
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
 # as affine
 AFFINE_TOL = 1e-9
@@ -176,46 +178,61 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                       *, tol: float = FOC_TOL) -> OptimalDeadline:
     """Best deadline at or above the participation threshold.
 
-    :func:`numerics.crossing_cells` finds where the right bracket crosses
-    from >= 0 to < 0 on an ``N_SCAN``-step grid over ``[t_underline, T_hi]``
-    (T_hi doubled until the bracket is negative); each such cell is
-    bisected, and the payoff argmax over the crossing roots plus the
-    threshold itself is returned.  In the affine case the bracket crosses
-    once, so the grid is binary-searched: the textbook bisection.  Otherwise
-    the bracket is non-increasing between atoms, so the cells holding an
-    atom are tested directly and each atom-free run of cells is
-    binary-searched; this isolates every stationary point the full grid
-    would, and a warning is attached.  Both searches rely on ``f1`` being
-    concave.  Only the candidates and the
-    never-stop profile cost a payoff; the final :func:`foc_check` reads
-    brackets.
+    ``T_hi`` is put past the last atom and doubled until the right bracket
+    is negative there; beyond it the bracket only falls.  The atoms in
+    ``(t_underline, T_hi)`` split that span into atom-free pieces, which a
+    branch and bound searches for the stationary points of the payoff
+    (the module docstring gives the bound).  An atom is one when its left
+    bracket is >= 0 and its right bracket < 0; each piece whose bracket
+    goes from >= 0 to < 0 is bisected to 1e-13.  The payoff argmax over
+    these candidates and the threshold itself is returned, with a warning
+    when ``f0`` is not affine on ``[u_star, u0]``.  The search relies on
+    ``f1`` being concave.  Only the candidates and the never-stop profile
+    cost a payoff; the final :func:`foc_check` reads brackets.
     """
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
     warnings = []
     u0, ustar = pair.u0, pair.u_star
-    curved = affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL
-    if curved:
+    if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL:
         warnings.append("f0 is not affine between u_star and its peak; "
                         "using stationary-point scan with payoff argmax")
 
-    def bracket_plus(T: float) -> float:
-        return _brackets(pair, dist, T, alpha)[0]
+    def brackets(T: float) -> Tuple[float, float]:
+        return _brackets(pair, dist, T, alpha)
 
-    t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0))
+    times = dist.times
+    t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0),
+               t_lo + 2.0 * (times[-1] - t_lo))
     for _ in range(80):
-        if bracket_plus(t_hi) < 0.0:
+        b_hi = brackets(t_hi)
+        if b_hi[0] < 0.0:
             break
         t_hi = t_lo + 2.0 * (t_hi - t_lo)
     else:
         raise SolverError("right payoff derivative never turns negative")
 
-    _, _, cells = crossing_cells(bracket_plus, t_lo, t_hi, N_SCAN,
-                                 rises=dist.times if curved else ())
+    # every atom jump J_k is p_k times this slope gap; only positive ones
+    # let the bracket rise
+    rise = max(0.0, pair.f1.derivs(ustar)[0] - alpha)
+    ts = [t_lo, *times[_bisect.bisect_right(times, t_lo):], t_hi]
+    vals = {0: brackets(t_lo), len(ts) - 1: b_hi}  # (right, left) bracket at ts[i]
     candidates = [t_lo]
-    for ta, ba, tb, bb in cells:
-        lo, b_lo, hi, _ = bisect_bracket(bracket_plus, ta, tb, f_lo=ba,
-                                         f_hi=bb, tol_x=1e-13)
+    stack = [(0, len(ts) - 1)]
+    while stack:
+        i, j = stack.pop()
+        up = rise * (dist.cdf_left(ts[j]) - dist.cdf(ts[i]))
+        if vals[i][0] + up < 0.0 or vals[j][1] - up >= 0.0:
+            continue  # the bracket keeps one sign on [ts[i], ts[j])
+        if j > i + 1:
+            k = (i + j) // 2
+            vals[k] = b_plus, b_minus = brackets(ts[k])
+            if b_minus >= 0.0 > b_plus:
+                candidates.append(ts[k])
+            stack += [(k, j), (i, k)]
+            continue
+        lo, b_lo, hi, _ = bisect_bracket(lambda T: brackets(T)[0], ts[i], ts[j],
+                                         f_lo=vals[i][0], f_hi=vals[j][1], tol_x=1e-13)
         # pick the endpoint where the first-order sandwich holds: at a
         # smooth crossing the left endpoint's bracket is a hair above
         # zero (within tol), so keep it; a bracket that jumps across a
@@ -224,7 +241,7 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
         candidates.append(lo if b_lo <= tol else hi)
 
     best_t, best_pi = None, -math.inf
-    for t in candidates:
+    for t in sorted(candidates):
         p = deadline_payoff(pair, dist, t)
         if isinstance(p, float) and p > best_pi:
             best_t, best_pi = t, p

@@ -1,5 +1,5 @@
-"""Root location: sign-change bisection, Brent's method, and the grid search
-and end clamp the solvers put in front of them.
+"""Root location: sign-change bisection, Brent's method, and the end clamp
+the solvers put in front of them.
 
 Every root found here stays bracketed by a sign change, and every search
 looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
@@ -11,19 +11,12 @@ and the ``psi`` root (the terminal level of a reward path) of a parametric
 pair, and the insurance labor maximization.  There its interpolation steps
 converge superlinearly; on a step function it has no such step to take,
 so piecewise frontiers keep bisection for both reward-path solves.
-
-:func:`crossing_cells` finds the down-crossing cells of a grid for a
-function that is non-increasing between known points where it may jump up
-(the breakthrough atoms of a deadline bracket, which is non-increasing
-between atoms because ``f1`` is concave, just as the bracket of an affine
-``f0`` is non-increasing outright).  It binary-searches each run of grid
-cells free of such points, so the cost follows the number of runs, not the
-grid size.
+:func:`bisect_bracket` closes each atom-free piece of the deadline search,
+whose endpoint choice reads the values at the ends of the final bracket.
 """
 
 from __future__ import annotations
 
-import bisect as _bisect
 import sys
 
 from .errors import SolverError
@@ -138,45 +131,6 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
 def bisect_up(f, lo, hi, *, tol_x):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
     return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)
-
-
-def crossing_cells(f, lo, hi, n, *, rises=()):
-    """``(f(x_0), f(x_n), cells)`` on the grid ``x_i = lo + (hi - lo) * i / n``:
-    every cell ``(a, f(a), b, f(b))`` of two neighbouring grid points with
-    ``f(a) >= 0.0 > f(b)``.
-
-    ``f`` must be non-increasing except that it may jump up at the points
-    in ``rises``.  A cell ``(x_i, x_{i+1}]`` holding a rise is tested at both
-    ends; each run of rise-free cells has at most one crossing, which is
-    binary-searched when the run's ends straddle zero.  Every grid point is
-    evaluated at most once, so a search costs at most ``n + 1`` evaluations:
-    about ``2 + log2 n`` with no rise, and all of them in increasing order
-    (the full scan) with a rise at every grid point.  The deadline optimizer
-    passes no rise for an affine ``f0`` and the breakthrough atoms for a
-    curved one; both rely on ``f1`` being concave.
-    """
-    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    cuts = {0, n}
-    for x in rises:
-        j = _bisect.bisect_left(xs, x)  # x_{j-1} < x <= x_j
-        if 0 < j <= n:
-            cuts.update((j - 1, j))
-    f_first = fi = f(xs[0])
-    i, cells = 0, []
-    for j in sorted(cuts)[1:]:
-        fj = f(xs[j])
-        if fi >= 0.0 > fj:
-            a, fa, b, fb = i, fi, j, fj
-            while b - a > 1:  # halve the index range, keeping fa >= 0 > fb
-                k = (a + b) // 2
-                fk = f(xs[k])
-                if fk >= 0.0:
-                    a, fa = k, fk
-                else:
-                    b, fb = k, fk
-            cells.append((xs[a], fa, xs[b], fb))
-        i, fi = j, fj
-    return f_first, fi, cells
 
 
 def clamped_root(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, root=bisect_down):

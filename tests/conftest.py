@@ -22,7 +22,8 @@ from disclose import (
     discretize,
     from_atoms,
 )
-from disclose.numerics import crossing_cells
+from disclose.deadline import FOC_TOL, _alpha, _brackets, deadline_payoff, t_underline
+from disclose.numerics import bisect_bracket
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic
@@ -30,16 +31,37 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-def grid_points(lo, hi, n):
-    """The grid ``crossing_cells`` searches: ``n`` equal steps on [lo, hi]."""
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+def exhaustive_deadline(pair: TechnologyPair, dist) -> tuple:
+    """``(T, payoff)`` of the best deadline found with no pruning.
 
+    ``T_hi`` starts past the last atom and doubles until the right bracket
+    is negative there.  Every atom in ``(t_underline, T_hi)`` is read, and
+    is a candidate when its left bracket is >= 0 and its right bracket < 0.
+    Every atom-free piece between them whose right bracket goes from >= 0
+    to < 0 is bisected to 1e-13, with the optimizer's endpoint rule.  The
+    payoff argmax over these and ``t_underline`` is returned, the earliest
+    on a tie."""
+    t_lo = t_underline(pair)
+    alpha = _alpha(pair)
 
-def full_scan(f, lo, hi, n, *, rises=()):
-    """``crossing_cells`` with a rise at every grid point, whatever ``rises``
-    holds: it evaluates the whole grid in order and returns every
-    down-crossing cell.  Tests patch it over a solver's search."""
-    return crossing_cells(f, lo, hi, n, rises=grid_points(lo, hi, n))
+    def brackets(T):
+        return _brackets(pair, dist, T, alpha)
+
+    t_hi = t_lo + max(t_lo, 1.0 / pair.r, 1.0, 2.0 * (dist.times[-1] - t_lo))
+    while brackets(t_hi)[0] >= 0.0:
+        t_hi = t_lo + 2.0 * (t_hi - t_lo)
+    ts = [t_lo] + [t for t in dist.times if t_lo < t < t_hi] + [t_hi]
+    vals = [brackets(t) for t in ts]
+    candidates = [t_lo] + [t for t, (b_plus, b_minus) in zip(ts[1:-1], vals[1:-1])
+                           if b_minus >= 0.0 > b_plus]
+    for a, (f_a, _), b, (_, f_b) in zip(ts, vals, ts[1:], vals[1:]):
+        if f_a >= 0.0 > f_b:
+            lo, b_lo, hi, _ = bisect_bracket(lambda T: brackets(T)[0], a, b,
+                                             f_lo=f_a, f_hi=f_b, tol_x=1e-13)
+            candidates.append(lo if b_lo <= FOC_TOL else hi)
+    scored = [(deadline_payoff(pair, dist, t), -t) for t in candidates]
+    value, neg_t = max(c for c in scored if isinstance(c[0], float))
+    return -neg_t, value
 
 
 def translated(pair: TechnologyPair, k: float) -> TechnologyPair:

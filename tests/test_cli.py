@@ -21,7 +21,7 @@ from disclose import SolverError
 from disclose.cli import main
 from disclose.distribution import MAX_ATOMS
 
-from test_golden import DENSE_B_TECH
+from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
 
 A_TECH = {
     "kind": "piecewise",
@@ -113,6 +113,20 @@ def test_solve_deadline_point_mass(tmp_path):
     assert rows[0] == ["t", "flow_u", "continuation_u", "reward_u"]
     assert len(rows) == 4  # header + grid(2) + atom time
     assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 1.0
+
+
+def test_solve_deadline_finds_the_late_stationary_point(tmp_path):
+    # the right bracket turns negative at T ~ 2.14 and rises again at the
+    # atoms 2.55-2.632; the stationary point after them pays more
+    cfg = write_cfg(tmp_path, {"technology": WITNESS_TECH, "r": 1.38,
+                               "distribution": {"kind": "atoms",
+                                                "atoms": WITNESS_ATOMS}})
+    out = tmp_path / "out"
+    assert main(["solve-deadline", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["T"] == pytest.approx(2.72876, abs=1e-5)
+    assert rep["payoff"] >= 1.0153165
+    assert rep["foc"]["satisfied"] is True
 
 
 def test_command_from_config_and_tol_passthrough(tmp_path):

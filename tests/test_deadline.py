@@ -3,20 +3,21 @@
 The first-order bracket for a point mass at t=1 on the piecewise instance
 steps through three regimes (chord slope before the atom, then the two
 one-sided slopes of the post-breakthrough frontier around its kink), which
-pins the optimizer's stopping rule independently of the scan logic.  On
-random affine pairs the optimizer's grid binary search, and on random
-curved pairs its search between the breakthrough atoms, must return
-exactly what a full scan of the grid returns.
+pins the optimizer's stopping rule independently of the search logic.  On
+random affine and curved pairs, on laws at the edges of the search and on
+clustered laws, the optimizer must pay at least what an exhaustive
+reference pays (``conftest.exhaustive_deadline``: every atom read, every
+crossing piece bisected), and with an affine ``f0`` land on its deadline.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from disclose import (
     ModelAssumptionError,
@@ -37,7 +38,10 @@ from disclose.frontier import (ParametricFrontier, PiecewiseFrontier, Technology
 from disclose.insurance import UiPrimitives, build_frontiers
 from disclose.mechanism import deadline_mechanism
 
-from conftest import A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1, full_scan
+import conftest
+from conftest import (A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1,
+                      exhaustive_deadline)
+from test_golden import WITNESS_ATOMS, WITNESS_TECH
 
 ROOT_TOL = 1e-8
 
@@ -177,7 +181,7 @@ def test_early_mass_shifts_deadline(pair_a):
     assert res.T == pytest.approx(0.25 + math.log(3.5), abs=ROOT_TOL)
 
 
-# ------------------------------------------ grid search against full scan ---
+# ---------------------------------------- affine search against full scan ---
 
 def random_affine_pair(rng):
     """A pair with ``f0`` affine on ``[u_star, u0]``: rescaled fixture A, a
@@ -218,17 +222,6 @@ def random_affine_pair(rng):
     return TechnologyPair.build(PiecewiseFrontier(f0), f1, r)
 
 
-def scan_grid(pair, dist):
-    """The ``ts`` grid ``optimize_deadline`` searches for this pair and law."""
-    t_lo = t_underline(pair)
-    alpha = deadline._alpha(pair)
-    t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0))
-    while deadline._brackets(pair, dist, t_hi, alpha)[0] >= 0.0:
-        t_hi = t_lo + 2.0 * (t_hi - t_lo)
-    n = deadline.N_SCAN
-    return [t_lo + (t_hi - t_lo) * i / n for i in range(n + 1)]
-
-
 def normalized(atoms):
     total = math.fsum(p for _, p in atoms)
     return from_atoms([(t, p / total) for t, p in atoms])
@@ -246,25 +239,35 @@ def random_law(rng, pair):
         return from_atoms([(rng.uniform(0.0, 3.0) * scale, 1.0)])
     if kind == 3:  # mass at t=0 pulls the bracket below zero at t_underline
         return normalized([(0.0, rng.uniform(1.0, 4.0)), (scale, 1.0)])
-    return grid_law(rng, pair, m, scale)
+    return clustered_law(rng, pair, m, scale)
 
 
-def grid_law(rng, pair, m, scale):
-    """Up to 16 atoms exactly on grid times; the grid moves with the law,
-    so settle it."""
-    law = from_atoms([(scale, 1.0)])
-    for _ in range(5):
-        ts = scan_grid(pair, law)
-        picks = sorted(rng.sample(range(deadline.N_SCAN + 1), min(m, 16)))
-        law = normalized([(ts[i], rng.uniform(0.1, 1.0)) for i in picks])
-        if set(law.times) <= set(scan_grid(pair, law)):
-            return law
-    return law
+def clustered_law(rng, pair, m, scale):
+    """Up to 16 atoms in one to three tight clusters, and one law in three
+    with an atom exactly at ``t_underline``: the bracket jumps at atoms
+    close together, or at the first point of the search."""
+    t_lo = t_underline(pair)
+    centers = [t_lo + rng.uniform(-0.5, 3.0) * scale for _ in range(rng.randint(1, 3))]
+    width = rng.choice((1e-3, 1e-2, 1e-1)) * scale
+    atoms = [(max(0.0, rng.choice(centers) + rng.uniform(0.0, width)),
+              rng.uniform(0.1, 1.0)) for _ in range(min(m, 16))]
+    if rng.random() < 1.0 / 3.0:
+        atoms.append((t_lo, rng.uniform(0.1, 1.0)))
+    return normalized(atoms)
 
 
-def test_grid_search_matches_full_scan(monkeypatch):
+def assert_matches_reference(res, pair, dist, *, same_t):
+    """The optimum pays at least the exhaustive reference (1e-12 relative)
+    and, when ``same_t``, sits within 1e-13 of its deadline."""
+    t_ref, pi_ref = exhaustive_deadline(pair, dist)
+    assert res.payoff >= pi_ref - 1e-12 * abs(pi_ref)
+    if same_t:
+        assert abs(res.T - t_ref) <= 1e-13
+
+
+def test_affine_search_matches_full_scan():
     rng = random.Random(20201)
-    cases, on_grid, negative_at_t_lo = [], 0, 0
+    cases, at_t_lo, negative_at_t_lo = [], 0, 0
     while len(cases) < 320:
         try:
             pair = random_affine_pair(rng)
@@ -273,25 +276,16 @@ def test_grid_search_matches_full_scan(monkeypatch):
             continue
         dist = random_law(rng, pair)
         cases.append((pair, dist))
-        on_grid += set(dist.times) <= set(scan_grid(pair, dist))
         t_lo = t_underline(pair)
+        at_t_lo += t_lo in dist.times
         negative_at_t_lo += deadline._brackets(pair, dist, t_lo,
                                                deadline._alpha(pair))[0] < 0.0
 
-    searched = [optimize_deadline(pair, dist) for pair, dist in cases]
-    monkeypatch.setattr(deadline, "affine_gap", lambda *a, **k: math.inf)
-    monkeypatch.setattr(deadline, "crossing_cells", full_scan)
-    scanned = [optimize_deadline(pair, dist) for pair, dist in cases]
-
-    for fast, full in zip(searched, scanned):
-        assert not any("affine" in w for w in fast.warnings)
-        assert any("affine" in w for w in full.warnings)
-        assert fast.T.hex() == full.T.hex()
-        assert fast.payoff.hex() == full.payoff.hex()
-        assert fast.foc == full.foc
-        assert fast.t_underline == full.t_underline
-        assert fast.mechanism == full.mechanism
-    assert on_grid >= 40
+    for pair, dist in cases:
+        res = optimize_deadline(pair, dist)
+        assert not any("affine" in w for w in res.warnings)
+        assert_matches_reference(res, pair, dist, same_t=True)
+    assert at_t_lo >= 10
     assert negative_at_t_lo >= 20
 
 
@@ -326,23 +320,9 @@ def random_curved_pair(rng):
                                 PiecewiseFrontier([(u, b_f1(u)) for u in us]), r)
 
 
-def deadline_outcome(pair, dist):
-    """Every float of the optimum by ``.hex()``, or the message of the
-    error it raised."""
-    try:
-        opt = optimize_deadline(pair, dist)
-    except DiscloseError as exc:
-        return type(exc).__name__, str(exc)
-    foc = dataclasses.astuple(opt.foc)
-    return (opt.T.hex(), opt.payoff.hex(), opt.t_underline.hex(),
-            tuple(v.hex() if isinstance(v, float) else v for v in foc),
-            opt.warnings, [t.hex() for t in opt.mechanism.grid],
-            [x.hex() for x in opt.mechanism.levels], opt.mechanism.reward)
-
-
 def test_curved_search_matches_full_scan(monkeypatch):
     rng = random.Random(20210)
-    cases, on_grid = [], 0
+    cases, clustered = [], 0
     while len(cases) < 300:
         try:
             pair = random_curved_pair(rng)
@@ -352,14 +332,14 @@ def test_curved_search_matches_full_scan(monkeypatch):
         u0, ustar = float(pair.u0), float(pair.u_star)
         if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) <= deadline.AFFINE_TOL:
             continue
-        # mostly few atoms, which keeps the full scans cheap; one law in
-        # five puts its atoms on grid points, the ends of the cells they rise in
+        # mostly few atoms, which keeps the reference cheap; one law in
+        # five clusters its atoms
         m = rng.choice((32, 64, 128) if rng.random() < 0.1 else (2, 3, 4, 6, 8, 12, 16))
         scale = rng.uniform(0.3, 3.0) / pair.r
         kind = rng.randrange(5)
         if kind == 0:
-            dist = grid_law(rng, pair, m, scale)
-            on_grid += set(dist.times) <= set(scan_grid(pair, dist))
+            dist = clustered_law(rng, pair, m, scale)
+            clustered += 1
         elif kind % 2:
             dist = discretize("exponential", m, rate=1.0 / scale)
         else:
@@ -368,19 +348,121 @@ def test_curved_search_matches_full_scan(monkeypatch):
 
     evals = Counter()
     brackets = deadline._brackets
+    searching = True
 
     def counted(*args):
-        evals[deadline.crossing_cells is full_scan] += 1
+        evals[searching] += 1
         return brackets(*args)
 
     monkeypatch.setattr(deadline, "_brackets", counted)
-    searched = [deadline_outcome(pair, dist) for pair, dist in cases]
-    monkeypatch.setattr(deadline, "crossing_cells", full_scan)
-    scanned = [deadline_outcome(pair, dist) for pair, dist in cases]
-
-    assert searched == scanned
-    solved = [o for o in searched if len(o) > 2]
+    monkeypatch.setattr(conftest, "_brackets", counted)
+    solved = []
+    for pair, dist in cases:
+        try:
+            solved.append((optimize_deadline(pair, dist), pair, dist))
+        except DiscloseError:
+            pass
+    searching = False
+    for res, pair, dist in solved:
+        assert any("affine" in w for w in res.warnings)
+        assert_matches_reference(res, pair, dist, same_t=False)
     assert len(solved) >= 290
-    assert all(any("affine" in w for w in o[4]) for o in solved)
-    assert on_grid >= 30
-    assert 4 * evals[False] < evals[True]
+    assert clustered >= 30
+    # both bisect the same pieces; the search reads fewer atoms
+    assert evals[True] < evals[False]
+
+
+# ------------------------------------------------- later stationary points ---
+
+def late_cluster_pair():
+    return TechnologyPair.build(PiecewiseFrontier(WITNESS_TECH["f0"]),
+                                PiecewiseFrontier(WITNESS_TECH["f1"]), 1.38)
+
+
+# laws as atoms placed relative to t_underline, each at an edge of the search
+EDGE_LAWS = {
+    "all-before-threshold": lambda t: [(0.1 * t, 0.5), (0.5 * t, 0.5)],
+    "mass-at-zero": lambda t: [(0.0, 0.6), (t + 0.5, 0.4)],
+    "atom-at-threshold": lambda t: [(t, 0.5), (t + 1.0, 0.5)],
+    "just-after-threshold": lambda t: [(t + 1e-12, 0.3), (t + 2.0, 0.7)],
+    "far-last-atom": lambda t: [(t + 0.3, 0.9), (t + 40.0, 0.1)],
+    "tight-cluster": lambda t: [(t + 0.7 + 1e-9 * i, 0.125) for i in range(8)],
+}
+
+
+@pytest.mark.parametrize("law", EDGE_LAWS)
+@pytest.mark.parametrize("pair_name", ["pair_a", "pair_b", "late-cluster"])
+def test_search_matches_reference_on_edge_laws(request, pair_name, law):
+    pair = (late_cluster_pair() if pair_name == "late-cluster"
+            else request.getfixturevalue(pair_name))
+    dist = from_atoms(EDGE_LAWS[law](t_underline(pair)))
+    res = optimize_deadline(pair, dist)
+    assert res.T >= res.t_underline
+    assert_matches_reference(res, pair, dist, same_t=True)
+
+
+def test_weibull_witness_finds_the_later_crossing(pair_b):
+    # fixture B with a flatter, earlier-peaked f1: the bracket crosses zero
+    # just after an atom it jumps up at, then again inside the next piece
+    f1 = ParametricFrontier(fn=lambda u: 1.45 - 1.78238 * (u - 0.45869) ** 2,
+                            u_lo=0.0, u_hi=1.2,
+                            dfn=lambda u: -2.0 * 1.78238 * (u - 0.45869))
+    pair = TechnologyPair.build(pair_b.f0, f1, 2.21504)
+    dist = discretize("weibull", 64, shape=2.75597, scale=2.15504)
+    res = optimize_deadline(pair, dist)
+    assert res.T == pytest.approx(2.0638977575786077, abs=1e-12)
+    assert res.payoff > deadline_payoff(pair, dist, 2.0578025063298620)
+    assert res.foc.satisfied
+    assert_matches_reference(res, pair, dist, same_t=True)
+
+
+@pytest.mark.parametrize("atoms, t_star", [
+    # two light atoms where the bracket is negative: the search splits at
+    # 2.4 with a negative bracket on both sides, and only the jumps of the
+    # cluster after it lift the bracket to the better stationary point
+    (WITNESS_ATOMS + [[2.3, 0.002], [2.4, 0.002]], 2.7287618776782754),
+    # a lighter cluster and four light atoms after it: the search splits at
+    # 2.632 with a positive bracket on both sides, and the better stationary
+    # point is the one before the bracket dips below zero
+    ([[0.63, 0.32], [2.55, 0.3], [2.63, 0.15], [2.632, 0.15]]
+     + [[3.0 + 0.2 * i, 0.01] for i in range(4)], 2.1368416896230875),
+], ids=["negative-ends", "positive-ends"])
+def test_search_sees_past_the_signs_at_a_split(atoms, t_star):
+    pair = late_cluster_pair()
+    dist = normalized(atoms)
+    res = optimize_deadline(pair, dist)
+    assert res.T == pytest.approx(t_star, abs=1e-12)
+    assert res.foc.satisfied
+    assert_matches_reference(res, pair, dist, same_t=True)
+
+
+@st.composite
+def clustered_case(draw):
+    """Fixture B with a random quadratic ``f1`` and rate, and a law of up
+    to 12 atoms in one or two clusters of width 1e-3 to 0.1, placed from
+    just before ``t_underline`` on."""
+    k = draw(st.floats(1.1, 4.0))
+    u1 = draw(st.floats(0.3, 0.95))
+    r = draw(st.floats(0.3, 3.0))
+    f0 = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=b_f0_d)
+    f1 = ParametricFrontier(fn=lambda u: 1.45 - k * (u - u1) ** 2, u_lo=0.0,
+                            u_hi=1.2, dfn=lambda u: -2.0 * k * (u - u1))
+    try:
+        pair = TechnologyPair.build(f0, f1, r)
+        t_lo = t_underline(pair)
+    except DiscloseError:
+        assume(False)
+    width = draw(st.sampled_from((1e-3, 1e-2, 1e-1))) / r
+    centers = draw(st.lists(st.floats(-0.5, 3.0), min_size=1, max_size=2))
+    atoms = draw(st.lists(
+        st.tuples(st.sampled_from(centers), st.floats(0.0, 1.0), st.floats(0.1, 1.0)),
+        min_size=1, max_size=12))
+    return pair, normalized([(max(0.0, t_lo + c / r + x * width), p)
+                             for c, x, p in atoms])
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_case())
+def test_search_pays_the_reference_on_clustered_laws(case):
+    pair, dist = case
+    assert_matches_reference(optimize_deadline(pair, dist), pair, dist, same_t=False)

@@ -33,7 +33,6 @@ from disclose.frontier import ParametricFrontier, TechnologyPair
 from disclose.insurance import UiPrimitives, build_frontiers
 from disclose.numerics import bisect_down, brent_down
 
-from conftest import full_scan
 
 RESIDUAL_TOL = 1e-8
 
@@ -197,7 +196,11 @@ def grid_scan_solve(pair, dist):
         return psi(pair, dist, lam)
 
     ustar, u0 = pair.u_star, pair.u0
-    psi_lo, psi_hi, cells = full_scan(f, ustar, u0, GRID_STEPS)
+    lams = [ustar + (u0 - ustar) * i / GRID_STEPS for i in range(GRID_STEPS + 1)]
+    psis = [f(lam) for lam in lams]
+    psi_lo, psi_hi = psis[0], psis[-1]
+    cells = [(a, fa, b, fb) for a, fa, b, fb in zip(lams, psis, lams[1:], psis[1:])
+             if fa >= 0.0 > fb]
     if psi_lo < -1e-9:
         raise BracketFailure(
             f"psi(u_star)={psi_lo:.3e} < 0; expected >= 0 at the bottom level")
@@ -214,7 +217,7 @@ def grid_scan_solve(pair, dist):
             roots.append(bisect_down(f, a, b, f_lo=fa, f_hi=fb, tol_x=euler.LAM_TOL,
                                      tol_f=euler.PSI_TOL))
     if psi_hi >= 0.0:
-        roots.append(ustar + (u0 - ustar) * GRID_STEPS / GRID_STEPS)
+        roots.append(lams[-1])
 
     def candidate(lam):
         levels = backward_pass(pair, dist, lam)[0]

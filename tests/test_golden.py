@@ -27,7 +27,25 @@ cell: ``solve-euler-dense16`` (the piecewise pair's bisection now halves
 the band from its ends, not from grid points; levels at most 1.1e-16),
 ``solve-euler-ui64`` (levels at most 1.0e-15, ``terminal_residual``
 6.2e-16), ``ui-schedule-path16`` (schedule columns at most 3.3e-16) and
-``ui-sweep-m8`` (at most 2.2e-16).  Every other case stayed byte-identical.
+``ui-sweep-m8`` (at most 2.2e-16).
+Seven were recorded again when the deadline search moved from a 256-step
+bracket grid to a branch and bound over the breakthrough atoms, and
+``solve-deadline-late-cluster`` was added: the grid search returned a
+local optimum there (T = 2.13684, payoff 1.0146188), the atom search the
+global one (T = 2.72876, payoff 1.0153166).  T moved by at most 5.4e-14 in
+``solve-deadline-exp256`` (mechanism columns at most 5.4e-14, ``foc`` at
+most 2.5e-17), ``compare-statics-deadline`` (``T`` 4.2e-14, ``T_dag``
+5.6e-15), ``ui-sweep-m8`` (``t_deadline`` 3.1e-14, payoff columns at most
+2.2e-16), ``verify-classify`` (1.6e-14) and ``ui-schedule-deadline16``
+(every field at most 8.9e-16).  In ``solve-deadline-kinked64`` and
+``solve-deadline-weibull256`` the right bracket jumps down across zero at
+an atom, and T is now that atom's time instead of a bisection end 5.4e-14
+(2.0e-14) past it.  The payoff is the same float; ``foc.pi_minus`` moved by
+1.7e-3 (3.1e-4), since the left derivative at the atom itself carries the
+atom's survival weight, where the old T read the ``f1`` slope left of
+``u_star`` that ``KINK_SNAP`` gave the atom's reward; and ``mechanism.csv``
+lost the row of the atom 5e-14 before the deadline.  Every other case
+stayed byte-identical.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
@@ -81,6 +99,16 @@ DENSE_B_TECH = {
     "f0": [[i * _H, 2.0 * i * _H - (i * _H) ** 2] for i in range(241)],
     "f1": [[i * _H, 1.45 - 1.5 * (i * _H - 0.7) ** 2] for i in range(241)],
 }
+# f0 = 2u - u^2 and a steep f1 peaking at 0.54, sampled at u = 0, 0.05,
+# ..., 1.2: with these atoms the right bracket turns negative after the
+# first atom and rises again at the late cluster, whose stationary point
+# pays more than the first
+WITNESS_TECH = {
+    "kind": "piecewise",
+    "f0": [[i / 20, round(2.0 * (i / 20) - (i / 20) ** 2, 6)] for i in range(25)],
+    "f1": [[i / 20, round(1.45 - 2.23 * (i / 20 - 0.54) ** 2, 6)] for i in range(25)],
+}
+WITNESS_ATOMS = [[0.63, 0.32], [2.55, 0.32], [2.63, 0.16], [2.632, 0.2]]
 LATE = {"kind": "atoms", "atoms": [[1.0, 0.3], [2.0, 0.7]]}
 EARLY = {"kind": "atoms", "atoms": [[1.0, 0.7], [2.0, 0.3]]}
 ORACLE_GRID = [0.3, 0.5, 0.8, 0.9, 1]
@@ -95,6 +123,9 @@ CASES = {
     "solve-deadline-kinked64": ("solve-deadline", {
         "technology": KINKED_TECH, "r": 1.0,
         "distribution": {"kind": "exponential", "m": 64, "rate": 0.8}}),
+    "solve-deadline-late-cluster": ("solve-deadline", {
+        "technology": WITNESS_TECH, "r": 1.38,
+        "distribution": {"kind": "atoms", "atoms": WITNESS_ATOMS}}),
     "solve-euler-ui64": ("solve-euler", {
         "technology": UI_TECH, "r": 1.0,
         "distribution": {"kind": "exponential", "m": 64, "rate": 1.0}}),
@@ -157,21 +188,27 @@ CASES = {
 GOLDEN = {
     'solve-deadline-exp256': (0, {
         'mechanism.csv':
-            '3499cbe6e67e15394e4d640d0faeca9a454c87f305bbd60bb8c05f030cf5704e',
+            '5062053dd48d79194d60ea0770a377ea7d6391f20575051d9fda8faae5111512',
         'report.json':
-            'a6d51d269fb78593cff1e63a1f50a767516d10e7f0e979a32c9a795555bc0d7e',
+            'f1c7114a5ffc894c242f2a7a5b8c6103055d66788b2d8734087fbb145e3f9db2',
     }),
     'solve-deadline-kinked64': (0, {
         'mechanism.csv':
-            '1c4ac71caeca56ab263abfdf85ddca7e7bfe40e9ac0299f9bcda472a5077df76',
+            '8a6cdceed03ab3fc0e98c291fe388ee71cda207cbb5b188fab4d942f93e23f10',
         'report.json':
-            'acfe8425534f688b7b22b2c4d4b8ff3e0079f86e67a77821f1174448fef7bac0',
+            '63dca6ba9cff7cc8b97858e9b121a09ad030501fac4e123d93081b8c4037f54b',
+    }),
+    'solve-deadline-late-cluster': (0, {
+        'mechanism.csv':
+            'b2fd7d667ec8174f979a9b03e272b1e6cde27f453f8835938f925b335e925a74',
+        'report.json':
+            '795070e68e41548d1da176ee57a96be62ff82defdd98343ba6c06e149434c51d',
     }),
     'solve-deadline-weibull256': (0, {
         'mechanism.csv':
-            'a964077c689a33709310d43e436aef2f06fd0c0c37b23b8082fdbfc2f887d1c8',
+            'c99e338d79eea2682b75b6c4a36428ce90054b811a766188b0678645a52b3057',
         'report.json':
-            '11ab18ea3a069f7186e455d48f6ff8c70870de1ed890206ac778fa50772ed859',
+            '91510f5cd97b3dbdc566c28db4ab6c9407304dc1a7998de77ad4f1510fabaa4b',
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
@@ -183,21 +220,21 @@ GOLDEN = {
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            'd249b41ba759ad77fb5379b0218a63ff10bc3cb9dbf97752ef722b9063cd34f3',
+            '01ce503357495c578e21a5033a407c41f26e8e26c166cc4de5f995e9a2e39a14',
         'report.json':
-            '95abe02c7cdfdc6cbaa9f5f1f8d8ebc8ed95937a1887fae929d85b9ce2c36a23',
+            '254e301f5e459fc68c7a6ab1dee90c5c1063c40db9038dffed63d67c08de3d7c',
         'schedule.csv':
-            'fd67131bd3ac053907e42ebf600762a3d144aa1b2f5e36e467115fa481906b0c',
+            '1da25b6106226a42f87d69c45aeeeb071f4e3f2a2d8b7eb6bcb8aac4ef17d51e',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
-            'c3369cca5d7536ada3ee78145c6f1bb2030b767119ded1b0679d401ced731742',
+            '68d96c7f5fc2a12c2b65ecde1cb77cdd7c81dea07e73c87340e7b6813c0ce75f',
         'sweep.csv':
-            'e211ff347c2b956e605501d1c72533ac664e48a12012efd6438f13bffc66181e',
+            '6736acc225b693e6dafd69c2dd9ec1e71426068aca32c9632676ebb616314777',
     }),
     'verify-classify': (0, {
         'report.json':
-            '733471c86846f5e5eaf3f2936d3ae0466f02771d8701ca37ffb7e2d1aed74be9',
+            '4547b5ac0885412a2e6ab4ee983e7d00ef8c374e39960370d35e5156bc0afc9c',
     }),
     'verify-derived-mechanism': (0, {
         'report.json':
@@ -229,7 +266,7 @@ GOLDEN = {
     }),
     'compare-statics-deadline': (0, {
         'report.json':
-            'f3bdaf4145b0c594bf87f4ff92c0cf87a6eb0d8247021f3f03269832a65ab666',
+            'f3b0dfeac4d8b102a3665ccbc6b5d0f9bc3273d33517992b2e29e8f92221bfab',
     }),
     'compare-statics-path': (2, {
         'report.json':

@@ -5,9 +5,9 @@ one-bisection ``PiecewiseFrontier.derivs`` and the payoff-free deadline
 bracket must return exactly what the plain implementations kept here as
 oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
-``optimize_deadline`` call may compute only the payoffs it reads and skips
-most of the bracket grid (in the curved case, all but the cells holding
-an atom and a binary search between them), slopes cost no
+``optimize_deadline`` call may compute only the payoffs it reads and
+reads the bracket at few atoms (one binary search over them when ``f0`` is
+affine, and no more than the pruning leaves otherwise), slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 searches ``[u_star, u0]`` once for the ``psi`` root, and the
 insurance inner maximization runs once per level of a pair and leaves no
@@ -35,7 +35,7 @@ import pytest
 
 from disclose import deadline, euler, insurance, mechanism
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
-from disclose.distribution import BreakthroughDist, discretize
+from disclose.distribution import BreakthroughDist, discretize, from_atoms
 from disclose.errors import BracketFailure
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
                                PiecewiseFrontier, TechnologyPair, is_neg_inf,
@@ -45,7 +45,7 @@ from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
 
 from conftest import A_F0_POINTS, A_F1_POINTS
-from test_golden import DENSE_B_TECH
+from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
 
 
 def exact(v):
@@ -377,6 +377,10 @@ def deadline_case(request, case):
         pair = TechnologyPair.build(PiecewiseFrontier(KINKED_F0),
                                     PiecewiseFrontier(A_F1_POINTS), 1.0)
         return pair, discretize("exponential", 64, rate=0.8)
+    if case == "late-cluster":
+        pair = TechnologyPair.build(PiecewiseFrontier(WITNESS_TECH["f0"]),
+                                    PiecewiseFrontier(WITNESS_TECH["f1"]), 1.38)
+        return pair, from_atoms(WITNESS_ATOMS)
     name, dist = {
         "affine-exp64": ("pair_a", discretize("exponential", 64, rate=1.0)),
         "affine-exp256": ("pair_a", discretize("weibull", 256, shape=1.5, scale=2.0)),
@@ -388,7 +392,7 @@ def deadline_case(request, case):
 
 
 @pytest.mark.parametrize("case", ["affine-exp64", "affine-exp256",
-                                  "affine-smooth", "kinked", "curved"])
+                                  "affine-smooth", "kinked", "curved", "late-cluster"])
 def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case):
     pair, dist = deadline_case(request, case)
     counts = Counter()
@@ -408,16 +412,20 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
     assert counts["continuation_profile"] == counts["payoff"]
 
 
-# bracket evaluations: the T_hi doubling, the grid search, the bisection of
-# each crossing cell to 1e-13 (whose end values the endpoint choice reuses)
-# and foc_check
+# bracket evaluations: the T_hi doubling, the threshold, the atoms the
+# search splits at, the bisection of each crossing piece to 1e-13 (whose
+# end values the endpoint choice reuses) and foc_check
 BRACKET_COUNTS = {
-    "affine-exp256": 50,  # binary search of the grid
-    # f0 not affine: binary searches between the atoms; a full scan of the
-    # grid alone makes N_SCAN + 1 = 257
-    "kinked": 68,
-    "curved": 52,
-    "insurance": 52,
+    # f0 affine: one binary search over the atoms
+    "affine-exp64": 48,
+    "affine-exp256": 49,
+    "affine-smooth": 48,
+    # f0 not affine: the bracket may rise at an atom, and the search
+    # splits each interval that can still cross zero
+    "kinked": 7,
+    "curved": 48,
+    "insurance": 49,
+    "late-cluster": 97,  # two crossing pieces, each bisected
 }
 
 

@@ -1,5 +1,4 @@
-"""Root bracketing, Brent's method, the grid-crossing search and the
-clamped root."""
+"""Root bracketing, Brent's method and the clamped root."""
 
 from __future__ import annotations
 
@@ -10,9 +9,7 @@ from hypothesis import given, strategies as st
 
 from disclose import SolverError
 from disclose.numerics import (EPS, bisect_bracket, bisect_down, bisect_up,
-                               brent_down, clamped_root, crossing_cells)
-
-from conftest import grid_points
+                               brent_down, clamped_root)
 
 
 def test_bisect_down_quadratic_root():
@@ -154,157 +151,6 @@ def test_brent_down_finds_known_root(root, left, right, a, b, c, k, tol_x):
     x = brent_down(f, lo, hi, tol_x=tol_x)
     assert lo <= x <= hi
     assert abs(x - root) <= tol_x + 4.0 * EPS * abs(x)
-
-
-# ------------------------------------------------------------ crossing_cells ---
-
-def on_grid(values):
-    """``f`` taking ``values[i]`` at the grid point ``i`` of [0, n], plus the
-    list of points it was evaluated at."""
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return values[round(x)]
-
-    return f, calls
-
-
-def brute_cells(values):
-    """Every down-crossing cell of ``values`` on the grid 0..n, pairwise."""
-    return [(float(i), values[i], float(i + 1), values[i + 1])
-            for i in range(len(values) - 1) if values[i] >= 0.0 > values[i + 1]]
-
-
-def hexed(result):
-    """``crossing_cells`` output with every float as ``.hex()``, so that
-    0.0 and -0.0 compare unequal."""
-    f_first, f_last, cells = result
-    return f_first.hex(), f_last.hex(), [tuple(v.hex() for v in c) for c in cells]
-
-
-@pytest.mark.parametrize("one_run", [False, True])
-@pytest.mark.parametrize("values, cells", [
-    ([3.0, 2.0, 1.0, 0.5], []),                            # no crossing
-    ([-1.0, -2.0, -3.0], []),                              # f(lo) < 0
-    ([1.0, -1.0, -2.0, -3.0], [(0.0, 1.0, 1.0, -1.0)]),    # first cell
-    ([3.0, 2.0, 1.0, -1.0], [(2.0, 1.0, 3.0, -1.0)]),      # last cell
-    ([2.0, 0.0, -0.0, -1.0], [(2.0, -0.0, 3.0, -1.0)]),    # zeros on grid points
-    ([0.0, -1.0], [(0.0, 0.0, 1.0, -1.0)]),                # n = 1
-    ([1.0, 0.0], []),                                      # n = 1, ends >= 0
-])
-def test_crossing_cells_hand_cases(values, cells, one_run):
-    """Each case with no rise (one binary-searched run) and with a rise at
-    every grid point (the full scan)."""
-    f, _ = on_grid(values)
-    n = len(values) - 1
-    rises = () if one_run else grid_points(0.0, float(n), n)
-    assert hexed(crossing_cells(f, 0.0, float(n), n, rises=rises)) == hexed(
-        (values[0], values[-1], cells))
-
-
-def test_crossing_cells_full_scan_finds_every_cell():
-    values = [1.0, -1.0, 2.0, 0.0, -3.0]
-    f, calls = on_grid(values)
-    assert crossing_cells(f, 0.0, 4.0, 4, rises=grid_points(0.0, 4.0, 4)) == (
-        1.0, -3.0, [(0.0, 1.0, 1.0, -1.0), (3.0, 0.0, 4.0, -3.0)])
-    assert calls == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-
-def test_crossing_cells_once_binary_searches():
-    n = 256
-    values = [float(n // 3 - i) for i in range(n + 1)]
-    f, calls = on_grid(values)
-    _, _, cells = crossing_cells(f, 0.0, float(n), n)
-    assert cells == brute_cells(values)
-    assert len(calls) == 2 + 8  # the two ends, then log2(n) halvings
-
-
-def test_crossing_cells_searches_each_run_between_rises():
-    # non-increasing, crossing zero in (50, 51], jumping up in (100, 101],
-    # then crossing again in (200, 201]
-    n = 256
-    values = [float(50 - i) if i <= 100 else float(200 - i) for i in range(n + 1)]
-    f, calls = on_grid(values)
-    _, _, cells = crossing_cells(f, 0.0, float(n), n, rises=(100.5,))
-    assert cells == brute_cells(values) == [(50.0, 0.0, 51.0, -1.0),
-                                            (200.0, 0.0, 201.0, -1.0)]
-    # the ends of the two runs [0, 100] and [101, 256], then halvings of
-    # each: ceil(log2 100) = 7 and ceil(log2 155) = 8
-    assert calls[:2] == [0.0, 100.0] and {101.0, 256.0} <= set(calls)
-    assert len(set(calls)) == len(calls) <= 4 + 7 + 8
-
-
-def test_crossing_cells_ignores_rises_off_the_grid_cells():
-    # a rise at or below lo, or above hi, is in no cell (x_i, x_{i+1}]
-    values = [float(3 - i) for i in range(9)]
-    runs = []
-    for rises in ((), (-1.0, 0.0), (8.5, 100.0)):
-        f, calls = on_grid(values)
-        runs.append((crossing_cells(f, 0.0, 8.0, 8, rises=rises), calls))
-    assert runs[0] == runs[1] == runs[2]
-
-
-def test_crossing_cells_grid_points():
-    seen = []
-    crossing_cells(lambda x: seen.append(x) or 1.0, 0.1, 0.7, 3,
-                   rises=grid_points(0.1, 0.7, 3))
-    assert seen == [0.1 + (0.7 - 0.1) * i / 3 for i in range(4)]
-
-
-grid_values = st.lists(
-    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-              st.floats(-10.0, 10.0, allow_nan=False)),
-    min_size=2, max_size=40)
-
-
-@given(grid_values)
-def test_crossing_cells_once_equals_full_scan_when_non_increasing(values):
-    values = sorted(values, reverse=True)
-    n = len(values) - 1
-    f, _ = on_grid(values)
-    full = crossing_cells(f, 0.0, float(n), n, rises=grid_points(0.0, float(n), n))
-    assert hexed(crossing_cells(f, 0.0, float(n), n)) == hexed(full)
-
-
-@given(grid_values)
-def test_crossing_cells_full_scan_equals_brute_force(values):
-    n = len(values) - 1
-    f, calls = on_grid(values)
-    assert hexed(crossing_cells(f, 0.0, float(n), n,
-                                rises=grid_points(0.0, float(n), n))) == hexed(
-        (values[0], values[-1], brute_cells(values)))
-    assert calls == grid_points(0.0, float(n), n)
-
-
-@st.composite
-def rising_grid(draw):
-    """``(values, rises)``: grid values that do not increase across any
-    cell ``(i, i+1]`` holding no rise; rises fall on grid points, between
-    them, and outside [0, n]."""
-    n = draw(st.integers(1, 48))
-    rises = draw(st.lists(st.one_of(st.integers(-1, n + 1).map(float),
-                                    st.floats(-1.0, n + 1.0, allow_nan=False)),
-                          max_size=8))
-    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                      st.floats(-10.0, 10.0, allow_nan=False))
-    values = [draw(value)]
-    for i in range(n):
-        v = draw(value)
-        if not any(i < x <= i + 1 for x in rises):
-            v = min(v, values[-1])
-        values.append(v)
-    return values, rises
-
-
-@given(rising_grid())
-def test_crossing_cells_between_rises_equals_brute_force(case):
-    values, rises = case
-    n = len(values) - 1
-    f, calls = on_grid(values)
-    assert hexed(crossing_cells(f, 0.0, float(n), n, rises=rises)) == hexed(
-        (values[0], values[-1], brute_cells(values)))
-    assert len(set(calls)) == len(calls) <= n + 1
 
 
 # -------------------------------------------------------------- clamped_root ---
