@@ -21,6 +21,13 @@ bracketed root in ``lam`` closes the system: :func:`solve` runs one root
 search on ``[u_star, u0]``, by Brent's method when both frontiers are
 parametric (``psi`` is smooth) and by bisection when either is piecewise
 (``psi`` is then a step function).
+
+Each ``psi`` evaluation is one backward pass.  The pass is kept lean: one
+:func:`inv_deriv_f0` call per atom, which applies the band-end clamps
+itself and calls the root finder directly; slopes read straight from
+``dfn`` for a parametric frontier; and the discount factors
+``exp(-r D)`` computed once per solve.  :func:`solve` keeps the passes of
+its search, so the path at the chosen root costs no further pass.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import ParametricFrontier, TechnologyPair, is_neg_inf, slope
 from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
-from .numerics import bisect_down, brent_down, clamped_root
+from .numerics import bisect_down, brent_down
 
 # |psi| at which the bisection of a piecewise pair's psi stops early
 PSI_TOL = 1e-10
@@ -85,51 +92,85 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     return tuple(reasons)
 
 
+def _slope_fn(f):
+    """One callable for the slope of ``f`` on the band: ``f.dfn`` itself for
+    a :class:`ParametricFrontier` (where :func:`slope` returns exactly
+    ``dfn(u)``), :func:`slope` otherwise."""
+    if isinstance(f, ParametricFrontier):
+        return f.dfn
+    return lambda u: slope(f, u)
+
+
 def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
     The slope is strictly decreasing there, so a bracketed root search
-    applies; targets above the slope at ``u_star`` clamp to ``u_star`` and
-    targets below the slope at the peak (which is ~0) clamp to ``u0``; both
-    band-end slopes are read once per pair (``pair.f0_band_slopes``).  A
-    parametric ``f0`` has a smooth slope and is inverted by Brent's method.
-    A piecewise ``f0`` keeps bisection: its slope is a step function, so
-    Brent's method gains nothing there and would only move the level to the
-    other side of a kink.
+    applies.  The two band-end slopes are read once per pair
+    (``pair.f0_band_slopes``), and the clamps are applied here: targets at
+    or above the slope at ``u_star`` give ``u_star``, and targets at or
+    below the slope at the peak (which is ~0) give ``u0``.  A parametric
+    ``f0`` has a smooth slope, read through ``dfn`` directly, and is
+    inverted by Brent's method.  A piecewise ``f0`` keeps bisection: its
+    slope is a step function, so Brent's method gains nothing there and
+    would only move the level to the other side of a kink.
     """
     top, bottom = pair.f0_band_slopes
+    f_lo = top - y
+    if f_lo <= 0.0:
+        return pair.u_star
+    f_hi = bottom - y
+    if f_hi >= 0.0:
+        return pair.u0
+    f0 = pair.f0
+    d0 = _slope_fn(f0)
+    root = brent_down if isinstance(f0, ParametricFrontier) else bisect_down
+    return root(lambda u: d0(u) - y, pair.u_star, pair.u0, f_lo=f_lo, f_hi=f_hi,
+                tol_x=1e-13)
 
-    def g(u: float) -> float:
-        return slope(pair.f0, u) - y
 
-    root = brent_down if isinstance(pair.f0, ParametricFrontier) else bisect_down
-    return clamped_root(g, pair.u_star, pair.u0, f_lo=top - y, f_hi=bottom - y,
-                        tol_x=1e-13, root=root)
+def _discounts(pair: TechnologyPair, dist: BreakthroughDist) -> Tuple[float, ...]:
+    """``exp(-r (t_{k+1} - t_k))`` between consecutive atoms, the factors
+    every backward pass of one solve shares."""
+    times, r = dist.times, pair.r
+    return tuple(math.exp(-r * (t1 - t0)) for t0, t1 in zip(times, times[1:]))
 
 
-def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float
+def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float,
+                  disc: Optional[Tuple[float, ...]] = None
                   ) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
     """Flow levels, continuation values and ``f1`` slope terms at the
     breakthrough atoms for a trial terminal level ``lam``.  Returns
     ``(levels, conts, terms)``, one entry per atom, with
-    ``terms[k] = p_k * f1'(conts[k])``; ``levels[-1] == conts[-1] == lam``."""
+    ``terms[k] = p_k * f1'(conts[k])``; ``levels[-1] == conts[-1] == lam``.
+
+    ``disc`` is the pair's :func:`_discounts` table for ``dist``, computed
+    here when not given.  Each level is one :func:`inv_deriv_f0` call, and
+    each ``f1`` slope is read through :func:`_slope_fn`, for a parametric
+    ``f1`` straight from ``dfn``.  For ``lam`` in ``[u_star, u0]`` that
+    read needs no finiteness check: every continuation value is then a
+    convex combination of levels in the band, :func:`simple_reasons` has
+    checked a finite slope at both band ends, and concavity keeps every
+    slope inside the band between those two."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero(
             "breakthrough mass at t=0 leaves no pre-atom cell to optimize")
+    if disc is None:
+        disc = _discounts(pair, dist)
+    d1 = _slope_fn(pair.f1)
     k_n = len(times)
     x = [0.0] * k_n
     cx = [0.0] * k_n
     terms = [0.0] * k_n
-    x[-1] = cx[-1] = float(lam)
-    tail_sum = terms[-1] = probs[-1] * slope(pair.f1, cx[-1])
+    x[-1] = cx[-1] = c = float(lam)
+    tail_sum = terms[-1] = probs[-1] * d1(c)
     tail_mass = probs[-1]
     for k in range(k_n - 2, -1, -1):
-        x[k] = inv_deriv_f0(pair, tail_sum / tail_mass)
-        d = math.exp(-pair.r * (times[k + 1] - times[k]))
-        cx[k] = (1.0 - d) * x[k] + d * cx[k + 1]
-        terms[k] = probs[k] * slope(pair.f1, cx[k])
-        tail_sum += terms[k]
+        x[k] = level = inv_deriv_f0(pair, tail_sum / tail_mass)
+        d = disc[k]
+        cx[k] = c = (1.0 - d) * level + d * c
+        terms[k] = term = probs[k] * d1(c)
+        tail_sum += term
         tail_mass += probs[k]
     return tuple(x), tuple(cx), tuple(terms)
 
@@ -174,14 +215,21 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist) -> EulerSolution:
     When both frontiers are parametric, ``psi`` is smooth and Brent's method
     finds the root to ``LAM_TOL``.  Otherwise ``psi`` is a step function and
     bisection finds it, stopping early at ``|psi| <= PSI_TOL``.
+
+    Every backward pass shares one :func:`_discounts` table, and each pass
+    the search makes is kept: a root the search evaluated reuses its pass
+    (a bisection's final midpoint, which it never evaluates, costs one).
     """
     reasons = simple_reasons(pair)
     if reasons:
         raise NotSimple(reasons)
     ustar, u0 = pair.u_star, pair.u0
+    disc = _discounts(pair, dist)
+    passes = {}
 
     def f(lam: float) -> float:
-        return psi(pair, dist, lam)
+        passes[lam] = p = backward_pass(pair, dist, lam, disc)
+        return math.fsum(p[2])
 
     psi_lo, psi_hi = f(ustar), f(u0)
     if psi_lo < -1e-9:
@@ -207,7 +255,7 @@ def solve(pair: TechnologyPair, dist: BreakthroughDist) -> EulerSolution:
 
     best = None
     for lam in roots:
-        levels, conts, terms = backward_pass(pair, dist, lam)
+        levels, conts, terms = passes.get(lam) or backward_pass(pair, dist, lam, disc)
         mech = Mechanism(grid=(0.0,) + dist.times,
                          levels=(pair.u0,) + levels)
         val = payoff(mech, pair, dist)

@@ -1,5 +1,4 @@
-"""Root location: sign-change bisection, Brent's method, and the end clamp
-the solvers put in front of them.
+"""Root location: sign-change bisection, Brent's method, and an end clamp.
 
 Every root found here stays bracketed by a sign change, and every search
 looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
@@ -13,6 +12,10 @@ converge superlinearly; on a step function it has no such step to take,
 so piecewise frontiers keep bisection for both reward-path solves.
 :func:`bisect_bracket` closes each atom-free piece of the deadline search,
 whose endpoint choice reads the values at the ends of the final bracket.
+:func:`clamped_root` returns an end of the interval when ``f`` has no sign
+change on it; ``ParametricFrontier.peak`` uses it.  The reward path's
+``f0`` slope inversion applies the same two clamps itself, from band-end
+slopes it reads once per pair, and then calls a root finder directly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import SolverError
 # steps after which a bisection or Brent search stops and returns its estimate
 MAX_ITER = 200
 EPS = sys.float_info.epsilon
+EPS2 = 2.0 * EPS
 
 
 def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
@@ -92,17 +96,20 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
     a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc = a, fa
     d = e = b - a
+    half_tol_x = 0.5 * tol_x
     for _ in range(MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):  # the sign change moved to [a, b]
             c, fc = a, fa
             d = e = b - a
-        if abs(fc) < abs(fb):  # keep b the end with the smaller |f|
+        afb, afc = abs(fb), abs(fc)
+        if afc < afb:  # keep b the end with the smaller |f|
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol = 2.0 * EPS * abs(b) + 0.5 * tol_x
+            afb = afc
+        tol = EPS2 * abs(b) + half_tol_x
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
+        if abs(e) >= tol and abs(fa) > afb:
             s = fb / fa
             if a == c:  # secant
                 p, q = 2.0 * m * s, 1.0 - s
@@ -114,7 +121,12 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
                 q = -q
             else:
                 p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            # min(3 m q - |tol q|, |e q|), NaN handling included
+            bound = 3.0 * m * q - abs(tol * q)
+            alt = abs(e * q)
+            if alt < bound:
+                bound = alt
+            if 2.0 * p < bound:
                 e, d = d, p / q
             else:
                 d = e = m

@@ -416,6 +416,29 @@ def test_weibull_witness_finds_the_later_crossing(pair_b):
     assert_matches_reference(res, pair, dist, same_t=True)
 
 
+# fixture B under 15 atoms in three clusters (a clustered_law draw, times
+# rounded to 1e-4 and masses to 1e-3): the bracket falls through zero at
+# T = 5.99970 and, after the jumps at the second cluster lift it, again at
+# 6.94240; the jumps at the third cluster lift it once more, to the best
+# stationary point at 7.29244.  A search that ignored the jumps would stop
+# at 6.94240
+CLUSTERED_WITNESS = [
+    [2.3522, 85], [2.3575, 55], [2.3594, 109], [2.3598, 53], [2.3637, 60],
+    [2.3665, 85], [2.3672, 73], [6.5887, 27], [6.591, 89], [6.5923, 21],
+    [6.5991, 77], [7.1052, 18], [7.11, 84], [7.1243, 48], [7.1258, 115]]
+
+
+def test_clustered_witness_finds_the_last_stationary_point(pair_b):
+    dist = normalized(CLUSTERED_WITNESS)
+    res = optimize_deadline(pair_b, dist)
+    assert res.T == pytest.approx(7.29243638110346, abs=1e-12)
+    assert res.payoff == pytest.approx(1.0159047889808812, abs=1e-12)
+    for t_earlier in (5.999696534898882, 6.94239592900363):
+        assert res.payoff > deadline_payoff(pair_b, dist, t_earlier) + 4e-6
+    assert res.foc.satisfied
+    assert_matches_reference(res, pair_b, dist, same_t=True)
+
+
 @pytest.mark.parametrize("atoms, t_star", [
     # two light atoms where the bracket is negative: the search splits at
     # 2.4 with a negative bracket on both sides, and only the jumps of the

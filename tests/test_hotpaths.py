@@ -9,9 +9,12 @@ never approximate.  The last tests count work instead of timing it: one
 reads the bracket at few atoms (one binary search over them when ``f0`` is
 affine, and no more than the pruning leaves otherwise), slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
-searches ``[u_star, u0]`` once for the ``psi`` root, and the
-insurance inner maximization runs once per level of a pair and leaves no
-state behind.
+searches ``[u_star, u0]`` once for the ``psi`` root and makes one backward
+pass per ``psi`` evaluation, and the insurance inner maximization runs
+once per level of a pair and leaves no state behind.  The backward pass,
+with its discount table, direct slope reads and inline clamps, must give
+``solve`` exactly the floats of the pass as first written (kept here,
+with ``brent_down`` as first written).
 
 The three smooth root solves, the ``f0`` slope inversion and the ``psi``
 root of a parametric pair and the insurance labor maximization, use
@@ -36,13 +39,14 @@ import pytest
 from disclose import deadline, euler, insurance, mechanism
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize, from_atoms
-from disclose.errors import BracketFailure
+from disclose.errors import AtomAtZero, BracketFailure, SolverError
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
                                PiecewiseFrontier, TechnologyPair, is_neg_inf,
                                slope)
 from disclose.insurance import UiPrimitives, build_frontiers, schedule, ui_constants
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
+from disclose.numerics import bisect_down, clamped_root
 
 from conftest import A_F0_POINTS, A_F1_POINTS
 from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
@@ -453,23 +457,55 @@ def test_parametric_derivs_call_no_fn():
 
 @pytest.mark.parametrize("m", [1, 2, 16])
 def test_psi_reads_one_f1_slope_per_atom(pair_b, monkeypatch, m):
+    # a parametric f1's slope is read straight from dfn, so count dfn calls
+    # on a copy of f1 whose dfn counts them
     dist = discretize("exponential", m, rate=1.0)
-    orig = ParametricFrontier.derivs
     calls = Counter()
+    f1 = pair_b.f1
 
-    def derivs(self, u):
-        calls[self is pair_b.f1] += 1
-        return orig(self, u)
+    def dfn(u):
+        calls["f1'"] += 1
+        return f1.dfn(u)
 
-    monkeypatch.setattr(ParametricFrontier, "derivs", derivs)
-    euler.psi(pair_b, dist, 0.5)
-    assert calls[True] == m
+    pair = TechnologyPair.build(pair_b.f0, dataclasses.replace(f1, dfn=dfn), pair_b.r)
+    calls.clear()  # building the pair reads f1' to find u_star
+    euler.psi(pair, dist, 0.5)
+    assert calls["f1'"] == m
 
 
 def dense_b_pair():
     return TechnologyPair.build(
         PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f0"]))),
         PiecewiseFrontier(tuple(map(tuple, DENSE_B_TECH["f1"]))), 1.0)
+
+
+def count_psi_work(monkeypatch):
+    """``(lams, evals)``, filled while ``euler.solve`` runs: the ``lam`` of
+    every backward pass in order, and ``evals["psi"]``, the evaluations of
+    the ``psi`` callable (the two band ends, then the root search's)."""
+    lams, evals = [], Counter()
+    orig_pass = euler.backward_pass
+
+    def backward_pass(pair, dist, lam, *args):
+        lams.append(lam)
+        return orig_pass(pair, dist, lam, *args)
+
+    monkeypatch.setattr(euler, "backward_pass", backward_pass)
+    for name in ("bisect_down", "brent_down"):
+        orig = getattr(euler, name)
+
+        def wrapped(f, *args, orig=orig, **kwargs):
+            if f.__qualname__.startswith("solve.<locals>."):  # psi, not f0'
+                def counted(lam):
+                    evals["psi"] += 1
+                    return f(lam)
+
+                return orig(counted, *args, **kwargs)
+            return orig(f, *args, **kwargs)
+
+        monkeypatch.setattr(euler, name, wrapped)
+    evals["psi"] += 2
+    return lams, evals
 
 
 @pytest.mark.parametrize("kind, m, most", [
@@ -483,10 +519,28 @@ def dense_b_pair():
 ])
 def test_solve_searches_the_psi_band_once(pair_b, monkeypatch, kind, m, most):
     pair = dense_b_pair() if kind == "piecewise" else pair_b
-    counts = Counter()
-    count_calls(monkeypatch, euler, "psi", counts)
+    _, evals = count_psi_work(monkeypatch)
     euler.solve(pair, discretize("exponential", m, rate=1.0))
-    assert counts["psi"] <= most
+    assert evals["psi"] <= most
+
+
+@pytest.mark.parametrize("kind, m", [("parametric", 1), ("parametric", 2),
+                                     ("parametric", 16), ("insurance", 16),
+                                     ("piecewise", 16)])
+def test_solve_makes_one_pass_per_psi_evaluation(request, monkeypatch, kind, m):
+    # the pass at the chosen root is the one the search already made
+    pair = (dense_b_pair() if kind == "piecewise" else request.getfixturevalue(
+        "pair_ui" if kind == "insurance" else "pair_b"))
+    lams, evals = count_psi_work(monkeypatch)
+    euler.solve(pair, discretize("exponential", m, rate=1.0))
+    assert evals["psi"] > 2
+    assert len(set(lams)) == len(lams)
+    if kind == "piecewise":
+        # bisection returns the midpoint of its final bracket, which it
+        # never evaluated: one pass more
+        assert len(lams) == evals["psi"] + 1
+    else:
+        assert len(lams) == evals["psi"]
 
 
 @pytest.mark.parametrize("kind", ["piecewise", "parametric"])
@@ -759,3 +813,129 @@ def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
         euler.inv_deriv_f0(pair, y)
     expected = "bisect_down" if kind == "piecewise" else "brent_down"
     assert counts == Counter({expected: 4})
+
+
+# ---------------------------------------------------------- backward pass ---
+
+def brent_reference(f, lo, hi, *, f_lo, f_hi, tol_x):
+    """``numerics.brent_down`` as first written, step for step."""
+    eps = sys.float_info.epsilon
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(200):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * eps * abs(b) + 0.5 * tol_x
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0.0 else -tol)
+        fb = f(b)
+        if fb != fb:
+            raise SolverError(f"brent: f({b}) is NaN")
+    return b
+
+
+def backward_pass_reference(pair, dist, lam, disc=None):
+    """The backward pass as first written: every slope through ``slope``,
+    every level through ``clamped_root`` and one ``exp`` per atom; ``disc``
+    is ignored."""
+    times, probs = dist.times, dist.probs
+    if times[0] <= 0.0:
+        raise AtomAtZero("atom at t=0")
+    top, bottom = pair.f0_band_slopes
+    root = brent_reference if isinstance(pair.f0, ParametricFrontier) else bisect_down
+    k_n = len(times)
+    x = [0.0] * k_n
+    cx = [0.0] * k_n
+    terms = [0.0] * k_n
+    x[-1] = cx[-1] = float(lam)
+    tail_sum = terms[-1] = probs[-1] * slope(pair.f1, cx[-1])
+    tail_mass = probs[-1]
+    for k in range(k_n - 2, -1, -1):
+        y = tail_sum / tail_mass
+        x[k] = clamped_root(lambda u: slope(pair.f0, u) - y, pair.u_star, pair.u0,
+                            f_lo=top - y, f_hi=bottom - y, tol_x=1e-13, root=root)
+        d = math.exp(-pair.r * (times[k + 1] - times[k]))
+        cx[k] = (1.0 - d) * x[k] + d * cx[k + 1]
+        terms[k] = probs[k] * slope(pair.f1, cx[k])
+        tail_sum += terms[k]
+        tail_mass += probs[k]
+    return tuple(x), tuple(cx), tuple(terms)
+
+
+def exact_solution(pair, dist):
+    """Every float ``euler.solve`` returns, plus the slope terms of the
+    pass at its root, as :func:`exact` images (or the failure message)."""
+    try:
+        sol = euler.solve(pair, dist)
+    except BracketFailure as exc:
+        return str(exc)
+    terms = euler.backward_pass(pair, dist, sol.lam)[2]
+    return exact((sol.lam, sol.levels, sol.conts, terms, sol.payoff, sol.psi,
+                  sol.mechanism.levels, sol.extra_roots))
+
+
+def path_cases():
+    """Rescaled fixture-B pairs, insurance pairs and the piecewise dense
+    fixture B, under exponential and Weibull laws at m = 1, 2, 3, 16, 128."""
+    rng = random.Random(9106)
+    cases = []
+    for m in (1, 2, 3, 16, 128):
+        pairs = [fixture_b_pair(rng) for _ in range(3)]
+        pairs += [build_frontiers(random_ui_primitives(rng), rng.uniform(0.5, 2.0))
+                  for _ in range(2)]
+        pairs.append(dense_b_pair())
+        for pair in pairs:
+            law = (discretize("exponential", m, rate=rng.uniform(0.3, 3.0))
+                   if rng.random() < 0.5 else
+                   discretize("weibull", m, shape=rng.uniform(0.8, 2.0),
+                              scale=rng.uniform(0.5, 2.0)))
+            cases.append((pair, law))
+    return cases
+
+
+def test_solve_matches_the_reference_backward_pass_exactly(monkeypatch):
+    # one discount table per solve, direct dfn reads, inline clamps and the
+    # reuse of the root's pass change no float
+    cases = path_cases()
+    fast = [exact_solution(pair, dist) for pair, dist in cases]
+    trial = []
+    for pair, dist in cases:
+        for lam in (pair.u_star, 0.5 * (pair.u_star + pair.u0), pair.u0):
+            trial.append(exact((euler.backward_pass(pair, dist, lam),
+                                euler.psi(pair, dist, lam))))
+    monkeypatch.setattr(euler, "backward_pass", backward_pass_reference)
+    monkeypatch.setattr(euler, "brent_down", brent_reference)
+    reference = [exact_solution(pair, dist) for pair, dist in cases]
+    trial_ref = []
+    for pair, dist in cases:
+        for lam in (pair.u_star, 0.5 * (pair.u_star + pair.u0), pair.u0):
+            trial_ref.append(exact((backward_pass_reference(pair, dist, lam),
+                                    euler.psi(pair, dist, lam))))
+    assert sum(not isinstance(ref, str) for ref in reference) >= 25
+    assert fast == reference
+    assert trial == trial_ref
