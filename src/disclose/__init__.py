@@ -9,8 +9,8 @@ declining reward path in the strictly concave case, plus exact discrete
 oracles and an unemployment-insurance application.
 """
 
-from .deadline import (deadline_payoff, optimize_deadline, pi_and_derivs,
-                       t_underline)
+from .deadline import (deadline_payoff, front_load, optimize_deadline,
+                       pi_and_derivs, t_underline)
 from .discrete import (DiscreteMechanism, continuation, ic_discrete,
                        improve_slack, payoff_vector, undominated_scan)
 from .distribution import discretize, from_atoms, order_checks
@@ -21,7 +21,7 @@ from .euler import comparative_statics_check, euler_residuals, solve
 from .frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
                        affine_gap)
 from .insurance import UiPrimitives, build_frontiers, welfare_sweep
-from .mechanism import Mechanism, continuation_value, front_load, payoff
+from .mechanism import Mechanism, continuation_value, payoff
 
 __version__ = "0.1.0"
 
@@ -34,9 +34,9 @@ __all__ = [
     # distributions
     "from_atoms", "discretize", "order_checks",
     # mechanisms
-    "Mechanism", "continuation_value", "payoff", "front_load",
+    "Mechanism", "continuation_value", "payoff",
     # deadline solver
-    "t_underline", "deadline_payoff", "pi_and_derivs", "optimize_deadline",
+    "t_underline", "front_load", "deadline_payoff", "pi_and_derivs", "optimize_deadline",
     # reward-path solver
     "solve", "euler_residuals", "comparative_statics_check",
     # discrete oracle

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from . import euler, insurance
-from .deadline import optimize_deadline, t_underline
+from .deadline import front_load, optimize_deadline, t_underline
 from .distribution import BreakthroughDist, discretize, from_atoms, order_checks
 from .errors import (ConfigError, DiscloseError, ModelAssumptionError,
                      NotSimple, NothingToImprove, SolverError)
@@ -30,11 +30,7 @@ from .discrete import (DiscreteMechanism, ic_discrete, improve_slack,
                        payoff_vector, undominated_scan)
 from .frontier import (PiecewiseFrontier, TechnologyPair, affine_gap,
                        is_neg_inf, validate_model)
-from .mechanism import (Mechanism, front_load, ic_check, mechanism_rows,
-                        payoff)
-
-COMMANDS = ("analyze", "solve-deadline", "solve-euler", "verify",
-            "compare-statics", "ui-schedule", "ui-sweep", "oracle")
+from .mechanism import Mechanism, ic_check, mechanism_rows, payoff
 
 
 # ---------------------------------------------------------------- config ---
@@ -425,6 +421,7 @@ _DISPATCH = {
     "ui-sweep": _cmd_ui_sweep,
     "oracle": _cmd_oracle,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 class _Parser(argparse.ArgumentParser):

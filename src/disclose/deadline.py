@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from .distribution import BreakthroughDist
-from .errors import ModelAssumptionError, SolverError
+from .errors import ConfigError, ModelAssumptionError, SolverError
 from .frontier import TechnologyPair, affine_gap
-from .mechanism import Mechanism, deadline_mechanism, payoff
+from .mechanism import Mechanism, continuation_value, payoff
 from .numerics import bisect_bracket
 
 FOC_TOL = 1e-9
@@ -53,9 +53,28 @@ FOC_TOL = 1e-9
 AFFINE_TOL = 1e-9
 
 
+def deadline_mechanism(pair: TechnologyPair, T: float) -> Mechanism:
+    """The deadline profile: flow at the ``f0`` peak until ``T``, at the
+    shared-slope level afterwards, with the DERIVED reward."""
+    u0, ustar = pair.u0, pair.u_star
+    if T == math.inf:
+        return Mechanism(grid=(0.0,), levels=(u0,))
+    if T < 0:
+        raise ConfigError(f"deadline must be non-negative, got {T}")
+    if T == 0.0:
+        return Mechanism(grid=(0.0,), levels=(ustar,))
+    return Mechanism(grid=(0.0, float(T)), levels=(u0, ustar))
+
+
+def _deadline_for(pair: TechnologyPair, x: float) -> float:
+    """The deadline whose time-0 reward ``X_0(T)`` is ``x``, for ``x`` in
+    ``[u_star, u0)``: ``T = -(1/r) log((u0 - x) / (u0 - u_star))``."""
+    return -math.log((pair.u0 - x) / (pair.u0 - pair.u_star)) / pair.r
+
+
 def t_underline(pair: TechnologyPair) -> float:
-    """Shortest deadline whose time-0 reward reaches the ``f1`` peak:
-    ``T = -(1/r) log((u0 - u1) / (u0 - u_star))``."""
+    """Shortest deadline whose time-0 reward reaches the ``f1`` peak ``u1``,
+    by the inverse :func:`front_load` shares."""
     u0, u1, ustar = pair.u0, pair.u1, pair.u_star
     if u1 >= u0:
         raise ModelAssumptionError("no conflict of interest: u1 >= u0")
@@ -63,8 +82,32 @@ def t_underline(pair: TechnologyPair) -> float:
         raise ModelAssumptionError("degenerate pair: f0 peak at the shared-slope level")
     if u1 < ustar:
         raise ModelAssumptionError("u1 below the shared-slope level u_star")
-    ratio = (u0 - u1) / (u0 - ustar)
-    return -math.log(ratio) / pair.r
+    return _deadline_for(pair, u1)
+
+
+@dataclass(frozen=True)
+class FrontLoadResult:
+    T: float
+    mechanism: Mechanism
+
+
+def front_load(m: Mechanism, pair: TechnologyPair) -> FrontLoadResult:
+    """The deadline mechanism whose time-0 continuation value matches
+    ``max(X_0, u_star)`` of ``m``.
+
+    Solving ``(1 - exp(-rT)) u0 + exp(-rT) u_star = X0`` for T is exact, by
+    the inverse :func:`t_underline` shares; a mechanism whose X0 exceeds the
+    ``f0`` peak is refused (cap its flows at the peak first — that is always
+    weakly improving)."""
+    u0 = pair.u0
+    x0 = continuation_value(m, pair.r, 0.0)
+    if x0 > u0 + 1e-9:
+        raise ModelAssumptionError(
+            f"initial continuation value {x0} exceeds the f0 peak {u0}; "
+            "cap the flow levels first")
+    target = max(x0, pair.u_star)
+    T = math.inf if target >= u0 else _deadline_for(pair, target)
+    return FrontLoadResult(T=T, mechanism=deadline_mechanism(pair, T))
 
 
 def deadline_payoff(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> float:

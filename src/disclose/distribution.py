@@ -143,7 +143,11 @@ def discretize(kind: str, m: int, **params) -> BreakthroughDist:
         shape, scale = params["shape"], params["scale"]
         if not (shape > 0 and scale > 0):
             raise ConfigError("weibull shape and scale must be positive")
-        inv = lambda q: scale * (-math.log1p(-q)) ** (1.0 / shape)
+        def inv(q):  # a time past the float range is inf, as a huge scale makes it
+            try:
+                return scale * (-math.log1p(-q)) ** (1.0 / shape)
+            except OverflowError:
+                return math.inf
     atoms = [(inv((i - 0.5) / m), 1.0 / m) for i in range(1, m + 1)]
     return from_atoms(atoms)
 

@@ -136,17 +136,16 @@ def _discounts(pair: TechnologyPair, dist: BreakthroughDist) -> Tuple[float, ...
 
 
 def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float,
-                  disc: Optional[Tuple[float, ...]] = None
+                  disc: Tuple[float, ...]
                   ) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
     """Flow levels, continuation values and ``f1`` slope terms at the
     breakthrough atoms for a trial terminal level ``lam``.  Returns
     ``(levels, conts, terms)``, one entry per atom, with
     ``terms[k] = p_k * f1'(conts[k])``; ``levels[-1] == conts[-1] == lam``.
 
-    ``disc`` is the pair's :func:`_discounts` table for ``dist``, computed
-    here when not given.  Each level is one :func:`inv_deriv_f0` call, and
-    each ``f1`` slope is read through :func:`_slope_fn`, for a parametric
-    ``f1`` straight from ``dfn``.  For ``lam`` in ``[u_star, u0]`` that
+    ``disc`` is the pair's :func:`_discounts` table for ``dist``.  Each
+    level is one :func:`inv_deriv_f0` call, and each ``f1`` slope is read
+    through :func:`_slope_fn`, for a parametric ``f1`` straight from ``dfn``.  For ``lam`` in ``[u_star, u0]`` that
     read needs no finiteness check: every continuation value is then a
     convex combination of levels in the band, :func:`simple_reasons` has
     checked a finite slope at both band ends, and concavity keeps every
@@ -155,8 +154,6 @@ def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float,
     if times[0] <= 0.0:
         raise AtomAtZero(
             "breakthrough mass at t=0 leaves no pre-atom cell to optimize")
-    if disc is None:
-        disc = _discounts(pair, dist)
     d1 = _slope_fn(pair.f1)
     k_n = len(times)
     x = [0.0] * k_n
@@ -179,7 +176,7 @@ def psi(pair: TechnologyPair, dist: BreakthroughDist, lam: float) -> float:
     """Expected ``f1`` slope at the atom continuation values — the scalar
     whose root in ``lam`` closes the backward recursion; the slope terms
     come from :func:`backward_pass`."""
-    return math.fsum(backward_pass(pair, dist, lam)[2])
+    return math.fsum(backward_pass(pair, dist, lam, _discounts(pair, dist))[2])
 
 
 @dataclass(frozen=True)

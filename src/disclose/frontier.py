@@ -14,11 +14,11 @@ Two representations are supported:
   a stated interval, used by the insurance application.
 
 Evaluation outside the effective domain returns the distinguished ``NEG_INF``
-sentinel.  ``NEG_INF`` supports comparisons but deliberately no arithmetic:
-a payoff that silently absorbed an off-domain value would be a bug, so the
-attempt raises ``TypeError``.  One-sided slopes at the domain boundary use
-ordinary float infinities (those participate in interval intersections
-only, never in sums).
+sentinel.  ``NEG_INF`` deliberately supports neither arithmetic nor ordering:
+a payoff or a ranking that silently absorbed an off-domain value would be a
+bug, so the attempt raises ``TypeError``.  One-sided slopes at the domain
+boundary use ordinary float infinities (those participate in interval
+intersections only, never in sums).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .errors import ModelAssumptionError, NotSimple
-from .numerics import bisect_up, clamped_root
+from .numerics import bisect_down, bisect_up
 
 INF = float("inf")
 
@@ -48,30 +48,12 @@ GAP_TOL = 1e-12
 
 
 class _NegInf:
-    """Off-domain sentinel.  Ordered below every number; no arithmetic."""
+    """Off-domain sentinel.  No arithmetic and no ordering."""
 
     __slots__ = ()
 
     def __repr__(self):
         return "NEG_INF"
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __hash__(self):
-        return hash("disclose.NEG_INF")
 
 
 NEG_INF = _NegInf()
@@ -196,8 +178,15 @@ class ParametricFrontier:
 
     @cached_property
     def peak(self):
-        """``(u, value)`` of the maximum, via sign bisection on the slope."""
-        u = clamped_root(self.dfn, self.u_lo, self.u_hi, tol_x=1e-13)
+        """``(u, value)`` of the maximum: ``u_lo`` if the slope there is <= 0,
+        else ``u_hi`` if it is >= 0 there, else the slope's root by bisection."""
+        lo, hi, dfn = self.u_lo, self.u_hi, self.dfn
+        d_lo = dfn(lo)
+        if d_lo <= 0.0:
+            return (lo, self.fn(lo))
+        d_hi = dfn(hi)
+        u = hi if d_hi >= 0.0 else bisect_down(dfn, lo, hi, f_lo=d_lo, f_hi=d_hi,
+                                               tol_x=1e-13)
         return (u, self.fn(u))
 
 

@@ -64,13 +64,23 @@ class UiPrimitives:
             raise ConfigError(f"need a positive wage, got w={self.w}")
         if not self.shadow > 0.0:
             raise ConfigError(f"need a positive shadow price, got {self.shadow}")
-        try:  # c0 = u0**(1/a) is finite iff u0 is
-            finite = math.isfinite(ui_constants(self).c0)
+        try:  # f0 and its slope overflow first at the domain top, where
+            # u**(1/a) is 2**(1/a) times the f0 peak consumption c0
+            f0, f0_slope = _f0_fns(self.a, self.shadow)
+            top = DOMAIN_FACTOR * ui_constants(self).u0
+            finite = math.isfinite(f0(top)) and math.isfinite(f0_slope(top))
         except OverflowError:
             finite = False
         if not finite:
             raise ConfigError("the f0 peak utility or its consumption overflows a "
-                              f"float at a={self.a}, shadow={self.shadow}")
+                              "float, or f0 does at the domain top "
+                              f"(a={self.a}, shadow={self.shadow})")
+
+
+def _f0_fns(a: float, lam: float):
+    """``f0`` and its slope at shadow price ``lam``."""
+    return (lambda u: u - lam * u ** (1.0 / a),
+            lambda u: 1.0 - (lam / a) * u ** ((1.0 - a) / a))
 
 
 def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
@@ -137,12 +147,6 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
             out = memo[u] = _inner_max(a, b, w, u)
         return out
 
-    def f0_fn(u: float) -> float:
-        return u - lam * u ** (1.0 / a)
-
-    def f0_dfn(u: float) -> float:
-        return 1.0 - (lam / a) * u ** ((1.0 - a) / a)
-
     def f1_fn(u: float) -> float:
         return u + lam * inner(u)[1]
 
@@ -150,6 +154,7 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
         l_star = inner(u)[0]
         return 1.0 - (lam / a) * (u + l_star ** b) ** ((1.0 - a) / a)
 
+    f0_fn, f0_dfn = _f0_fns(a, lam)
     f0 = ParametricFrontier(fn=f0_fn, u_lo=0.0, u_hi=hi, dfn=f0_dfn)
     f1 = ParametricFrontier(fn=f1_fn, u_lo=0.0, u_hi=hi, dfn=f1_dfn)
     return TechnologyPair.build(f0, f1, r)

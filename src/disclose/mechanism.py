@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import ConfigError, ModelAssumptionError
+from .errors import ConfigError
 from .frontier import NEG_INF, TechnologyPair, is_neg_inf
 
 # slack allowed in the incentive premium before a sample counts as a violation
@@ -200,48 +200,6 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
             return NEG_INF
         terms.append(p * (pre + math.exp(-r * t) * float(v1)))
     return math.fsum(terms)
-
-
-def deadline_mechanism(pair: TechnologyPair, T: float) -> Mechanism:
-    """The deadline profile: flow at the ``f0`` peak until ``T``, at the
-    shared-slope level afterwards, with the DERIVED reward."""
-    u0, ustar = pair.u0, pair.u_star
-    if T == math.inf:
-        return Mechanism(grid=(0.0,), levels=(u0,))
-    if T < 0:
-        raise ConfigError(f"deadline must be non-negative, got {T}")
-    if T == 0.0:
-        return Mechanism(grid=(0.0,), levels=(ustar,))
-    return Mechanism(grid=(0.0, float(T)), levels=(u0, ustar))
-
-
-@dataclass(frozen=True)
-class FrontLoadResult:
-    T: float
-    mechanism: Mechanism
-
-
-def front_load(m: Mechanism, pair: TechnologyPair) -> FrontLoadResult:
-    """The deadline mechanism whose time-0 continuation value matches
-    ``max(X_0, u_star)`` of ``m``.
-
-    Solving ``(1 - exp(-rT)) u0 + exp(-rT) u_star = X0`` for T is exact; a
-    mechanism whose X0 exceeds the ``f0`` peak is refused (cap its flows at
-    the peak first — that is always weakly improving)."""
-    u0, ustar = pair.u0, pair.u_star
-    x0 = continuation_value(m, pair.r, 0.0)
-    if x0 > u0 + 1e-9:
-        raise ModelAssumptionError(
-            f"initial continuation value {x0} exceeds the f0 peak {u0}; "
-            "cap the flow levels first")
-    target = max(x0, ustar)
-    if target >= u0:
-        return FrontLoadResult(T=math.inf, mechanism=deadline_mechanism(pair, math.inf))
-    if u0 <= ustar:
-        raise ModelAssumptionError("degenerate pair: f0 peak at the shared-slope level")
-    T = -math.log((u0 - target) / (u0 - ustar)) / pair.r
-    T = max(T, 0.0)
-    return FrontLoadResult(T=T, mechanism=deadline_mechanism(pair, T))
 
 
 def mechanism_rows(m: Mechanism, r: float,

@@ -1,4 +1,4 @@
-"""Root location: sign-change bisection, Brent's method, and an end clamp.
+"""Root location: sign-change bisection and Brent's method.
 
 Every root found here stays bracketed by a sign change, and every search
 looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
@@ -10,12 +10,12 @@ and the ``psi`` root (the terminal level of a reward path) of a parametric
 pair, and the insurance labor maximization.  There its interpolation steps
 converge superlinearly; on a step function it has no such step to take,
 so piecewise frontiers keep bisection for both reward-path solves.
-:func:`bisect_bracket` closes each atom-free piece of the deadline search,
-whose endpoint choice reads the values at the ends of the final bracket.
-:func:`clamped_root` returns an end of the interval when ``f`` has no sign
-change on it; ``ParametricFrontier.peak`` uses it.  The reward path's
-``f0`` slope inversion applies the same two clamps itself, from band-end
-slopes it reads once per pair, and then calls a root finder directly.
+:func:`bisect_bracket` is the one bisection loop: it closes each atom-free
+piece of the deadline search, and :func:`bisect_down`/:func:`bisect_up`
+return the midpoint of its final bracket.  A search that may find no sign
+change (``ParametricFrontier.peak``, the reward path's ``f0`` slope
+inversion) applies the end clamps itself, then calls a root finder.  Both
+methods raise :class:`SolverError` on a NaN from ``f``.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
     the others, until it is narrower than ``tol_x`` or ``MAX_ITER`` halvings
     are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
-    returns ``(mid, f(mid), mid, f(mid))``.
+    returns ``(mid, f(mid), mid, f(mid))``.  A NaN from ``f``, at an end
+    or at a midpoint, raises :class:`SolverError`.
     """
     if f_lo is None:
         f_lo = f(lo)
     if f_hi is None:
         f_hi = f(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
+    if not (f_lo >= 0.0 and f_hi <= 0.0):
         raise SolverError(
             f"bisection: no down-crossing bracket on [{lo}, {hi}] "
             f"(f(lo)={f_lo}, f(hi)={f_hi})")
@@ -56,8 +57,10 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
             return mid, f_mid, mid, f_mid
         if f_mid >= 0.0:
             lo, f_lo = mid, f_mid
-        else:
+        elif f_mid < 0.0:
             hi, f_hi = mid, f_mid
+        else:
+            raise SolverError(f"bisection: f({mid}) is NaN")
     return lo, f_lo, hi, f_hi
 
 
@@ -143,17 +146,3 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
 def bisect_up(f, lo, hi, *, tol_x):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
     return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)
-
-
-def clamped_root(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, root=bisect_down):
-    """Root of a non-increasing ``f`` on [lo, hi], clamped to the interval:
-    ``lo`` if f(lo) <= 0, else ``hi`` if f(hi) >= 0, else the root that
-    ``root`` (:func:`bisect_down` or :func:`brent_down`) finds between.
-    ``f_lo``/``f_hi``, when given, stand for f(lo)/f(hi)."""
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_lo <= 0.0:
-        return lo
-    if f_hi is None:
-        f_hi = f(hi)
-    return hi if f_hi >= 0.0 else root(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)

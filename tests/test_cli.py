@@ -423,6 +423,10 @@ BAD_CONFIGS = {
     "infinite-atom-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH,
         "distribution": {"kind": "atoms", "atoms": [[1.0, 0.5], [math.inf, 0.5]]}}),
+    # the Weibull quantile's power overflows a float at a tiny shape
+    "weibull-tiny-shape": ("solve-deadline", 1, "config error: atom times must be finite", {
+        "technology": A_TECH,
+        "distribution": {"kind": "weibull", "shape": 0.001, "scale": 1, "m": 8}}),
     "infinite-point-time": ("solve-deadline", 1, "config error", {
         "technology": A_TECH, "distribution": {"kind": "point", "t": math.inf}}),
     # malformed list fields
@@ -465,6 +469,9 @@ BAD_CONFIGS = {
         "technology": dict(UI_TECH, shadow=1e-200), "distribution": EXP_8}),
     "ui-sweep-tiny-shadow": ("ui-sweep", 1, UI_OVERFLOW, {
         "technology": UI_TECH, "shadows": [0.5, 1e-200], "distribution": EXP_8}),
+    # f0 = u - shadow u**(1/a) overflows at the domain top 2 u0 once a < ~9.8e-4
+    "ui-tiny-a": ("solve-deadline", 1, UI_OVERFLOW, {
+        "technology": dict(UI_TECH, a=0.0005), "distribution": EXP_8}),
     "ui-huge-wage": ("solve-deadline", 1, "config error: search-cost slope", {
         "technology": dict(UI_TECH, w=1e300), "distribution": EXP_8}),
     # the slope's L ** b overflows a float while still below the wage

@@ -30,13 +30,12 @@ from disclose import (
     t_underline,
 )
 from disclose import deadline
-from disclose.deadline import foc_check
+from disclose.deadline import deadline_mechanism, foc_check
 from disclose.distribution import discretize
 from disclose.errors import DiscloseError
 from disclose.frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
                                affine_gap)
 from disclose.insurance import UiPrimitives, build_frontiers
-from disclose.mechanism import deadline_mechanism
 
 import conftest
 from conftest import (A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1,

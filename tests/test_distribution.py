@@ -97,6 +97,14 @@ def test_discretize_weibull_shape_one_is_exponential():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape, scale", [(0.001, 1.0), (1.0, 1e308)])
+def test_discretize_weibull_time_past_the_float_range(shape, scale):
+    # the quantile's power overflows at a small shape, its product at a
+    # huge scale; both are the same config error
+    with pytest.raises(ConfigError, match="atom times must be finite, got inf"):
+        discretize("weibull", 8, shape=shape, scale=scale)
+
+
 @pytest.mark.parametrize("kind, params", [("exponential", {}), ("point", {}),
                                           ("weibull", {"shape": 1.0}),
                                           ("weibull", {"scale": 1.0})])

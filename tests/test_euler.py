@@ -28,7 +28,8 @@ from disclose import (
 from disclose import euler
 from disclose.distribution import discretize
 from disclose.errors import DiscloseError
-from disclose.euler import backward_pass, inv_deriv_f0, psi, simple_reasons
+from disclose.euler import (_discounts, backward_pass, inv_deriv_f0, psi,
+                            simple_reasons)
 from disclose.frontier import ParametricFrontier, TechnologyPair
 from disclose.insurance import UiPrimitives, build_frontiers
 from disclose.numerics import bisect_down, brent_down
@@ -67,7 +68,8 @@ def test_inv_deriv_f0(pair_b):
 # ---------------------------------------------------------- backward pass ---
 
 def test_backward_pass_two_atoms(pair_b, dist_k2):
-    levels, conts, terms = backward_pass(pair_b, dist_k2, 0.6)
+    levels, conts, terms = backward_pass(pair_b, dist_k2, 0.6,
+                                         _discounts(pair_b, dist_k2))
     assert levels[-1] == conts[-1] == 0.6
     # f1'(0.6) = 0.3, so x_0 solves 2 - 2u = 0.3
     assert levels[0] == pytest.approx(0.85, abs=1e-12)
@@ -81,7 +83,7 @@ def test_backward_pass_two_atoms(pair_b, dist_k2):
 def test_backward_pass_rejects_atom_at_zero(pair_b):
     bad = from_atoms([(0.0, 0.5), (1.0, 0.5)])
     with pytest.raises(AtomAtZero):
-        backward_pass(pair_b, bad, 0.6)
+        backward_pass(pair_b, bad, 0.6, _discounts(pair_b, bad))
 
 
 def test_psi_decreasing(pair_b, dist_k3):
@@ -220,7 +222,7 @@ def grid_scan_solve(pair, dist):
         roots.append(lams[-1])
 
     def candidate(lam):
-        levels = backward_pass(pair, dist, lam)[0]
+        levels = backward_pass(pair, dist, lam, _discounts(pair, dist))[0]
         mech = Mechanism(grid=(0.0,) + dist.times, levels=(u0,) + levels)
         return payoff(mech, pair, dist), lam, levels
 

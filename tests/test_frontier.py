@@ -14,7 +14,8 @@ from disclose import (
     TechnologyPair,
     affine_gap,
 )
-from disclose.frontier import is_neg_inf, u_star, validate_model
+from disclose.frontier import NEG_INF, is_neg_inf, u_star, validate_model
+from disclose.numerics import bisect_down
 from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
 from test_golden import DENSE_B_TECH
 
@@ -30,6 +31,26 @@ def test_piecewise_value_interior_and_breakpoints(pair_a):
     v = f0.value(2.5)
     assert is_neg_inf(v)
     assert not isinstance(v, float)
+
+
+@pytest.mark.parametrize("op", [
+    lambda v: v + 1.0, lambda v: 1.0 - v, lambda v: 2.0 * v, lambda v: v / 2.0,
+    lambda v: -v, lambda v: abs(v), lambda v: float(v),
+])
+def test_neg_inf_refuses_arithmetic(op):
+    with pytest.raises(TypeError):
+        op(NEG_INF)
+
+
+@pytest.mark.parametrize("op", [
+    lambda v: v < 0.0, lambda v: v <= 0.0, lambda v: v > 0.0, lambda v: v >= 0.0,
+    lambda v: 0.0 > v, lambda v: v < v, lambda v: max(v, 0.0),
+    lambda v: sorted([0.0, v]),
+])
+def test_neg_inf_refuses_ordering(op):
+    # callers test is_neg_inf before ranking a value
+    with pytest.raises(TypeError):
+        op(NEG_INF)
 
 
 def test_piecewise_value_preserves_fractions(f1_exact):
@@ -100,6 +121,45 @@ def test_parametric_peak_at_boundary():
     f = ParametricFrontier(fn=lambda u: -u, u_lo=0.0, u_hi=1.0,
                            dfn=lambda u: -1.0)
     assert f.peak == (0.0, 0.0)
+
+
+def test_parametric_peak_clamps_low():
+    # a falling slope at u_lo puts the peak there; u_hi is never read
+    calls = []
+
+    def dfn(u):
+        calls.append(u)
+        return -1.0 - u
+
+    f = ParametricFrontier(fn=lambda u: -u - 0.5 * u * u, u_lo=0.0, u_hi=1.0, dfn=dfn)
+    assert f.peak == (0.0, 0.0)
+    assert calls == [0.0]
+
+
+def test_parametric_peak_zero_slope_at_low_end_clamps_low():
+    f = ParametricFrontier(fn=lambda u: 1.0 - u * u, u_lo=0.0, u_hi=1.0,
+                           dfn=lambda u: -2.0 * u)
+    assert f.peak == (0.0, 1.0)
+
+
+def test_parametric_peak_clamps_high():
+    f = ParametricFrontier(fn=lambda u: 2.0 * u - 0.5 * u * u, u_lo=0.0, u_hi=1.0,
+                           dfn=lambda u: 2.0 - u)
+    assert f.peak == (1.0, 1.5)
+    # a zero slope at u_hi clamps there too
+    f = ParametricFrontier(fn=lambda u: u - 0.5 * u * u, u_lo=0.0, u_hi=1.0,
+                           dfn=lambda u: 1.0 - u)
+    assert f.peak == (1.0, 0.5)
+
+
+def test_parametric_peak_interior_is_bisect_down():
+    dfn = lambda u: math.cos(u) - u
+    f = ParametricFrontier(fn=lambda u: math.sin(u) - 0.5 * u * u, u_lo=0.0,
+                           u_hi=1.0, dfn=dfn)
+    u, v = f.peak
+    assert u.hex() == bisect_down(dfn, 0.0, 1.0, tol_x=1e-13).hex()
+    assert u == pytest.approx(0.7390851332151607, abs=1e-12)
+    assert v == math.sin(u) - 0.5 * u * u
 
 
 # -------------------------------------------------------------- u_star -----

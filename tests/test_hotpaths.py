@@ -46,7 +46,7 @@ from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
 from disclose.insurance import UiPrimitives, build_frontiers, schedule, ui_constants
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
-from disclose.numerics import bisect_down, clamped_root
+from disclose.numerics import bisect_down
 
 from conftest import A_F0_POINTS, A_F1_POINTS
 from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
@@ -209,7 +209,7 @@ def test_payoff_matches_per_atom_reference(request, pair_name, explicit):
 
 def test_payoff_deadline_mechanisms_match_reference(pair_a, dist_exp16):
     for T in (0.0, 0.3, math.log(3.5), 1.7, 9.0, math.inf):
-        mech = mechanism.deadline_mechanism(pair_a, T)
+        mech = deadline.deadline_mechanism(pair_a, T)
         assert exact(payoff(mech, pair_a, dist_exp16)) == exact(
             payoff_reference(mech, pair_a, dist_exp16))
 
@@ -861,8 +861,8 @@ def brent_reference(f, lo, hi, *, f_lo, f_hi, tol_x):
 
 def backward_pass_reference(pair, dist, lam, disc=None):
     """The backward pass as first written: every slope through ``slope``,
-    every level through ``clamped_root`` and one ``exp`` per atom; ``disc``
-    is ignored."""
+    every level clamped at the band ends or else found by a root finder,
+    and one ``exp`` per atom; ``disc`` is ignored."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero("atom at t=0")
@@ -877,8 +877,14 @@ def backward_pass_reference(pair, dist, lam, disc=None):
     tail_mass = probs[-1]
     for k in range(k_n - 2, -1, -1):
         y = tail_sum / tail_mass
-        x[k] = clamped_root(lambda u: slope(pair.f0, u) - y, pair.u_star, pair.u0,
-                            f_lo=top - y, f_hi=bottom - y, tol_x=1e-13, root=root)
+        f_lo, f_hi = top - y, bottom - y
+        if f_lo <= 0.0:
+            x[k] = pair.u_star
+        elif f_hi >= 0.0:
+            x[k] = pair.u0
+        else:
+            x[k] = root(lambda u: slope(pair.f0, u) - y, pair.u_star, pair.u0,
+                        f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)
         d = math.exp(-pair.r * (times[k + 1] - times[k]))
         cx[k] = (1.0 - d) * x[k] + d * cx[k + 1]
         terms[k] = probs[k] * slope(pair.f1, cx[k])
@@ -894,7 +900,7 @@ def exact_solution(pair, dist):
         sol = euler.solve(pair, dist)
     except BracketFailure as exc:
         return str(exc)
-    terms = euler.backward_pass(pair, dist, sol.lam)[2]
+    terms = euler.backward_pass(pair, dist, sol.lam, euler._discounts(pair, dist))[2]
     return exact((sol.lam, sol.levels, sol.conts, terms, sol.payoff, sol.psi,
                   sol.mechanism.levels, sol.extra_roots))
 
@@ -926,7 +932,8 @@ def test_solve_matches_the_reference_backward_pass_exactly(monkeypatch):
     trial = []
     for pair, dist in cases:
         for lam in (pair.u_star, 0.5 * (pair.u_star + pair.u0), pair.u0):
-            trial.append(exact((euler.backward_pass(pair, dist, lam),
+            trial.append(exact((euler.backward_pass(pair, dist, lam,
+                                                    euler._discounts(pair, dist)),
                                 euler.psi(pair, dist, lam))))
     monkeypatch.setattr(euler, "backward_pass", backward_pass_reference)
     monkeypatch.setattr(euler, "brent_down", brent_reference)

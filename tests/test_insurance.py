@@ -27,8 +27,9 @@ def test_primitives_validation():
         UiPrimitives(a=0.5, b=2.0, w=0.0, shadow=0.5)
     with pytest.raises(ConfigError):
         UiPrimitives(a=0.5, b=2.0, w=1.0, shadow=-0.1)
-    # the f0 peak (a/shadow)**(a/(1-a)) or its consumption overflows a float
-    for a, shadow in ((0.999, 0.001), (0.5, 1e-200), (0.5, 1e-320)):
+    # the f0 peak (a/shadow)**(a/(1-a)) or its consumption overflows a
+    # float, or f0 = u - shadow u**(1/a) does at the domain top 2 u0
+    for a, shadow in ((0.999, 0.001), (0.5, 1e-200), (0.5, 1e-320), (0.0005, 0.5)):
         with pytest.raises(ConfigError, match="overflows"):
             UiPrimitives(a=a, b=2.0, w=1.0, shadow=shadow)
 

@@ -22,9 +22,9 @@ from disclose import (
     front_load,
     payoff,
 )
+from disclose.deadline import deadline_mechanism
 from disclose.frontier import is_neg_inf
-from disclose.mechanism import (continuation_profile, deadline_mechanism,
-                                ic_check, mechanism_rows)
+from disclose.mechanism import continuation_profile, ic_check, mechanism_rows
 
 PAYOFF_TOL = 1e-9
 IDENTITY_TOL = 1e-10

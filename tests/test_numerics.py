@@ -1,4 +1,4 @@
-"""Root bracketing, Brent's method and the clamped root."""
+"""Root bracketing: bisection and Brent's method."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from disclose import SolverError
 from disclose.numerics import (EPS, bisect_bracket, bisect_down, bisect_up,
-                               brent_down, clamped_root)
+                               brent_down)
 
 
 def test_bisect_down_quadratic_root():
@@ -43,6 +43,30 @@ def test_bisect_down_tol_f_early_exit():
 def test_bisect_down_requires_bracket():
     with pytest.raises(SolverError):
         bisect_down(lambda x: x + 1.0, 0.0, 1.0, tol_x=1e-12)  # positive at both ends
+
+
+# each bisection with the sign that turns a down-crossing into its bracket
+BISECTIONS = [(bisect_bracket, 1.0), (bisect_down, 1.0), (bisect_up, -1.0)]
+
+
+@pytest.mark.parametrize("root, sign", BISECTIONS)
+@pytest.mark.parametrize("f", [
+    lambda x: math.nan,                           # NaN at both ends
+    lambda x: math.nan if x == 0.0 else -1.0,     # NaN at the low end
+    lambda x: 1.0 if x == 0.0 else math.nan,      # NaN at the high end
+])
+def test_bisection_nan_at_an_end_raises(root, sign, f):
+    # a NaN end value never passes for a bracket, as in brent_down
+    with pytest.raises(SolverError, match="no down-crossing bracket"):
+        root(lambda x: sign * f(x), 0.0, 2.0, tol_x=1e-12)
+
+
+@pytest.mark.parametrize("root, sign", BISECTIONS)
+def test_bisection_nan_midpoint_raises(root, sign):
+    # a valid bracket whose first midpoint is NaN
+    f = lambda x: sign * (1.0 - 2.0 * x) if x in (0.0, 1.0) else math.nan
+    with pytest.raises(SolverError, match="NaN"):
+        root(f, 0.0, 1.0, tol_x=1e-12)
 
 
 def test_bisect_up_mirror():
@@ -151,32 +175,3 @@ def test_brent_down_finds_known_root(root, left, right, a, b, c, k, tol_x):
     x = brent_down(f, lo, hi, tol_x=tol_x)
     assert lo <= x <= hi
     assert abs(x - root) <= tol_x + 4.0 * EPS * abs(x)
-
-
-# -------------------------------------------------------------- clamped_root ---
-
-def test_clamped_root_clamps_low():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return -1.0 - x
-
-    assert clamped_root(f, 0.0, 1.0, tol_x=1e-12) == 0.0
-    assert calls == [0.0]  # the upper end is never needed
-
-
-def test_clamped_root_clamps_high():
-    assert clamped_root(lambda x: 2.0 - x, 0.0, 1.0, tol_x=1e-12) == 1.0
-    assert clamped_root(lambda x: 1.0 - x, 0.0, 1.0, tol_x=1e-12) == 1.0  # f(hi) == 0
-
-
-def test_clamped_root_zero_at_low_end_clamps_low():
-    assert clamped_root(lambda x: -x, 0.0, 1.0, tol_x=1e-12) == 0.0
-
-
-def test_clamped_root_interior_is_bisect_down():
-    f = lambda x: math.cos(x) - x
-    root = clamped_root(f, 0.0, 1.0, tol_x=1e-13)
-    assert root == bisect_down(f, 0.0, 1.0, tol_x=1e-13)
-    assert root == pytest.approx(0.7390851332151607, abs=1e-12)

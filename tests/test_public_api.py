@@ -12,6 +12,9 @@ failing any solver test, so this module checks every name in its
 ``BOUNDARIES`` table.  The bench files are read as text (``tracing.py`` is
 executed in a private namespace): nothing is imported from, or written
 under, ``bench/``.
+
+The settable options are counted from the source with ``ast`` and their
+total is pinned, so a PR that adds or removes a knob says so here.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ TRACING = ROOT / "bench" / "tracing.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 README = ROOT / "README.md"
 TESTS = Path(__file__).resolve().parent
+SRC = Path(disclose.__file__).resolve().parent
+
+# what settable_options() counts at this revision
+SETTABLE_OPTIONS = 25
 
 
 def imported_from_package(path: Path) -> set:
@@ -72,6 +79,45 @@ def traced_names():
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
          namespace)
     return [(module, attr) for module, attr, _key, _kind in namespace["BOUNDARIES"]]
+
+
+def settable_options() -> list:
+    """Every option a caller can set, one string each:
+
+    * each defaulted parameter of every ``def`` under ``src/disclose``
+      (positional or keyword-only, nested functions included);
+    * each ``cli`` flag, an ``add_argument`` whose name starts with ``-``;
+    * each distinct config key ``cli`` reads with ``.get``, so with a
+      default (``None`` when none is given).
+
+    Required parameters, the positional command and required config keys
+    are not options.
+    """
+    out, keys = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                named = pos[len(pos) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out += [f"{path.stem}.{node.name}({arg.arg}=)" for arg in named]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.args and isinstance(node.args[0], ast.Constant)
+                  and isinstance(node.args[0].value, str)):
+                name = node.args[0].value
+                if node.func.attr == "add_argument" and name.startswith("-"):
+                    out.append(f"flag {name}")
+                elif node.func.attr == "get" and path.stem == "cli":
+                    keys.add(f"config key {name!r}")
+    return out + sorted(keys)
+
+
+def test_settable_options_are_counted():
+    options = settable_options()
+    assert len(options) == len(set(options))
+    assert len(options) == SETTABLE_OPTIONS, "\n".join(options)
 
 
 def test_exports_resolve():
