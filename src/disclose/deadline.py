@@ -20,7 +20,10 @@ the left end, or fall below its left limit at the right end, by at most
 the sum of the positive jumps at the atoms inside.  An interval where
 these bounds keep it on one side of zero holds no stationary point and is
 dropped; the others are split at their middle atom, and an atom-free
-piece whose ends straddle zero is bisected.  This finds every stationary
+piece whose ends straddle zero is solved for its root.  With a parametric
+``f1`` the bracket is smooth on such a piece, and Brent's method finds
+the root; a piecewise ``f1`` makes it a step function there, and
+bisection closes the piece.  This finds every stationary
 point, at an atom or between two, and the payoff argmax over them is the
 best deadline.  When ``f0`` is affine on ``[u_star, u0]`` no jump is
 positive, and the search is one binary search over the atoms.
@@ -29,7 +32,11 @@ Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
 to find them, then O(atoms <= T)), returns both one-sided brackets and
 computes no payoff.  The affine case makes O(log m) of them at atoms; a
 curved ``f0`` one per split atom, as many as the pruning leaves.  Each
-bisection to 1e-13 adds about 40.  Payoffs are computed for the
+crossing piece solved to 1e-13 adds about 40 when bisected (piecewise
+``f1``), and a few by Brent's method (parametric ``f1``; 12 evaluations
+in all for an insurance pair with 32 atoms).  The affinity test reads
+``f0`` at its breakpoints, or solves one smooth root, and no bracket.
+Payoffs are computed for the
 candidate deadlines and the never-stop profile only, each O(atoms) on the
 two-cell deadline mechanism.
 """
@@ -43,9 +50,9 @@ from typing import Tuple
 
 from .distribution import BreakthroughDist
 from .errors import ConfigError, ModelAssumptionError, SolverError
-from .frontier import TechnologyPair, affine_gap
+from .frontier import ParametricFrontier, TechnologyPair, affine_gap
 from .mechanism import Mechanism, continuation_value, payoff
-from .numerics import bisect_bracket
+from .numerics import bisect_bracket, brent_down
 
 FOC_TOL = 1e-9
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
@@ -227,9 +234,12 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     branch and bound searches for the stationary points of the payoff
     (the module docstring gives the bound).  An atom is one when its left
     bracket is >= 0 and its right bracket < 0; each piece whose bracket
-    goes from >= 0 to < 0 is bisected to 1e-13.  The payoff argmax over
-    these candidates and the threshold itself is returned, with a warning
-    when ``f0`` is not affine on ``[u_star, u0]``.  The search relies on
+    goes from >= 0 to < 0 is solved to 1e-13: by Brent's method when
+    ``f1`` is parametric, so that the bracket is smooth on the piece, and
+    by bisection with an endpoint rule when it is piecewise.  The payoff
+    argmax over these candidates and the threshold itself is returned, with
+    a warning when :func:`affine_gap` of ``f0`` on ``[u_star, u0]`` exceeds
+    ``AFFINE_TOL``.  The search relies on
     ``f1`` being concave.  Only the candidates and the never-stop profile
     cost a payoff; the final :func:`foc_check` reads brackets.
     """
@@ -237,12 +247,19 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     alpha = _alpha(pair)
     warnings = []
     u0, ustar = pair.u0, pair.u_star
-    if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) > AFFINE_TOL:
+    if affine_gap(pair.f0, ustar, u0) > AFFINE_TOL:
         warnings.append("f0 is not affine between u_star and its peak; "
                         "using stationary-point scan with payoff argmax")
 
     def brackets(T: float) -> Tuple[float, float]:
         return _brackets(pair, dist, T, alpha)
+
+    def right(T: float) -> float:
+        return _brackets(pair, dist, T, alpha)[0]
+
+    # a parametric f1 has no kink, so neither has the bracket inside an
+    # atom-free piece; a piecewise f1's bracket is a step function there
+    smooth = isinstance(pair.f1, ParametricFrontier)
 
     times = dist.times
     t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0),
@@ -274,8 +291,12 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
                 candidates.append(ts[k])
             stack += [(k, j), (i, k)]
             continue
-        lo, b_lo, hi, _ = bisect_bracket(lambda T: brackets(T)[0], ts[i], ts[j],
-                                         f_lo=vals[i][0], f_hi=vals[j][1], tol_x=1e-13)
+        if smooth:
+            candidates.append(brent_down(right, ts[i], ts[j], f_lo=vals[i][0],
+                                         f_hi=vals[j][1], tol_x=1e-13))
+            continue
+        lo, b_lo, hi, _ = bisect_bracket(right, ts[i], ts[j], f_lo=vals[i][0],
+                                         f_hi=vals[j][1], tol_x=1e-13)
         # pick the endpoint where the first-order sandwich holds: at a
         # smooth crossing the left endpoint's bracket is a hair above
         # zero (within tol), so keep it; a bracket that jumps across a

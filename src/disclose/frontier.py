@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
-from .errors import ModelAssumptionError, NotSimple
-from .numerics import bisect_down, bisect_up
+from .errors import ModelAssumptionError, NotSimple, SolverError
+from .numerics import bisect_down, bisect_up, brent_down
 
 INF = float("inf")
 
@@ -255,29 +255,44 @@ def u_star(f0, f1) -> float:
     return lo
 
 
-def affine_gap(f0, lo, hi, *, step: float = 1e-4) -> float:
-    """Largest deviation of ``f0`` from the chord over ``[lo, hi]``.
+def affine_gap(f0, lo, hi) -> float:
+    """Largest deviation of ``f0`` above its chord over ``[lo, hi]``.
 
-    The chord connects ``(lo, f0(lo))`` and ``(hi, f0(hi))``; the maximum is
-    taken on an evenly spaced grid with roughly the given step.  Zero for an
-    affine piece; the value bounds how much the best deadline scheme can
-    lose relative to the unrestricted optimum.
+    The chord connects ``(lo, f0(lo))`` and ``(hi, f0(hi))``.  ``f0`` is
+    concave, so its deviation from the chord is concave too, and the maximum
+    is exact: for a piecewise ``f0`` the largest deviation at a breakpoint
+    strictly inside, or 0; for a parametric one the deviation at the root of
+    ``f0.dfn - chord slope`` (:func:`brent_down`, to ``1e-13 (hi - lo)``),
+    or 0 when that has no sign change.  Zero for an affine piece; the value
+    bounds how much the best deadline scheme can lose relative to the
+    unrestricted optimum.  A NaN chord or ``f0`` slope raises
+    :class:`SolverError`.
     """
     lo = float(lo)
     hi = float(hi)
     if hi <= lo:
         return 0.0
     v_lo = float(f0.value(lo))
-    v_hi = float(f0.value(hi))
-    slope = (v_hi - v_lo) / (hi - lo)
-    n = max(1, int(round((hi - lo) / step)))
-    gap = 0.0
-    for i in range(n + 1):
-        u = lo + (hi - lo) * i / n
-        dev = float(f0.value(u)) - (v_lo + slope * (u - lo))
-        if dev > gap:
-            gap = dev
-    return gap
+    slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
+    if isinstance(f0, PiecewiseFrontier):
+        gap = 0.0
+        for u, v in f0.points:
+            u = float(u)
+            if lo < u < hi:
+                gap = max(gap, float(v) - (v_lo + slope * (u - lo)))
+        return gap
+
+    def tilt(u: float) -> float:
+        return f0.dfn(u) - slope
+
+    t_lo, t_hi = tilt(lo), tilt(hi)
+    if t_lo != t_lo or t_hi != t_hi:
+        raise SolverError(f"affine_gap: NaN slope on [{lo}, {hi}] "
+                          f"(chord {slope}, f0' - chord {t_lo} and {t_hi})")
+    if not t_lo >= 0.0 >= t_hi:
+        return 0.0
+    u = brent_down(tilt, lo, hi, f_lo=t_lo, f_hi=t_hi, tol_x=1e-13 * (hi - lo))
+    return max(0.0, float(f0.value(u)) - (v_lo + slope * (u - lo)))
 
 
 @dataclass(frozen=True)

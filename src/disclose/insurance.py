@@ -88,25 +88,28 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
     maximizer is the unique root of the smooth slope, bracketed by geometric
-    growth and located by Brent's method.  Nothing is cached here:
-    ``build_frontiers`` keeps a memo per pair.
+    growth and located by Brent's method.  A slope that overflows a float
+    during that growth, or stays below the wage up to L = 2**200, is a
+    :class:`ConfigError`.  Nothing is cached here: ``build_frontiers`` keeps
+    a memo per pair.
     """
 
     def gp(L: float) -> float:
         return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
 
-    never = "search-cost slope never exceeds the wage"
     hi = 1.0
     for _ in range(200):
         try:
             g_hi = gp(hi)
-            if g_hi < 0.0:
-                break
-        except OverflowError:  # the slope overflows a float while below the wage
-            raise ConfigError(never) from None
+        except OverflowError:
+            raise ConfigError(
+                f"search-cost slope overflows a float at labor L={hi:g} "
+                f"(a={a}, b={b}, w={w}, u={u:g})") from None
+        if g_hi < 0.0:
+            break
         hi *= 2.0
     else:  # a wage beyond the slope at L = 2**200
-        raise ConfigError(never)
+        raise ConfigError("search-cost slope never exceeds the wage")
     l_star = brent_down(gp, 0.0, hi, f_lo=w, f_hi=g_hi, tol_x=1e-13 * hi)
     return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
 

@@ -5,17 +5,20 @@ looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
 derivative (never Newton: several of the functions we solve have kinks or
 one-sided derivatives).  Bisection is the default.  :func:`brent_down`
 (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
-serves the three solves of smooth functions: the ``f0`` slope inversion
-and the ``psi`` root (the terminal level of a reward path) of a parametric
-pair, and the insurance labor maximization.  There its interpolation steps
-converge superlinearly; on a step function it has no such step to take,
-so piecewise frontiers keep bisection for both reward-path solves.
+serves the solves of smooth functions: the ``f0`` slope inversion and the
+``psi`` root (the terminal level of a reward path) of a parametric pair,
+the crossing piece of a deadline search with a parametric ``f1``, the
+point where a parametric ``f0`` is parallel to its chord
+(``frontier.affine_gap``), and the insurance labor maximization.  There its
+interpolation steps converge superlinearly; on a step function it has no
+such step to take, so piecewise frontiers keep bisection.
 :func:`bisect_bracket` is the one bisection loop: it closes each atom-free
-piece of the deadline search, and :func:`bisect_down`/:func:`bisect_up`
-return the midpoint of its final bracket.  A search that may find no sign
-change (``ParametricFrontier.peak``, the reward path's ``f0`` slope
-inversion) applies the end clamps itself, then calls a root finder.  Both
-methods raise :class:`SolverError` on a NaN from ``f``.
+piece of the deadline search with a piecewise ``f1``, and
+:func:`bisect_down`/:func:`bisect_up` return the midpoint of its final
+bracket.  A search that may find no sign change (``ParametricFrontier.peak``,
+the reward path's ``f0`` slope inversion, ``affine_gap``) tests the ends
+itself, then calls a root finder.  Both methods raise :class:`SolverError`
+on a NaN from ``f``.
 """
 
 from __future__ import annotations

@@ -377,6 +377,8 @@ MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
 SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
 SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
 UI_OVERFLOW = "config error: the f0 peak utility or its consumption overflows"
+SLOPE_NEVER = "config error: search-cost slope never exceeds the wage"
+SLOPE_OVERFLOW = "config error: search-cost slope overflows a float at labor L="
 
 # configs that must fail cleanly: (command, exit code, stderr start, config)
 BAD_CONFIGS = {
@@ -472,11 +474,14 @@ BAD_CONFIGS = {
     # f0 = u - shadow u**(1/a) overflows at the domain top 2 u0 once a < ~9.8e-4
     "ui-tiny-a": ("solve-deadline", 1, UI_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.0005), "distribution": EXP_8}),
-    "ui-huge-wage": ("solve-deadline", 1, "config error: search-cost slope", {
+    "ui-huge-wage": ("solve-deadline", 1, SLOPE_NEVER, {
         "technology": dict(UI_TECH, w=1e300), "distribution": EXP_8}),
     # the slope's L ** b overflows a float while still below the wage
-    "ui-wage-overflow": ("solve-deadline", 1, "config error: search-cost slope", {
+    "ui-wage-overflow": ("solve-deadline", 1, SLOPE_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.99, b=10, w=1e300), "distribution": EXP_8}),
+    # (u + L**b) ** ((1 - a) / a) overflows at L = 1 once u + 1 > ~2.03
+    "ui-inner-max-overflow": ("solve-deadline", 1, SLOPE_OVERFLOW, {
+        "technology": dict(UI_TECH, a=0.001), "distribution": EXP_8}),
     # f0 and f1 share no slope on [0, u0]; verify classifies the pair as
     # strictly concave and the path's bracket fails at the domain bottom
     "ui-verify-path-bracket": ("verify", 3, "solver failure: psi(u_star)=-1.109e-01 < 0", {

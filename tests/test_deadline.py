@@ -41,6 +41,7 @@ import conftest
 from conftest import (A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1,
                       exhaustive_deadline)
 from test_golden import WITNESS_ATOMS, WITNESS_TECH
+from test_hotpaths import random_ui_primitives
 
 ROOT_TOL = 1e-8
 
@@ -178,6 +179,35 @@ def test_early_mass_shifts_deadline(pair_a):
     # all mass at t=0.25 just translates the threshold time
     res = optimize_deadline(pair_a, from_atoms([(0.25, 1.0)]))
     assert res.T == pytest.approx(0.25 + math.log(3.5), abs=ROOT_TOL)
+
+
+# ------------------------------------------------------ crossing piece root ---
+
+def test_smooth_piece_root_matches_the_bisection_reference(pair_b):
+    # the reference bisects every crossing piece to 1e-13 and keeps the
+    # endpoint whose bracket is within the FOC tolerance
+    rng = random.Random(1913)
+    cases = []
+    while len(cases) < 24:
+        try:
+            pair = build_frontiers(random_ui_primitives(rng), rng.uniform(0.5, 2.0))
+            t_underline(pair)
+        except DiscloseError:
+            continue
+        cases.append((pair, discretize("exponential", rng.choice((2, 8, 16, 32)),
+                                       rate=rng.uniform(0.3, 3.0))))
+    for _ in range(24):
+        m = rng.choice((1, 4, 16, 64))
+        cases.append((pair_b, discretize("weibull", m, shape=rng.uniform(0.5, 4.0),
+                                         scale=rng.uniform(0.3, 3.0))
+                      if rng.random() < 0.5 else
+                      discretize("exponential", m, rate=rng.uniform(0.3, 3.0))))
+    for pair, dist in cases:
+        res = optimize_deadline(pair, dist)
+        t_ref, pi_ref = exhaustive_deadline(pair, dist)
+        assert abs(res.T - t_ref) <= 1e-12
+        # the payoff is flat at a stationary point: only its rounding moves
+        assert res.payoff >= pi_ref - 4 * math.ulp(pi_ref)
 
 
 # ---------------------------------------- affine search against full scan ---
@@ -329,7 +359,7 @@ def test_curved_search_matches_full_scan(monkeypatch):
         except DiscloseError:
             continue
         u0, ustar = float(pair.u0), float(pair.u_star)
-        if affine_gap(pair.f0, ustar, u0, step=(u0 - ustar) / 257) <= deadline.AFFINE_TOL:
+        if affine_gap(pair.f0, ustar, u0) <= deadline.AFFINE_TOL:
             continue
         # mostly few atoms, which keeps the reference cheap; one law in
         # five clusters its atoms

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from disclose import (
     ModelAssumptionError,
@@ -14,6 +15,7 @@ from disclose import (
     TechnologyPair,
     affine_gap,
 )
+from disclose.errors import SolverError
 from disclose.frontier import NEG_INF, is_neg_inf, u_star, validate_model
 from disclose.numerics import bisect_down
 from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
@@ -217,13 +219,87 @@ def test_affine_gap_zero_on_affine_band(pair_a):
 def test_affine_gap_quadratic_anchor(pair_b):
     # chord of 2u-u^2 through (0.1, 0.19) and (1, 1); max deviation at 0.55
     gap = affine_gap(pair_b.f0, 0.1, 1.0)
-    assert gap == pytest.approx(0.2025, abs=1e-9)
+    assert gap == pytest.approx(0.2025, abs=1e-15)
     mid = b_f0(0.55) - (0.19 + 0.9 * (0.55 - 0.1))
-    assert gap == pytest.approx(mid, abs=1e-9)
+    assert gap == pytest.approx(mid, abs=1e-15)
 
 
 def test_affine_gap_empty_interval(pair_b):
     assert affine_gap(pair_b.f0, 0.5, 0.5) == 0.0
+
+
+def grid_gap(f0, lo, hi, step=1e-4):
+    """The chord deviation's maximum on an evenly spaced grid of roughly
+    ``step``: how ``affine_gap`` was computed before it was exact."""
+    v_lo = float(f0.value(lo))
+    slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
+    n = max(1, int(round((hi - lo) / step)))
+    return max(float(f0.value(lo + (hi - lo) * i / n))
+               - (v_lo + slope * (lo + (hi - lo) * i / n - lo)) for i in range(n + 1))
+
+
+@st.composite
+def concave_piecewise(draw):
+    """A concave piecewise ``f0`` on 3-8 breakpoints in ``[0, ~3]`` and a
+    chord interval ``[lo, hi]`` inside its domain, whose ends are breakpoints
+    in one draw of three.  Widths are multiples of 1/64 and slopes of 1/8, so
+    the breakpoints carry the drawn slopes exactly."""
+    n = draw(st.integers(3, 8))
+    widths = [k / 64 for k in draw(st.lists(st.integers(1, 25), min_size=n - 1,
+                                            max_size=n - 1))]
+    slopes = [j / 8 for j in sorted(draw(st.lists(
+        st.integers(-24, 24).filter(bool), min_size=n - 1, max_size=n - 1,
+        unique=True)), reverse=True)]
+    points = [(0.0, 0.0)]
+    for w, s in zip(widths, slopes):
+        u, v = points[-1]
+        points.append((u + w, v + s * w))
+    f0 = PiecewiseFrontier(tuple(points))
+    if draw(st.integers(0, 2)) == 0:
+        i, j = sorted(draw(st.lists(st.integers(0, len(points) - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        return f0, points[i][0], points[j][0]
+    a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    top = points[-1][0]
+    return f0, a * top, b * top
+
+
+@settings(max_examples=60, deadline=None)
+@given(concave_piecewise())
+def test_affine_gap_piecewise_is_the_breakpoint_maximum(case):
+    f0, lo, hi = case
+    assume(hi > lo)
+    v_lo = float(f0.value(lo))
+    slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
+    brute = max([0.0] + [float(f0.value(u)) - (v_lo + slope * (u - lo))
+                         for u, _ in f0.points if lo < u < hi])
+    gap = affine_gap(f0, lo, hi)
+    assert gap == brute
+    # the grid never sees more than the exact maximum, beyond the rounding
+    # of its own chord arithmetic
+    assert gap >= grid_gap(f0, lo, hi) - 1e-14
+
+
+def test_affine_gap_parametric_root_and_flat_cases(pair_b):
+    f0 = pair_b.f0
+    # the chord slope equals f0' at the interval's middle, where the
+    # deviation of a quadratic peaks: (hi - lo)^2 / 4
+    for lo, hi in ((0.0, 1.2), (0.2, 0.3), (0.7, 1.1)):
+        assert affine_gap(f0, lo, hi) == pytest.approx((hi - lo) ** 2 / 4, abs=1e-15)
+    line = ParametricFrontier(fn=lambda u: 2.0 * u, u_lo=0.0, u_hi=1.0,
+                              dfn=lambda u: 2.0)
+    assert affine_gap(line, 0.0, 1.0) == 0.0
+
+
+def test_affine_gap_nan_slope_is_a_solver_error():
+    f0 = ParametricFrontier(fn=lambda u: u - u * u, u_lo=0.0, u_hi=1.0,
+                            dfn=lambda u: math.nan)
+    with pytest.raises(SolverError):
+        affine_gap(f0, 0.0, 1.0)
+    f0 = ParametricFrontier(fn=lambda u: math.nan, u_lo=0.0, u_hi=1.0,
+                            dfn=lambda u: 1.0 - 2.0 * u)
+    with pytest.raises(SolverError):
+        affine_gap(f0, 0.0, 1.0)
 
 
 # ------------------------------------------------------- technology pair ---

@@ -46,6 +46,13 @@ atom's survival weight, where the old T read the ``f1`` slope left of
 ``u_star`` that ``KINK_SNAP`` gave the atom's reward; and ``mechanism.csv``
 lost the row of the atom 5e-14 before the deadline.  Every other case
 stayed byte-identical.
+Two were recorded again when the crossing piece of a deadline search with
+a parametric ``f1`` moved from bisection with an endpoint rule to Brent's
+method: ``ui-schedule-deadline16`` (``T`` and the ``t`` columns 3.1e-15,
+every other field at most 1.1e-15) and ``ui-sweep-m8`` (``t_deadline``
+6.0e-14; ``report.json`` stayed byte-identical).  ``affine_gap`` became
+exact in the same change and moved no output: at ``a = 0.5`` the old grid
+held the maximizer.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
@@ -220,17 +227,17 @@ GOLDEN = {
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            '01ce503357495c578e21a5033a407c41f26e8e26c166cc4de5f995e9a2e39a14',
+            'ce86d69c779c1af88a70be76ac16db98e5075bf5ecbf67d49937526bb8bea521',
         'report.json':
-            '254e301f5e459fc68c7a6ab1dee90c5c1063c40db9038dffed63d67c08de3d7c',
+            '34d85a4bf50d9c7b5f454dc0de9b6f4153a3c0f50183fb5e625ae9ff60ca065b',
         'schedule.csv':
-            '1da25b6106226a42f87d69c45aeeeb071f4e3f2a2d8b7eb6bcb8aac4ef17d51e',
+            'eb709d0461de875e114d6d8c5835ecc731e08226ae158d181a75583522fb2703',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
             '68d96c7f5fc2a12c2b65ecde1cb77cdd7c81dea07e73c87340e7b6813c0ce75f',
         'sweep.csv':
-            '6736acc225b693e6dafd69c2dd9ec1e71426068aca32c9632676ebb616314777',
+            '9d296fabbc2de051a9ed6d3f6c64b2149dfe39a70386c44b97927134a4dd90cf',
     }),
     'verify-classify': (0, {
         'report.json':

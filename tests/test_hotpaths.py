@@ -7,7 +7,9 @@ oracles return.  Every comparison is exact equality (floats by ``.hex()``),
 never approximate.  The last tests count work instead of timing it: one
 ``optimize_deadline`` call may compute only the payoffs it reads and
 reads the bracket at few atoms (one binary search over them when ``f0`` is
-affine, and no more than the pruning leaves otherwise), slopes cost no
+affine, and no more than the pruning leaves otherwise) and closes a
+crossing piece by Brent's method when ``f1`` is parametric and by
+bisection when it is piecewise, slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 searches ``[u_star, u0]`` once for the ``psi`` root and makes one backward
 pass per ``psi`` evaluation, and the insurance inner maximization runs
@@ -417,18 +419,20 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
 
 
 # bracket evaluations: the T_hi doubling, the threshold, the atoms the
-# search splits at, the bisection of each crossing piece to 1e-13 (whose
-# end values the endpoint choice reuses) and foc_check
+# search splits at, the root of each crossing piece to 1e-13 and foc_check.
+# A piecewise f1 bisects the piece (the endpoint choice reuses the end
+# values); a parametric one takes Brent's method, which needs a few
+# evaluations where bisection needs about 40
 BRACKET_COUNTS = {
     # f0 affine: one binary search over the atoms
     "affine-exp64": 48,
     "affine-exp256": 49,
-    "affine-smooth": 48,
+    "affine-smooth": 13,
     # f0 not affine: the bracket may rise at an atom, and the search
     # splits each interval that can still cross zero
     "kinked": 7,
-    "curved": 48,
-    "insurance": 49,
+    "curved": 11,
+    "insurance": 12,
     "late-cluster": 97,  # two crossing pieces, each bisected
 }
 
@@ -440,6 +444,23 @@ def test_optimize_deadline_bracket_count(request, monkeypatch, case):
     count_calls(monkeypatch, deadline, "_brackets", counts)
     deadline.optimize_deadline(pair, dist)
     assert counts["_brackets"] <= BRACKET_COUNTS[case]
+
+
+@pytest.mark.parametrize("case, root", [
+    ("curved", "brent_down"), ("affine-smooth", "brent_down"),
+    ("insurance", "brent_down"), ("affine-exp64", "bisect_bracket"),
+    ("late-cluster", "bisect_bracket")])
+def test_deadline_piece_root_follows_the_f1_kind(request, monkeypatch, case, root):
+    # a parametric f1 makes the bracket smooth inside an atom-free piece,
+    # so Brent's method closes it; a piecewise f1's bracket is a step
+    # function there, and bisection with the endpoint rule closes it
+    pair, dist = deadline_case(request, case)
+    counts = Counter()
+    for name in ("brent_down", "bisect_bracket"):
+        count_calls(monkeypatch, deadline, name, counts)
+    deadline.optimize_deadline(pair, dist)
+    assert counts[root] >= 1
+    assert sum(counts.values()) == counts[root]
 
 
 def test_parametric_derivs_call_no_fn():

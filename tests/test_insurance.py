@@ -8,9 +8,13 @@ solves 4L(u + L^2) = 1 jointly with u + L^2 = 1, so L = 1/4 and u = 15/16.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
-from disclose import ConfigError, Mechanism, UiPrimitives, welfare_sweep
+from disclose import ConfigError, Mechanism, UiPrimitives, insurance, welfare_sweep
+from disclose.cli import main
 from disclose.insurance import schedule, ui_constants
 
 IDENTITY_TOL = 1e-9
@@ -94,3 +98,32 @@ def test_welfare_sweep_direction(ui_prims, dist_exp8):
     assert rows[0].pi_deadline == pytest.approx(0.530813, abs=1e-5)
     # richer program at shadow 0.2: the peak promise rises to (0.5/0.2)^1
     assert rows[1].u0 == pytest.approx(2.5, abs=1e-12)
+
+
+def test_sweep_at_a_huge_f0_peak_reads_f0_a_bounded_number_of_times(tmp_path,
+                                                                  monkeypatch):
+    # u0 = 2.56e6: a chord check on a 1e-4 grid would read f0 ~2.6e10 times
+    calls = Counter()
+    f0_fns = insurance._f0_fns
+
+    def counted(a, lam):
+        fn, dfn = f0_fns(a, lam)
+
+        def fn_counted(u):
+            calls["fn"] += 1
+            return fn(u)
+
+        def dfn_counted(u):
+            calls["dfn"] += 1
+            return dfn(u)
+        return fn_counted, dfn_counted
+
+    monkeypatch.setattr(insurance, "_f0_fns", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "technology": {"kind": "insurance", "a": 0.8, "b": 2.0, "w": 1.0,
+                       "shadow": 0.02},
+        "r": 1.0, "shadows": [0.02],
+        "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}))
+    assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"fn": 224, "dfn": 830}
