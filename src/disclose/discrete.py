@@ -28,7 +28,9 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError, NothingToImprove
 from .frontier import NEG_INF, is_neg_inf
 
-# most grid mechanisms undominated_scan will enumerate
+# most mechanism-periods undominated_scan will enumerate: grid mechanisms
+# times the horizon, since each mechanism is checked and scored period by
+# period; the horizon is charged even when the grids hold one level each
 SCAN_BUDGET = 1e7
 
 
@@ -192,24 +194,76 @@ def undominated_scan(f0, f1, beta, horizon: int,
     """Enumerate every grid mechanism, keep the incentive-compatible ones,
     and prune those weakly dominated across all point-mass beliefs plus
     "never".  Exact under exact inputs; refuses combinatorially hopeless
-    calls: more than ``SCAN_BUDGET`` mechanisms is a ConfigError."""
+    calls: more than ``SCAN_BUDGET`` mechanisms times the horizon is a
+    ConfigError, checked before anything is enumerated.
+
+    The result equals, in value and order, checking each mechanism with
+    :func:`ic_discrete` and scoring it with :func:`payoff_vector`, but no
+    work is repeated across mechanisms.  Each frontier is read once per grid
+    level.  Each flow path gets its continuation, delay terms
+    ``(1 - beta) x[s]``, discounted flow totals and "never" coordinate once;
+    each reward path its terms ``beta x1[s+1]`` and ``beta**p f1(x1[p])``
+    once; a path holding an off-domain level is dropped there, since every
+    mechanism on it has a NEG_INF coordinate.  Per mechanism there remain
+    only comparisons, ``horizon`` additions for the delay right-hand sides
+    and ``horizon`` additions for the payoff coordinates.  Every float
+    operation keeps the grouping of the per-mechanism functions, so float
+    inputs give the same bits too."""
+    if not (0 < beta < 1):
+        raise ConfigError(f"discount factor must be in (0, 1), got {beta}")
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1, got {horizon}")
-    n_combo = (len(x_grid) * len(reward_grid)) ** horizon
-    if n_combo > SCAN_BUDGET:
+    # with two or more level pairs the count at least doubles each period, so
+    # an exponent clipped at log2(SCAN_BUDGET) is over budget already there,
+    # and a huge horizon never builds a huge integer
+    n_combo = (len(x_grid) * len(reward_grid)) ** min(
+        horizon, int(SCAN_BUDGET).bit_length())
+    if n_combo * horizon > SCAN_BUDGET:
         raise ConfigError(
-            f"scan would enumerate {n_combo:.3g} mechanisms (budget {SCAN_BUDGET:.3g})")
+            f"scan over budget: {len(x_grid)} flow and {len(reward_grid)} reward "
+            f"levels at horizon {horizon:.3g} exceed {SCAN_BUDGET:.3g} mechanism-periods")
+    if not n_combo:
+        return ()
 
+    v0 = [f0.value(u) for u in x_grid]
+    w1 = [f1.value(u) for u in reward_grid]
+    powers = [beta ** p for p in range(horizon)]
+    flow_weights = [(1 - beta) * b for b in powers]
+
+    # (x, X0, (1 - beta) x, payoff totals before each period, "never")
+    flows = []
+    for idx in itertools.product(range(len(x_grid)), repeat=horizon):
+        v = [v0[i] for i in idx]
+        if any(is_neg_inf(e) for e in v):
+            continue
+        x = tuple(x_grid[i] for i in idx)
+        delay = [(1 - beta) * e for e in x]
+        x0 = list(x)
+        for s in range(horizon - 2, -1, -1):
+            x0[s] = delay[s] + beta * x0[s + 1]
+        totals = [0]
+        for p in range(horizon - 1):
+            totals.append(totals[p] + flow_weights[p] * v[p])
+        flows.append((x, x0, delay, totals, totals[-1] + powers[-1] * v[-1]))
+
+    # (x1, beta x1[s+1] with the stationary tail, beta**p f1(x1[p]))
+    rewards = []
+    for idx in itertools.product(range(len(reward_grid)), repeat=horizon):
+        w = [w1[i] for i in idx]
+        if any(is_neg_inf(e) for e in w):
+            continue
+        x1 = tuple(reward_grid[i] for i in idx)
+        rewards.append((x1, [beta * e for e in x1[1:] + x1[-1:]],
+                        [b * e for b, e in zip(powers, w)]))
+
+    periods = range(horizon)
     feasible = []
-    for x in itertools.product(x_grid, repeat=horizon):
-        for x1 in itertools.product(reward_grid, repeat=horizon):
-            m = DiscreteMechanism(beta, x, x1)
-            if not ic_discrete(m).ok:
+    for x, x0, delay, totals, never in flows:
+        for x1, nxt, terms in rewards:
+            if any(x1[s] < x0[s] or x1[s] < delay[s] + nxt[s] for s in periods):
                 continue
-            pv = payoff_vector(m, f0, f1)
-            if any(is_neg_inf(v) for v in pv):
-                continue
-            feasible.append(ScanEntry(x=m.x, x1=m.x1, payoffs=pv))
+            payoffs = tuple([t + e for t, e in zip(totals, terms)] + [never])
+            feasible.append(ScanEntry(x=x, x1=x1, payoffs=payoffs))
 
     def dominates(a: ScanEntry, b: ScanEntry) -> bool:
         ge = all(pa >= pb for pa, pb in zip(a.payoffs, b.payoffs))

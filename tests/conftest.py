@@ -8,6 +8,7 @@ path.  Both have hand-computable constants that the tests anchor against.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from disclose import (
     from_atoms,
 )
 from disclose.deadline import FOC_TOL, _alpha, _brackets, deadline_payoff, t_underline
+from disclose.discrete import DiscreteMechanism, ScanEntry, ic_discrete, payoff_vector
+from disclose.frontier import is_neg_inf
 from disclose.numerics import bisect_bracket
 
 # property tests draw the same examples on every run and keep no example
@@ -62,6 +65,36 @@ def exhaustive_deadline(pair: TechnologyPair, dist) -> tuple:
     scored = [(deadline_payoff(pair, dist, t), -t) for t in candidates]
     value, neg_t = max(c for c in scored if isinstance(c[0], float))
     return -neg_t, value
+
+
+def reference_scan(f0, f1, beta, horizon: int, x_grid, reward_grid) -> tuple:
+    """``undominated_scan`` one mechanism at a time.
+
+    Every ``(x, x1)`` in ``itertools.product`` order is built as a
+    ``DiscreteMechanism``, checked with ``ic_discrete`` and scored with
+    ``payoff_vector``; one with a NEG_INF coordinate is dropped.  The rest
+    are sorted by decreasing payoff sum (stable) and kept unless a kept
+    entry weakly dominates them."""
+    feasible = []
+    for x in itertools.product(x_grid, repeat=horizon):
+        for x1 in itertools.product(reward_grid, repeat=horizon):
+            m = DiscreteMechanism(beta, x, x1)
+            if not ic_discrete(m).ok:
+                continue
+            pv = payoff_vector(m, f0, f1)
+            if not any(is_neg_inf(v) for v in pv):
+                feasible.append(ScanEntry(x=m.x, x1=m.x1, payoffs=pv))
+
+    def dominates(a, b):
+        ge = all(pa >= pb for pa, pb in zip(a.payoffs, b.payoffs))
+        return ge and any(pa > pb for pa, pb in zip(a.payoffs, b.payoffs))
+
+    feasible.sort(key=lambda e: sum(e.payoffs), reverse=True)
+    keep = []
+    for e in feasible:
+        if not any(dominates(o, e) for o in keep):
+            keep.append(e)
+    return tuple(keep)
 
 
 def translated(pair: TechnologyPair, k: float) -> TechnologyPair:

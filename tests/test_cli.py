@@ -449,6 +449,17 @@ BAD_CONFIGS = {
     "negative-horizon": ("oracle", 1, "config error: horizon", {
         "technology": A_TECH, "beta": 0.5, "horizon": -1,
         "x_grid": [0.9], "reward_grid": [0.9]}),
+    # an empty grid builds no mechanism, so the scan checks beta itself
+    "oracle-beta-empty-grid": ("oracle", 1, "config error: discount factor", {
+        "technology": A_TECH, "beta": 2.0, "horizon": 2,
+        "x_grid": [], "reward_grid": [0.9]}),
+    # one mechanism, but the horizon is charged too, before any enumeration
+    "oracle-horizon-1e300": ("oracle", 1, "config error: scan over budget", {
+        "technology": A_TECH, "beta": 0.5, "horizon": 1e300,
+        "x_grid": [0.9], "reward_grid": [0.9]}),
+    "oracle-horizon-1e9": ("oracle", 1, "config error: scan over budget", {
+        "technology": A_TECH, "beta": 0.5, "horizon": 10 ** 9,
+        "x_grid": [0.9], "reward_grid": [0.9]}),
     "ui-technology-not-an-object": ("ui-schedule", 1, "config error", {
         "technology": 5, "distribution": EXP_8}),
     "mechanism-not-an-object": ("verify", 1, "config error", {

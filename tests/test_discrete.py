@@ -10,18 +10,21 @@ from __future__ import annotations
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import A_F0_EXACT, A_F0_POINTS, A_F1_EXACT, A_F1_POINTS, reference_scan
 from disclose import (
     ConfigError,
     DiscreteMechanism,
     NothingToImprove,
+    PiecewiseFrontier,
     continuation,
     ic_discrete,
     improve_slack,
     payoff_vector,
     undominated_scan,
 )
-from disclose.discrete import delay_slacks
+from disclose.discrete import SCAN_BUDGET, delay_slacks
 from disclose.frontier import is_neg_inf
 
 BETA = Fr(1, 2)
@@ -190,3 +193,89 @@ def test_scan_respects_budget(f0_exact, f1_exact):
     grid = tuple(Fr(i, 100) for i in range(57))
     with pytest.raises(ConfigError, match="budget"):
         undominated_scan(f0_exact, f1_exact, BETA, 2, grid, grid)
+
+
+def test_scan_budget_charges_the_horizon(f0_exact, f1_exact):
+    # (50 * 50) ** 2 mechanisms fit the budget; times 2 periods they do not
+    grid = tuple(Fr(i, 100) for i in range(50))
+    assert (len(grid) ** 2) ** 2 <= SCAN_BUDGET < 2 * (len(grid) ** 2) ** 2
+    with pytest.raises(ConfigError, match="budget"):
+        undominated_scan(f0_exact, f1_exact, BETA, 2, grid, grid)
+    # one mechanism over a huge horizon is priced without enumerating it
+    for horizon in (10 ** 9, int(1e300)):
+        with pytest.raises(ConfigError, match="budget"):
+            undominated_scan(f0_exact, f1_exact, BETA, horizon, [Fr(1)], [Fr(1)])
+
+
+def test_scan_validates_beta_before_enumerating(f0_exact, f1_exact):
+    # no mechanism is built for empty grids, so the scan checks beta itself
+    for beta in (Fr(2), Fr(0), 1.0, float("nan")):
+        with pytest.raises(ConfigError, match="discount factor"):
+            undominated_scan(f0_exact, f1_exact, beta, 2, [], [Fr(1)])
+    assert undominated_scan(f0_exact, f1_exact, BETA, 2, [], [Fr(1)]) == ()
+
+
+# levels k/10: below 0 off both domains, above 1.8 off f1's, above 2 off f0's
+LEVELS = range(-2, 23)
+# largest grid per horizon, keeping the reference enumeration small
+MAX_LEVELS = {1: 6, 2: 4, 3: 3}
+
+
+@st.composite
+def scan_inputs(draw):
+    exact = draw(st.booleans())
+    horizon = draw(st.integers(1, 3))
+    grid = st.lists(st.sampled_from(LEVELS), min_size=1,
+                    max_size=MAX_LEVELS[horizon])   # unsorted, repeats allowed
+    x_grid, reward_grid = draw(grid), draw(grid)
+    beta = draw(st.integers(1, 99))
+    # a value axis scaled by k/10, so frontier values are rarely round
+    scale = draw(st.integers(5, 15))
+    if exact:
+        ratio = lambda k, n=10: Fr(k, n)
+        points = A_F0_EXACT, A_F1_EXACT
+    else:
+        ratio = lambda k, n=10: k / n
+        points = A_F0_POINTS, A_F1_POINTS
+    f0, f1 = (PiecewiseFrontier(tuple((u, v * ratio(scale)) for u, v in p))
+              for p in points)
+    return (f0, f1, ratio(beta, 100), horizon,
+            [ratio(k) for k in x_grid], [ratio(k) for k in reward_grid])
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_inputs())
+# the first two kept entries tie on the payoff sum, so their order is the
+# enumeration order: flow path outer, reward path inner
+@example((PiecewiseFrontier(A_F0_EXACT), PiecewiseFrontier(A_F1_EXACT), BETA, 2,
+          [Fr(3, 5), Fr(4, 5), Fr(1)], [Fr(1), Fr(4, 5), Fr(3, 5)]))
+def test_scan_equals_the_per_mechanism_reference(args):
+    got = undominated_scan(*args)
+    want = reference_scan(*args)
+    assert got == want
+    # same types and signs of zero too, so the CLI writes the same bytes
+    assert repr(got) == repr(want)
+
+
+class CountingFrontier:
+    """A frontier that counts its ``value`` reads."""
+
+    def __init__(self, f):
+        self.f = f
+        self.reads = 0
+
+    def value(self, u):
+        self.reads += 1
+        return self.f.value(u)
+
+
+def test_scan_reads_each_frontier_once_per_grid_level(f0_exact, f1_exact):
+    # repeated and off-domain levels are read once per grid entry, never
+    # once per mechanism
+    x_grid = [Fr(1), Fr(3, 10), Fr(1), Fr(21, 10), Fr(4, 5)]
+    reward_grid = [Fr(4, 5), Fr(19, 10), Fr(13, 20), Fr(1)]
+    f0, f1 = CountingFrontier(f0_exact), CountingFrontier(f1_exact)
+    kept = undominated_scan(f0, f1, BETA, 2, x_grid, reward_grid)
+    assert (f0.reads, f1.reads) == (len(x_grid), len(reward_grid))
+    assert kept == undominated_scan(f0_exact, f1_exact, BETA, 2, x_grid, reward_grid)
+    assert kept
