@@ -69,7 +69,10 @@ class BreakthroughDist:
         for p in self.probs:
             if not p > 0:
                 raise ConfigError(f"atom masses must be positive, got {p}")
-        total = math.fsum(self.probs)
+        try:
+            total = math.fsum(self.probs)
+        except OverflowError:  # finite masses whose sum passes the float range
+            total = math.inf
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"atom masses must sum to 1 within {MASS_TOL}, got {total!r}")
         object.__setattr__(self, "_cum", _prefix_masses(self.probs))

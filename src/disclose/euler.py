@@ -39,7 +39,7 @@ from typing import Optional, Tuple
 from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
 from .frontier import ParametricFrontier, TechnologyPair, is_neg_inf, slope
-from .mechanism import Mechanism, continuation_at, continuation_profile, payoff
+from .mechanism import Mechanism, mechanism_rows, payoff
 from .numerics import bisect_down, brent_down
 
 # |psi| at which the bisection of a piecewise pair's psi stops early
@@ -47,9 +47,7 @@ PSI_TOL = 1e-10
 LAM_TOL = 1e-12
 # points of the second-difference concavity grid on [u_star, u0]
 SIMPLE_GRID = 201
-# evenly spaced probe times, and the pointwise tolerance, of the
-# comparative-statics check
-STATICS_PROBES = 100
+# pointwise tolerance of the comparative-statics check
 STATICS_TOL = 1e-9
 
 
@@ -297,7 +295,7 @@ class ComparativeStatics:
     """Pointwise comparison of two solved reward paths.
 
     ``ok`` means the path under the first (stochastically later) law stays
-    weakly above the path under the second everywhere probed."""
+    weakly above the path under the second at every time."""
 
     order: OrderReport
     ok: bool
@@ -309,22 +307,19 @@ def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,
                               dist_dag: BreakthroughDist) -> ComparativeStatics:
     """Solve under both laws and check the continuation profile under
     ``dist`` dominates the one under ``dist_dag`` pointwise (the predicted
-    direction when ``dist`` likelihood-ratio dominates ``dist_dag``)."""
+    direction when ``dist`` likelihood-ratio dominates ``dist_dag``).
+
+    Between consecutive points of the two grids each continuation value is
+    ``l + exp(r (t - b)) (X_b - l)``, so the gap of the two paths is
+    ``alpha + beta exp(r t)``, monotone, and after the last point it is
+    constant: its supremum lies on the union of the grids, where both
+    paths are read.  ``witness`` is the earliest time of the largest gap."""
     order = order_checks(dist, dist_dag)
-    sol = solve(pair, dist)
-    sol_dag = solve(pair, dist_dag)
-    t_hi = max(dist.times[-1], dist_dag.times[-1]) * 1.25
-    probes = sorted(set(dist.times) | set(dist_dag.times)
-                    | {t_hi * i / (STATICS_PROBES - 1) for i in range(STATICS_PROBES)})
-    m, m_dag = sol.mechanism, sol_dag.mechanism
-    prof = continuation_profile(m, pair.r)
-    prof_dag = continuation_profile(m_dag, pair.r)
-    worst, witness = -math.inf, None
-    for t in probes:
-        a = continuation_at(m, prof, pair.r, t)
-        b = continuation_at(m_dag, prof_dag, pair.r, t)
-        if b - a > worst:
-            worst, witness = b - a, t
+    m, m_dag = solve(pair, dist).mechanism, solve(pair, dist_dag).mechanism
+    rows = mechanism_rows(m, pair.r, m_dag.grid)
+    rows_dag = mechanism_rows(m_dag, pair.r, m.grid)
+    worst, neg_t = max((x_dag - x, -t) for (t, _, x, _), (_, _, x_dag, _)
+                       in zip(rows, rows_dag))
     ok = worst <= STATICS_TOL
     return ComparativeStatics(order=order, ok=ok, max_violation=worst,
-                              witness=None if ok else witness)
+                              witness=None if ok else -neg_t)

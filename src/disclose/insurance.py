@@ -12,15 +12,18 @@ minus, once employable, a search cost ``kappa(L) = L**b`` (b > 1) for labor
   promised utility plus the search cost.
 
 ``f0`` peaks at ``u0 = (a/shadow)**(a/(1-a))`` with value ``(1-a) * u0``.
-Its slope starts at ``f0'(0) = 1``, while ``f1'(0) < 1`` whenever the
-agent works, and the two slopes need not meet anywhere on ``[0, u0]`` (at
-``a = 0.5, b = 2, w = 1, shadow = 0.5`` they stay at least 0.056 apart).
-``u_star = 0`` is then only the fallback of :func:`frontier.u_star`, the
-bottom of the domain, not a level where the frontiers share a slope.  At a
-high wage ``f1`` already falls at zero (``f1'(0) = -0.353`` at ``a = 0.2588,
-b = 2.3211, w = 4.0924, shadow = 0.6737``), and the reward-path solve
-fails its bracket.  Solved mechanisms translate into benefit/consumption/
-labor schedules via the same closed forms.
+The two slopes never meet.  By the envelope theorem
+
+    f0'(u) - f1'(u) = (shadow/a) [(u + L*^b)**((1-a)/a) - u**((1-a)/a)] > 0
+
+for every ``u >= 0``, because the optimal labor ``L*(u)`` is positive (the
+labor objective has slope ``w > 0`` at L = 0).  So :func:`frontier.u_star`
+always returns the bottom of the domain, ``u_star = 0``: a corner, not a
+level where the frontiers share a slope.  At a high wage ``f1`` already
+falls at zero (``f1'(0) = -0.353`` at ``a = 0.2588, b = 2.3211,
+w = 4.0924, shadow = 0.6737``), and the reward-path solve fails its
+bracket.  Solved mechanisms translate into benefit/consumption/labor
+schedules via the same closed forms.
 
 ``f1`` and its slope both need the inner maximization over labor.  Each
 pair built by :func:`build_frontiers` memoizes it per utility level; the
@@ -90,7 +93,8 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     maximizer is the unique root of the smooth slope, bracketed by geometric
     growth and located by Brent's method.  A slope that overflows a float
     during that growth, or stays below the wage up to L = 2**200, is a
-    :class:`ConfigError`.  Nothing is cached here: ``build_frontiers`` keeps
+    :class:`ConfigError`, and so is a consumption at the maximizer that
+    overflows one.  Nothing is cached here: ``build_frontiers`` keeps
     a memo per pair.
     """
 
@@ -111,7 +115,12 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     else:  # a wage beyond the slope at L = 2**200
         raise ConfigError("search-cost slope never exceeds the wage")
     l_star = brent_down(gp, 0.0, hi, f_lo=w, f_hi=g_hi, tol_x=1e-13 * hi)
-    return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
+    try:
+        return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
+    except OverflowError:
+        raise ConfigError(
+            f"compensating consumption overflows a float at labor L={l_star:g} "
+            f"(a={a}, b={b}, w={w}, u={u:g})") from None
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,8 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError
 from .frontier import NEG_INF, TechnologyPair, is_neg_inf
 
-# slack allowed in the incentive premium before a sample counts as a violation
+# slack allowed in the discounted incentive premium before a test fails
 IC_TOL = 1e-12
-# equal steps per cell at which the incentive premium is sampled
-IC_REFINE = 8
 
 
 @dataclass(frozen=True)
@@ -121,42 +119,43 @@ class IcReport:
 
 
 def ic_check(m: Mechanism, r: float) -> IcReport:
-    """Incentive compatibility of the mechanism.
+    """Incentive compatibility of the mechanism, decided at the grid points.
 
     The agent discloses immediately iff the discounted reward premium
     ``h(t) = exp(-r t) * (reward_t - continuation_t)`` is non-negative (the
-    non-disclosure clause) and non-increasing (the delay clause).  Within a
-    cell both paths move smoothly, so h is monotone there and sampling each
-    cell ``IC_REFINE`` times plus both sides of every jump decides the check;
-    the constant tail needs only ``reward >= level``.
+    non-disclosure clause) and non-increasing (the delay clause).  In a cell
+    ``[a, b)`` with flow ``l`` and reward ``R``,
+    ``h(t) = exp(-r t) (R - l) + exp(-r b) (l - X_b)`` is monotone, so exact
+    tests with slack ``IC_TOL`` on ``h`` decide both: the sign of ``h`` at
+    each cell end, ``R >= l`` in each cell, and ``R >= R_next`` at each grid
+    point, where ``h`` jumps by ``exp(-r b) (R_next - R)``.  On the constant
+    last cell ``R >= l`` alone decides both clauses.
 
-    The first failing sample time and clause are reported.
+    A failure is reported at the grid point where it first shows: the cell
+    start when ``h`` is negative there or ``R < l``, the grid point of a
+    reward increase, and otherwise the cell end.
     """
     if m.derived_reward:
         return IcReport(ok=True)
 
     prof = continuation_profile(m, r)
-    n = len(m.grid)
-    samples = []  # (t, h) in time order; boundaries appear once per side
-    for i in range(n):
-        a = m.grid[i]
-        b = m.grid[i + 1] if i + 1 < n else a + max(1.0 / r, 1.0)
-        rew = m.reward[i]
-        for j in range(IC_REFINE + 1):
-            t = a + (b - a) * j / IC_REFINE
-            cont = continuation_at(m, prof, r, t, i)
-            samples.append((t, math.exp(-r * t) * (rew - cont)))
-
-    prev_h = None
-    for t, h in samples:
-        if h < -IC_TOL:
-            return IcReport(ok=False, time=t, clause="non_disclosure")
-        if prev_h is not None and h > prev_h + IC_TOL:
-            return IcReport(ok=False, time=t, clause="delay")
-        prev_h = h
-    # constant tail: h(t) = exp(-r t) (reward - level) -> 0, monotone
-    if m.reward[-1] < m.levels[-1] - IC_TOL:
-        return IcReport(ok=False, time=m.grid[-1], clause="non_disclosure")
+    grid, levels, reward = m.grid, m.levels, m.reward
+    for i, a in enumerate(grid):
+        rew, ea = reward[i], math.exp(-r * a)
+        if ea * (rew - prof[i]) < -IC_TOL:
+            return IcReport(ok=False, time=a, clause="non_disclosure")
+        if i and ea * (rew - reward[i - 1]) > IC_TOL:
+            return IcReport(ok=False, time=a, clause="delay")
+        if i == len(grid) - 1:
+            break
+        b = grid[i + 1]
+        eb = math.exp(-r * b)
+        if (levels[i] - rew) * (ea - eb) > IC_TOL:
+            return IcReport(ok=False, time=a, clause="delay")
+        if eb * (rew - prof[i + 1]) < -IC_TOL:
+            return IcReport(ok=False, time=b, clause="non_disclosure")
+    if reward[-1] < levels[-1] - IC_TOL:
+        return IcReport(ok=False, time=grid[-1], clause="non_disclosure")
     return IcReport(ok=True)
 
 

@@ -10,6 +10,8 @@ import csv
 import json
 import math
 import os
+import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +381,8 @@ SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak 
 UI_OVERFLOW = "config error: the f0 peak utility or its consumption overflows"
 SLOPE_NEVER = "config error: search-cost slope never exceeds the wage"
 SLOPE_OVERFLOW = "config error: search-cost slope overflows a float at labor L="
+CONSUMPTION_OVERFLOW = "config error: compensating consumption overflows a float"
+MASS_SUM = "config error: atom masses must sum to 1"
 
 # configs that must fail cleanly: (command, exit code, stderr start, config)
 BAD_CONFIGS = {
@@ -493,6 +497,14 @@ BAD_CONFIGS = {
     # (u + L**b) ** ((1 - a) / a) overflows at L = 1 once u + 1 > ~2.03
     "ui-inner-max-overflow": ("solve-deadline", 1, SLOPE_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.001), "distribution": EXP_8}),
+    # L* is found, but its consumption (u + L*^b)^(1/a) overflows a float
+    "ui-inner-max-value-overflow": ("solve-deadline", 1, CONSUMPTION_OVERFLOW, {
+        "technology": dict(UI_TECH, a=0.3, b=2, w=1e300, shadow=0.1),
+        "distribution": EXP_8}),
+    # finite masses whose sum overflows a float used to end in fsum's OverflowError
+    "atom-mass-sum-overflow": ("solve-deadline", 1, MASS_SUM, {
+        "technology": A_TECH,
+        "distribution": {"kind": "atoms", "atoms": [[1, 1e308], [2, 1e308]]}}),
     # f0 and f1 share no slope on [0, u0]; verify classifies the pair as
     # strictly concave and the path's bracket fails at the domain bottom
     "ui-verify-path-bracket": ("verify", 3, "solver failure: psi(u_star)=-1.109e-01 < 0", {
@@ -512,6 +524,118 @@ def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
     assert err.startswith(message)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------------ fuzzer ---
+
+# numbers at the edges of what a config can hold, put into numeric fields
+EXTREMES = (0, -1, 5e-324, 1e-300, 1e-12, 2, 1e300, 1e308)
+FUZZ_SEED = 20261019
+FUZZ_DRAWS = 600
+FUZZ_ALARM_S = 5
+TWO_ATOMS = {"kind": "atoms", "atoms": [[0.5, 0.3], [1.5, 0.7]]}
+# one valid config per solving command and branch; every number in them is
+# a fuzz target except fixture A's f0 breakpoints
+FUZZ_BASES = (
+    ("solve-deadline", {"technology": A_TECH, "r": 1.0, "distribution": EXP_8}),
+    ("solve-deadline", {"technology": UI_TECH, "r": 1.0,
+                        "distribution": {"kind": "weibull", "shape": 2.0,
+                                         "scale": 1.0, "m": 8}}),
+    ("solve-euler", {"technology": UI_TECH, "r": 1.0, "distribution": TWO_ATOMS}),
+    ("solve-euler", {"technology": dict(UI_TECH, a=0.3, shadow=0.1), "r": 1.0,
+                     "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}),
+    ("verify", {"technology": A_TECH, "r": 1.0, "distribution": POINT_1,
+                "mechanism": {"grid": [0.0, 0.5, 1.5], "levels": [1.0, 0.9, 0.3],
+                              "reward": [0.95, 0.9, 0.8]}}),
+    ("verify", {"technology": UI_TECH, "r": 1.0, "distribution": TWO_ATOMS}),
+    ("compare-statics", {"technology": UI_TECH, "r": 1.0, "distribution": TWO_ATOMS,
+                         "distribution_dag": {"kind": "atoms",
+                                              "atoms": [[0.5, 0.7], [1.5, 0.3]]}}),
+    ("compare-statics", {"technology": A_TECH, "r": 1.0, "distribution": POINT_1,
+                         "distribution_dag": {"kind": "point", "t": 0.5}}),
+    ("ui-schedule", {"technology": UI_TECH, "r": 1.0, "solver": "path",
+                     "distribution": EXP_8}),
+    ("ui-schedule", {"technology": UI_TECH, "r": 1.0, "distribution": EXP_8}),
+    ("ui-sweep", {"technology": UI_TECH, "r": 1.0, "shadows": [0.5, 0.2],
+                  "distribution": EXP_8}),
+    ("oracle", {"technology": A_TECH, "beta": 0.5,
+                "mechanism": {"x": [0.8, 0.8, 1], "x1": [1, 0.95, 1]}}),
+    ("oracle", {"technology": A_TECH, "beta": 0.5, "horizon": 2,
+                "x_grid": [0.8, 0.9, 1.0], "reward_grid": [0.8, 1.0]}),
+)
+
+
+def number_paths(obj, path=()):
+    """Key paths of every number in a JSON config, except ``f0``'s."""
+    if isinstance(obj, dict):
+        items = ((k, v) for k, v in obj.items() if k != "f0")
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if isinstance(obj, (int, float)) else []
+    return [p for k, v in items for p in number_paths(v, path + (k,))]
+
+
+def fuzz_slots(cfg):
+    """What one extreme may replace: each number on its own, and each
+    column of a list of pairs (all atom masses, say) at once."""
+    paths = number_paths(cfg)
+    columns = {}
+    for p in paths:
+        if len(p) >= 2 and isinstance(p[-2], int):
+            columns.setdefault(p[:-2] + (p[-1],), []).append(p)
+    return [[p] for p in paths] + [c for c in columns.values() if len(c) > 1]
+
+
+def fuzz_config(rng):
+    """``(command, config)``: a base config with one extreme number put
+    into each of one to three slots."""
+    command, base = rng.choice(FUZZ_BASES)
+    cfg = json.loads(json.dumps(base))
+    for slot in rng.sample(fuzz_slots(cfg), rng.randint(1, 3)):
+        value = rng.choice(EXTREMES)
+        for *head, last in slot:
+            node = cfg
+            for k in head:
+                node = node[k]
+            node[last] = value
+    return command, cfg
+
+
+def run_fuzzed(tmp_path, capsys, command, cfg):
+    """A problem with one run, or None: an exception out of ``main``, a
+    run past the alarm, an exit code outside {0, 1, 2, 3}, or stderr
+    beyond one line."""
+    def alarm(signum, frame):
+        raise TimeoutError(f"still running after {FUZZ_ALARM_S} s")
+
+    path = write_cfg(tmp_path, cfg)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(FUZZ_ALARM_S)
+    try:
+        code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    except Exception as e:  # an escaping exception is a traceback on the command line
+        return f"{type(e).__name__}: {e}"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+    if code not in (0, 1, 2, 3):
+        return f"exit code {code}"
+    if err.count("\n") > 1 or "Traceback" in err:
+        return f"stderr {err!r}"
+    return None
+
+
+def test_fuzzed_configs_end_cleanly(tmp_path, capsys):
+    rng = random.Random(FUZZ_SEED)
+    problems = []
+    for _ in range(FUZZ_DRAWS):
+        command, cfg = fuzz_config(rng)
+        problem = run_fuzzed(tmp_path, capsys, command, cfg)
+        if problem:
+            problems.append((command, json.dumps(cfg), problem))
+    assert problems == []
 
 
 # bad command lines: exit 1 with one line, never argparse's exit 2

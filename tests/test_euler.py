@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from disclose import (
     AtomAtZero,
@@ -30,9 +33,12 @@ from disclose.distribution import discretize
 from disclose.errors import DiscloseError
 from disclose.euler import (_discounts, backward_pass, inv_deriv_f0, psi,
                             simple_reasons)
-from disclose.frontier import ParametricFrontier, TechnologyPair
+from disclose.frontier import (KINK_SNAP, ParametricFrontier, PiecewiseFrontier,
+                               TechnologyPair)
 from disclose.insurance import UiPrimitives, build_frontiers
 from disclose.numerics import bisect_down, brent_down
+
+from test_golden import DENSE_B_TECH
 
 
 RESIDUAL_TOL = 1e-8
@@ -152,6 +158,21 @@ def test_path_beats_deadline(pair_b, dist_k2):
     sol = solve(pair_b, dist_k2)
     best_deadline = optimize_deadline(pair_b, dist_k2).payoff
     assert sol.payoff >= best_deadline - 1e-12
+
+
+def test_dense_b_m128_payoff_pins_the_kink_snap_roundoff():
+    # Atom 124's continuation value lands 1.00005e-9 below the f1 breakpoint
+    # 0.42, just outside KINK_SNAP, so derivs reads the slope left of the
+    # kink.  An exact inversion of the piecewise f0 slope ("piecewise pairs
+    # solved exactly at their kinks" in ROADMAP.md) puts it at
+    # 0.42 - 1.43e-10, inside the window, and the payoff becomes 1.2111063.
+    # This pins today's side of that roundoff until either side changes.
+    f0, f1 = (PiecewiseFrontier(DENSE_B_TECH[k]) for k in ("f0", "f1"))
+    sol = solve(TechnologyPair.build(f0, f1, 1.0),
+                discretize("exponential", 128, rate=1.0))
+    assert sol.payoff == pytest.approx(1.2109319053169179, abs=1e-12)
+    assert sol.conts[124] - 0.42 == pytest.approx(-1.00005e-9, abs=1e-14)
+    assert sol.conts[124] - 0.42 < -KINK_SNAP
 
 
 # ------------------------------------------ band search against a grid scan ---
@@ -278,3 +299,29 @@ def test_comparative_statics_direction(pair_b):
     assert not rev.ok
     assert rev.max_violation > 0.0
     assert rev.witness is not None
+
+
+@st.composite
+def step_paths(draw):
+    """A step flow path (DERIVED reward) with levels and grid points on
+    eighths, the grid in [0, 4]."""
+    n = draw(st.integers(1, 5))
+    ticks = draw(st.lists(st.integers(1, 32), min_size=n - 1, max_size=n - 1,
+                          unique=True))
+    levels = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+    return Mechanism(grid=(0.0,) + tuple(t / 8 for t in sorted(ticks)),
+                     levels=tuple(k / 8 for k in levels))
+
+
+@given(step_paths(), step_paths())
+def test_statics_grid_union_max_covers_dense_probes(pair_b, dist_k2, dist_k3, m, m_dag):
+    # any two step paths stand in for the solved ones, so the grid-union
+    # claim is tested beyond the shapes that solved paths take
+    paths = {id(dist_k3): m, id(dist_k2): m_dag}
+    with mock.patch.object(euler, "solve",
+                           lambda pair, dist: SimpleNamespace(mechanism=paths[id(dist)])):
+        cs = comparative_statics_check(pair_b, dist_k3, dist_k2)
+    t_hi = 1.5 * max(m.grid[-1], m_dag.grid[-1], 1.0)
+    dense = max(continuation_value(m_dag, pair_b.r, t) - continuation_value(m, pair_b.r, t)
+                for t in (t_hi * i / 1000 for i in range(1001)))
+    assert cs.max_violation >= dense - 1e-15

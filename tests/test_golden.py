@@ -53,6 +53,12 @@ every other field at most 1.1e-15) and ``ui-sweep-m8`` (``t_deadline``
 6.0e-14; ``report.json`` stayed byte-identical).  ``affine_gap`` became
 exact in the same change and moved no output: at ``a = 0.5`` the old grid
 held the maximizer.
+``verify-explicit-reward`` was recorded again when ``ic_check`` stopped
+sampling each cell and decided its tests at the grid points:
+``mechanism_ic.time`` went from 0.0625 to 0.0.  The reward 0.95 sits below
+the flow 1.0 from t = 0, so the delay incentive starts there; 0.0625 was
+the first of eight samples in the cell.  Every other case stayed
+byte-identical, ``compare-statics-path`` included.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
@@ -249,7 +255,7 @@ GOLDEN = {
     }),
     'verify-explicit-reward': (2, {
         'report.json':
-            'af0ecd9065b6901cff99184de3d3dc240c68b923124ca2f2cbd5043c76d147fc',
+            'dadce471a2a880ebb6295e403a5ef8d8b425b19274096efaccb5e8d6bb52da98',
     }),
     'verify-off-domain-reward': (0, {
         'report.json':

@@ -9,6 +9,7 @@ solves 4L(u + L^2) = 1 jointly with u + L^2 = 1, so L = 1/4 and u = 15/16.
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from disclose.cli import main
 from disclose.insurance import schedule, ui_constants
 
 IDENTITY_TOL = 1e-9
+SEED = 20261019
 
 
 # -------------------------------------------------------------- primitives ---
@@ -59,6 +61,19 @@ def test_frontier_peaks(ui_prims, pair_ui):
     assert labor(0.0) == pytest.approx(0.25 ** (1 / 3), abs=1e-10)
     assert pair_ui.u_star == 0.0
     assert pair_ui.f0.u_hi == pytest.approx(2.0, abs=1e-12)
+
+
+def test_u_star_is_the_domain_bottom_across_primitives():
+    # f0' - f1' = (shadow/a) [(u + L*^b)^((1-a)/a) - u^((1-a)/a)] > 0 since
+    # L* > 0: the slopes never meet, so u_star is the corner u = 0
+    rng = random.Random(SEED)
+    for _ in range(15):
+        a, b, w = rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0), rng.uniform(0.5, 3.0)
+        for shadow in (0.05, 0.2, 0.5, 0.9):
+            pair = insurance.build_frontiers(UiPrimitives(a, b, w, shadow), 1.0)
+            assert pair.u_star == 0.0, (a, b, w, shadow)
+            for u in (0.0, 0.25 * pair.u0, pair.u0):
+                assert pair.f0.dfn(u) > pair.f1.dfn(u), (a, b, w, shadow, u)
 
 
 # --------------------------------------------------------------- schedules ---

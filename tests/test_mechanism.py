@@ -11,6 +11,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from disclose import (
@@ -24,7 +25,8 @@ from disclose import (
 )
 from disclose.deadline import deadline_mechanism
 from disclose.frontier import is_neg_inf
-from disclose.mechanism import continuation_profile, ic_check, mechanism_rows
+from disclose.mechanism import (IC_TOL, IcReport, continuation_at,
+                                continuation_profile, ic_check, mechanism_rows)
 
 PAYOFF_TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -144,6 +146,69 @@ def test_ic_flags_delay_incentive():
 def test_ic_accepts_decreasing_premium():
     m = Mechanism(grid=(0.0,), levels=(0.5,), reward=(0.6,))
     assert ic_check(m, 1.0).ok
+
+
+def test_ic_reports_the_grid_point_where_a_failure_shows():
+    # reward 0.95 below the flow 1.0 from t = 0: waiting pays at once
+    m = Mechanism(grid=(0.0, 0.5, 1.5), levels=(1.0, 0.9, 0.3),
+                  reward=(0.95, 0.9, 0.8))
+    assert ic_check(m, 1.0) == IcReport(ok=False, time=0.0, clause="delay")
+    # the premium falls through zero inside [0, 1): reported at the cell end
+    m = Mechanism(grid=(0.0, 1.0), levels=(0.3, 0.9), reward=(0.8, 0.9))
+    assert ic_check(m, 1.0) == IcReport(ok=False, time=1.0, clause="non_disclosure")
+
+
+def test_ic_last_cell_compares_levels_not_discounted_premiums():
+    # exp(-40) (0.5 - 1) is far inside IC_TOL, yet a reward below the flow
+    # forever after t = 40 is a violation
+    m = Mechanism(grid=(0.0, 40.0), levels=(1.0, 1.0), reward=(1.0, 0.5))
+    assert ic_check(m, 1.0) == IcReport(ok=False, time=40.0, clause="non_disclosure")
+
+
+def sampled_ic(m: Mechanism, r: float, refine: int = 64) -> IcReport:
+    """The reference: the premium ``exp(-r t) (reward - continuation)``
+    sampled ``refine`` times per cell, both sides of every grid point, and
+    the last cell out to ``10 / r`` past its start; the first sample below
+    ``-IC_TOL``, or above its predecessor by more than ``IC_TOL``, fails."""
+    prof = continuation_profile(m, r)
+    prev = None
+    for i, a in enumerate(m.grid):
+        b = m.grid[i + 1] if i + 1 < len(m.grid) else a + 10.0 / r
+        for j in range(refine + 1):
+            t = a + (b - a) * j / refine
+            h = math.exp(-r * t) * (m.reward[i] - continuation_at(m, prof, r, t, i))
+            if h < -IC_TOL:
+                return IcReport(ok=False, time=t, clause="non_disclosure")
+            if prev is not None and h > prev + IC_TOL:
+                return IcReport(ok=False, time=t, clause="delay")
+            prev = h
+    if m.reward[-1] < m.levels[-1] - IC_TOL:
+        return IcReport(ok=False, time=m.grid[-1], clause="non_disclosure")
+    return IcReport(ok=True)
+
+
+@st.composite
+def explicit_mechanisms(draw):
+    """Explicit-reward mechanisms on eighths, so that every premium change
+    is either exactly zero or far above ``IC_TOL``."""
+    n = draw(st.integers(1, 5))
+    ticks = draw(st.lists(st.integers(1, 32), min_size=n - 1, max_size=n - 1,
+                          unique=True))
+    eighths = st.lists(st.integers(0, 16).map(lambda k: k / 8),
+                       min_size=n, max_size=n)
+    m = Mechanism(grid=(0.0,) + tuple(t / 8 for t in sorted(ticks)),
+                  levels=draw(eighths), reward=draw(eighths))
+    return m, draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+
+
+@given(explicit_mechanisms())
+def test_ic_check_matches_a_dense_sampler(case):
+    m, r = case
+    rep, ref = ic_check(m, r), sampled_ic(m, r)
+    assert (rep.ok, rep.clause) == (ref.ok, ref.clause)
+    if not rep.ok:
+        # a grid point, no later than the sampler first sees the failure
+        assert rep.time in m.grid and rep.time <= ref.time
 
 
 # ------------------------------------------------------------------ payoff ---
