@@ -211,9 +211,9 @@ def _cmd_analyze(cfg: dict, out_dir: str, tols: dict):
     except ModelAssumptionError as e:
         report["constants"]["t_underline"] = None
         report["t_underline_error"] = str(e)
-    failed = [c for c in checks if not c.passed]
-    for c in failed:
-        print(f"model check failed: {c.name} ({c.detail})", file=sys.stderr)
+    failed = "; ".join(f"{c.name} ({c.detail})" for c in checks if not c.passed)
+    if failed:
+        print(f"model check failed: {failed}", file=sys.stderr)
     return report, 2 if failed else 0
 
 

@@ -242,7 +242,21 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     ``AFFINE_TOL``.  The search relies on
     ``f1`` being concave.  Only the candidates and the never-stop profile
     cost a payoff; the final :func:`foc_check` reads brackets.
+
+    A discount rate that does not resolve the breakthrough times is a
+    ModelAssumptionError, decided from the first and last atom before any
+    bracket is read: when ``exp(-r t)`` underflows to 0 at the first atom,
+    no breakthrough carries weight and any deadline scores the same; when
+    it rounds to 1 at the last (positive) atom, ``r t`` is below float
+    resolution and ``T`` only scales as ``1/r`` (``r = 1e-300`` gave
+    ``T = 1.25e300``, ``r = 5e-324`` an infinite one).
     """
+    times = dist.times
+    for t, limit in ((times[0], 0.0), (times[-1], 1.0)):
+        if t > 0.0 and math.exp(-pair.r * t) == limit:
+            raise ModelAssumptionError(
+                f"discount rate r={pair.r:.6g} does not resolve the breakthrough "
+                f"times: exp(-r t) is {limit:g} at the atom t={t:.6g}")
     t_lo = t_underline(pair)  # first: it rejects the pairs _alpha cannot divide by
     alpha = _alpha(pair)
     warnings = []
@@ -261,7 +275,6 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     # atom-free piece; a piecewise f1's bracket is a step function there
     smooth = isinstance(pair.f1, ParametricFrontier)
 
-    times = dist.times
     t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0),
                t_lo + 2.0 * (times[-1] - t_lo))
     for _ in range(80):

@@ -22,7 +22,11 @@ under some breakthrough belief.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, NothingToImprove
@@ -191,24 +195,43 @@ class ScanEntry:
 
 def undominated_scan(f0, f1, beta, horizon: int,
                      x_grid: Sequence, reward_grid: Sequence) -> Tuple[ScanEntry, ...]:
-    """Enumerate every grid mechanism, keep the incentive-compatible ones,
-    and prune those weakly dominated across all point-mass beliefs plus
-    "never".  Exact under exact inputs; refuses combinatorially hopeless
-    calls: more than ``SCAN_BUDGET`` mechanisms times the horizon is a
-    ConfigError, checked before anything is enumerated.
+    """Enumerate every incentive-compatible grid mechanism and prune those
+    weakly dominated across all point-mass beliefs plus "never".  Exact
+    under exact inputs; refuses combinatorially hopeless calls: more than
+    ``SCAN_BUDGET`` mechanisms times the horizon is a ConfigError, checked
+    before anything is enumerated.
 
-    The result equals, in value and order, checking each mechanism with
-    :func:`ic_discrete` and scoring it with :func:`payoff_vector`, but no
-    work is repeated across mechanisms.  Each frontier is read once per grid
-    level.  Each flow path gets its continuation, delay terms
-    ``(1 - beta) x[s]``, discounted flow totals and "never" coordinate once;
-    each reward path its terms ``beta x1[s+1]`` and ``beta**p f1(x1[p])``
-    once; a path holding an off-domain level is dropped there, since every
-    mechanism on it has a NEG_INF coordinate.  Per mechanism there remain
-    only comparisons, ``horizon`` additions for the delay right-hand sides
-    and ``horizon`` additions for the payoff coordinates.  Every float
-    operation keeps the grouping of the per-mechanism functions, so float
-    inputs give the same bits too."""
+    The result equals, in value, type and order, checking each mechanism
+    with :func:`ic_discrete` and scoring it with :func:`payoff_vector` in
+    ``itertools.product`` order (flow path outer, reward path inner), then
+    stable-sorting by decreasing payoff sum.  Each frontier is read once per
+    grid level, and a level off its frontier's domain is dropped there,
+    since every mechanism holding it has a NEG_INF coordinate.
+
+    *Integers.*  When ``beta = p/q``, every grid level and every frontier
+    value read are ints or Fractions, the levels are scaled by their common
+    denominator times ``q**horizon`` and the values by theirs times
+    ``q**horizon``.  Every delay term, continuation, ``beta x1[s+1]``,
+    payoff term and payoff sum is then an exact int, and the incentive
+    filter, the sums, the sort and the dominance prune run on ints; the
+    kept payoffs become Fractions at the end.  A positive scale keeps every
+    comparison and every tie, so the output is unchanged.  Any other input
+    (a float anywhere) takes the float path: the same code on the numbers
+    as given, every operation grouped as in the per-mechanism functions, so
+    floats give the same bits too.
+
+    *Backward enumeration.*  For one flow path the delay constraint at
+    period ``s`` ties only ``x1[s]`` to ``x1[s+1]``, so the reward levels
+    are sorted once and each reward path is chosen from the last period
+    back.  Before the last period, the admissible ``x1[s]`` are the sorted
+    levels at or above both ``X0[s]`` and ``(1 - beta) x[s] + beta
+    x1[s+1]``, a suffix found by bisection; infeasible mechanisms are never
+    touched.  The last period's levels at or above ``x[H-1]`` also need the
+    stationary tail clause ``x1 >= (1 - beta) x[H-1] + beta x1``, which is
+    tested per level: it holds exactly when ``x1 >= x[H-1]``, but in floats
+    the rounded right-hand side need not be monotone in the level.  Paths
+    grow one period at a time, with no recursion, so a long horizon is no
+    deeper than a short one."""
     if not (0 < beta < 1):
         raise ConfigError(f"discount factor must be in (0, 1), got {beta}")
     if horizon < 1:
@@ -225,55 +248,86 @@ def undominated_scan(f0, f1, beta, horizon: int,
     if not n_combo:
         return ()
 
-    v0 = [f0.value(u) for u in x_grid]
-    w1 = [f1.value(u) for u in reward_grid]
-    powers = [beta ** p for p in range(horizon)]
-    flow_weights = [(1 - beta) * b for b in powers]
+    # (level, value) of the levels on their frontier's domain, in grid order
+    flow = [(u, v) for u, v in zip(x_grid, map(f0.value, x_grid)) if not is_neg_inf(v)]
+    reward = [(u, w) for u, w in zip(reward_grid, map(f1.value, reward_grid))
+              if not is_neg_inf(w)]
+    numbers = [beta] + [e for pair in flow + reward for e in pair]
+    exact = all(isinstance(e, (int, Fraction)) for e in numbers)
+    if exact:
+        p, q = beta.numerator, beta.denominator
+        qh = q ** horizon
+        lscale = math.lcm(*(u.denominator for u, _ in flow + reward)) * qh
+        vscale = math.lcm(*(v.denominator for _, v in flow + reward))
+        xs = [int(u * lscale) for u, _ in flow]
+        v0 = [int(v * vscale) for _, v in flow]
+        rs = [int(u * lscale) for u, _ in reward]
+        w1 = [int(w * vscale) for _, w in reward]
+        # dividing by q first is exact: a scaled level carries the factor
+        # q**horizon, the continuation at period s q**(s + 1), and beta**k
+        # (scaled) q**(horizon - k), all with k < horizon and s < horizon
+        times_beta = lambda e: e // q * p
+        times_1_minus_beta = lambda e: e // q * (q - p)
+        powers = [qh]                       # beta**k, times q**horizon
+        for _ in range(horizon - 1):
+            powers.append(times_beta(powers[-1]))
+    else:
+        xs, v0 = [u for u, _ in flow], [v for _, v in flow]
+        rs, w1 = [u for u, _ in reward], [w for _, w in reward]
+        times_beta = lambda e: beta * e
+        times_1_minus_beta = lambda e: (1 - beta) * e
+        powers = [beta ** k for k in range(horizon)]
+    flow_weights = [times_1_minus_beta(b) for b in powers]
 
-    # (x, X0, (1 - beta) x, payoff totals before each period, "never")
-    flows = []
-    for idx in itertools.product(range(len(x_grid)), repeat=horizon):
-        v = [v0[i] for i in idx]
-        if any(is_neg_inf(e) for e in v):
-            continue
-        x = tuple(x_grid[i] for i in idx)
-        delay = [(1 - beta) * e for e in x]
-        x0 = list(x)
-        for s in range(horizon - 2, -1, -1):
-            x0[s] = delay[s] + beta * x0[s + 1]
-        totals = [0]
-        for p in range(horizon - 1):
-            totals.append(totals[p] + flow_weights[p] * v[p])
-        flows.append((x, x0, delay, totals, totals[-1] + powers[-1] * v[-1]))
+    # per level: the delay term (1 - beta) x, beta x1, and each period's
+    # discounted frontier term
+    delays = [times_1_minus_beta(e) for e in xs]
+    nexts = [times_beta(e) for e in rs]
+    flow_terms = [[b * v for v in v0] for b in flow_weights[:-1]]
+    never_terms = [powers[-1] * v for v in v0]
+    reward_terms = [[b * w for w in w1] for b in powers]
+    order = sorted(range(len(rs)), key=rs.__getitem__)
+    ranked = [rs[j] for j in order]
 
-    # (x1, beta x1[s+1] with the stationary tail, beta**p f1(x1[p]))
-    rewards = []
-    for idx in itertools.product(range(len(reward_grid)), repeat=horizon):
-        w = [w1[i] for i in idx]
-        if any(is_neg_inf(e) for e in w):
-            continue
-        x1 = tuple(reward_grid[i] for i in idx)
-        rewards.append((x1, [beta * e for e in x1[1:] + x1[-1:]],
-                        [b * e for b, e in zip(powers, w)]))
-
-    periods = range(horizon)
+    periods = range(horizon - 2, -1, -1)
     feasible = []
-    for x, x0, delay, totals, never in flows:
-        for x1, nxt, terms in rewards:
-            if any(x1[s] < x0[s] or x1[s] < delay[s] + nxt[s] for s in periods):
-                continue
-            payoffs = tuple([t + e for t, e in zip(totals, terms)] + [never])
-            feasible.append(ScanEntry(x=x, x1=x1, payoffs=payoffs))
+    for idx in itertools.product(range(len(xs)), repeat=horizon):
+        delay = [delays[i] for i in idx]
+        x0 = [xs[i] for i in idx]
+        for s in periods:
+            x0[s] = delay[s] + times_beta(x0[s + 1])
+        totals = [0]
+        for s in range(horizon - 1):
+            totals.append(totals[s] + flow_terms[s][idx[s]])
+        never = totals[-1] + never_terms[idx[-1]]
+        # reward index paths, grown from the last period back
+        tails = [(j,) for j in order[bisect_left(ranked, x0[-1]):]
+                 if not rs[j] < delay[-1] + nexts[j]]
+        for s in periods:
+            lo = bisect_left(ranked, x0[s])
+            tails = [(j,) + t for t in tails
+                     for j in order[max(lo, bisect_left(ranked, delay[s] + nexts[t[0]])):]]
+        for r in tails:
+            payoffs = [t + col[j] for t, col, j in zip(totals, reward_terms, r)]
+            payoffs.append(never)
+            feasible.append((-sum(payoffs), idx, r, payoffs))
 
-    def dominates(a: ScanEntry, b: ScanEntry) -> bool:
-        ge = all(pa >= pb for pa, pb in zip(a.payoffs, b.payoffs))
-        return ge and any(pa > pb for pa, pb in zip(a.payoffs, b.payoffs))
+    def dominates(a, b) -> bool:
+        # weakly above everywhere, hence NaN-free, and strictly somewhere
+        return all(map(operator.ge, a, b)) and a != b
 
-    # any dominator has a strictly larger payoff sum, so scanning in
-    # decreasing-sum order lets the kept front stand in for the whole set
-    feasible.sort(key=lambda e: sum(e.payoffs), reverse=True)
+    # decreasing payoff sum, ties in product order; (idx, r) is unique, so
+    # the payoffs themselves are never compared.  Any dominator has a
+    # strictly larger sum, so the kept front stands in for the whole set
+    feasible.sort()
     keep = []
     for e in feasible:
-        if not any(dominates(o, e) for o in keep):
+        if not any(dominates(o[3], e[3]) for o in keep):
             keep.append(e)
-    return tuple(keep)
+    scale = vscale * qh if exact else None
+    return tuple(
+        ScanEntry(x=tuple(flow[i][0] for i in idx),
+                  x1=tuple(reward[j][0] for j in r),
+                  payoffs=tuple(Fraction(n, scale) for n in payoffs) if exact
+                  else tuple(payoffs))
+        for _, idx, r, payoffs in keep)

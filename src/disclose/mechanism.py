@@ -22,7 +22,8 @@ from typing import Optional, Sequence, Tuple
 from .errors import ConfigError
 from .frontier import NEG_INF, TechnologyPair, is_neg_inf
 
-# slack allowed in the discounted incentive premium before a test fails
+# slack allowed in the incentive premium, discounted to the start of its
+# cell, before a test fails
 IC_TOL = 1e-12
 
 
@@ -126,10 +127,12 @@ def ic_check(m: Mechanism, r: float) -> IcReport:
     non-disclosure clause) and non-increasing (the delay clause).  In a cell
     ``[a, b)`` with flow ``l`` and reward ``R``,
     ``h(t) = exp(-r t) (R - l) + exp(-r b) (l - X_b)`` is monotone, so exact
-    tests with slack ``IC_TOL`` on ``h`` decide both: the sign of ``h`` at
-    each cell end, ``R >= l`` in each cell, and ``R >= R_next`` at each grid
-    point, where ``h`` jumps by ``exp(-r b) (R_next - R)``.  On the constant
-    last cell ``R >= l`` alone decides both clauses.
+    tests decide both: the sign of ``h`` at each cell end, ``R >= l`` in each
+    cell, and ``R >= R_next`` at each grid point, where ``h`` jumps by
+    ``exp(-r b) (R_next - R)``.  On the constant last cell ``R >= l`` alone
+    decides both clauses.  Each cell's tests read ``h / exp(-r a)``, so the
+    slack ``IC_TOL`` is relative to the discounting at the cell start and a
+    late violation fails like an early one.
 
     A failure is reported at the grid point where it first shows: the cell
     start when ``h`` is negative there or ``R < l``, the grid point of a
@@ -141,18 +144,17 @@ def ic_check(m: Mechanism, r: float) -> IcReport:
     prof = continuation_profile(m, r)
     grid, levels, reward = m.grid, m.levels, m.reward
     for i, a in enumerate(grid):
-        rew, ea = reward[i], math.exp(-r * a)
-        if ea * (rew - prof[i]) < -IC_TOL:
+        rew = reward[i]
+        if rew - prof[i] < -IC_TOL:
             return IcReport(ok=False, time=a, clause="non_disclosure")
-        if i and ea * (rew - reward[i - 1]) > IC_TOL:
+        if i and rew - reward[i - 1] > IC_TOL:
             return IcReport(ok=False, time=a, clause="delay")
         if i == len(grid) - 1:
             break
         b = grid[i + 1]
-        eb = math.exp(-r * b)
-        if (levels[i] - rew) * (ea - eb) > IC_TOL:
+        if (levels[i] - rew) * -math.expm1(-r * (b - a)) > IC_TOL:
             return IcReport(ok=False, time=a, clause="delay")
-        if eb * (rew - prof[i + 1]) < -IC_TOL:
+        if math.exp(-r * (b - a)) * (rew - prof[i + 1]) < -IC_TOL:
             return IcReport(ok=False, time=b, clause="non_disclosure")
     if reward[-1] < levels[-1] - IC_TOL:
         return IcReport(ok=False, time=grid[-1], clause="non_disclosure")

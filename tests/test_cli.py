@@ -87,8 +87,12 @@ def test_analyze_reports_broken_model(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     rep = read_report(out)
     failed = [c["name"] for c in rep["model_checks"] if not c["passed"]]
-    assert "conflict_of_interest" in failed
-    assert "model check failed" in capsys.readouterr().err
+    assert failed == ["conflict_of_interest", "u_star_strict_local_max"]
+    # every failed check on one line, as every other command ends
+    err = capsys.readouterr().err
+    assert err.startswith("model check failed: conflict_of_interest (")
+    assert "; u_star_strict_local_max (" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_reports_are_byte_stable(tmp_path):
@@ -375,6 +379,7 @@ def test_exit_3_on_solver_breakdown(tmp_path, monkeypatch, capsys):
 
 EXP_8 = {"kind": "exponential", "rate": 1.0, "m": 8}
 NO_CONFLICT = "model assumption violated: no conflict of interest: u1 >= u0"
+RESOLVE = "model assumption violated: discount rate r="
 MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
 SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
 SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
@@ -468,6 +473,12 @@ BAD_CONFIGS = {
         "technology": 5, "distribution": EXP_8}),
     "mechanism-not-an-object": ("verify", 1, "config error", {
         "technology": A_TECH, "mechanism": 5}),
+    # a discount rate off the breakthrough times' scale: exp(-r t) rounds to
+    # 1 at every atom (this solved to T = 1.25e300), or underflows at all
+    "r-1e-300": ("solve-deadline", 2, RESOLVE, {
+        "technology": A_TECH, "r": 1e-300, "distribution": EXP_8}),
+    "r-1e300": ("solve-deadline", 2, RESOLVE, {
+        "technology": A_TECH, "r": 1e300, "distribution": EXP_8}),
     # non-finite numbers
     "r-infinite": ("solve-deadline", 1, "config error: 'r'", {
         "technology": A_TECH, "r": math.inf, "distribution": POINT_1}),
@@ -534,9 +545,13 @@ FUZZ_SEED = 20261019
 FUZZ_DRAWS = 600
 FUZZ_ALARM_S = 5
 TWO_ATOMS = {"kind": "atoms", "atoms": [[0.5, 0.3], [1.5, 0.7]]}
-# one valid config per solving command and branch; every number in them is
-# a fuzz target except fixture A's f0 breakpoints
+# one valid config per command and branch; every number in them is
+# a fuzz target except the f0 breakpoints
 FUZZ_BASES = (
+    ("analyze", {"technology": A_TECH, "r": 1.0}),
+    # f0 peaking at 0.5 under fixture A's f1 fails two model checks at once
+    ("analyze", {"technology": dict(A_TECH, f0=[[0.0, 0.0], [0.5, 0.5], [2.0, 0.2]]),
+                 "r": 1.0}),
     ("solve-deadline", {"technology": A_TECH, "r": 1.0, "distribution": EXP_8}),
     ("solve-deadline", {"technology": UI_TECH, "r": 1.0,
                         "distribution": {"kind": "weibull", "shape": 2.0,

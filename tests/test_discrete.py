@@ -221,9 +221,20 @@ LEVELS = range(-2, 23)
 MAX_LEVELS = {1: 6, 2: 4, 3: 3}
 
 
+# number types of (levels, frontiers, beta); the first two kinds take the
+# scan's integer path, the float frontiers of the others its float path
+KINDS = {
+    "exact": (Fr, A_F0_EXACT, Fr),
+    "int levels": (int, A_F0_EXACT, Fr),
+    "float": (float, A_F0_POINTS, float),
+    "exact levels, float frontiers": (Fr, A_F0_POINTS, Fr),
+}
+
+
 @st.composite
 def scan_inputs(draw):
-    exact = draw(st.booleans())
+    level_type, f0_points, beta_type = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    f1_points = A_F1_EXACT if f0_points is A_F0_EXACT else A_F1_POINTS
     horizon = draw(st.integers(1, 3))
     grid = st.lists(st.sampled_from(LEVELS), min_size=1,
                     max_size=MAX_LEVELS[horizon])   # unsorted, repeats allowed
@@ -231,16 +242,14 @@ def scan_inputs(draw):
     beta = draw(st.integers(1, 99))
     # a value axis scaled by k/10, so frontier values are rarely round
     scale = draw(st.integers(5, 15))
-    if exact:
-        ratio = lambda k, n=10: Fr(k, n)
-        points = A_F0_EXACT, A_F1_EXACT
-    else:
-        ratio = lambda k, n=10: k / n
-        points = A_F0_POINTS, A_F1_POINTS
-    f0, f1 = (PiecewiseFrontier(tuple((u, v * ratio(scale)) for u, v in p))
-              for p in points)
-    return (f0, f1, ratio(beta, 100), horizon,
-            [ratio(k) for k in x_grid], [ratio(k) for k in reward_grid])
+    ratio = (lambda k, n: k / n) if f0_points is A_F0_POINTS else Fr
+    # integer levels k sit on a utility axis stretched by 10
+    stretch, level = (10, int) if level_type is int else (1, lambda k: level_type(k) / 10)
+    f0, f1 = (PiecewiseFrontier(tuple((u * stretch, v * ratio(scale, 10)) for u, v in p))
+              for p in (f0_points, f1_points))
+    beta = Fr(beta, 100) if beta_type is Fr else beta / 100
+    return (f0, f1, beta, horizon, [level(k) for k in x_grid],
+            [level(k) for k in reward_grid])
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,6 +264,14 @@ def test_scan_equals_the_per_mechanism_reference(args):
     assert got == want
     # same types and signs of zero too, so the CLI writes the same bytes
     assert repr(got) == repr(want)
+
+
+def test_scan_long_horizon_is_not_recursive(f0_exact, f1_exact):
+    # one mechanism over 1500 periods: reward paths grow a period at a time,
+    # so the horizon is not a recursion depth
+    args = (f0_exact, f1_exact, Fr(3, 10), 1500, [Fr(4, 5)], [Fr(4, 5)])
+    got = undominated_scan(*args)
+    assert len(got) == 1 and got == reference_scan(*args)
 
 
 class CountingFrontier:

@@ -165,6 +165,17 @@ def test_ic_last_cell_compares_levels_not_discounted_premiums():
     assert ic_check(m, 1.0) == IcReport(ok=False, time=40.0, clause="non_disclosure")
 
 
+def test_ic_slack_is_relative_to_the_cell_start():
+    # the agent hides on [40, 41), where the reward 0.5 sits below the
+    # continuation 1.0; discounted to t = 0 that is -exp(-40) / 2, inside
+    # IC_TOL, but the test reads the premium at the cell's own start, so
+    # the violation fails at every discount rate
+    m = Mechanism(grid=(0.0, 40.0, 41.0), levels=(1.0, 1.0, 1.0),
+                  reward=(1.0, 0.5, 1.0))
+    for r in (0.5, 1.0, 2.0):
+        assert ic_check(m, r) == IcReport(ok=False, time=40.0, clause="non_disclosure")
+
+
 def sampled_ic(m: Mechanism, r: float, refine: int = 64) -> IcReport:
     """The reference: the premium ``exp(-r t) (reward - continuation)``
     sampled ``refine`` times per cell, both sides of every grid point, and
