@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .distribution import BreakthroughDist
@@ -177,6 +177,15 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
             (1.0 - dist.cdf_left(T)) * alpha + sum_minus)
 
 
+def _derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float,
+            alpha: float) -> Tuple[float, float, float, float]:
+    """``(pi_plus, pi_minus, bracket_plus, bracket_minus)`` at T: each
+    one-sided derivative is ``exp(-rT) (u0 - u_star)`` times its bracket."""
+    brackets = _brackets(pair, dist, T, alpha)
+    scale = math.exp(-pair.r * T) * (pair.u0 - pair.u_star)
+    return (scale * brackets[0], scale * brackets[1], *brackets)
+
+
 def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiDerivs:
     """Deadline payoff and its one-sided T-derivatives.
 
@@ -184,11 +193,8 @@ def pi_and_derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float) -> PiD
     Left derivative:   ``[1 - G(T-)] alpha + sum_{t_k < T} p_k f1'(X_{t_k}-)``
     each multiplied by ``exp(-rT) (u0 - u_star)``.
     """
-    bracket_plus, bracket_minus = _brackets(pair, dist, T, _alpha(pair))
-    scale = math.exp(-pair.r * T) * (pair.u0 - pair.u_star)
-    return PiDerivs(pi=deadline_payoff(pair, dist, T),
-                    pi_plus=scale * bracket_plus, pi_minus=scale * bracket_minus,
-                    bracket_plus=bracket_plus, bracket_minus=bracket_minus)
+    derivs = _derivs(pair, dist, T, _alpha(pair))
+    return PiDerivs(deadline_payoff(pair, dist, T), *derivs)
 
 
 @dataclass(frozen=True)
@@ -197,18 +203,16 @@ class FocReport:
     pi_plus: float
     pi_minus: float
     satisfied: bool
-    tol: float = FOC_TOL
+    tol: float
 
 
 def foc_check(pair: TechnologyPair, dist: BreakthroughDist, T: float,
-              *, tol: float = FOC_TOL) -> FocReport:
+              *, tol: float) -> FocReport:
     """First-order optimality at T: right derivative <= tol and left
     derivative >= -tol (the left clause is vacuous at T = 0).  The
     derivatives are those of :func:`pi_and_derivs`, without its payoff."""
     alpha = _alpha(pair)
-    bracket_plus, bracket_minus = _brackets(pair, dist, T, alpha)
-    scale = math.exp(-pair.r * T) * (pair.u0 - pair.u_star)
-    pi_plus, pi_minus = scale * bracket_plus, scale * bracket_minus
+    pi_plus, pi_minus = _derivs(pair, dist, T, alpha)[:2]
     ok_minus = True if T == 0.0 else pi_minus >= -tol
     return FocReport(alpha=alpha, pi_plus=pi_plus, pi_minus=pi_minus,
                      satisfied=pi_plus <= tol and ok_minus, tol=tol)
@@ -221,7 +225,7 @@ class OptimalDeadline:
     mechanism: Mechanism
     foc: FocReport
     t_underline: float
-    warnings: Tuple[str, ...] = field(default=())
+    warnings: Tuple[str, ...]
 
 
 def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,

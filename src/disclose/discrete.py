@@ -95,13 +95,15 @@ class DiscreteIcReport:
 
 def ic_discrete(m: DiscreteMechanism) -> DiscreteIcReport:
     """Exact incentive check; reports the first failing period and clause
-    (non-disclosure before delay, matching the continuous-time checker)."""
+    (non-disclosure before delay, matching the continuous-time checker).
+    A delay bound is compared with ``x1[s]``, not a :func:`delay_slacks`
+    entry with 0: a ``Fraction`` minus a float rounds to a float first."""
+    x, x1, beta, h = m.x, m.x1, m.beta, m.horizon
     x0 = continuation(m)
-    slacks = delay_slacks(m)
-    for s in range(m.horizon):
-        if m.x1[s] < x0[s]:
+    for s in range(h):
+        if x1[s] < x0[s]:
             return DiscreteIcReport(ok=False, period=s, clause="non_disclosure")
-        if slacks[s] < 0:
+        if x1[s] < (1 - beta) * x[s] + beta * x1[min(s + 1, h - 1)]:
             return DiscreteIcReport(ok=False, period=s, clause="delay")
     return DiscreteIcReport(ok=True)
 

@@ -193,7 +193,7 @@ class EulerSolution:
     psi: float
     mechanism: Mechanism
     payoff: float
-    extra_roots: Tuple[float, ...] = ()
+    extra_roots: Tuple[float, ...]
 
 
 def solve(pair: TechnologyPair, dist: BreakthroughDist) -> EulerSolution:
@@ -300,7 +300,7 @@ class ComparativeStatics:
     order: OrderReport
     ok: bool
     max_violation: float
-    witness: Optional[float] = None
+    witness: Optional[float]
 
 
 def comparative_statics_check(pair: TechnologyPair, dist: BreakthroughDist,

@@ -333,8 +333,8 @@ class TechnologyPair:
 class Check:
     name: str
     passed: bool
-    witness: Optional[float] = None
-    detail: str = ""
+    witness: Optional[float]
+    detail: str
 
 
 def validate_model(pair: TechnologyPair) -> Tuple[Check, ...]:

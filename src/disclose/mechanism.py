@@ -84,14 +84,12 @@ def continuation_profile(m: Mechanism, r: float) -> Tuple[float, ...]:
 
 
 def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
-                    i: Optional[int] = None) -> float:
-    """Continuation value at time ``t`` from a precomputed
-    :func:`continuation_profile` ``prof``; ``i`` is the cell of ``t`` when the
-    caller already has it.  Every continuation value in the package is
-    evaluated here, so a caller that reads many times builds the profile once
-    and pays O(log cells) per time."""
-    if i is None:
-        i = m.cell_index(t)
+                    i: int) -> float:
+    """Continuation value at time ``t`` in cell ``i`` (``m.cell_index(t)``)
+    from a precomputed :func:`continuation_profile` ``prof``.  Every
+    continuation value in the package is evaluated here, so a caller that
+    reads many times builds the profile once and pays O(log cells) per
+    time."""
     if i == len(m.grid) - 1:
         return m.levels[-1]
     d = math.exp(-r * (m.grid[i + 1] - t))
@@ -100,7 +98,7 @@ def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
 
 def continuation_value(m: Mechanism, r: float, t: float) -> float:
     """Continuation value of the flow path at an arbitrary time ``t``."""
-    return continuation_at(m, continuation_profile(m, r), r, t)
+    return continuation_at(m, continuation_profile(m, r), r, t, m.cell_index(t))
 
 
 def reward_from_profile(m: Mechanism, prof: Sequence[float], r: float, t: float,
@@ -156,8 +154,6 @@ def ic_check(m: Mechanism, r: float) -> IcReport:
             return IcReport(ok=False, time=a, clause="delay")
         if math.exp(-r * (b - a)) * (rew - prof[i + 1]) < -IC_TOL:
             return IcReport(ok=False, time=b, clause="non_disclosure")
-    if reward[-1] < levels[-1] - IC_TOL:
-        return IcReport(ok=False, time=grid[-1], clause="non_disclosure")
     return IcReport(ok=True)
 
 
@@ -203,10 +199,10 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     return math.fsum(terms)
 
 
-def mechanism_rows(m: Mechanism, r: float,
-                   extra_times: Sequence[float] = ()) -> Tuple[Tuple[float, float, float, float], ...]:
-    """Rows ``(t, flow, continuation, reward)`` at the grid points plus any
-    requested sample times — the CSV export payload."""
+def mechanism_rows(m: Mechanism, r: float, extra_times: Sequence[float]
+                   ) -> Tuple[Tuple[float, float, float, float], ...]:
+    """Rows ``(t, flow, continuation, reward)`` at the grid points and the
+    sample times ``extra_times`` — the CSV export payload."""
     times = sorted(set(m.grid) | {float(t) for t in extra_times})
     prof = continuation_profile(m, r)
     out = []

@@ -15,10 +15,13 @@ such step to take, so piecewise frontiers keep bisection.
 :func:`bisect_bracket` is the one bisection loop: it closes each atom-free
 piece of the deadline search with a piecewise ``f1``, and
 :func:`bisect_down`/:func:`bisect_up` return the midpoint of its final
-bracket.  A search that may find no sign change (``ParametricFrontier.peak``,
-the reward path's ``f0`` slope inversion, ``affine_gap``) tests the ends
-itself, then calls a root finder.  Both methods raise :class:`SolverError`
-on a NaN from ``f``.
+bracket.  The caller passes ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has
+read both ends already, to test for a sign change (``ParametricFrontier.peak``,
+the reward path's solves, ``affine_gap``), to push the upper end out (the
+insurance labor maximization) or to split its span (the deadline pieces);
+:func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
+straddle zero, a NaN end included, and a NaN from ``f`` raise
+:class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -33,20 +36,17 @@ EPS = sys.float_info.epsilon
 EPS2 = 2.0 * EPS
 
 
-def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
+def bisect_bracket(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
     """Final bracket ``(lo, f(lo), hi, f(hi))`` of a down-crossing:
     f(lo) >= 0 >= f(hi).
 
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
     the others, until it is narrower than ``tol_x`` or ``MAX_ITER`` halvings
     are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
-    returns ``(mid, f(mid), mid, f(mid))``.  A NaN from ``f``, at an end
-    or at a midpoint, raises :class:`SolverError`.
+    returns ``(mid, f(mid), mid, f(mid))``.  ``f_lo`` and ``f_hi`` are
+    ``f(lo)`` and ``f(hi)``; a NaN among them, or from ``f`` at a
+    midpoint, raises :class:`SolverError`.
     """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
     if not (f_lo >= 0.0 and f_hi <= 0.0):
         raise SolverError(
             f"bisection: no down-crossing bracket on [{lo}, {hi}] "
@@ -67,7 +67,7 @@ def bisect_bracket(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     return lo, f_lo, hi, f_hi
 
 
-def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
+def bisect_down(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
     """Root of ``f`` on [lo, hi] assuming a down-crossing: f(lo) >= 0 >= f(hi).
 
     Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
@@ -78,7 +78,7 @@ def bisect_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x, tol_f=None):
     return 0.5 * (lo + hi)
 
 
-def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
+def brent_down(f, lo, hi, *, f_lo, f_hi, tol_x):
     """Root of ``f`` on [lo, hi] by Brent's method, assuming a down-crossing:
     f(lo) >= 0 >= f(hi).
 
@@ -89,10 +89,6 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
     lands well inside the bracket and shrinks it fast enough, and a bisection
     step otherwise.  A NaN from ``f`` raises :class:`SolverError`.
     """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
     if not (f_lo >= 0.0 and f_hi <= 0.0):
         raise SolverError(
             f"brent: no down-crossing bracket on [{lo}, {hi}] "
@@ -148,4 +144,5 @@ def brent_down(f, lo, hi, *, f_lo=None, f_hi=None, tol_x):
 
 def bisect_up(f, lo, hi, *, tol_x):
     """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
-    return bisect_down(lambda x: -f(x), lo, hi, tol_x=tol_x)
+    return bisect_down(lambda x: -f(x), lo, hi, f_lo=-f(lo), f_hi=-f(hi),
+                       tol_x=tol_x)

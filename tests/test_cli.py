@@ -320,6 +320,18 @@ def test_oracle_improves_mechanism(tmp_path):
     assert len(rep["payoffs"]) == 4
 
 
+def test_oracle_nothing_to_improve(tmp_path):
+    # an IC mechanism with no delay slack anywhere: the report says so
+    cfg = write_cfg(tmp_path, {
+        "technology": A_TECH, "beta": 0.5,
+        "mechanism": {"x": [1.0], "x1": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["ic"]["ok"] is True
+    assert rep["improvement"] is None
+
+
 def test_oracle_scan(tmp_path):
     grid = [round(0.3 + 0.1 * i, 1) for i in range(8)]
     cfg = write_cfg(tmp_path, {
@@ -469,6 +481,19 @@ BAD_CONFIGS = {
     "oracle-horizon-1e9": ("oracle", 1, "config error: scan over budget", {
         "technology": A_TECH, "beta": 0.5, "horizon": 10 ** 9,
         "x_grid": [0.9], "reward_grid": [0.9]}),
+    "config-root-a-list": ("solve-deadline", 1,
+                           "config error: config root must be a JSON object", []),
+    "unknown-technology-kind": ("solve-deadline", 1,
+                                "config error: unknown technology kind 'foo'", {
+        "technology": {"kind": "foo"}, "distribution": POINT_1}),
+    "unknown-distribution-kind": ("solve-deadline", 1,
+                                  "config error: unknown distribution kind 'gamma'", {
+        "technology": A_TECH, "distribution": {"kind": "gamma"}}),
+    # the oracle reads piecewise frontiers only
+    "oracle-insurance-technology": ("oracle", 1,
+                                    "config error: this command needs technology kind", {
+        "technology": UI_TECH, "beta": 0.5,
+        "mechanism": {"x": [1.0], "x1": [1.0]}}),
     "ui-technology-not-an-object": ("ui-schedule", 1, "config error", {
         "technology": 5, "distribution": EXP_8}),
     "mechanism-not-an-object": ("verify", 1, "config error", {

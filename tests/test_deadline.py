@@ -30,7 +30,7 @@ from disclose import (
     t_underline,
 )
 from disclose import deadline
-from disclose.deadline import deadline_mechanism, foc_check
+from disclose.deadline import FOC_TOL, deadline_mechanism, foc_check
 from disclose.distribution import discretize
 from disclose.errors import DiscloseError
 from disclose.frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
@@ -131,9 +131,9 @@ def test_discounted_bracket_monotone(pair_a, dist_k2):
 
 def test_foc_check_at_optimum(pair_a, dist_point1):
     T_star = 1.0 + math.log(3.5)
-    assert foc_check(pair_a, dist_point1, T_star).satisfied
-    assert not foc_check(pair_a, dist_point1, T_star - 0.05).satisfied
-    assert not foc_check(pair_a, dist_point1, T_star + 0.05).satisfied
+    assert foc_check(pair_a, dist_point1, T_star, tol=FOC_TOL).satisfied
+    assert not foc_check(pair_a, dist_point1, T_star - 0.05, tol=FOC_TOL).satisfied
+    assert not foc_check(pair_a, dist_point1, T_star + 0.05, tol=FOC_TOL).satisfied
 
 
 # ---------------------------------------------------------------- optimizer ---

@@ -61,6 +61,15 @@ def test_ic_clauses_exact():
     assert ic_discrete(ok).ok
 
 
+def test_ic_delay_clause_compares_without_rounding():
+    # the tail bound 0.99 * 1/10 + 0.01 * 1/10 is a float a hair above the
+    # Fraction 1/10; its delay slack rounds to 0.0, the comparison does not
+    m = DiscreteMechanism(0.01, (Fr(1, 10),), (Fr(1, 10),))
+    assert delay_slacks(m) == (0.0,)
+    rep = ic_discrete(m)
+    assert (rep.ok, rep.period, rep.clause) == (False, 0, "delay")
+
+
 # ----------------------------------------------------------------- payoffs ---
 
 def test_payoff_point_exact(f0_exact, f1_exact):
@@ -228,6 +237,7 @@ KINDS = {
     "int levels": (int, A_F0_EXACT, Fr),
     "float": (float, A_F0_POINTS, float),
     "exact levels, float frontiers": (Fr, A_F0_POINTS, Fr),
+    "exact levels, float beta": (Fr, A_F0_EXACT, float),
 }
 
 
@@ -258,6 +268,12 @@ def scan_inputs(draw):
 # enumeration order: flow path outer, reward path inner
 @example((PiecewiseFrontier(A_F0_EXACT), PiecewiseFrontier(A_F1_EXACT), BETA, 2,
           [Fr(3, 5), Fr(4, 5), Fr(1)], [Fr(1), Fr(4, 5), Fr(3, 5)]))
+# the delay bound (1 - beta) x + beta x1 is the float 0.1 here, just above
+# the Fraction 1/10, yet their difference rounds to 0.0: both checks must
+# compare the two, not the difference with 0
+@example((PiecewiseFrontier(tuple((u, v / 2) for u, v in A_F0_EXACT)),
+          PiecewiseFrontier(tuple((u, v / 2) for u, v in A_F1_EXACT)), 0.01, 1,
+          [Fr(1, 10)], [Fr(1, 10)]))
 def test_scan_equals_the_per_mechanism_reference(args):
     got = undominated_scan(*args)
     want = reference_scan(*args)

@@ -159,7 +159,8 @@ def test_parametric_peak_interior_is_bisect_down():
     f = ParametricFrontier(fn=lambda u: math.sin(u) - 0.5 * u * u, u_lo=0.0,
                            u_hi=1.0, dfn=dfn)
     u, v = f.peak
-    assert u.hex() == bisect_down(dfn, 0.0, 1.0, tol_x=1e-13).hex()
+    assert u.hex() == bisect_down(dfn, 0.0, 1.0, f_lo=dfn(0.0), f_hi=dfn(1.0),
+                                   tol_x=1e-13).hex()
     assert u == pytest.approx(0.7390851332151607, abs=1e-12)
     assert v == math.sin(u) - 0.5 * u * u
 

@@ -1,4 +1,8 @@
-"""Root bracketing: bisection and Brent's method."""
+"""Root bracketing: bisection and Brent's method.
+
+Every root finder but ``bisect_up`` takes ``f`` at both bracket ends from
+its caller; :func:`ends` reads them as a caller would, through the same
+``f``, so evaluation counts include the two ends."""
 
 from __future__ import annotations
 
@@ -8,12 +12,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from disclose import SolverError
+from disclose import numerics
 from disclose.numerics import (EPS, bisect_bracket, bisect_down, bisect_up,
                                brent_down)
 
 
+def ends(f, lo, hi) -> dict:
+    """``f_lo`` and ``f_hi`` for a root finder, low end first."""
+    return {"f_lo": f(lo), "f_hi": f(hi)}
+
+
+def counted(f):
+    """``f`` and the list of points it was evaluated at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def search(root, f, lo, hi, **kwargs):
+    """``root`` on ``[lo, hi]``, given both ends unless it reads them itself."""
+    if root is not bisect_up:
+        kwargs.update(ends(f, lo, hi))
+    return root(f, lo, hi, **kwargs)
+
+
 def test_bisect_down_quadratic_root():
-    root = bisect_down(lambda x: 1.0 - x * x, 0.0, 2.0, tol_x=1e-12)
+    f = lambda x: 1.0 - x * x
+    root = bisect_down(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-12)
     assert root == pytest.approx(1.0, abs=1e-11)
 
 
@@ -36,13 +65,14 @@ def test_bisect_down_tol_f_early_exit():
         evals.append(x)
         return math.cos(x)
 
-    bisect_down(f, 1.0, 2.0, tol_x=1e-12, tol_f=1e-3)
+    bisect_down(f, 1.0, 2.0, **ends(f, 1.0, 2.0), tol_x=1e-12, tol_f=1e-3)
     assert len(evals) < 20  # far fewer than the ~50 needed for tol_x
 
 
 def test_bisect_down_requires_bracket():
     with pytest.raises(SolverError):
-        bisect_down(lambda x: x + 1.0, 0.0, 1.0, tol_x=1e-12)  # positive at both ends
+        bisect_down(lambda x: x + 1.0, 0.0, 1.0, f_lo=1.0, f_hi=2.0,
+                    tol_x=1e-12)  # positive at both ends
 
 
 # each bisection with the sign that turns a down-crossing into its bracket
@@ -58,7 +88,7 @@ BISECTIONS = [(bisect_bracket, 1.0), (bisect_down, 1.0), (bisect_up, -1.0)]
 def test_bisection_nan_at_an_end_raises(root, sign, f):
     # a NaN end value never passes for a bracket, as in brent_down
     with pytest.raises(SolverError, match="no down-crossing bracket"):
-        root(lambda x: sign * f(x), 0.0, 2.0, tol_x=1e-12)
+        search(root, lambda x: sign * f(x), 0.0, 2.0, tol_x=1e-12)
 
 
 @pytest.mark.parametrize("root, sign", BISECTIONS)
@@ -66,7 +96,7 @@ def test_bisection_nan_midpoint_raises(root, sign):
     # a valid bracket whose first midpoint is NaN
     f = lambda x: sign * (1.0 - 2.0 * x) if x in (0.0, 1.0) else math.nan
     with pytest.raises(SolverError, match="NaN"):
-        root(f, 0.0, 1.0, tol_x=1e-12)
+        search(root, f, 0.0, 1.0, tol_x=1e-12)
 
 
 def test_bisect_up_mirror():
@@ -74,32 +104,43 @@ def test_bisect_up_mirror():
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
 
 
+def test_bisect_up_is_one_bisect_down_call(monkeypatch):
+    # the benchmark tracer counts a bisect_up as one root find by skipping
+    # the single bisect_down it delegates to, and counts every evaluation
+    # of the callable bisect_up was handed: f at both ends, then once per
+    # midpoint of the mirrored bisection
+    orig, delegated = numerics.bisect_down, []
+
+    def spy(g, lo, hi, **kwargs):
+        delegated.append((lo, hi))
+        return orig(g, lo, hi, **kwargs)
+
+    monkeypatch.setattr(numerics, "bisect_down", spy)
+    f, calls = counted(lambda x: x * x - 2.0)
+    root = bisect_up(f, 0.0, 2.0, tol_x=1e-12)
+    assert delegated == [(0.0, 2.0)]
+    g, mirrored = counted(lambda x: 2.0 - x * x)
+    assert root == orig(g, 0.0, 2.0, f_lo=2.0, f_hi=-2.0, tol_x=1e-12)
+    assert calls[:2] == [0.0, 2.0] and calls[2:] == mirrored
+
+
 def test_bisect_bracket_keeps_the_sign_change():
     f = lambda x: 1.0 - x * x
-    lo, f_lo, hi, f_hi = bisect_bracket(f, 0.0, 2.0, tol_x=1e-9)
+    lo, f_lo, hi, f_hi = bisect_bracket(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9)
     assert 0.0 < hi - lo <= 1e-9
     # the values it returns are the ones it computed at the final ends
     assert (f_lo, f_hi) == (f(lo), f(hi))
     assert f_lo >= 0.0 > f_hi
-    assert bisect_down(f, 0.0, 2.0, tol_x=1e-9) == 0.5 * (lo + hi)
+    assert bisect_down(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9) == 0.5 * (lo + hi)
     # an end that never moves keeps the value passed in for it
-    assert bisect_bracket(f, 0.0, 4.0, f_lo=7.0, tol_x=2.5) == (0.0, 7.0, 2.0, -3.0)
+    assert bisect_bracket(f, 0.0, 4.0, f_lo=7.0, f_hi=-15.0,
+                          tol_x=2.5) == (0.0, 7.0, 2.0, -3.0)
     # the tol_f early exit returns the midpoint as both ends
-    assert bisect_bracket(f, 0.0, 2.0, tol_x=1e-9, tol_f=0.5) == (1.0, 0.0, 1.0, 0.0)
+    assert bisect_bracket(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9,
+                          tol_f=0.5) == (1.0, 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- brent_down ---
-
-def counted(f):
-    """``f`` and the list of points it was evaluated at."""
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-
-    return g, calls
-
 
 @pytest.mark.parametrize("f, lo, hi", [
     (lambda x: x + 1.0, 0.0, 1.0),    # positive at both ends
@@ -109,13 +150,13 @@ def counted(f):
 ])
 def test_brent_down_requires_bracket(f, lo, hi):
     with pytest.raises(SolverError, match="no down-crossing bracket"):
-        brent_down(f, lo, hi, tol_x=1e-12)
+        brent_down(f, lo, hi, **ends(f, lo, hi), tol_x=1e-12)
 
 
 def test_brent_down_exact_zero_at_an_end():
     f, calls = counted(lambda x: 1.0 - x)
-    assert brent_down(f, 1.0, 3.0, tol_x=1e-12) == 1.0
-    assert brent_down(f, -1.0, 1.0, tol_x=1e-12) == 1.0
+    assert brent_down(f, 1.0, 3.0, **ends(f, 1.0, 3.0), tol_x=1e-12) == 1.0
+    assert brent_down(f, -1.0, 1.0, **ends(f, -1.0, 1.0), tol_x=1e-12) == 1.0
     assert calls == [1.0, 3.0, -1.0, 1.0]  # only the two ends, each time
     assert brent_down(f, 0.0, 1.0, f_lo=0.0, f_hi=-1.0, tol_x=1e-12) == 0.0
 
@@ -130,7 +171,7 @@ def test_brent_down_accepts_precomputed_endpoints():
 def test_brent_down_honours_tol_x(tol_x):
     root = 0.7390851332151607  # cos(x) = x
     f, calls = counted(lambda x: math.cos(x) - x)
-    x = brent_down(f, 0.0, 1.0, tol_x=tol_x)
+    x = brent_down(f, 0.0, 1.0, **ends(f, 0.0, 1.0), tol_x=tol_x)
     assert abs(x - root) <= tol_x + 4.0 * EPS * abs(x)
     # superlinear: far fewer evaluations than the 47 halvings bisection needs
     assert len(calls) <= 12
@@ -140,7 +181,7 @@ def test_brent_down_tol_x_sets_the_work():
     evals = []
     for tol_x in (1e-2, 1e-13):
         f, calls = counted(lambda x: 4.0 - math.exp(x) - x)
-        brent_down(f, 0.0, 3.0, tol_x=tol_x)
+        brent_down(f, 0.0, 3.0, **ends(f, 0.0, 3.0), tol_x=tol_x)
         evals.append(len(calls))
     assert evals[0] < evals[1]
 
@@ -148,14 +189,14 @@ def test_brent_down_tol_x_sets_the_work():
 def test_brent_down_nan_raises():
     f = lambda x: 1.0 - 2.0 * x if x in (0.0, 1.0) else math.nan
     with pytest.raises(SolverError, match="NaN"):
-        brent_down(f, 0.0, 1.0, tol_x=1e-12)
+        brent_down(f, 0.0, 1.0, **ends(f, 0.0, 1.0), tol_x=1e-12)
 
 
 def test_brent_down_step_function_stays_bracketed():
     # no interpolation step helps on a step function: the bisection steps
     # must still close the bracket on the jump at 1/3
     f, calls = counted(lambda x: 1.0 if x < 1.0 / 3.0 else -1.0)
-    x = brent_down(f, 0.0, 1.0, tol_x=1e-12)
+    x = brent_down(f, 0.0, 1.0, **ends(f, 0.0, 1.0), tol_x=1e-12)
     assert abs(x - 1.0 / 3.0) <= 1e-12
     assert len(calls) <= 2 + 60
 
@@ -172,6 +213,6 @@ def test_brent_down_finds_known_root(root, left, right, a, b, c, k, tol_x):
         return a * math.expm1(k * d) + b * d ** 3 + (c + 0.1) * d
 
     lo, hi = root - left, root + right
-    x = brent_down(f, lo, hi, tol_x=tol_x)
+    x = brent_down(f, lo, hi, **ends(f, lo, hi), tol_x=tol_x)
     assert lo <= x <= hi
     assert abs(x - root) <= tol_x + 4.0 * EPS * abs(x)
