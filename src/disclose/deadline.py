@@ -22,23 +22,27 @@ these bounds keep it on one side of zero holds no stationary point and is
 dropped; the others are split at their middle atom, and an atom-free
 piece whose ends straddle zero is solved for its root.  With a parametric
 ``f1`` the bracket is smooth on such a piece, and Brent's method finds
-the root; a piecewise ``f1`` makes it a step function there, and
-bisection closes the piece.  This finds every stationary
-point, at an atom or between two, and the payoff argmax over them is the
+the root.  A piecewise ``f1`` makes it a step function there, which
+changes only at the kink events ``t_k + _deadline_for(pair, b)``, where
+the reward ``X_{t_k}(T)`` of an atom ``t_k`` before the piece reaches an
+``f1`` breakpoint ``b`` in ``(u_star, u0)``; a binary search over the
+events of the piece, reading the bracket between them, returns the event
+where it turns negative.  This finds every stationary point, at an atom,
+a kink event or between two atoms, and the payoff argmax over them is the
 best deadline.  When ``f0`` is affine on ``[u_star, u0]`` no jump is
 positive, and the search is one binary search over the atoms.
 
 Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
 to find them, then O(atoms <= T)), returns both one-sided brackets and
 computes no payoff.  The affine case makes O(log m) of them at atoms; a
-curved ``f0`` one per split atom, as many as the pruning leaves.  Each
-crossing piece solved to 1e-13 adds about 40 when bisected (piecewise
-``f1``), and a few by Brent's method (parametric ``f1``; 12 evaluations
-in all for an insurance pair with 32 atoms).  The affinity test reads
-``f0`` at its breakpoints, or solves one smooth root, and no bracket.
-Payoffs are computed for the
-candidate deadlines and the never-stop profile only, each O(atoms) on the
-two-cell deadline mechanism.
+curved ``f0`` one per split atom, as many as the pruning leaves.  A
+crossing piece adds O(log(events in the piece)) with a piecewise ``f1``
+(finding the events costs two ``bisect`` calls per ``f1`` breakpoint and
+no bracket), and a few by Brent's method to 1e-13 with a parametric one
+(12 evaluations in all for an insurance pair with 32 atoms).  The
+affinity test reads ``f0`` at its breakpoints, or solves one smooth root,
+and no bracket.  Payoffs are computed for the candidate deadlines and the
+never-stop profile only, each O(atoms) on the two-cell deadline mechanism.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .distribution import BreakthroughDist
 from .errors import ConfigError, ModelAssumptionError, SolverError
 from .frontier import ParametricFrontier, TechnologyPair, affine_gap
 from .mechanism import Mechanism, continuation_value, payoff
-from .numerics import bisect_bracket, brent_down
+from .numerics import brent_down
 
 FOC_TOL = 1e-9
 # largest deviation of f0 from its chord on [u_star, u0] that still counts
@@ -218,6 +222,41 @@ def foc_check(pair: TechnologyPair, dist: BreakthroughDist, T: float,
                      satisfied=pi_plus <= tol and ok_minus, tol=tol)
 
 
+def _kink_crossing(right, times, lags, lo: float, hi: float) -> float:
+    """The kink event where the right bracket ``right`` of a piecewise
+    ``f1`` turns negative on the atom-free piece ``(lo, hi)``.
+
+    The events are ``t_k + lag`` strictly inside the piece, for the atoms
+    ``t_k`` (all at or before ``lo``) and the ``lags``, the deadlines at
+    which an atom's reward reaches an ``f1`` breakpoint.  The bracket is
+    constant between two events and, ``f1`` being concave, does not rise
+    at one; it is >= 0 just after ``lo`` and its left limit at ``hi`` is
+    < 0.  A binary search over the intervals between events reads it at
+    their midpoints and returns the first event after which it is
+    negative.  At the event itself ``KINK_SNAP`` gives the bracket both
+    slopes of the kink.  A piece with no event inside can only straddle
+    zero by roundoff; it returns ``hi``.  A NaN bracket raises
+    :class:`SolverError`.
+    """
+    events = sorted({t + lag for lag in lags
+                     for t in times[max(0, _bisect.bisect_left(times, lo - lag) - 1):
+                                    _bisect.bisect_right(times, hi - lag) + 1]
+                     if lo < t + lag < hi})
+    ends = [lo, *events, hi]
+    a, b = 0, len(events)  # the bracket is >= 0 after ends[a], < 0 after ends[b]
+    while b - a > 1:
+        k = (a + b + 1) // 2
+        mid = 0.5 * (ends[k] + ends[k + 1])
+        f_mid = right(mid)
+        if f_mid >= 0.0:
+            a = k
+        elif f_mid < 0.0:
+            b = k
+        else:
+            raise SolverError(f"deadline bracket at T={mid} is NaN")
+    return ends[b] if events else hi
+
+
 @dataclass(frozen=True)
 class OptimalDeadline:
     T: float
@@ -237,15 +276,16 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     ``(t_underline, T_hi)`` split that span into atom-free pieces, which a
     branch and bound searches for the stationary points of the payoff
     (the module docstring gives the bound).  An atom is one when its left
-    bracket is >= 0 and its right bracket < 0; each piece whose bracket
-    goes from >= 0 to < 0 is solved to 1e-13: by Brent's method when
+    bracket is >= 0 and its right bracket < 0.  Each piece whose bracket
+    goes from >= 0 to < 0 is closed by Brent's method to 1e-13 when
     ``f1`` is parametric, so that the bracket is smooth on the piece, and
-    by bisection with an endpoint rule when it is piecewise.  The payoff
-    argmax over these candidates and the threshold itself is returned, with
-    a warning when :func:`affine_gap` of ``f0`` on ``[u_star, u0]`` exceeds
-    ``AFFINE_TOL``.  The search relies on
-    ``f1`` being concave.  Only the candidates and the never-stop profile
-    cost a payoff; the final :func:`foc_check` reads brackets.
+    at the kink event where the bracket turns negative when it is
+    piecewise (:func:`_kink_crossing`).  The payoff argmax over these
+    candidates and the threshold itself is returned, with a warning when
+    :func:`affine_gap` of ``f0`` on ``[u_star, u0]`` exceeds
+    ``AFFINE_TOL``.  The search relies on ``f1`` being concave.  Only the
+    candidates and the never-stop profile cost a payoff; the final
+    :func:`foc_check` reads brackets.
 
     A discount rate that does not resolve the breakthrough times is a
     ModelAssumptionError, decided from the first and last atom before any
@@ -276,8 +316,12 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
         return _brackets(pair, dist, T, alpha)[0]
 
     # a parametric f1 has no kink, so neither has the bracket inside an
-    # atom-free piece; a piecewise f1's bracket is a step function there
+    # atom-free piece; a piecewise f1's bracket is a step function there,
+    # which steps where an atom's reward reaches a breakpoint: these lags
+    # after the atom
     smooth = isinstance(pair.f1, ParametricFrontier)
+    lags = () if smooth else [_deadline_for(pair, float(u))
+                              for u, _ in pair.f1.points if ustar < u < u0]
 
     t_hi = max(2.0 * t_lo, t_lo + max(1.0 / pair.r, 1.0),
                t_lo + 2.0 * (times[-1] - t_lo))
@@ -311,15 +355,8 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
         if smooth:
             candidates.append(brent_down(right, ts[i], ts[j], f_lo=vals[i][0],
                                          f_hi=vals[j][1], tol_x=1e-13))
-            continue
-        lo, b_lo, hi, _ = bisect_bracket(right, ts[i], ts[j], f_lo=vals[i][0],
-                                         f_hi=vals[j][1], tol_x=1e-13)
-        # pick the endpoint where the first-order sandwich holds: at a
-        # smooth crossing the left endpoint's bracket is a hair above
-        # zero (within tol), so keep it; a bracket that jumps across a
-        # kink stays far from zero on the left, and only the right
-        # endpoint sees both one-sided slopes of the kink
-        candidates.append(lo if b_lo <= tol else hi)
+        else:
+            candidates.append(_kink_crossing(right, times, lags, ts[i], ts[j]))
 
     best_t, best_pi = None, -math.inf
     for t in sorted(candidates):

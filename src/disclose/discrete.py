@@ -216,11 +216,12 @@ def undominated_scan(f0, f1, beta, horizon: int,
     ``q**horizon``.  Every delay term, continuation, ``beta x1[s+1]``,
     payoff term and payoff sum is then an exact int, and the incentive
     filter, the sums, the sort and the dominance prune run on ints; the
-    kept payoffs become Fractions at the end.  A positive scale keeps every
-    comparison and every tie, so the output is unchanged.  Any other input
-    (a float anywhere) takes the float path: the same code on the numbers
-    as given, every operation grouped as in the per-mechanism functions, so
-    floats give the same bits too.
+    kept payoffs become Fractions at the end, each with the power of ``q``
+    it is known to carry divided out of both its sides first.  A positive
+    scale keeps every comparison and every tie, so the output is unchanged.
+    Any other input (a float anywhere) takes the float path: the same code
+    on the numbers as given, every operation grouped as in the
+    per-mechanism functions, so floats give the same bits too.
 
     *Backward enumeration.*  For one flow path the delay constraint at
     period ``s`` ties only ``x1[s]`` to ``x1[s+1]``, so the reward levels
@@ -326,10 +327,20 @@ def undominated_scan(f0, f1, beta, horizon: int,
     for e in feasible:
         if not any(dominates(o[3], e[3]) for o in keep):
             keep.append(e)
-    scale = vscale * qh if exact else None
+    if exact:
+        # payoff k is a multiple of q**(horizon - k) and "never" one of q:
+        # dividing that out of both sides first leaves Fraction a smaller
+        # gcd to take, and the same value
+        factors, denoms = [qh], [vscale]  # their products are all vscale * qh
+        for _ in range(horizon - 1):
+            factors.append(factors[-1] // q)
+            denoms.append(denoms[-1] * q)
+        factors.append(q)
+        denoms.append(denoms[-1])
     return tuple(
         ScanEntry(x=tuple(flow[i][0] for i in idx),
                   x1=tuple(reward[j][0] for j in r),
-                  payoffs=tuple(Fraction(n, scale) for n in payoffs) if exact
-                  else tuple(payoffs))
+                  payoffs=tuple(Fraction(n // f, d)
+                                for n, f, d in zip(payoffs, factors, denoms))
+                  if exact else tuple(payoffs))
         for _, idx, r, payoffs in keep)

@@ -11,17 +11,18 @@ the crossing piece of a deadline search with a parametric ``f1``, the
 point where a parametric ``f0`` is parallel to its chord
 (``frontier.affine_gap``), and the insurance labor maximization.  There its
 interpolation steps converge superlinearly; on a step function it has no
-such step to take, so piecewise frontiers keep bisection.
-:func:`bisect_bracket` is the one bisection loop: it closes each atom-free
-piece of the deadline search with a piecewise ``f1``, and
-:func:`bisect_down`/:func:`bisect_up` return the midpoint of its final
-bracket.  The caller passes ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has
-read both ends already, to test for a sign change (``ParametricFrontier.peak``,
-the reward path's solves, ``affine_gap``), to push the upper end out (the
-insurance labor maximization) or to split its span (the deadline pieces);
-:func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
-straddle zero, a NaN end included, and a NaN from ``f`` raise
-:class:`SolverError`.
+such step to take, so the reward-path solves of a piecewise pair keep
+bisection.
+:func:`bisect_down` is the one bisection loop and returns the midpoint of
+its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
+a piecewise ``f1`` needs neither: its crossing is a kink event, found by
+a binary search in ``deadline``.)  The caller passes ``f_lo = f(lo)`` and
+``f_hi = f(hi)``: each has read both ends already, to test for a sign
+change (``ParametricFrontier.peak``, the reward path's solves,
+``affine_gap``), to push the upper end out (the insurance labor
+maximization) or to split its span (the deadline pieces); :func:`bisect_up`
+alone reads ``-f`` at both ends itself.  Ends that do not straddle zero, a
+NaN end included, and a NaN from ``f`` raise :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ EPS = sys.float_info.epsilon
 EPS2 = 2.0 * EPS
 
 
-def bisect_bracket(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
-    """Final bracket ``(lo, f(lo), hi, f(hi))`` of a down-crossing:
-    f(lo) >= 0 >= f(hi).
+def bisect_down(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
+    """Root of ``f`` on [lo, hi] assuming a down-crossing: f(lo) >= 0 >= f(hi).
 
     Halves the bracket, moving ``lo`` to midpoints with f >= 0 and ``hi`` to
     the others, until it is narrower than ``tol_x`` or ``MAX_ITER`` halvings
-    are done.  If ``tol_f`` is given and some midpoint has |f| <= tol_f,
-    returns ``(mid, f(mid), mid, f(mid))``.  ``f_lo`` and ``f_hi`` are
-    ``f(lo)`` and ``f(hi)``; a NaN among them, or from ``f`` at a
-    midpoint, raises :class:`SolverError`.
+    are done, and returns the midpoint of the final bracket.  If ``tol_f``
+    is given and some midpoint has |f| <= tol_f, returns that midpoint.
+    ``f_lo`` and ``f_hi`` are ``f(lo)`` and ``f(hi)``; a NaN among them, or
+    from ``f`` at a midpoint, raises :class:`SolverError`.
     """
     if not (f_lo >= 0.0 and f_hi <= 0.0):
         raise SolverError(
@@ -57,24 +57,13 @@ def bisect_bracket(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if tol_f is not None and abs(f_mid) <= tol_f:
-            return mid, f_mid, mid, f_mid
+            return mid
         if f_mid >= 0.0:
-            lo, f_lo = mid, f_mid
+            lo = mid
         elif f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             raise SolverError(f"bisection: f({mid}) is NaN")
-    return lo, f_lo, hi, f_hi
-
-
-def bisect_down(f, lo, hi, *, f_lo, f_hi, tol_x, tol_f=None):
-    """Root of ``f`` on [lo, hi] assuming a down-crossing: f(lo) >= 0 >= f(hi).
-
-    Stops when the bracket is narrower than ``tol_x`` or (if ``tol_f`` is
-    given) when |f(mid)| <= tol_f.  Returns the midpoint of the final bracket.
-    """
-    lo, _, hi, _ = bisect_bracket(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x,
-                                  tol_f=tol_f)
     return 0.5 * (lo + hi)
 
 

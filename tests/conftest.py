@@ -23,10 +23,10 @@ from disclose import (
     discretize,
     from_atoms,
 )
-from disclose.deadline import FOC_TOL, _alpha, _brackets, deadline_payoff, t_underline
+from disclose.deadline import (FOC_TOL, _alpha, _brackets, _deadline_for, deadline_payoff,
+                               t_underline)
 from disclose.discrete import DiscreteMechanism, ScanEntry, ic_discrete, payoff_vector
 from disclose.frontier import is_neg_inf
-from disclose.numerics import bisect_bracket
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic
@@ -34,21 +34,48 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-def exhaustive_deadline(pair: TechnologyPair, dist) -> tuple:
+def bisected_crossing(f, lo, hi, f_lo) -> float:
+    """A down-crossing of ``f`` on ``[lo, hi]`` (``f_lo = f(lo) >= 0``) as
+    deadline searches closed it before kink events: bisected to 1e-13 (or
+    200 halvings), then ``lo`` when ``f`` there is within ``FOC_TOL`` of
+    zero and ``hi`` otherwise."""
+    for _ in range(200):
+        if hi - lo <= 1e-13:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid >= 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo if f_lo <= FOC_TOL else hi
+
+
+def exhaustive_deadline(pair: TechnologyPair, dist, *, bisect: bool = False) -> tuple:
     """``(T, payoff)`` of the best deadline found with no pruning.
 
     ``T_hi`` starts past the last atom and doubles until the right bracket
     is negative there.  Every atom in ``(t_underline, T_hi)`` is read, and
     is a candidate when its left bracket is >= 0 and its right bracket < 0.
     Every atom-free piece between them whose right bracket goes from >= 0
-    to < 0 is bisected to 1e-13, with the optimizer's endpoint rule.  The
-    payoff argmax over these and ``t_underline`` is returned, the earliest
-    on a tie."""
+    to < 0 is closed by :func:`bisected_crossing` when ``f1`` is parametric.
+    When it is piecewise, the kink events ``t_k + _deadline_for(pair, b)``
+    inside the piece (every atom ``t_k`` and every ``f1`` breakpoint ``b``
+    in ``(u_star, u0)``) are sorted, the bracket is read at the midpoint of
+    every two consecutive ones, the last with the piece's right end, and
+    the first event after which it is negative is a candidate (the right
+    end when there is none).  With ``bisect`` every crossing piece is
+    closed by :func:`bisected_crossing`, as before kink events.  The payoff
+    argmax over these and ``t_underline`` is returned, the earliest on a
+    tie."""
     t_lo = t_underline(pair)
     alpha = _alpha(pair)
 
     def brackets(T):
         return _brackets(pair, dist, T, alpha)
+
+    def right(T):
+        return brackets(T)[0]
 
     t_hi = t_lo + max(t_lo, 1.0 / pair.r, 1.0, 2.0 * (dist.times[-1] - t_lo))
     while brackets(t_hi)[0] >= 0.0:
@@ -57,11 +84,20 @@ def exhaustive_deadline(pair: TechnologyPair, dist) -> tuple:
     vals = [brackets(t) for t in ts]
     candidates = [t_lo] + [t for t, (b_plus, b_minus) in zip(ts[1:-1], vals[1:-1])
                            if b_minus >= 0.0 > b_plus]
+    smooth = isinstance(pair.f1, ParametricFrontier)
+    lags = [] if smooth else [_deadline_for(pair, float(u)) for u, _ in pair.f1.points
+                              if pair.u_star < u < pair.u0]
     for a, (f_a, _), b, (_, f_b) in zip(ts, vals, ts[1:], vals[1:]):
-        if f_a >= 0.0 > f_b:
-            lo, b_lo, hi, _ = bisect_bracket(lambda T: brackets(T)[0], a, b,
-                                             f_lo=f_a, f_hi=f_b, tol_x=1e-13)
-            candidates.append(lo if b_lo <= FOC_TOL else hi)
+        if not f_a >= 0.0 > f_b:
+            continue
+        if smooth or bisect:
+            candidates.append(bisected_crossing(right, a, b, f_a))
+            continue
+        events = sorted({t_k + lag for t_k in dist.times for lag in lags
+                         if a < t_k + lag < b})
+        after = [e for e, e_next in zip(events, events[1:] + [b])
+                 if right(0.5 * (e + e_next)) < 0.0]
+        candidates.append(after[0] if after else b)
     scored = [(deadline_payoff(pair, dist, t), -t) for t in candidates]
     value, neg_t = max(c for c in scored if isinstance(c[0], float))
     return -neg_t, value

@@ -7,7 +7,10 @@ pins the optimizer's stopping rule independently of the search logic.  On
 random affine and curved pairs, on laws at the edges of the search and on
 clustered laws, the optimizer must pay at least what an exhaustive
 reference pays (``conftest.exhaustive_deadline``: every atom read, every
-crossing piece bisected), and with an affine ``f0`` land on its deadline.
+smooth crossing piece bisected, every kink event of a piecewise one
+scanned), and with an affine ``f0`` land on its deadline.  A piecewise
+``f1`` puts each crossing on a kink event, bit for bit, and pays at least
+the bisection that closed such pieces before.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,7 +36,7 @@ from disclose import (
 from disclose import deadline
 from disclose.deadline import FOC_TOL, deadline_mechanism, foc_check
 from disclose.distribution import discretize
-from disclose.errors import DiscloseError
+from disclose.errors import DiscloseError, SolverError
 from disclose.frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
                                affine_gap)
 from disclose.insurance import UiPrimitives, build_frontiers
@@ -41,7 +45,7 @@ import conftest
 from conftest import (A_F0_POINTS, A_F1_POINTS, b_f0, b_f0_d, b_f1,
                       exhaustive_deadline)
 from test_golden import WITNESS_ATOMS, WITNESS_TECH
-from test_hotpaths import random_ui_primitives
+from test_hotpaths import KINKED_F0, random_ui_primitives
 
 ROOT_TOL = 1e-8
 
@@ -184,8 +188,8 @@ def test_early_mass_shifts_deadline(pair_a):
 # ------------------------------------------------------ crossing piece root ---
 
 def test_smooth_piece_root_matches_the_bisection_reference(pair_b):
-    # the reference bisects every crossing piece to 1e-13 and keeps the
-    # endpoint whose bracket is within the FOC tolerance
+    # the reference bisects every smooth crossing piece to 1e-13 and keeps
+    # the endpoint whose bracket is within the FOC tolerance
     rng = random.Random(1913)
     cases = []
     while len(cases) < 24:
@@ -212,12 +216,14 @@ def test_smooth_piece_root_matches_the_bisection_reference(pair_b):
 
 # ---------------------------------------- affine search against full scan ---
 
-def random_affine_pair(rng):
-    """A pair with ``f0`` affine on ``[u_star, u0]``: rescaled fixture A, a
-    random concave piecewise ``f1`` above the tent ``f0``, or a smooth
-    quadratic ``f1`` over a chord ``f0``."""
+def random_affine_pair(rng, kind=None):
+    """A pair with ``f0`` affine on ``[u_star, u0]``: rescaled fixture A
+    (kind 0), a random concave piecewise ``f1`` above the tent ``f0`` (1),
+    or a smooth quadratic ``f1`` over a chord ``f0`` (2); a random kind
+    unless one is given."""
     r = rng.uniform(0.2, 3.0)
-    kind = rng.randrange(3)
+    if kind is None:
+        kind = rng.randrange(3)
     if kind == 0:
         su, sv = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)
         f0, f1 = ([(u * su, v * sv) for u, v in pts]
@@ -397,7 +403,7 @@ def test_curved_search_matches_full_scan(monkeypatch):
         assert_matches_reference(res, pair, dist, same_t=False)
     assert len(solved) >= 290
     assert clustered >= 30
-    # both bisect the same pieces; the search reads fewer atoms
+    # both close the same pieces; the search reads fewer atoms
     assert evals[True] < evals[False]
 
 
@@ -472,12 +478,12 @@ def test_clustered_witness_finds_the_last_stationary_point(pair_b):
     # two light atoms where the bracket is negative: the search splits at
     # 2.4 with a negative bracket on both sides, and only the jumps of the
     # cluster after it lift the bracket to the better stationary point
-    (WITNESS_ATOMS + [[2.3, 0.002], [2.4, 0.002]], 2.7287618776782754),
+    (WITNESS_ATOMS + [[2.3, 0.002], [2.4, 0.002]], 2.7287618787134225),
     # a lighter cluster and four light atoms after it: the search splits at
     # 2.632 with a positive bracket on both sides, and the better stationary
     # point is the one before the bracket dips below zero
     ([[0.63, 0.32], [2.55, 0.3], [2.63, 0.15], [2.632, 0.15]]
-     + [[3.0 + 0.2 * i, 0.01] for i in range(4)], 2.1368416896230875),
+     + [[3.0 + 0.2 * i, 0.01] for i in range(4)], 2.1368416968694466),
 ], ids=["negative-ends", "positive-ends"])
 def test_search_sees_past_the_signs_at_a_split(atoms, t_star):
     pair = late_cluster_pair()
@@ -518,3 +524,88 @@ def clustered_case(draw):
 def test_search_pays_the_reference_on_clustered_laws(case):
     pair, dist = case
     assert_matches_reference(optimize_deadline(pair, dist), pair, dist, same_t=False)
+
+
+# ------------------------------------------------ piecewise f1: kink events ---
+
+def kink_events(pair, dist) -> set:
+    """Every ``t_k + _deadline_for(pair, b)``: an atom ``t_k`` and an ``f1``
+    breakpoint ``b`` in ``(u_star, u0)``."""
+    return {t + deadline._deadline_for(pair, float(u)) for t in dist.times
+            for u, _ in pair.f1.points if pair.u_star < u < pair.u0}
+
+
+@pytest.mark.parametrize("cut", range(5))
+def test_kink_crossing_returns_the_event_where_the_bracket_turns(cut):
+    # atoms 0 and 0.5, lags 1.2, 1.7 and 2.3: the events inside (0.5, 3.0)
+    # are 1.2, 1.7 (twice), 2.2, 2.3 and 2.8; a step at each in turn
+    events = [1.2, 1.7, 2.2, 2.3, 2.8]
+    reads = []
+
+    def right(T):
+        reads.append(T)
+        return 1.0 if T < events[cut] else -1.0
+
+    lags = [1.2, 1.7, 2.3]
+    assert deadline._kink_crossing(right, (0.0, 0.5), lags, 0.5, 3.0) == events[cut]
+    assert len(reads) <= 3  # a binary search over six intervals
+    assert all(0.5 < T < 3.0 and T not in events for T in reads)
+
+
+def test_kink_crossing_without_an_event_returns_the_piece_end():
+    # a piece with no event inside straddles zero only by roundoff: the
+    # stated rule is its right end, and no bracket is read
+    def right(T):
+        raise AssertionError("no bracket read")
+
+    assert deadline._kink_crossing(right, (0.0, 1.0), [5.0], 1.0, 2.0) == 2.0
+    assert deadline._kink_crossing(right, (0.0, 1.0), [], 1.0, 2.0) == 2.0
+    # a single event needs no read either
+    assert deadline._kink_crossing(right, (0.0, 1.0), [0.75], 1.0, 2.0) == 1.75
+
+
+def test_kink_crossing_nan_bracket_raises():
+    with pytest.raises(SolverError, match="NaN"):
+        deadline._kink_crossing(lambda T: math.nan, (0.0,), [1.0, 2.0, 3.0], 0.5, 4.0)
+
+
+@st.composite
+def piecewise_case(draw):
+    """A piecewise pair, fixture A rescaled, a random concave ``f1`` over
+    the tent ``f0`` (:func:`random_affine_pair` kinds 0 and 1) or the
+    kinked ``f0`` under fixture A's ``f1``, rescaled, with a
+    :func:`random_law`."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from((0, 1, "kinked")))
+    try:
+        if kind == "kinked":
+            su, sv = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)
+            f0, f1 = (PiecewiseFrontier([(u * su, v * sv) for u, v in pts])
+                      for pts in (KINKED_F0, A_F1_POINTS))
+            pair = TechnologyPair.build(f0, f1, rng.uniform(0.2, 3.0))
+        else:
+            pair = random_affine_pair(rng, kind)
+        t_underline(pair)
+    except ModelAssumptionError:
+        assume(False)
+    return pair, random_law(rng, pair)
+
+
+@settings(max_examples=80, deadline=None)
+@given(piecewise_case())
+def test_piecewise_crossings_sit_on_kink_events(case):
+    pair, dist = case
+    crossings = []
+    close = deadline._kink_crossing
+
+    def spy(*args):
+        crossings.append(close(*args))
+        return crossings[-1]
+
+    with mock.patch.object(deadline, "_kink_crossing", spy):
+        res = optimize_deadline(pair, dist)
+    events = kink_events(pair, dist)
+    assert all(T in events for T in crossings)
+    assert res.foc.satisfied
+    _, pi_old = exhaustive_deadline(pair, dist, bisect=True)
+    assert res.payoff >= pi_old - 1e-12 * abs(pi_old)

@@ -59,6 +59,18 @@ sampling each cell and decided its tests at the grid points:
 the flow 1.0 from t = 0, so the delay incentive starts there; 0.0625 was
 the first of eight samples in the cell.  Every other case stayed
 byte-identical, ``compare-statics-path`` included.
+Three were recorded again when the crossing piece of a deadline search
+with a piecewise ``f1`` moved from bisection with an endpoint rule to the
+kink event where the bracket turns negative: the bisection stopped where
+``KINK_SNAP`` starts, up to 5e-9 before the event.
+``compare-statics-deadline`` (``T`` and ``T_dag`` 5.0e-9),
+``solve-deadline-exp256`` (``T`` and the ``t`` column 5.0e-9,
+``continuation_u`` and ``reward_u`` 3.4e-9, ``payoff`` up 2.3e-12,
+``foc.pi_minus`` 2.3e-12, ``foc.pi_plus`` 4.6e-13) and
+``solve-deadline-late-cluster`` (``T`` and the ``t`` column 1.04e-9,
+``continuation_u`` and ``reward_u`` 1.0e-9, ``payoff`` up 1.2e-13,
+``foc.pi_plus`` 1.1e-12, ``foc.pi_minus`` 1.2e-13); the FOC still holds in
+each.  Every other case stayed byte-identical.
 A change that moves any float in any output by one ulp fails here.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
@@ -67,11 +79,12 @@ tests/test_golden.py --diff OLD NEW`` compares two such trees (say, of two
 checkouts) and prints, per case and output file, the largest absolute
 difference of each field that moved.  It exits 1 when a field moved by more
 than ``MAX_MOVE = 1e-12`` or is ``"changed"`` (a file on one side only, a
-new exit code, a non-numeric change), and 0 otherwise; the bound is fixed,
-as a larger move in an output is a bug.  To re-record a case after a change
-that moves its outputs on purpose, write both trees, read the ``--diff``,
-note the moved fields here, and paste the new digests (``run_case``) into
-``GOLDEN``.
+new exit code, a non-numeric change), and 0 otherwise.  Any other call (no
+argument, ``--help``, another flag) prints a one-line usage, writes
+nothing and exits 2.  The bound is fixed, as a larger move in an output is
+a bug.  To re-record a case after a change that moves its outputs on
+purpose, write both trees, read the ``--diff``, note the moved fields
+here, and paste the new digests (``run_case``) into ``GOLDEN``.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -87,6 +100,8 @@ import hashlib
 import io
 import json
 import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -201,9 +216,9 @@ CASES = {
 GOLDEN = {
     'solve-deadline-exp256': (0, {
         'mechanism.csv':
-            '5062053dd48d79194d60ea0770a377ea7d6391f20575051d9fda8faae5111512',
+            'e04fa3ae1f2197511e3b6a705a5cb5b5188e7af75bdac07bdcea1c5ed3f66186',
         'report.json':
-            'f1c7114a5ffc894c242f2a7a5b8c6103055d66788b2d8734087fbb145e3f9db2',
+            'e7c5f92b69b8d97d1fc95fdb15f4ec31b6da1f4ea9bb6d04762d4e25754d4b3d',
     }),
     'solve-deadline-kinked64': (0, {
         'mechanism.csv':
@@ -213,9 +228,9 @@ GOLDEN = {
     }),
     'solve-deadline-late-cluster': (0, {
         'mechanism.csv':
-            'b2fd7d667ec8174f979a9b03e272b1e6cde27f453f8835938f925b335e925a74',
+            'ed70535b06ea573e210de6271a9159e47c8642fb4dead5df586e9f70025aa61c',
         'report.json':
-            '795070e68e41548d1da176ee57a96be62ff82defdd98343ba6c06e149434c51d',
+            '49d8d928e17a047debf7d71af0aaf2a043ce380ca26bff399e5d1c4a64fe1bf0',
     }),
     'solve-deadline-weibull256': (0, {
         'mechanism.csv':
@@ -279,7 +294,7 @@ GOLDEN = {
     }),
     'compare-statics-deadline': (0, {
         'report.json':
-            'f3b0dfeac4d8b102a3665ccbc6b5d0f9bc3273d33517992b2e29e8f92221bfab',
+            'bc6d894228092744995377391df70a90a0baa19800519d6be02d05769925b602',
     }),
     'compare-statics-path': (2, {
         'report.json':
@@ -343,6 +358,20 @@ MAX_MOVE = 1e-12
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_byte_identical(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("args", [[], ["--help"], ["-h"], ["--bogus"],
+                                  ["--diff", "OLD"]],
+                         ids=["none", "help", "h", "unknown-flag", "diff-one-tree"])
+def test_main_without_an_out_dir_prints_usage(args, tmp_path):
+    # a flag is never taken for the output directory: one usage line on
+    # stderr, exit 2, and nothing written
+    proc = subprocess.run([sys.executable, __file__, *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("usage: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def output_fields(path) -> dict:
@@ -419,7 +448,6 @@ if __name__ == "__main__":
     # python tests/test_golden.py --diff OLD NEW prints, per case and file,
     # the largest absolute move of each field that differs between two such
     # trees, and exits 1 if one moved by more than MAX_MOVE or changed
-    import sys
     from pathlib import Path
 
     args = sys.argv[1:]
@@ -428,11 +456,12 @@ if __name__ == "__main__":
         for case, name, field, d in moved:
             print(f"{case}\t{name}\t{field}\t{d if isinstance(d, str) else f'{d:.2e}'}")
         sys.exit(any(isinstance(d, str) or d > MAX_MOVE for *_, d in moved))
-    elif len(args) == 1:
+    elif len(args) == 1 and not args[0].startswith("-"):
         for case in sorted(CASES):
             case_dir = Path(args[0]) / case
             case_dir.mkdir(parents=True)
             code, _ = run_case(case, case_dir)
             (case_dir / "code").write_text(f"{code}\n", encoding="utf-8")
-    else:
-        sys.exit("usage: python tests/test_golden.py OUT | --diff OLD NEW")
+    else:  # no argument, --help or any other flag: nothing is written
+        print("usage: python tests/test_golden.py OUT | --diff OLD NEW", file=sys.stderr)
+        sys.exit(2)

@@ -8,8 +8,8 @@ never approximate.  The last tests count work instead of timing it: one
 ``optimize_deadline`` call may compute only the payoffs it reads and
 reads the bracket at few atoms (one binary search over them when ``f0`` is
 affine, and no more than the pruning leaves otherwise) and closes a
-crossing piece by Brent's method when ``f1`` is parametric and by
-bisection when it is piecewise, slopes cost no
+crossing piece by Brent's method when ``f1`` is parametric and by a
+binary search over its kink events when it is piecewise, slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 searches ``[u_star, u0]`` once for the ``psi`` root and makes one backward
 pass per ``psi`` evaluation, and the insurance inner maximization runs
@@ -390,6 +390,7 @@ def deadline_case(request, case):
     name, dist = {
         "affine-exp64": ("pair_a", discretize("exponential", 64, rate=1.0)),
         "affine-exp256": ("pair_a", discretize("weibull", 256, shape=1.5, scale=2.0)),
+        "affine-exp2048": ("pair_a", discretize("exponential", 2048, rate=1.0)),
         "affine-smooth": ("pair_b_affine", discretize("exponential", 32, rate=1.0)),
         "curved": ("pair_b", discretize("exponential", 16, rate=1.0)),
         "insurance": ("pair_ui", discretize("exponential", 32, rate=1.0)),
@@ -419,21 +420,22 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
 
 
 # bracket evaluations: the T_hi doubling, the threshold, the atoms the
-# search splits at, the root of each crossing piece to 1e-13 and foc_check.
-# A piecewise f1 bisects the piece (the endpoint choice reuses the end
-# values); a parametric one takes Brent's method, which needs a few
-# evaluations where bisection needs about 40
+# search splits at, the crossing pieces and foc_check.  A piecewise f1
+# closes a piece by a binary search over its kink events, O(log m) reads
+# (the end values are reused); a parametric one takes Brent's method to
+# 1e-13, a few evaluations
 BRACKET_COUNTS = {
     # f0 affine: one binary search over the atoms
-    "affine-exp64": 48,
-    "affine-exp256": 49,
+    "affine-exp64": 10,
+    "affine-exp256": 12,
+    "affine-exp2048": 16,
     "affine-smooth": 13,
     # f0 not affine: the bracket may rise at an atom, and the search
     # splits each interval that can still cross zero
     "kinked": 7,
     "curved": 11,
     "insurance": 12,
-    "late-cluster": 97,  # two crossing pieces, each bisected
+    "late-cluster": 16,  # two crossing pieces, 14 and 45 kink events
 }
 
 
@@ -448,15 +450,17 @@ def test_optimize_deadline_bracket_count(request, monkeypatch, case):
 
 @pytest.mark.parametrize("case, root", [
     ("curved", "brent_down"), ("affine-smooth", "brent_down"),
-    ("insurance", "brent_down"), ("affine-exp64", "bisect_bracket"),
-    ("late-cluster", "bisect_bracket")])
+    ("insurance", "brent_down"), ("affine-exp64", "_kink_crossing"),
+    ("late-cluster", "_kink_crossing")])
 def test_deadline_piece_root_follows_the_f1_kind(request, monkeypatch, case, root):
     # a parametric f1 makes the bracket smooth inside an atom-free piece,
     # so Brent's method closes it; a piecewise f1's bracket is a step
-    # function there, and bisection with the endpoint rule closes it
+    # function there, closed at a kink event with no root finder
     pair, dist = deadline_case(request, case)
+    assert [n for n in ("brent_down", "bisect_down", "bisect_up")
+            if hasattr(deadline, n)] == ["brent_down"]
     counts = Counter()
-    for name in ("brent_down", "bisect_bracket"):
+    for name in ("brent_down", "_kink_crossing"):
         count_calls(monkeypatch, deadline, name, counts)
     deadline.optimize_deadline(pair, dist)
     assert counts[root] >= 1

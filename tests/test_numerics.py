@@ -13,8 +13,7 @@ from hypothesis import given, strategies as st
 
 from disclose import SolverError
 from disclose import numerics
-from disclose.numerics import (EPS, bisect_bracket, bisect_down, bisect_up,
-                               brent_down)
+from disclose.numerics import EPS, bisect_down, bisect_up, brent_down
 
 
 def ends(f, lo, hi) -> dict:
@@ -76,7 +75,7 @@ def test_bisect_down_requires_bracket():
 
 
 # each bisection with the sign that turns a down-crossing into its bracket
-BISECTIONS = [(bisect_bracket, 1.0), (bisect_down, 1.0), (bisect_up, -1.0)]
+BISECTIONS = [(bisect_down, 1.0), (bisect_up, -1.0)]
 
 
 @pytest.mark.parametrize("root, sign", BISECTIONS)
@@ -124,20 +123,21 @@ def test_bisect_up_is_one_bisect_down_call(monkeypatch):
     assert calls[:2] == [0.0, 2.0] and calls[2:] == mirrored
 
 
-def test_bisect_bracket_keeps_the_sign_change():
-    f = lambda x: 1.0 - x * x
-    lo, f_lo, hi, f_hi = bisect_bracket(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9)
-    assert 0.0 < hi - lo <= 1e-9
-    # the values it returns are the ones it computed at the final ends
-    assert (f_lo, f_hi) == (f(lo), f(hi))
-    assert f_lo >= 0.0 > f_hi
-    assert bisect_down(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9) == 0.5 * (lo + hi)
-    # an end that never moves keeps the value passed in for it
-    assert bisect_bracket(f, 0.0, 4.0, f_lo=7.0, f_hi=-15.0,
-                          tol_x=2.5) == (0.0, 7.0, 2.0, -3.0)
-    # the tol_f early exit returns the midpoint as both ends
-    assert bisect_bracket(f, 0.0, 2.0, **ends(f, 0.0, 2.0), tol_x=1e-9,
-                          tol_f=0.5) == (1.0, 0.0, 1.0, 0.0)
+def test_bisect_down_returns_the_midpoint_of_the_final_bracket():
+    f, calls = counted(lambda x: 1.0 - x * x)
+    root = bisect_down(f, 0.0, 2.0, f_lo=1.0, f_hi=-3.0, tol_x=1e-9)
+    # the final bracket's ends are the last midpoints read on each side of
+    # the sign change, and the root is halfway between them
+    lo = max(x for x in calls if 1.0 - x * x >= 0.0)
+    hi = min(x for x in calls if 1.0 - x * x < 0.0)
+    assert 0.0 < hi - lo <= 1e-9 and root == 0.5 * (lo + hi)
+    # the ends are never read: one halving of [0, 4] leaves [0, 2]
+    f, calls = counted(lambda x: 1.0 - x * x)
+    assert bisect_down(f, 0.0, 4.0, f_lo=7.0, f_hi=-15.0, tol_x=2.5) == 1.0
+    assert calls == [2.0]
+    # the tol_f early exit returns the midpoint
+    assert bisect_down(f, 0.0, 2.0, f_lo=1.0, f_hi=-3.0, tol_x=1e-9,
+                       tol_f=0.5) == 1.0
 
 
 # ---------------------------------------------------------------- brent_down ---

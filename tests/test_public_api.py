@@ -55,7 +55,6 @@ SETTABLE_OPTIONS = [
     "flag --out",
     "flag --tol-residual",
     "flag --tol-root",
-    "numerics.bisect_bracket(tol_f=)",
     "numerics.bisect_down(tol_f=)",
 ]
 
