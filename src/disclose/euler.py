@@ -24,16 +24,21 @@ parametric (``psi`` is smooth) and by bisection when either is piecewise
 
 Each ``psi`` evaluation is one backward pass.  The pass is kept lean: one
 :func:`inv_deriv_f0` call per atom, which applies the band-end clamps
-itself and calls the root finder directly; slopes read straight from
-``dfn`` for a parametric frontier; and the discount factors
-``exp(-r D)`` computed once per solve.  :func:`solve` keeps the passes of
-its search, so the path at the chosen root costs no further pass.
+itself and then calls Brent's method (parametric ``f0``) or reads the
+level off the ``f0`` breakpoints (piecewise ``f0``, no root finder);
+slopes read straight from ``dfn`` for a parametric frontier; and the
+discount factors ``exp(-r D)`` computed once per solve.  :func:`solve`
+keeps the passes of its search, so the path at the chosen root costs no
+further pass.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import neg
 from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist, order_checks, OrderReport
@@ -90,27 +95,19 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
     return tuple(reasons)
 
 
-def _slope_fn(f):
-    """One callable for the slope of ``f`` on the band: ``f.dfn`` itself for
-    a :class:`ParametricFrontier` (where :func:`slope` returns exactly
-    ``dfn(u)``), :func:`slope` otherwise."""
-    if isinstance(f, ParametricFrontier):
-        return f.dfn
-    return lambda u: slope(f, u)
-
-
 def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
-    The slope is strictly decreasing there, so a bracketed root search
-    applies.  The two band-end slopes are read once per pair
-    (``pair.f0_band_slopes``), and the clamps are applied here: targets at
-    or above the slope at ``u_star`` give ``u_star``, and targets at or
-    below the slope at the peak (which is ~0) give ``u0``.  A parametric
-    ``f0`` has a smooth slope, read through ``dfn`` directly, and is
-    inverted by Brent's method.  A piecewise ``f0`` keeps bisection: its
-    slope is a step function, so Brent's method gains nothing there and
-    would only move the level to the other side of a kink.
+    The slope is strictly decreasing there.  The two band-end slopes are
+    read once per pair (``pair.f0_band_slopes``), and the clamps are
+    applied here: targets at or above the slope at ``u_star`` give
+    ``u_star``, and targets at or below the slope at the peak (which is ~0)
+    give ``u0``.  A parametric ``f0`` has a smooth slope, read through
+    ``dfn`` directly, and is inverted by Brent's method.  A piecewise
+    ``f0``'s slope is a step function, so its inverse is the breakpoint
+    where the target falls between two segment slopes: one ``bisect`` on
+    the segment slopes, exact under ``Fraction``, with no root finder.  A
+    target equal to a segment slope goes to that segment's right end.
     """
     top, bottom = pair.f0_band_slopes
     f_lo = top - y
@@ -120,10 +117,11 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     if f_hi >= 0.0:
         return pair.u0
     f0 = pair.f0
-    d0 = _slope_fn(f0)
-    root = brent_down if isinstance(f0, ParametricFrontier) else bisect_down
-    return root(lambda u: d0(u) - y, pair.u_star, pair.u0, f_lo=f_lo, f_hi=f_hi,
-                tol_x=1e-13)
+    if isinstance(f0, ParametricFrontier):
+        dfn = f0.dfn
+        return brent_down(lambda u: dfn(u) - y, pair.u_star, pair.u0,
+                          f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)
+    return float(f0._us[bisect_right(f0._slopes, -y, key=neg)])
 
 
 def _discounts(pair: TechnologyPair, dist: BreakthroughDist) -> Tuple[float, ...]:
@@ -143,16 +141,18 @@ def backward_pass(pair: TechnologyPair, dist: BreakthroughDist, lam: float,
 
     ``disc`` is the pair's :func:`_discounts` table for ``dist``.  Each
     level is one :func:`inv_deriv_f0` call, and each ``f1`` slope is read
-    through :func:`_slope_fn`, for a parametric ``f1`` straight from ``dfn``.  For ``lam`` in ``[u_star, u0]`` that
-    read needs no finiteness check: every continuation value is then a
-    convex combination of levels in the band, :func:`simple_reasons` has
-    checked a finite slope at both band ends, and concavity keeps every
-    slope inside the band between those two."""
+    through :func:`slope`, for a parametric ``f1`` straight from ``dfn``
+    (where :func:`slope` returns exactly ``dfn(u)``).  For ``lam`` in
+    ``[u_star, u0]`` that read needs no finiteness check: every
+    continuation value is then a convex combination of levels in the band,
+    :func:`simple_reasons` has checked a finite slope at both band ends,
+    and concavity keeps every slope inside the band between those two."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero(
             "breakthrough mass at t=0 leaves no pre-atom cell to optimize")
-    d1 = _slope_fn(pair.f1)
+    f1 = pair.f1
+    d1 = f1.dfn if isinstance(f1, ParametricFrontier) else partial(slope, f1)
     k_n = len(times)
     x = [0.0] * k_n
     cx = [0.0] * k_n

@@ -11,15 +11,14 @@ the crossing piece of a deadline search with a parametric ``f1``, the
 point where a parametric ``f0`` is parallel to its chord
 (``frontier.affine_gap``), and the insurance labor maximization.  There its
 interpolation steps converge superlinearly; on a step function it has no
-such step to take, so the reward-path solves of a piecewise pair keep
-bisection.
+such step to take, so the ``psi`` root of a piecewise pair keeps bisection.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
 its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
-a piecewise ``f1`` needs neither: its crossing is a kink event, found by
-a binary search in ``deadline``.)  The caller passes ``f_lo = f(lo)`` and
-``f_hi = f(hi)``: each has read both ends already, to test for a sign
-change (``ParametricFrontier.peak``, the reward path's solves,
-``affine_gap``), to push the upper end out (the insurance labor
+a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:
+each answer is a kink, read off a sorted table.)  The caller passes
+``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
+test for a sign change (``ParametricFrontier.peak``, the reward path's
+solves, ``affine_gap``), to push the upper end out (the insurance labor
 maximization) or to split its span (the deadline pieces); :func:`bisect_up`
 alone reads ``-f`` at both ends itself.  Ends that do not straddle zero, a
 NaN end included, and a NaN from ``f`` raise :class:`SolverError`.

@@ -161,18 +161,19 @@ def test_path_beats_deadline(pair_b, dist_k2):
 
 
 def test_dense_b_m128_payoff_pins_the_kink_snap_roundoff():
-    # Atom 124's continuation value lands 1.00005e-9 below the f1 breakpoint
-    # 0.42, just outside KINK_SNAP, so derivs reads the slope left of the
-    # kink.  An exact inversion of the piecewise f0 slope ("piecewise pairs
-    # solved exactly at their kinks" in ROADMAP.md) puts it at
-    # 0.42 - 1.43e-10, inside the window, and the payoff becomes 1.2111063.
-    # This pins today's side of that roundoff until either side changes.
+    # The levels sit on f0 breakpoints, and atom 124's continuation value
+    # lands 1.43e-10 below the f1 breakpoint 0.42, inside KINK_SNAP, so
+    # derivs reads the slope right of the kink.  A value 1e-9 lower, just
+    # outside the window, would read the left slope and pay 1.2109319.  The
+    # f1 slope read still goes through that window, so this pins the side
+    # the value lands on until the read is exact ("piecewise pairs solved
+    # exactly at their kinks" in ROADMAP.md).
     f0, f1 = (PiecewiseFrontier(DENSE_B_TECH[k]) for k in ("f0", "f1"))
     sol = solve(TechnologyPair.build(f0, f1, 1.0),
                 discretize("exponential", 128, rate=1.0))
-    assert sol.payoff == pytest.approx(1.2109319053169179, abs=1e-12)
-    assert sol.conts[124] - 0.42 == pytest.approx(-1.00005e-9, abs=1e-14)
-    assert sol.conts[124] - 0.42 < -KINK_SNAP
+    assert sol.payoff == pytest.approx(1.2111062614439514, abs=1e-12)
+    assert sol.conts[124] - 0.42 == pytest.approx(-1.43e-10, abs=1e-12)
+    assert -KINK_SNAP <= sol.conts[124] - 0.42 < 0.0
 
 
 # ------------------------------------------ band search against a grid scan ---

@@ -2,76 +2,9 @@
 
 Each case runs one CLI command on a fixed config and compares the sha256 of
 ``report.json`` and of every CSV written next to it against recorded
-digests: the first ten from before the deadline, payoff and cdf fast paths
-went in, the rest (every command and branch not covered by the first ten)
-from before the CLI moved to a single report path.  The four insurance
-cases (``solve-euler-ui64``, ``ui-schedule-deadline16``,
-``ui-schedule-path16``, ``ui-sweep-m8``) were recorded again when the
-labor maximization and the parametric ``f0`` slope inversion moved from
-bisection to Brent's method; no output field moved by more than 6.9e-14.
-Five were recorded again when the reward path stopped being solved on a
-copy of the insurance pair moved up by ``0.05 * u0``: ``analyze-insurance``
-(the pair now classifies as a reward path, with no reasons),
-``solve-euler-dense16`` and ``solve-euler-ui64`` (no ``shift`` field; the
-dense case's CSVs stayed byte-identical), ``ui-schedule-path16`` and
-``ui-sweep-m8``; no float moved by more than 8.9e-16.  Three were recorded
-again when the terminal level of a smooth pair moved from a bisection that
-stopped at ``|psi| <= 1e-9`` to Brent's method run to ``LAM_TOL``:
-``solve-euler-ui64`` (levels 1.4e-9, ``terminal_residual`` -9.3e-10 to
-3.6e-16), ``ui-schedule-path16`` (levels 5.3e-10, schedule columns at most
-1.0e-9) and ``ui-sweep-m8`` (at most 2.2e-16).  The new terminal levels
-agree to 1 ulp with a full-resolution bisection of ``psi``.
-Four were recorded again when the terminal level came from one search on
-``[u_star, u0]`` instead of a 32-step grid and a search in its crossing
-cell: ``solve-euler-dense16`` (the piecewise pair's bisection now halves
-the band from its ends, not from grid points; levels at most 1.1e-16),
-``solve-euler-ui64`` (levels at most 1.0e-15, ``terminal_residual``
-6.2e-16), ``ui-schedule-path16`` (schedule columns at most 3.3e-16) and
-``ui-sweep-m8`` (at most 2.2e-16).
-Seven were recorded again when the deadline search moved from a 256-step
-bracket grid to a branch and bound over the breakthrough atoms, and
-``solve-deadline-late-cluster`` was added: the grid search returned a
-local optimum there (T = 2.13684, payoff 1.0146188), the atom search the
-global one (T = 2.72876, payoff 1.0153166).  T moved by at most 5.4e-14 in
-``solve-deadline-exp256`` (mechanism columns at most 5.4e-14, ``foc`` at
-most 2.5e-17), ``compare-statics-deadline`` (``T`` 4.2e-14, ``T_dag``
-5.6e-15), ``ui-sweep-m8`` (``t_deadline`` 3.1e-14, payoff columns at most
-2.2e-16), ``verify-classify`` (1.6e-14) and ``ui-schedule-deadline16``
-(every field at most 8.9e-16).  In ``solve-deadline-kinked64`` and
-``solve-deadline-weibull256`` the right bracket jumps down across zero at
-an atom, and T is now that atom's time instead of a bisection end 5.4e-14
-(2.0e-14) past it.  The payoff is the same float; ``foc.pi_minus`` moved by
-1.7e-3 (3.1e-4), since the left derivative at the atom itself carries the
-atom's survival weight, where the old T read the ``f1`` slope left of
-``u_star`` that ``KINK_SNAP`` gave the atom's reward; and ``mechanism.csv``
-lost the row of the atom 5e-14 before the deadline.  Every other case
-stayed byte-identical.
-Two were recorded again when the crossing piece of a deadline search with
-a parametric ``f1`` moved from bisection with an endpoint rule to Brent's
-method: ``ui-schedule-deadline16`` (``T`` and the ``t`` columns 3.1e-15,
-every other field at most 1.1e-15) and ``ui-sweep-m8`` (``t_deadline``
-6.0e-14; ``report.json`` stayed byte-identical).  ``affine_gap`` became
-exact in the same change and moved no output: at ``a = 0.5`` the old grid
-held the maximizer.
-``verify-explicit-reward`` was recorded again when ``ic_check`` stopped
-sampling each cell and decided its tests at the grid points:
-``mechanism_ic.time`` went from 0.0625 to 0.0.  The reward 0.95 sits below
-the flow 1.0 from t = 0, so the delay incentive starts there; 0.0625 was
-the first of eight samples in the cell.  Every other case stayed
-byte-identical, ``compare-statics-path`` included.
-Three were recorded again when the crossing piece of a deadline search
-with a piecewise ``f1`` moved from bisection with an endpoint rule to the
-kink event where the bracket turns negative: the bisection stopped where
-``KINK_SNAP`` starts, up to 5e-9 before the event.
-``compare-statics-deadline`` (``T`` and ``T_dag`` 5.0e-9),
-``solve-deadline-exp256`` (``T`` and the ``t`` column 5.0e-9,
-``continuation_u`` and ``reward_u`` 3.4e-9, ``payoff`` up 2.3e-12,
-``foc.pi_minus`` 2.3e-12, ``foc.pi_plus`` 4.6e-13) and
-``solve-deadline-late-cluster`` (``T`` and the ``t`` column 1.04e-9,
-``continuation_u`` and ``reward_u`` 1.0e-9, ``payoff`` up 1.2e-13,
-``foc.pi_plus`` 1.1e-12, ``foc.pi_minus`` 1.2e-13); the FOC still holds in
-each.  Every other case stayed byte-identical.
-A change that moves any float in any output by one ulp fails here.
+digests.  A change that moves any float in any output by one ulp fails
+here.  ``CHANGES.md`` says when each case was re-recorded and which fields
+moved, by how much.
 
 ``PYTHONPATH=src python tests/test_golden.py OUT`` writes every case's
 config, outputs and exit code to ``OUT/<case>/``.  ``python
@@ -84,7 +17,8 @@ argument, ``--help``, another flag) prints a one-line usage, writes
 nothing and exits 2.  The bound is fixed, as a larger move in an output is
 a bug.  To re-record a case after a change that moves its outputs on
 purpose, write both trees, read the ``--diff``, note the moved fields
-here, and paste the new digests (``run_case``) into ``GOLDEN``.
+in ``CHANGES.md``, and paste the new digests (``run_case``) into
+``GOLDEN``.
 
 The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
@@ -298,7 +232,7 @@ GOLDEN = {
     }),
     'compare-statics-path': (2, {
         'report.json':
-            '63f016cc2434054af310f0bfbd5dd964773125e3915679629cd99435e23f1624',
+            'c1bd0ed6d381f05dc2b22a5bf264caa35687ab8913853e462d6e8abaa81514d8',
     }),
     'oracle-mechanism': (0, {
         'report.json':
@@ -312,11 +246,11 @@ GOLDEN = {
     }),
     'solve-euler-dense16': (0, {
         'mechanism.csv':
-            '974ef6f66903cdf9e99fdacbbd4359206b99945a0cd186dec8d167568bcaa1aa',
+            '027279109cf1f1d7af6a6ee154f8c3759e45aa2b3982988a4f1d9c7a5d841bde',
         'report.json':
-            'b6d754c491c33cb59e2584804886b0af7ba7f8e11bea2e5a7828dbec55b58688',
+            '5350f129838488361bb763b5d129442e2f4175c64b6aa4ec34a7297acce72716',
         'residuals.csv':
-            '86e28065a3123236e6f9e3a37b29813305c8574fe91c831887226bfcd60a5760',
+            '06059eab30f88b4df16b736e77a865b56fb3c4777f9a5381267d7e77c6a75cca',
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
@@ -328,7 +262,7 @@ GOLDEN = {
     }),
     'verify-path': (2, {
         'report.json':
-            'dc17eb09138d55eb46227e1efce87734ce058674a896608ada11734eb40f94b8',
+            '8e4297cef28e9152e0ca3d95493832cf79e84bfa93936d6331d309629bec1df2',
     }),
 }
 

@@ -12,11 +12,14 @@ crossing piece by Brent's method when ``f1`` is parametric and by a
 binary search over its kink events when it is piecewise, slopes cost no
 frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 searches ``[u_star, u0]`` once for the ``psi`` root and makes one backward
-pass per ``psi`` evaluation, and the insurance inner maximization runs
-once per level of a pair and leaves no state behind.  The backward pass,
-with its discount table, direct slope reads and inline clamps, must give
-``solve`` exactly the floats of the pass as first written (kept here,
-with ``brent_down`` as first written).
+pass per ``psi`` evaluation, a piecewise ``solve`` reads ``f0`` slopes
+only at the band ends, and the insurance inner maximization runs once per
+level of a pair and leaves no state behind.  The backward pass, with its
+discount table, direct slope reads and inline clamps, must give ``solve``
+exactly the floats of the pass as first written (kept here, with
+``brent_down`` as first written and a piecewise ``f0`` inverted by a
+linear scan of its breakpoints, the oracle that the piecewise inversion
+also matches exactly on random ``Fraction`` frontiers).
 
 The three smooth root solves, the ``f0`` slope inversion and the ``psi``
 root of a parametric pair and the insurance labor maximization, use
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 import pytest
 
-from disclose import deadline, euler, insurance, mechanism
+from disclose import deadline, euler, insurance, mechanism, numerics
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize, from_atoms
 from disclose.errors import AtomAtZero, BracketFailure, SolverError
@@ -48,7 +51,6 @@ from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
 from disclose.insurance import UiPrimitives, build_frontiers, schedule, ui_constants
 from disclose.mechanism import (Mechanism, continuation_value, mechanism_rows,
                                 payoff)
-from disclose.numerics import bisect_down
 
 from conftest import A_F0_POINTS, A_F1_POINTS
 from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
@@ -568,6 +570,20 @@ def test_solve_makes_one_pass_per_psi_evaluation(request, monkeypatch, kind, m):
         assert len(lams) == evals["psi"]
 
 
+@pytest.mark.parametrize("m", [16, 128])
+def test_piecewise_solve_reads_f0_slopes_only_at_the_band_ends(monkeypatch, m):
+    # every pass reads one f1 slope per atom and the f0 levels come off the
+    # breakpoints, so the only other reads are the band-end checks (a root
+    # finder inverting f0 would read ~43 slopes per atom and pass)
+    pair = dense_b_pair()  # building it reads slopes to find u_star
+    lams, _ = count_psi_work(monkeypatch)
+    counts = Counter()
+    count_calls(monkeypatch, PiecewiseFrontier, "derivs", counts)
+    euler.solve(pair, discretize("exponential", m, rate=1.0))
+    assert len(lams) > 2
+    assert counts["derivs"] <= len(lams) * m + 6
+
+
 @pytest.mark.parametrize("kind", ["piecewise", "parametric"])
 def test_psi_root_finder_follows_the_pair_kind(monkeypatch, pair_b, kind):
     # psi of a piecewise pair is a step function: Brent's steps gain nothing
@@ -826,18 +842,80 @@ def test_inner_max_reads_few_slopes():
     assert 0 < worst <= 12
 
 
+def breakpoint_scan(f0, y):
+    """The piecewise ``f0`` slope inverse as a linear scan: the left end of
+    the first segment whose slope is below ``y``, so a target equal to a
+    segment slope goes on to that segment's right end.  Exact on
+    ``Fraction`` breakpoints."""
+    for (u_a, v_a), (u_b, v_b) in zip(f0.points, f0.points[1:]):
+        if (v_b - v_a) / (u_b - u_a) < y:
+            return u_a
+    return f0.points[-1][0]
+
+
+def inv_deriv_f0_scan(pair, y):
+    top, bottom = pair.f0_band_slopes
+    if y >= top:
+        return pair.u_star
+    if y <= bottom:
+        return pair.u0
+    return float(breakpoint_scan(pair.f0, y))
+
+
+def random_fraction_pair(rng):
+    """A concave piecewise ``f0`` with ``Fraction`` breakpoints that rises
+    and then falls, in a pair whose ``u_star`` is a random breakpoint left
+    of the peak (``f1`` is only carried along)."""
+    n_up, n_down = rng.randint(1, 8), rng.randint(1, 4)
+    slopes = sorted(rng.sample(range(1, 60), n_up), reverse=True)
+    slopes += sorted(rng.sample(range(-60, 0), n_down), reverse=True)
+    points, u, v = [(Fraction(0), Fraction(0))], Fraction(0), Fraction(0)
+    for s in slopes:
+        w = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        u, v = u + w, v + s * w
+        points.append((u, v))
+    f0 = PiecewiseFrontier(tuple(points))
+    ustar = float(points[rng.randrange(n_up)][0])
+    return TechnologyPair(f0=f0, f1=f0, r=1.0, u0=float(f0.peak[0]),
+                          u1=float(f0.peak[0]), u_star=ustar)
+
+
+def inversion_targets(rng, f0):
+    """Every segment slope, exactly and as a float, the midpoints between
+    them, random draws and targets beyond either end."""
+    slopes = [(v_b - v_a) / (u_b - u_a)
+              for (u_a, v_a), (u_b, v_b) in zip(f0.points, f0.points[1:])]
+    ys = list(slopes) + [float(s) for s in slopes]
+    ys += [(a + b) / 2 for a, b in zip(slopes, slopes[1:])]
+    ys += [rng.uniform(float(slopes[-1]) - 1.0, float(slopes[0]) + 1.0)
+           for _ in range(10)]
+    return ys + [slopes[0] + 1, slopes[-1] - 1]
+
+
 @pytest.mark.parametrize("kind", ["piecewise", "parametric"])
 def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
-    # a step-function slope gains nothing from Brent's steps, which would
-    # only move the level to the other side of a kink
-    pair = dense_b_pair() if kind == "piecewise" else pair_b
+    # a parametric f0 is inverted by Brent's method; a piecewise f0's
+    # inverse is a breakpoint, read with no root finder and exactly equal
+    # to the linear scan on random Fraction frontiers, ties included
     counts = Counter()
-    count_calls(monkeypatch, euler, "bisect_down", counts)
-    count_calls(monkeypatch, euler, "brent_down", counts)
-    for y in (0.3, 0.77, 1.2, 1.5):  # inside the slope range of either f0
-        euler.inv_deriv_f0(pair, y)
-    expected = "bisect_down" if kind == "piecewise" else "brent_down"
-    assert counts == Counter({expected: 4})
+    for module in (euler, numerics):
+        for name in ("bisect_down", "brent_down"):
+            count_calls(monkeypatch, module, name, counts)
+    if kind == "parametric":
+        for y in (0.3, 0.77, 1.2, 1.5):  # inside the slope range of f0
+            euler.inv_deriv_f0(pair_b, y)
+        assert counts == Counter({"brent_down": 4})
+        return
+    rng = random.Random(9107)
+    n_inside = 0
+    for _ in range(200):
+        pair = random_fraction_pair(rng)
+        for y in inversion_targets(rng, pair.f0):
+            u = euler.inv_deriv_f0(pair, y)
+            assert exact(u) == exact(inv_deriv_f0_scan(pair, y)), (pair, y)
+            n_inside += pair.u_star < u < pair.u0
+    assert n_inside > 500
+    assert counts == Counter()
 
 
 # ---------------------------------------------------------- backward pass ---
@@ -886,13 +964,13 @@ def brent_reference(f, lo, hi, *, f_lo, f_hi, tol_x):
 
 def backward_pass_reference(pair, dist, lam, disc=None):
     """The backward pass as first written: every slope through ``slope``,
-    every level clamped at the band ends or else found by a root finder,
-    and one ``exp`` per atom; ``disc`` is ignored."""
+    every level clamped at the band ends or else found by Brent's method
+    (parametric ``f0``) or :func:`breakpoint_scan` (piecewise), and one
+    ``exp`` per atom; ``disc`` is ignored."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero("atom at t=0")
     top, bottom = pair.f0_band_slopes
-    root = brent_reference if isinstance(pair.f0, ParametricFrontier) else bisect_down
     k_n = len(times)
     x = [0.0] * k_n
     cx = [0.0] * k_n
@@ -907,9 +985,11 @@ def backward_pass_reference(pair, dist, lam, disc=None):
             x[k] = pair.u_star
         elif f_hi >= 0.0:
             x[k] = pair.u0
+        elif isinstance(pair.f0, ParametricFrontier):
+            x[k] = brent_reference(lambda u: slope(pair.f0, u) - y, pair.u_star,
+                                   pair.u0, f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)
         else:
-            x[k] = root(lambda u: slope(pair.f0, u) - y, pair.u_star, pair.u0,
-                        f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)
+            x[k] = float(breakpoint_scan(pair.f0, y))
         d = math.exp(-pair.r * (times[k + 1] - times[k]))
         cx[k] = (1.0 - d) * x[k] + d * cx[k + 1]
         terms[k] = probs[k] * slope(pair.f1, cx[k])
