@@ -25,9 +25,24 @@ w = 4.0924, shadow = 0.6737``), and the reward-path solve fails its
 bracket.  Solved mechanisms translate into benefit/consumption/labor
 schedules via the same closed forms.
 
-``f1`` and its slope both need the inner maximization over labor.  Each
-pair built by :func:`build_frontiers` memoizes it per utility level; the
-memo is freed with the frontiers, so no state outlives them.
+``f1`` and its slope both need the inner maximization over labor: the
+root of the strictly decreasing labor slope
+``gp(L) = w - (b/a) L**(b-1) (u + L**b)**k``, ``k = (1-a)/a``.  It is
+bracketed in closed form; shrinking ``u + L**b`` raises ``gp`` and growing
+it lowers ``gp``, which proves each end:
+
+* ``hi = (a w / b)**(1/(b-1+b k))`` is an upper bound (drop ``u``);
+* for ``u > 0``, so is ``(a w / (b u**k))**(1/(b-1))`` (drop ``L**b``), and
+  ``hi`` is the smaller of the two;
+* ``lo = (a w / (b (u + hi**b)**k))**(1/(b-1))`` is a lower bound (on
+  ``L <= hi``, raise ``L**b`` to ``hi**b``).
+
+At ``u = 0`` the ends coincide in exact arithmetic, so their slope signs
+are roundoff: an end read with the wrong sign becomes the bracket's other
+end, never trusted and never thrown away.  Brent's method then takes three
+or four more slope reads.  Each pair built by :func:`build_frontiers`
+memoizes the maximization per utility level; the memo is freed with the
+frontiers, so no state outlives them.
 """
 
 from __future__ import annotations
@@ -46,6 +61,9 @@ from .numerics import brent_down
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
+# a closed-form labor bracket reaching past this goes to the growth loop,
+# which decides it (a maximizer at or past 2**199 is a config error)
+_GROWTH_END = 2.0 ** 199
 
 
 @dataclass(frozen=True)
@@ -90,31 +108,70 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     """``argmax_L`` and ``max_L`` of ``w L - (u + L**b)**(1/a)`` for L >= 0.
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
-    maximizer is the unique root of the smooth slope, bracketed by geometric
-    growth and located by Brent's method.  A slope that overflows a float
-    during that growth, or stays below the wage up to L = 2**200, is a
-    :class:`ConfigError`, and so is a consumption at the maximizer that
-    overflows one.  Nothing is cached here: ``build_frontiers`` keeps
-    a memo per pair.
+    maximizer is the unique root of the strictly decreasing slope
+    ``gp(L) = w - (b/a) L**(b-1) (u + L**b)**k``, ``k = (1-a)/a``, located by
+    Brent's method on a bracket in closed form.  Each bound drops or caps a
+    term of ``u + L**b``, which moves ``gp`` one way at every L:
+
+    * ``hi = (a w / b)**(1/(b-1+b k))`` bounds it above: without ``u``,
+      ``gp`` is larger and is 0 at ``hi``;
+    * for ``u > 0``, so does ``(a w / (b u**k))**(1/(b-1))``: without
+      ``L**b``, likewise; ``hi`` is the smaller of the two;
+    * ``lo = (a w / (b (u + hi**b)**k))**(1/(b-1))`` bounds it below: with
+      ``L**b`` raised to ``hi**b``, ``gp`` is smaller on ``L <= hi`` and is
+      0 at ``lo``.
+
+    At ``u = 0`` the two ends coincide in exact arithmetic, so the sign of
+    ``gp`` there is roundoff.  An end whose ``gp`` has the wrong sign
+    becomes the bracket's other end, never trusted and never thrown away;
+    when neither reads ``gp >= 0`` the lower end is L = 0, where ``gp = w``.
+    Where ``u**k`` underflows to 0 the second bound is dropped.  When the
+    closed form overflows or underflows, or reaches past L = 2**199, the
+    upper end is found as before by doubling from L = 1; so it is when no
+    end reads ``gp < 0``, with the doubling read only past the lower end.
+    A slope that overflows a float during that growth, or stays below the
+    wage up to L = 2**200, is a :class:`ConfigError`, and so is a
+    consumption at the maximizer that overflows one.  Nothing is cached
+    here: ``build_frontiers`` keeps a memo per pair.
     """
+    k = (1.0 - a) / a
 
     def gp(L: float) -> float:
-        return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
+        return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** k
 
-    hi = 1.0
-    for _ in range(200):
-        try:
-            g_hi = gp(hi)
-        except OverflowError:
-            raise ConfigError(
-                f"search-cost slope overflows a float at labor L={hi:g} "
-                f"(a={a}, b={b}, w={w}, u={u:g})") from None
-        if g_hi < 0.0:
-            break
-        hi *= 2.0
-    else:  # a wage beyond the slope at L = 2**200
-        raise ConfigError("search-cost slope never exceeds the wage")
-    l_star = brent_down(gp, 0.0, hi, f_lo=w, f_hi=g_hi, tol_x=1e-13 * hi)
+    lo, f_lo, hi, f_hi = 0.0, w, math.inf, None
+    try:
+        top = (a * w / b) ** (1.0 / (b - 1.0 + b * k))
+        u_k = u ** k
+        if u_k > 0.0:
+            top = min(top, (a * w / (b * u_k)) ** (1.0 / (b - 1.0)))
+        if 0.0 < top <= _GROWTH_END:
+            bottom = (a * w / (b * (u + top ** b) ** k)) ** (1.0 / (b - 1.0))
+            for x in (bottom, top):
+                g = gp(x)
+                if g >= 0.0:
+                    if x > lo:
+                        lo, f_lo = x, g
+                elif g < 0.0 and x < hi:
+                    hi, f_hi = x, g
+    except (OverflowError, ZeroDivisionError):
+        lo, f_lo, f_hi = 0.0, w, None
+    if f_hi is None:  # double from L = 1, reading gp only past the lower end
+        hi = 1.0
+        for _ in range(200):
+            if hi > lo:
+                try:
+                    f_hi = gp(hi)
+                except OverflowError:
+                    raise ConfigError(
+                        f"search-cost slope overflows a float at labor L={hi:g} "
+                        f"(a={a}, b={b}, w={w}, u={u:g})") from None
+                if f_hi < 0.0:
+                    break
+            hi *= 2.0
+        else:  # a wage beyond the slope at L = 2**200
+            raise ConfigError("search-cost slope never exceeds the wage")
+    l_star = brent_down(gp, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=1e-13 * hi)
     try:
         return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
     except OverflowError:

@@ -18,8 +18,9 @@ a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:
 each answer is a kink, read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
 test for a sign change (``ParametricFrontier.peak``, the reward path's
-solves, ``affine_gap``), to push the upper end out (the insurance labor
-maximization) or to split its span (the deadline pieces); :func:`bisect_up`
+solves, ``affine_gap``), to sort the ends of a closed-form bracket by sign
+(the insurance labor maximization) or to split its span (the deadline
+pieces); :func:`bisect_up`
 alone reads ``-f`` at both ends itself.  Ends that do not straddle zero, a
 NaN end included, and a NaN from ``f`` raise :class:`SolverError`.
 """

@@ -10,9 +10,10 @@ moved, by how much.
 config, outputs and exit code to ``OUT/<case>/``.  ``python
 tests/test_golden.py --diff OLD NEW`` compares two such trees (say, of two
 checkouts) and prints, per case and output file, the largest absolute
-difference of each field that moved.  It exits 1 when a field moved by more
-than ``MAX_MOVE = 1e-12`` or is ``"changed"`` (a file on one side only, a
-new exit code, a non-numeric change), and 0 otherwise.  Any other call (no
+difference of each field that moved, its entries compared pair by pair.  It
+exits 1 when a field moved by more than ``MAX_MOVE = 1e-12`` or is
+``"changed"`` (a file on one side only, a new exit code, a non-numeric
+change), and 0 otherwise.  Any other call (no
 argument, ``--help``, another flag) prints a one-line usage, writes
 nothing and exits 2.  The bound is fixed, as a larger move in an output is
 a bug.  To re-record a case after a change that moves its outputs on
@@ -174,25 +175,25 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            '7dc73e8d7f4fd1b1fb63d950c7a1ff24fbca390cf370aa6781ca9314dc60369c',
+            '462d89aae0099bc27c37b0b6855cd9474ef102bd45e194401fe55e7293e284eb',
         'report.json':
-            'dd6062e4124afc406634af58b2f711582647044960ae1edd33efeeb4ed5a31d8',
+            'a16893c118854b468ec53d0475da8d895d3032fcf95b9fe9b1ea0b93cc80fbd0',
         'residuals.csv':
-            'd0e1a897ed87e950f9c05cfd174eabb57ac3230e80ae32cbc687894be57bd6b6',
+            '295b73f96aee6e2926b1757d9478c02afa9552098ff6686786059b730648f291',
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            'ce86d69c779c1af88a70be76ac16db98e5075bf5ecbf67d49937526bb8bea521',
+            '1c6a68107b315b15bfe2e8a6a1d18415531fc2196e0caf420cbaaf3697b21f43',
         'report.json':
-            '34d85a4bf50d9c7b5f454dc0de9b6f4153a3c0f50183fb5e625ae9ff60ca065b',
+            'db731a1acd1e0602645caa0830103ee292cfaf73f8571a03bfcb3a69f998708a',
         'schedule.csv':
-            'eb709d0461de875e114d6d8c5835ecc731e08226ae158d181a75583522fb2703',
+            '632c8c684c92ca0460413a694e5bc9956e9b484afb59f4b86d6dd2c56af275a9',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
             '68d96c7f5fc2a12c2b65ecde1cb77cdd7c81dea07e73c87340e7b6813c0ce75f',
         'sweep.csv':
-            '9d296fabbc2de051a9ed6d3f6c64b2149dfe39a70386c44b97927134a4dd90cf',
+            '9580bd2e4aef6de240811ecd9b2a0b846e40383de4155c0b9425a3e786f23f05',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -220,7 +221,7 @@ GOLDEN = {
     }),
     'analyze-insurance': (0, {
         'report.json':
-            'c2accb7507fcd5551fc019367546aa6596786dee7ec40cee881557aef461e91d',
+            'bf197b7ffcd7764a59bc7bf2c3ab83561070e68a753a11126f138e25cdd86c80',
     }),
     'analyze-piecewise': (0, {
         'report.json':
@@ -254,11 +255,11 @@ GOLDEN = {
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            'e0901a334f7467dbf97756d6aa6c8e9639f084204e1d6b91e18fb85fa2a596f0',
+            '34adb82204657de64980ac2991b6fc8383dd22fbd098e1b6591e28d428adf0cb',
         'report.json':
-            'dfc4f17df42db00403918446b263b5f664c05a67c19694978b5cd49a795b9e21',
+            '5349c221ffb8c8abfe514a4f65ed38dd3f816d1d681a8abc215213cff19f04bd',
         'schedule.csv':
-            '221167b3f0c871d5b0b8e4b7fa662bdd817966f3a887219eaa4e5fe800001f17',
+            '67b9df42381d5a07af8d8a152742cffdd4c99e14691d38001f8bc4291e167e9e',
     }),
     'verify-path': (2, {
         'report.json':
@@ -336,8 +337,9 @@ def output_fields(path) -> dict:
 
 
 def moved_fields(old: dict, new: dict) -> dict:
-    """Largest absolute difference of each field whose values differ, or
-    ``"changed"`` where they are not numbers or their counts differ."""
+    """Largest absolute difference of each field whose values differ, over
+    the pairs of entries that differ, or ``"changed"`` where such a pair is
+    not two numbers or the counts differ."""
     moved = {}
     for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name, []), new.get(name, [])
@@ -346,10 +348,23 @@ def moved_fields(old: dict, new: dict) -> dict:
         try:
             if len(a) != len(b):
                 raise ValueError(name)
-            moved[name] = max(abs(float(x) - float(y)) for x, y in zip(a, b))
+            moved[name] = max(abs(float(x) - float(y))
+                              for x, y in zip(a, b) if x != y)
         except (TypeError, ValueError):
             moved[name] = "changed"
     return moved
+
+
+def test_moved_fields_compares_pooled_entries_pair_by_pair():
+    # equal entries that are not numbers (the Nones pooled into a report
+    # field) leave a float move a float move; unequal ones still change
+    old = {"witness": [None, 0.9374999999999716, None], "detail": ["u1=0.93"],
+           "flags": [None, 1.0], "rows": [1.0, 2.0]}
+    new = {"witness": [None, 0.9375000000000284, None], "detail": ["u1=0.94"],
+           "flags": [1.0, None], "rows": [1.0]}
+    assert moved_fields(old, new) == {
+        "witness": 0.9375000000000284 - 0.9374999999999716,
+        "detail": "changed", "flags": "changed", "rows": "changed"}
 
 
 def diff_outputs(old_root, new_root) -> list:

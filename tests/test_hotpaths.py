@@ -26,7 +26,9 @@ root of a parametric pair and the insurance labor maximization, use
 Brent's method and so may land a few ulps from where bisection lands: they
 are compared against in-test full-resolution bisections within 1e-12, as
 are the ``solve`` outputs built on them, and their slope evaluations per
-solve are counted.
+solve are counted.  Every bracket the labor maximization hands to Brent's
+method must straddle the root with the slope values read at its ends,
+also at the levels where roundoff decides the closed-form ends' signs.
 """
 
 from __future__ import annotations
@@ -717,6 +719,21 @@ def random_ui_primitives(rng):
                         w=rng.uniform(0.5, 2.0), shadow=rng.uniform(0.2, 1.0))
 
 
+def bench_ui_primitives(rng):
+    """Primitives over the ``ui-sweep`` workload's ranges and shadows."""
+    return UiPrimitives(a=rng.uniform(0.45, 0.55), b=rng.uniform(1.7, 2.3),
+                        w=rng.uniform(0.8, 1.25),
+                        shadow=rng.choice((0.5, 0.2, 0.1, 0.05)))
+
+
+def inner_max_levels(p, rng):
+    """A random level in ``[0, 2 u0 + 0.5]``, then fixed ones: 0, where the
+    closed-form labor bracket shrinks to a point; two whose ``u**k``
+    underflows; the domain top, and past it."""
+    top = 2.0 * ui_constants(p).u0
+    return (rng.uniform(0.0, top + 0.5), 0.0, 5e-324, 1e-300, top, top + 0.5)
+
+
 def smooth_cases(seed, n_b, n_ui):
     """``(build, dist)`` pairs: ``build()`` makes a fresh rescaled fixture-B
     pair, or an insurance pair, so a rebuild reads whatever inner solve is
@@ -752,13 +769,43 @@ def test_inv_deriv_f0_matches_bisection():
 
 def test_inner_max_matches_bisection():
     rng = random.Random(9102)
-    for _ in range(300):
-        p = random_ui_primitives(rng)
-        u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
-        l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
-        l_ref, value_ref = inner_max_reference(p.a, p.b, p.w, u)
-        assert abs(l_star - l_ref) <= INNER_TOL
-        assert abs(value - value_ref) <= INNER_TOL
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(300):
+            p = draw(rng)
+            for u in inner_max_levels(p, rng):
+                l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
+                l_ref, value_ref = inner_max_reference(p.a, p.b, p.w, u)
+                assert abs(l_star - l_ref) <= INNER_TOL, (p, u)
+                assert abs(value - value_ref) <= INNER_TOL, (p, u)
+
+
+def test_inner_max_brackets_straddle_the_root(monkeypatch):
+    # whatever roundoff does to the closed-form ends, Brent's method gets a
+    # sign change and the slope values read at its ends
+    brackets = []
+    orig = insurance.brent_down
+
+    def brent_down(f, lo, hi, *, f_lo, f_hi, tol_x):
+        brackets.append((f, lo, hi, f_lo, f_hi))
+        return orig(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)
+
+    monkeypatch.setattr(insurance, "brent_down", brent_down)
+    rng = random.Random(9106)
+    n_calls = 0
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(300):
+            p = draw(rng)
+            for u in inner_max_levels(p, rng):
+                insurance._inner_max(p.a, p.b, p.w, u)
+                n_calls += 1
+    assert len(brackets) == n_calls
+    for f, lo, hi, f_lo, f_hi in brackets:
+        assert f_lo >= 0.0 >= f_hi
+        assert f_lo == f(lo) and f_hi == f(hi)
+    # both kinds of end occur: closed-form lower ends, and L = 0 where the
+    # closed-form lower end read a negative slope at a collapsed bracket
+    assert sum(lo > 0.0 for _, lo, *_ in brackets) >= 0.9 * n_calls
+    assert any(lo == 0.0 for _, lo, *_ in brackets)
 
 
 def solved(build, dist):
@@ -818,7 +865,8 @@ def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
 
 
 def test_inner_max_reads_few_slopes():
-    # the growth loop, then Brent's steps; bisection to 1e-13 * hi takes ~46
+    # both closed-form bracket ends, then Brent's steps; bisection to
+    # 1e-13 * hi takes ~46
     code = insurance.__file__
     calls = Counter()
 
@@ -828,7 +876,7 @@ def test_inner_max_reads_few_slopes():
             calls["gp"] += 1
 
     rng = random.Random(9105)
-    worst = 0
+    worst = total = 0
     for _ in range(200):
         p = random_ui_primitives(rng)
         u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
@@ -839,7 +887,9 @@ def test_inner_max_reads_few_slopes():
         finally:
             sys.setprofile(None)
         worst = max(worst, calls["gp"])
+        total += calls["gp"]
     assert 0 < worst <= 12
+    assert total <= 7 * 200
 
 
 def breakpoint_scan(f0, y):
