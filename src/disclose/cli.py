@@ -221,6 +221,11 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
     pair = _pair_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     best = optimize_deadline(pair, dist, tol=tols["root"])
+    if not best.foc.satisfied:
+        raise SolverError(
+            f"best deadline T={best.T:.6g} fails the first-order conditions "
+            f"(pi_plus={best.foc.pi_plus:.6g}, pi_minus={best.foc.pi_minus:.6g}, "
+            f"tol={best.foc.tol:g})")
     _mechanism_csv(out_dir, best.mechanism, pair.r, extra=dist.times)
     return {
         "T": best.T,

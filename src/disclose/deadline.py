@@ -32,17 +32,21 @@ a kink event or between two atoms, and the payoff argmax over them is the
 best deadline.  When ``f0`` is affine on ``[u_star, u0]`` no jump is
 positive, and the search is one binary search over the atoms.
 
-Cost: a bracket evaluation reads only the atoms at or before T (O(log m)
-to find them, then O(atoms <= T)), returns both one-sided brackets and
-computes no payoff.  The affine case makes O(log m) of them at atoms; a
-curved ``f0`` one per split atom, as many as the pruning leaves.  A
-crossing piece adds O(log(events in the piece)) with a piecewise ``f1``
-(finding the events costs two ``bisect`` calls per ``f1`` breakpoint and
-no bracket), and a few by Brent's method to 1e-13 with a parametric one
-(12 evaluations in all for an insurance pair with 32 atoms).  The
-affinity test reads ``f0`` at its breakpoints, or solves one smooth root,
-and no bracket.  Payoffs are computed for the candidate deadlines and the
-never-stop profile only, each O(atoms) on the two-cell deadline mechanism.
+Cost: a bracket evaluation reads only the atoms at or before T, returns
+both one-sided brackets and computes no payoff.  With a parametric ``f1``
+it reads one slope per such atom, O(atoms <= T).  With a piecewise one the
+atoms before T fall into runs whose rewards share an ``f1`` segment or
+kink, found by ``bisect``, each adding its mass times its slope: O(band
+breakpoints * log m), whatever the number of atoms.  The affine case makes
+O(log m) of them at atoms; a curved ``f0`` one per split atom, as many as
+the pruning leaves.  A crossing piece adds O(log(events in the piece))
+with a piecewise ``f1`` (finding the events costs two ``bisect`` calls per
+``f1`` breakpoint and no bracket), and a few by Brent's method to 1e-13
+with a parametric one (12 evaluations in all for an insurance pair with 32
+atoms).  The affinity test reads ``f0`` at its breakpoints, or solves one
+smooth root, and no bracket.  Payoffs are computed for the candidate
+deadlines and the never-stop profile only, each O(atoms) on the two-cell
+deadline mechanism.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from typing import Tuple
 
 from .distribution import BreakthroughDist
 from .errors import ConfigError, ModelAssumptionError, SolverError
-from .frontier import ParametricFrontier, TechnologyPair, affine_gap
+from .frontier import (ParametricFrontier, PiecewiseFrontier, TechnologyPair,
+                       affine_gap)
 from .mechanism import Mechanism, continuation_value, payoff
 from .numerics import brent_down
 
@@ -79,8 +84,9 @@ def deadline_mechanism(pair: TechnologyPair, T: float) -> Mechanism:
 
 def _deadline_for(pair: TechnologyPair, x: float) -> float:
     """The deadline whose time-0 reward ``X_0(T)`` is ``x``, for ``x`` in
-    ``[u_star, u0)``: ``T = -(1/r) log((u0 - x) / (u0 - u_star))``."""
-    return -math.log((pair.u0 - x) / (pair.u0 - pair.u_star)) / pair.r
+    ``[u_star, u0)``: ``T = -(1/r) log((u0 - x) / (u0 - u_star))``, never
+    -0.0 (adding 0.0 turns it into 0.0 and keeps every other float)."""
+    return -math.log((pair.u0 - x) / (pair.u0 - pair.u_star)) / pair.r + 0.0
 
 
 def t_underline(pair: TechnologyPair) -> float:
@@ -151,34 +157,86 @@ def _brackets(pair: TechnologyPair, dist: BreakthroughDist, T: float,
               alpha: float) -> Tuple[float, float]:
     """``(bracket_plus, bracket_minus)`` at T, without the payoff.
 
-    Only atoms with ``t_k <= T`` enter either sum, so the loop stops at
-    ``bisect_right(times, T)``; ``alpha`` is :func:`_alpha` of the pair.
-    The rewards lie in ``[u_star, u0]``, where ``f1`` must be defined.
+    Only atoms with ``t_k <= T`` enter either sum; ``alpha`` is
+    :func:`_alpha` of the pair.  The rewards lie in ``[u_star, u0]``, where
+    ``f1`` must be defined.  A parametric ``f1`` is read at each atom, up
+    to ``bisect_right(times, T)``.  A piecewise one has one slope per
+    segment, so :func:`_run_sums` adds each sum up run by run of atoms, in
+    O(band breakpoints * log m).
     """
     if not T >= 0:
         raise ModelAssumptionError(f"deadline must be non-negative, got {T}")
     u0, ustar, r = pair.u0, pair.u_star, pair.r
-    if pair.f1.u_hi < u0:
+    f1 = pair.f1
+    if f1.u_hi < u0:
         raise ModelAssumptionError(
-            f"f1 domain ends at {pair.f1.u_hi}, below the f0 peak u0={u0}")
-    f1_derivs = pair.f1.derivs
-    times, probs = dist.times, dist.probs
+            f"f1 domain ends at {f1.u_hi}, below the f0 peak u0={u0}")
 
-    sum_plus = 0.0
-    sum_minus = 0.0
-    for k in range(_bisect.bisect_right(times, T)):
-        t_k = times[k]
-        if t_k < T:  # the reward X_{t_k}(T) inlined: a call per atom costs ~12 % of a solve
-            d = math.exp(-r * (T - t_k))
-            d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
-            sum_plus += probs[k] * d_plus
-            sum_minus += probs[k] * d_minus
-        else:  # the atom at T is rewarded u_star and enters the right sum only
-            d_plus, _ = f1_derivs(ustar)
-            sum_plus += probs[k] * d_plus
+    if isinstance(f1, PiecewiseFrontier):
+        sum_plus, sum_minus = _run_sums(pair, dist, T)
+    else:
+        f1_derivs = f1.derivs
+        times, probs = dist.times, dist.probs
+        sum_plus = 0.0
+        sum_minus = 0.0
+        for k in range(_bisect.bisect_right(times, T)):
+            t_k = times[k]
+            if t_k < T:  # the reward X_{t_k}(T) inlined: a call per atom costs ~12 % of a solve
+                d = math.exp(-r * (T - t_k))
+                d_plus, d_minus = f1_derivs((1.0 - d) * u0 + d * ustar)
+                sum_plus += probs[k] * d_plus
+                sum_minus += probs[k] * d_minus
+            else:  # the atom at T is rewarded u_star and enters the right sum only
+                d_plus, _ = f1_derivs(ustar)
+                sum_plus += probs[k] * d_plus
 
     return ((1.0 - dist.cdf(T)) * alpha + sum_plus,
             (1.0 - dist.cdf_left(T)) * alpha + sum_minus)
+
+
+def _run_sums(pair: TechnologyPair, dist: BreakthroughDist,
+              T: float) -> Tuple[float, float]:
+    """``(sum_plus, sum_minus)`` of the brackets at T for a piecewise ``f1``,
+    ``sum_{t_k <= T} p_k f1'(X_{t_k}+)`` and ``sum_{t_k < T} p_k f1'(X_{t_k}-)``.
+
+    The reward ``X_k = (1 - d) u0 + d u_star``, ``d = exp(-r (T - t_k))``,
+    does not rise with k on the atoms before T, so :meth:`PiecewiseFrontier.rank`
+    of it does not either, and the atoms of one rank, which share their
+    one-sided slopes, are a run of consecutive indices.  Each run's end is
+    found by ``bisect`` on the rank of the reward, by the expression that
+    :func:`_brackets` evaluates per atom for a parametric ``f1``, and adds
+    its mass (:meth:`BreakthroughDist.mass`, correctly rounded) times its
+    slopes to the sums: on a breakpoint, within ``KINK_SNAP``, the right
+    segment's slope in the right sum and the left segment's in the left
+    one, with ``-inf`` right of ``f1``'s last breakpoint and ``+inf`` left
+    of its first, as :meth:`PiecewiseFrontier.derivs` gives them.
+    The atom at T, if any, is rewarded ``u_star`` and enters the right sum
+    only.  Roundoff can lift ``X_k`` an ulp above ``X_{k-1}``; that moves
+    an atom across a run end only when the two rewards straddle a
+    breakpoint's snap edge within an ulp.
+    """
+    rank, sides = pair.f1.rank, pair.f1.rank_sides
+    u0, ustar, r = pair.u0, pair.u_star, pair.r
+    times, exp = dist.times, math.exp
+
+    def x_rank(k: int) -> int:  # negated, so that it rises with k
+        d = exp(-r * (T - times[k]))
+        return -rank((1.0 - d) * u0 + d * ustar)
+
+    n_before = _bisect.bisect_left(times, T)
+    sum_plus = sum_minus = 0.0
+    i = 0
+    while i < n_before:
+        key = x_rank(i)
+        j = _bisect.bisect_right(range(n_before), key, lo=i + 1, key=x_rank)
+        mass = dist.mass(i, j)
+        d_plus, d_minus = sides[1 - key]
+        sum_plus += mass * d_plus
+        sum_minus += mass * d_minus
+        i = j
+    if n_before < len(times) and times[n_before] == T:
+        sum_plus += dist.probs[n_before] * sides[rank(ustar) + 1][0]
+    return sum_plus, sum_minus
 
 
 def _derivs(pair: TechnologyPair, dist: BreakthroughDist, T: float,

@@ -25,8 +25,9 @@ ORDER_TOL = 1e-12
 MAX_ATOMS = 100_000
 
 
-def _prefix_masses(probs: Sequence[float]) -> Tuple[float, ...]:
-    """``out[j] == math.fsum(probs[:j])`` for every j, in O(len(probs)).
+def _prefix_numerators(probs: Sequence[float]) -> Tuple[Tuple[int, ...], int]:
+    """``(num, den)`` with ``num[j] / den == fsum(probs[:j])`` exactly, as
+    rationals, for every j, in O(len(probs)).
 
     Each finite float is an integer over a power of two, so the prefix sums
     are exact integers over the largest denominator, and int / int true
@@ -36,12 +37,12 @@ def _prefix_masses(probs: Sequence[float]) -> Tuple[float, ...]:
     probs = [float(p) for p in probs]
     den = max(p.as_integer_ratio()[1] for p in probs)
     acc = 0
-    out = [0.0]
+    out = [0]
     for p in probs:
         num, d = p.as_integer_ratio()
         acc += num * (den // d)
-        out.append(acc / den)
-    return tuple(out)
+        out.append(acc)
+    return tuple(out), den
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class BreakthroughDist:
     """Atoms ``(times, probs)`` with times strictly increasing and probs > 0.
 
     ``cdf``/``cdf_left`` are O(log m): they bisect the times and read a table
-    of correctly rounded prefix masses built once at construction.
+    of correctly rounded prefix masses built once at construction, from the
+    exact integer prefix sums that :meth:`mass` reads.
     """
 
     times: Tuple[float, ...]
@@ -75,7 +77,10 @@ class BreakthroughDist:
             total = math.inf
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"atom masses must sum to 1 within {MASS_TOL}, got {total!r}")
-        object.__setattr__(self, "_cum", _prefix_masses(self.probs))
+        num, den = _prefix_numerators(self.probs)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_cum", tuple(a / den for a in num))
 
     def cdf(self, t: float) -> float:
         """G(t) = P(tau <= t)."""
@@ -86,6 +91,11 @@ class BreakthroughDist:
     def cdf_left(self, t: float) -> float:
         """G(t-) = P(tau < t)."""
         return self._cum[_bisect.bisect_left(self.times, t)]
+
+    def mass(self, i: int, j: int) -> float:
+        """Mass of the atoms ``i`` to ``j - 1``, correctly rounded, in O(1)
+        (``i <= j``): one difference of the exact prefix sums."""
+        return (self._num[j] - self._num[i]) / self._den
 
 
 def from_atoms(pairs: Sequence[Sequence[float]]) -> BreakthroughDist:

@@ -103,15 +103,12 @@ class PiecewiseFrontier:
     def u_hi(self):
         return self.points[-1][0]
 
-    def _segment(self, u) -> int:
-        # index i such that u lies in [u_i, u_{i+1}]; u must be inside the domain
-        i = _bisect.bisect_right(self._us, u) - 1
-        return min(max(i, 0), len(self.points) - 2)
-
     def value(self, u):
-        if u < self.u_lo or u > self.u_hi:
+        us = self._us
+        if u < us[0] or u > us[-1]:
             return NEG_INF
-        i = self._segment(u)
+        # the segment [u_i, u_{i+1}] holding u: the last one for u_hi (and NaN)
+        i = min(_bisect.bisect_right(us, u) - 1, len(us) - 2)
         u_i, v_i = self.points[i]
         return v_i + self._slopes[i] * (u - u_i)
 
@@ -141,6 +138,41 @@ class PiecewiseFrontier:
         # strictly inside segment j - 1 (NaN lands on the last segment)
         s = slopes[j - 1]
         return (s, s)
+
+    @cached_property
+    def _float_us(self) -> Tuple[float, ...]:
+        return tuple(float(u) for u in self._us)
+
+    def rank(self, u: float) -> int:
+        """Where :meth:`derivs` places the float ``u``, as a rank that never
+        falls as ``u`` rises: ``2k`` on (or within ``KINK_SNAP`` of)
+        breakpoint ``k``, the lower one winning a tie, ``2k + 1`` strictly
+        inside segment ``k``, -1 below the domain and ``2n - 1`` above it
+        (``n`` breakpoints).  ``rank_sides[rank(u) + 1]`` is ``derivs(u)``
+        as floats, for every float ``u`` but NaN; the breakpoints are
+        compared as floats, as ``derivs`` compares a float with them."""
+        us = self._float_us
+        j = _bisect.bisect_left(us, u)
+        for k in (j - 1, j):
+            if 0 <= k < len(us) and abs(u - us[k]) <= KINK_SNAP:
+                return 2 * k
+        return 2 * j - 1
+
+    @cached_property
+    def rank_sides(self) -> Tuple[Tuple[Optional[float], Optional[float]], ...]:
+        """``(d_plus, d_minus)`` at each :meth:`rank` + 1, as floats: off
+        the domain ``(None, None)``, at a breakpoint the slopes of its two
+        segments (``-inf`` right of the last, ``+inf`` left of the first),
+        inside a segment its slope twice."""
+        slopes = [float(s) for s in self._slopes]
+        sides = [(None, None)]
+        for k in range(len(slopes) + 1):
+            sides.append((slopes[k] if k < len(slopes) else -INF,
+                          slopes[k - 1] if k else INF))
+            if k < len(slopes):
+                sides.append((slopes[k], slopes[k]))
+        sides.append((None, None))
+        return tuple(sides)
 
     @cached_property
     def peak(self):

@@ -87,9 +87,10 @@ def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
                     i: int) -> float:
     """Continuation value at time ``t`` in cell ``i`` (``m.cell_index(t)``)
     from a precomputed :func:`continuation_profile` ``prof``.  Every
-    continuation value in the package is evaluated here, so a caller that
-    reads many times builds the profile once and pays O(log cells) per
-    time."""
+    continuation value in the package is evaluated here, or, in the atom
+    loop of :func:`payoff`, by the same expression inlined, so a caller
+    that reads many times builds the profile once and pays O(log cells)
+    per time."""
     if i == len(m.grid) - 1:
         return m.levels[-1]
     d = math.exp(-r * (m.grid[i + 1] - t))
@@ -99,15 +100,6 @@ def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
 def continuation_value(m: Mechanism, r: float, t: float) -> float:
     """Continuation value of the flow path at an arbitrary time ``t``."""
     return continuation_at(m, continuation_profile(m, r), r, t, m.cell_index(t))
-
-
-def reward_from_profile(m: Mechanism, prof: Sequence[float], r: float, t: float,
-                        i: int) -> float:
-    """Disclosure reward at time ``t`` in cell ``i``: the continuation value
-    read from ``prof`` if DERIVED, else the explicit per-cell constant."""
-    if m.derived_reward:
-        return continuation_at(m, prof, r, t, i)
-    return m.reward[i]
 
 
 @dataclass(frozen=True)
@@ -164,50 +156,67 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
 
     Pre-disclosure flow value is integrated cell by cell in closed form
     (each cell contributes ``f0(level) * (exp(-r a) - exp(-r b))``), and each
-    atom adds ``exp(-r t) * f1(reward_t)``.  The continuation profile is
-    built once, so the cost is O(cells + atoms * log cells).
+    atom adds ``exp(-r t) * f1(reward_t)``.  The continuation profile and
+    ``exp(-r a)`` at each grid point are computed once, and the atoms, being
+    sorted, walk the cells forward, each computing ``exp(-r t)`` once and its
+    continuation value as :func:`continuation_at` does, so the cost is
+    O(cells + atoms).
     """
     r = pair.r
-    n = len(m.grid)
+    grid, levels, reward = m.grid, m.levels, m.reward
+    n = len(grid)
 
     flow_vals = []           # f0 at each cell level; None marks off-domain
-    for x in m.levels:
+    for x in levels:
         v = pair.f0.value(x)
         flow_vals.append(None if is_neg_inf(v) else float(v))
 
     # discounted flow integral from 0 to grid[i] (cells fully before i);
     # first_bad[i] = True when some cell strictly before grid[i] is off-domain
+    disc = [math.exp(-r * g) for g in grid]
     prefix = [0.0] * n
     first_bad = [False] * n
     for i in range(1, n):
-        w = math.exp(-r * m.grid[i - 1]) - math.exp(-r * m.grid[i])
+        w = disc[i - 1] - disc[i]
         contrib = 0.0 if flow_vals[i - 1] is None else flow_vals[i - 1] * w
         prefix[i] = prefix[i - 1] + contrib
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
 
     prof = continuation_profile(m, r)
+    f1_value = pair.f1.value
     terms = []
+    i = 0
     for t, p in zip(dist.times, dist.probs):
-        i = m.cell_index(t)
-        if first_bad[i] or (t > m.grid[i] and flow_vals[i] is None):
+        while i + 1 < n and grid[i + 1] <= t:
+            i += 1
+        if first_bad[i] or (t > grid[i] and flow_vals[i] is None):
             return NEG_INF
-        pre = prefix[i] + (flow_vals[i] or 0.0) * (math.exp(-r * m.grid[i]) - math.exp(-r * t))
-        v1 = pair.f1.value(reward_from_profile(m, prof, r, t, i))
+        e = math.exp(-r * t)
+        pre = prefix[i] + (flow_vals[i] or 0.0) * (disc[i] - e)
+        if reward is not None:
+            x = reward[i]
+        elif i == n - 1:
+            x = levels[-1]
+        else:
+            d = math.exp(-r * (grid[i + 1] - t))
+            x = (1.0 - d) * levels[i] + d * prof[i + 1]
+        v1 = f1_value(x)
         if is_neg_inf(v1):
             return NEG_INF
-        terms.append(p * (pre + math.exp(-r * t) * float(v1)))
+        terms.append(p * (pre + e * float(v1)))
     return math.fsum(terms)
 
 
 def mechanism_rows(m: Mechanism, r: float, extra_times: Sequence[float]
                    ) -> Tuple[Tuple[float, float, float, float], ...]:
     """Rows ``(t, flow, continuation, reward)`` at the grid points and the
-    sample times ``extra_times`` — the CSV export payload."""
+    sample times ``extra_times`` — the CSV export payload.  A DERIVED reward
+    is the continuation value itself."""
     times = sorted(set(m.grid) | {float(t) for t in extra_times})
     prof = continuation_profile(m, r)
     out = []
     for t in times:
         i = m.cell_index(t)
-        out.append((t, m.levels[i], continuation_at(m, prof, r, t, i),
-                    reward_from_profile(m, prof, r, t, i)))
+        x = continuation_at(m, prof, r, t, i)
+        out.append((t, m.levels[i], x, x if m.derived_reward else m.reward[i]))
     return tuple(out)

@@ -541,6 +541,12 @@ BAD_CONFIGS = {
     "atom-mass-sum-overflow": ("solve-deadline", 1, MASS_SUM, {
         "technology": A_TECH,
         "distribution": {"kind": "atoms", "atoms": [[1, 1e308], [2, 1e308]]}}),
+    # candidate payoffs near 2.5e299 tie at float resolution, and the best
+    # one, at T = 0, fails its first-order conditions: that is no solve
+    "deadline-foc-unsatisfied": ("solve-deadline", 3,
+                                 "solver failure: best deadline T=0 fails", {
+        "technology": dict(UI_TECH, b=1e10, w=1e300),
+        "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}),
     # f0 and f1 share no slope on [0, u0]; verify classifies the pair as
     # strictly concave and the path's bracket fails at the domain bottom
     "ui-verify-path-bracket": ("verify", 3, "solver failure: psi(u_star)=-1.109e-01 < 0", {

@@ -75,6 +75,11 @@ def test_t_underline_closed_forms(pair_a, pair_b, pair_b_affine):
     assert t_underline(pair_b_affine) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
+def test_deadline_for_is_never_negative_zero(pair_a):
+    T = deadline._deadline_for(pair_a, pair_a.u_star)
+    assert T == 0.0 and math.copysign(1.0, T) == 1.0
+
+
 def test_t_underline_requires_room_to_reward():
     f0 = PiecewiseFrontier(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
     f1 = PiecewiseFrontier(((0.0, 0.6), (1.2, 1.4), (1.8, 0.6)))

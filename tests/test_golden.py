@@ -153,13 +153,13 @@ GOLDEN = {
         'mechanism.csv':
             'e04fa3ae1f2197511e3b6a705a5cb5b5188e7af75bdac07bdcea1c5ed3f66186',
         'report.json':
-            'e7c5f92b69b8d97d1fc95fdb15f4ec31b6da1f4ea9bb6d04762d4e25754d4b3d',
+            'b852cb1187dca89e341ee768f02741f0b08ecbbe6443759e2a848f6ee07200f2',
     }),
     'solve-deadline-kinked64': (0, {
         'mechanism.csv':
             '8a6cdceed03ab3fc0e98c291fe388ee71cda207cbb5b188fab4d942f93e23f10',
         'report.json':
-            '63dca6ba9cff7cc8b97858e9b121a09ad030501fac4e123d93081b8c4037f54b',
+            '47644cbb9cf25027b98e3b7e44ad6d22f05d525c2c4a9af406ac763ba2b84304',
     }),
     'solve-deadline-late-cluster': (0, {
         'mechanism.csv':
@@ -171,7 +171,7 @@ GOLDEN = {
         'mechanism.csv':
             'c99e338d79eea2682b75b6c4a36428ce90054b811a766188b0678645a52b3057',
         'report.json':
-            '91510f5cd97b3dbdc566c28db4ab6c9407304dc1a7998de77ad4f1510fabaa4b',
+            'ddc3269ac2b9f3edff918303271ba2d3aa13c8c857e011556266879d22fec4ef',
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':

@@ -1,16 +1,23 @@
 """Hot paths against straightforward references, compared bit for bit.
 
-The fast ``cdf``/``cdf_left`` lookups, the single-profile ``payoff``, the
-one-bisection ``PiecewiseFrontier.derivs`` and the payoff-free deadline
-bracket must return exactly what the plain implementations kept here as
-oracles return.  Every comparison is exact equality (floats by ``.hex()``),
-never approximate.  The last tests count work instead of timing it: one
-``optimize_deadline`` call may compute only the payoffs it reads and
-reads the bracket at few atoms (one binary search over them when ``f0`` is
-affine, and no more than the pruning leaves otherwise) and closes a
-crossing piece by Brent's method when ``f1`` is parametric and by a
-binary search over its kink events when it is piecewise, slopes cost no
-frontier value, ``psi`` reads one ``f1`` slope per atom, ``solve``
+The fast ``cdf``/``cdf_left`` lookups and run masses, the one-pass
+``payoff``, the one-bisection ``PiecewiseFrontier.derivs`` and its
+``rank`` must return exactly what the plain implementations kept here as
+oracles return.  Every such comparison is exact equality (floats by
+``.hex()``), never approximate.  The payoff-free deadline bracket sums
+its terms in another order than a per-atom loop once ``f1`` is piecewise
+(run by run of atoms that share a slope), so it is held to an exact
+``Fraction`` oracle instead: within the float summation bound
+``len(atoms) * 2**-52 * (|alpha| + sum |p_k s_k|)``, with the exact sign
+outside it, and infinite where a domain-end slope enters.  The last tests
+count work instead of timing it: one ``optimize_deadline`` call may
+compute only the payoffs it reads and reads the bracket at few atoms (one
+binary search over them when ``f0`` is affine, and no more than the
+pruning leaves otherwise) and closes a crossing piece by Brent's method
+when ``f1`` is parametric and by a binary search over its kink events
+when it is piecewise, reads a piecewise ``f1``'s slopes through
+``derivs`` a fixed number of times whatever m, slopes cost no frontier
+value, ``psi`` reads one ``f1`` slope per atom, ``solve``
 searches ``[u_star, u0]`` once for the ``psi`` root and makes one backward
 pass per ``psi`` evaluation, a piecewise ``solve`` reads ``f0`` slopes
 only at the band ends, and the insurance inner maximization runs once per
@@ -115,6 +122,15 @@ def test_cdf_matches_filtered_fsum(m):
             assert dist.cdf_left(t) == math.fsum(dist.probs[:k])
 
 
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_mass_matches_fsum_of_the_run(m):
+    rng = random.Random(2000 + m)
+    for dist in (random_law(rng, m), discretize("exponential", m, rate=0.7)):
+        for i in range(m + 1):
+            for j in range(i, m + 1):
+                assert exact(dist.mass(i, j)) == exact(math.fsum(dist.probs[i:j]))
+
+
 def test_cdf_prefix_masses_exact_over_wide_exponent_range():
     # masses from subnormal to near one: a prefix sum that is not exact (or
     # not rounded once) shows up in the low bits
@@ -129,6 +145,7 @@ def test_cdf_prefix_masses_exact_over_wide_exponent_range():
         for k, t in enumerate(dist.times):
             assert exact(dist.cdf(t)) == exact(math.fsum(probs[:k + 1]))
             assert exact(dist.cdf_left(t)) == exact(math.fsum(probs[:k]))
+            assert exact(dist.mass(k, len(probs))) == exact(math.fsum(probs[k:]))
 
 
 def test_cdf_fraction_queries(dist_k3):
@@ -252,7 +269,7 @@ def derivs_reference(f, u):
             break
     if u < f.u_lo or u > f.u_hi:
         return (None, None)
-    i = f._segment(u)
+    i = min(max(bisect.bisect_right(f._us, u) - 1, 0), len(f._us) - 2)
     if u == f.u_lo:
         return (f._slopes[0], INF)
     if u == f.u_hi:
@@ -319,6 +336,22 @@ def test_piecewise_derivs_fraction_inputs(f0_exact, f1_exact):
             assert exact(f.derivs(u)) == exact(derivs_reference(f, u)), u
 
 
+def test_rank_places_as_derivs(f1_exact):
+    # the ranks the piecewise bracket bisects on: rank_sides at the rank is
+    # derivs, and the rank never falls as u rises
+    rng = random.Random(12)
+    frontiers = [PiecewiseFrontier(A_F1_POINTS), f1_exact]
+    frontiers += [PiecewiseFrontier(random_concave_points(rng, k))
+                  for k in (2, 3, 4, 7, 12) for _ in range(4)]
+    for f in frontiers:
+        qs = sorted(float(u) for u in probe_points(rng, f._us) if u == u)
+        ranks = [f.rank(u) for u in qs]
+        assert ranks == sorted(ranks)
+        for u, k in zip(qs, ranks):
+            want = tuple(None if d is None else float(d) for d in f.derivs(u))
+            assert exact(f.rank_sides[k + 1]) == exact(want), (f.points, u)
+
+
 # ---------------------------------------------------------------- deadline ---
 
 def deadline_reward(pair, T, t):
@@ -330,18 +363,59 @@ def deadline_reward(pair, T, t):
     return (1.0 - d) * u0 + d * ustar
 
 
-def brackets_reference(pair, dist, T):
-    """The bracket sums over every atom, as ``pi_and_derivs`` first did."""
-    alpha = _alpha(pair)
-    sum_plus = sum_minus = 0.0
-    for t_k, p_k in zip(dist.times, dist.probs):
-        d_plus, d_minus = pair.f1.derivs(deadline_reward(pair, T, t_k))
-        if t_k <= T:
-            sum_plus += p_k * d_plus
-        if t_k < T:
-            sum_minus += p_k * d_minus
-    return ((1.0 - cdf_reference(dist, T)) * alpha + sum_plus,
-            (1.0 - cdf_left_reference(dist, T)) * alpha + sum_minus)
+def exact_dot(pairs) -> Fraction:
+    """``sum x * y`` over float pairs, exactly: every float is an integer
+    over a power of two no larger than ``2**1074``, so every product is an
+    integer over ``2**2148``."""
+    num = 0
+    for x, y in pairs:
+        (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+        num += (a * c) << (2148 - (b * d).bit_length() + 1)
+    return Fraction(num, 1 << 2148)
+
+
+def brackets_exact(pair, dist, T, alpha):
+    """The brackets at T as exact values, each with the bound on a float
+    summation of them: ``((plus, bound), (minus, bound))``.
+
+    Every atom at or before T enters with the slopes ``f1.derivs`` gives at
+    its float reward (:func:`deadline_reward`), as the per-atom loop reads
+    them, as floats, and the sums of their products with the masses, and
+    the survival term, are exact.  A sum that an infinite domain-end slope
+    enters is that infinity.  The bound is
+    ``len(atoms) * 2**-52 * (|alpha| + sum |p_k s_k|)``: ``alpha`` counts
+    in full, since the survival weight ``1 - G(T)`` is read off a cdf
+    rounded to within ``2**-53``.
+    """
+    def one_side(side, atoms):
+        terms = [(p, float(pair.f1.derivs(deadline_reward(pair, T, t))[side]))
+                 for t, p in atoms]
+        for _, s in terms:
+            if math.isinf(s):
+                return s, 0.0
+        g = exact_dot((p, 1.0) for p, _ in terms)
+        value = (1 - g) * Fraction(alpha) + exact_dot(terms)
+        bound = len(dist.times) * 2.0 ** -52 * (
+            abs(alpha) + float(exact_dot((p, abs(s)) for p, s in terms)))
+        return value, bound
+
+    atoms = list(zip(dist.times, dist.probs))
+    return (one_side(0, [(t, p) for t, p in atoms if t <= T]),
+            one_side(1, [(t, p) for t, p in atoms if t < T]))
+
+
+def assert_brackets_near_exact(pair, dist, T, alpha):
+    """Each bracket within its bound of the exact one, with the exact sign
+    wherever the exact value lies outside that bound."""
+    got = _brackets(pair, dist, T, alpha)
+    for g, (value, bound) in zip(got, brackets_exact(pair, dist, T, alpha)):
+        if isinstance(value, float):  # an infinite slope entered the sum
+            assert exact(g) == exact(value), T
+            continue
+        assert abs(Fraction(g) - value) <= bound, T
+        if abs(value) > bound:
+            assert (g > 0) == (value > 0), T
+    return got
 
 
 @pytest.mark.parametrize("pair_name", ["pair_a", "pair_b_affine", "pair_b"])
@@ -355,10 +429,93 @@ def test_brackets_match_pi_and_derivs_and_reference(request, pair_name):
         Ts += rng.sample(dist.times, min(m, 10))
         Ts += [rng.uniform(0.0, 1.2 * dist.times[-1]) for _ in range(10)]
         for T in Ts:
-            got = _brackets(pair, dist, T, alpha)
+            got = assert_brackets_near_exact(pair, dist, T, alpha)
             d = pi_and_derivs(pair, dist, T)
             assert exact(got) == exact((d.bracket_plus, d.bracket_minus)), T
-            assert exact(got) == exact(brackets_reference(pair, dist, T)), T
+
+
+def random_bracket_pair(rng, exact_points):
+    """A random concave piecewise ``f1`` and a band ``[u_star, u0]`` in its
+    domain, built as the pair fields the bracket reads (``f0`` is not
+    read, and ``alpha`` is passed in).  ``u_star`` is ``f1``'s first
+    breakpoint one time in three, else a breakpoint or a point between;
+    ``u0`` likewise is its last.  With ``exact_points`` the breakpoints are
+    ``Fraction``s."""
+    pts = random_concave_points(rng, rng.randint(2, 9))
+    if exact_points:
+        pts = [(Fraction(u).limit_denominator(100), Fraction(v).limit_denominator(10 ** 6))
+               for u, v in pts]
+    f1 = PiecewiseFrontier(pts)
+    us = [float(u) for u, _ in pts]
+    if us[-1] > pts[-1][0]:  # u0 may not pass the domain end
+        us[-1] = math.nextafter(us[-1], -math.inf)
+
+    def pick(end):
+        roll = rng.random()
+        if roll < 1 / 3:
+            return end
+        if roll < 2 / 3 and len(us) > 2:
+            return rng.choice(us[1:-1])
+        return rng.uniform(us[0], us[-1])
+
+    lo, hi = sorted((pick(us[0]), pick(us[-1])))
+    if hi - lo < 1e-3:
+        lo, hi = us[0], us[-1]
+    return TechnologyPair(f0=None, f1=f1, r=rng.uniform(0.2, 3.0), u0=hi,
+                          u1=float(f1.peak[0]), u_star=lo)
+
+
+def bracket_probe_times(rng, pair, dist):
+    """Deadlines at the atoms and at the kink events ``t_k + lag`` (an atom's
+    reward reaches an ``f1`` breakpoint), and within ``KINK_SNAP`` of both,
+    plus 0, a late deadline that puts the early rewards at ``u0``, and a few
+    at random."""
+    lags = [deadline._deadline_for(pair, u) for u in map(float, pair.f1._us)
+            if pair.u_star < u < pair.u0]
+    times = list(dist.times)
+    anchors = rng.sample(times, min(len(times), 6))
+    anchors += [t + lag for t in rng.sample(times, min(len(times), 4)) for lag in lags]
+    Ts = [0.0, times[-1] + 40.0 / pair.r]
+    Ts += [rng.uniform(0.0, 1.5 * times[-1]) for _ in range(4)]
+    for a in anchors:
+        Ts += [a, math.nextafter(a, math.inf), math.nextafter(a, -math.inf)]
+        Ts += [a + c * KINK_SNAP for c in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+    return [T for T in Ts if T >= 0.0]
+
+
+def test_piecewise_bracket_run_masses_are_correctly_rounded():
+    # a tiny mass on a steep segment after a large one on a flat segment:
+    # read as a difference of the two rounded prefix masses, the tiny run's
+    # mass would be off by up to half an ulp of the large one, 1e-16 times
+    # the slope 3, past the summation bound
+    f1 = PiecewiseFrontier(((0.0, 0.0), (1.0, 3.0), (2.0, 3.001)))
+    pair = TechnologyPair(f0=None, f1=f1, r=1.0, u0=2.0, u1=2.0, u_star=0.0)
+    p0, p1 = 0.6055098475906455, 3.391674408012374e-14
+    dist = BreakthroughDist(times=(0.0, 1.0, 3.0), probs=(p0, p1, 1.0 - p0 - p1))
+    # at T = 1.5 the rewards are 2 - 2 exp(-1.5) on the flat segment and
+    # 2 - 2 exp(-0.5) on the steep one
+    assert_brackets_near_exact(pair, dist, 1.5, 0.05)
+
+
+def test_piecewise_brackets_match_the_exact_sums():
+    # the run-by-run sums of a piecewise f1 against the exact per-atom
+    # sums, at deadlines where rewards sit on (or within KINK_SNAP of) a
+    # breakpoint, with the band ends at f1's domain ends (infinite slopes)
+    rng = random.Random(27)
+    seen = Counter()
+    for trial in range(48):
+        pair = random_bracket_pair(rng, exact_points=trial % 4 == 3)
+        dist = random_law(rng, rng.choice((1, 2, 5, 16, 32)))
+        alpha = rng.uniform(0.05, 3.0)
+        for T in bracket_probe_times(rng, pair, dist):
+            got = assert_brackets_near_exact(pair, dist, T, alpha)
+            seen["-inf right"] += got[0] == -math.inf
+            seen["+inf left"] += got[1] == math.inf
+            seen["on a kink"] += any(
+                abs(deadline_reward(pair, T, t) - float(u)) <= KINK_SNAP
+                for t in dist.times if t < T for u in pair.f1._us[1:-1])
+    # every edge the probes aim at is reached
+    assert min(seen.values()) >= 20, seen
 
 
 def test_brackets_reject_bad_deadlines(pair_a, dist_k2):
@@ -450,6 +607,28 @@ def test_optimize_deadline_bracket_count(request, monkeypatch, case):
     count_calls(monkeypatch, deadline, "_brackets", counts)
     deadline.optimize_deadline(pair, dist)
     assert counts["_brackets"] <= BRACKET_COUNTS[case]
+
+
+# f1 slopes read through PiecewiseFrontier.derivs in one optimize_deadline
+# with a piecewise f1: the slope gap of the atom jumps, at u_star, once.
+# The brackets read their slopes off rank_sides, so the count is the same
+# at m = 64 and m = 2048
+DERIVS_PER_SOLVE = 2
+
+
+@pytest.mark.parametrize("case", ["affine-exp64", "affine-exp2048"])
+def test_piecewise_deadline_reads_no_slope_per_atom(request, monkeypatch, case):
+    pair, dist = deadline_case(request, case)
+    counts = Counter()
+    derivs = PiecewiseFrontier.derivs
+
+    def counted(self, u):
+        counts["derivs"] += 1
+        return derivs(self, u)
+
+    monkeypatch.setattr(PiecewiseFrontier, "derivs", counted)
+    deadline.optimize_deadline(pair, dist)
+    assert 1 <= counts["derivs"] <= DERIVS_PER_SOLVE
 
 
 @pytest.mark.parametrize("case, root", [
