@@ -367,6 +367,8 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict):
     prims, r = _insurance_from(cfg)
     dist = _dist_from(_require(cfg, "distribution"))
     shadows = _numbers(cfg, "shadows")
+    if not shadows:  # no rows would hold the gain bound vacuously
+        raise ConfigError("'shadows' must be a non-empty list of numbers, got []")
     rows = insurance.welfare_sweep(prims, shadows, dist, r)
     _write_csv(out_dir, "sweep.csv",
                ("shadow", "u0", "t_deadline", "pi_deadline", "pi_path",
@@ -434,25 +436,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = _Parser(
-        prog="disclose",
-        description="Solvers for optimal breakthrough-disclosure mechanisms.")
-    parser.add_argument("command", nargs="?", default=None,
-                        help=f"one of: {', '.join(COMMANDS)} "
-                             "(defaults to the config's 'command' entry)")
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol-root", type=float, default=1e-9,
-                        help="first-order tolerance of the deadline solver (ui-sweep "
-                             "solves at the library default) and slack of the "
-                             "verify and compare-statics deadline checks")
-    parser.add_argument("--tol-residual", type=float, default=1e-8,
-                        help="stationarity-residual tolerance for verify")
+# built once: parse_args leaves the parser unchanged
+_PARSER = _Parser(
+    prog="disclose",
+    description="Solvers for optimal breakthrough-disclosure mechanisms.")
+_PARSER.add_argument("command", nargs="?", default=None,
+                     help=f"one of: {', '.join(COMMANDS)} "
+                          "(defaults to the config's 'command' entry)")
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--tol-root", type=float, default=1e-9,
+                     help="first-order tolerance of the deadline solver (ui-sweep "
+                          "solves at the library default) and slack of the "
+                          "verify and compare-statics deadline checks")
+_PARSER.add_argument("--tol-residual", type=float, default=1e-8,
+                     help="stationarity-residual tolerance for verify")
 
+
+def main(argv: Optional[list] = None) -> int:
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
         except SystemExit as e:  # --help printed the usage
             return e.code
         tols = {"root": args.tol_root, "residual": args.tol_residual}

@@ -49,9 +49,9 @@ def _prefix_numerators(probs: Sequence[float]) -> Tuple[Tuple[int, ...], int]:
 class BreakthroughDist:
     """Atoms ``(times, probs)`` with times strictly increasing and probs > 0.
 
-    ``cdf``/``cdf_left`` are O(log m): they bisect the times and read a table
-    of correctly rounded prefix masses built once at construction, from the
-    exact integer prefix sums that :meth:`mass` reads.
+    ``cdf``/``cdf_left`` are O(log m): they bisect the times and divide one
+    of the exact integer prefix sums built once at construction, which
+    :meth:`mass` reads too, so every mass is correctly rounded.
     """
 
     times: Tuple[float, ...]
@@ -80,17 +80,16 @@ class BreakthroughDist:
         num, den = _prefix_numerators(self.probs)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_cum", tuple(a / den for a in num))
 
     def cdf(self, t: float) -> float:
         """G(t) = P(tau <= t)."""
         if not t >= self.times[0]:  # before the first atom, or NaN
             return 0.0
-        return self._cum[_bisect.bisect_right(self.times, t)]
+        return self._num[_bisect.bisect_right(self.times, t)] / self._den
 
     def cdf_left(self, t: float) -> float:
         """G(t-) = P(tau < t)."""
-        return self._cum[_bisect.bisect_left(self.times, t)]
+        return self._num[_bisect.bisect_left(self.times, t)] / self._den
 
     def mass(self, i: int, j: int) -> float:
         """Mass of the atoms ``i`` to ``j - 1``, correctly rounded, in O(1)

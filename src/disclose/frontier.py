@@ -67,9 +67,9 @@ def is_neg_inf(v) -> bool:
 class PiecewiseFrontier:
     """Concave piecewise-linear frontier defined by its breakpoints.
 
-    Breakpoint abscissae must be strictly increasing and segment slopes
-    strictly decreasing (strict concavity).  A zero-slope segment would make
-    the peak non-unique and is rejected.
+    Breakpoint coordinates must be finite, abscissae strictly increasing
+    and segment slopes strictly decreasing (strict concavity).  A zero-slope
+    segment would make the peak non-unique and is rejected.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -78,6 +78,9 @@ class PiecewiseFrontier:
         pts = tuple((u, v) for u, v in self.points)
         if len(pts) < 2:
             raise ModelAssumptionError("a frontier needs at least two breakpoints")
+        for p in pts:
+            if not all(-INF < c < INF for c in p):
+                raise ModelAssumptionError(f"breakpoints must be finite, got {p}")
         for (u0, _), (u1, _) in zip(pts, pts[1:]):
             if not u1 > u0:
                 raise ModelAssumptionError(
@@ -121,58 +124,39 @@ class PiecewiseFrontier:
 
         Queries within ``KINK_SNAP`` of a breakpoint are treated as sitting
         on it, so both one-sided slopes of a kink are reported even when the
-        query carries roundoff from an upstream solve.
+        query carries roundoff from an upstream solve.  Read off
+        :attr:`rank_sides` at :meth:`rank`.
         """
-        us, slopes = self._us, self._slopes
+        return self.rank_sides[self.rank(u) + 1]
+
+    def rank(self, u) -> int:
+        """Where ``u`` sits, as a rank that never falls as ``u`` rises
+        through queries of one type: ``2k`` on (or within ``KINK_SNAP`` of)
+        breakpoint ``k``, the lower one winning a tie, ``2k + 1`` strictly
+        inside segment ``k``, -1 below the domain and ``2n - 1`` above it
+        (``n`` breakpoints), and NaN on the last segment, ``2n - 3``.  The
+        breakpoints are compared exactly, whatever their type."""
+        us = self._us
         j = _bisect.bisect_left(us, u)
         # on (or within KINK_SNAP of) a breakpoint; the lower one wins a tie
         for k in (j - 1, j):
             if 0 <= k < len(us) and abs(u - us[k]) <= KINK_SNAP:
-                if k == 0:
-                    return (slopes[0], INF)
-                if k == len(us) - 1:
-                    return (-INF, slopes[-1])
-                return (slopes[k], slopes[k - 1])
-        if u < us[0] or u > us[-1]:
-            return (None, None)
-        # strictly inside segment j - 1 (NaN lands on the last segment)
-        s = slopes[j - 1]
-        return (s, s)
-
-    @cached_property
-    def _float_us(self) -> Tuple[float, ...]:
-        return tuple(float(u) for u in self._us)
-
-    def rank(self, u: float) -> int:
-        """Where :meth:`derivs` places the float ``u``, as a rank that never
-        falls as ``u`` rises: ``2k`` on (or within ``KINK_SNAP`` of)
-        breakpoint ``k``, the lower one winning a tie, ``2k + 1`` strictly
-        inside segment ``k``, -1 below the domain and ``2n - 1`` above it
-        (``n`` breakpoints).  ``rank_sides[rank(u) + 1]`` is ``derivs(u)``
-        as floats, for every float ``u`` but NaN; the breakpoints are
-        compared as floats, as ``derivs`` compares a float with them."""
-        us = self._float_us
-        j = _bisect.bisect_left(us, u)
-        for k in (j - 1, j):
-            if 0 <= k < len(us) and abs(u - us[k]) <= KINK_SNAP:
                 return 2 * k
+        if u != u:
+            return 2 * len(us) - 3
         return 2 * j - 1
 
     @cached_property
-    def rank_sides(self) -> Tuple[Tuple[Optional[float], Optional[float]], ...]:
-        """``(d_plus, d_minus)`` at each :meth:`rank` + 1, as floats: off
-        the domain ``(None, None)``, at a breakpoint the slopes of its two
-        segments (``-inf`` right of the last, ``+inf`` left of the first),
-        inside a segment its slope twice."""
-        slopes = [float(s) for s in self._slopes]
+    def rank_sides(self) -> Tuple[Tuple[Optional[object], Optional[object]], ...]:
+        """``(d_plus, d_minus)`` at each :meth:`rank` + 1, in the slopes' own
+        type: off the domain ``(None, None)``, at a breakpoint the slopes of
+        its two segments (``-inf`` right of the last, ``+inf`` left of the
+        first), inside a segment its slope twice."""
+        s = self._slopes
         sides = [(None, None)]
-        for k in range(len(slopes) + 1):
-            sides.append((slopes[k] if k < len(slopes) else -INF,
-                          slopes[k - 1] if k else INF))
-            if k < len(slopes):
-                sides.append((slopes[k], slopes[k]))
-        sides.append((None, None))
-        return tuple(sides)
+        for right, left in zip(s, (INF,) + s):  # breakpoint k, then segment k
+            sides += [(right, left), (right, right)]
+        return (*sides, (-INF, s[-1]), (None, None))
 
     @cached_property
     def peak(self):
@@ -184,12 +168,17 @@ class PiecewiseFrontier:
 @dataclass(frozen=True)
 class ParametricFrontier:
     """Frontier given by a callable ``fn`` and its derivative ``dfn`` on a
-    closed interval."""
+    closed interval, finite ``u_lo < u_hi``."""
 
     fn: Callable[[float], float]
     u_lo: float
     u_hi: float
     dfn: Callable[[float], float]
+
+    def __post_init__(self):
+        if not -INF < self.u_lo < self.u_hi < INF:
+            raise ModelAssumptionError(
+                f"a frontier domain needs finite u_lo < u_hi, got [{self.u_lo}, {self.u_hi}]")
 
     def value(self, u):
         if u < self.u_lo or u > self.u_hi:

@@ -461,6 +461,10 @@ BAD_CONFIGS = {
         "technology": A_TECH, "mechanism": dict(MECH, reward=0.9)}),
     "shadows-not-a-list": ("ui-sweep", 1, "config error: 'shadows'", {
         "technology": UI_TECH, "shadows": 0.5, "distribution": EXP_8}),
+    # zero rows held the gain bound vacuously: exit 0, "gain_within_bound": true
+    "shadows-empty": ("ui-sweep", 1,
+                      "config error: 'shadows' must be a non-empty list of numbers", {
+        "technology": UI_TECH, "shadows": [], "distribution": EXP_8}),
     "oracle-x-not-a-number": ("oracle", 1, "config error: 'x'", {
         "technology": A_TECH, "beta": 0.5,
         "mechanism": {"x": ["a"], "x1": [0.9]}}),

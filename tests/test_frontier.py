@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,36 @@ def test_piecewise_rejects_non_concave():
         PiecewiseFrontier(((0.0, 0.0), (0.0, 1.0)))  # duplicate u
     with pytest.raises(ModelAssumptionError):
         PiecewiseFrontier(((0.0, 0.0),))  # single point
+
+
+@pytest.mark.parametrize("points, bad", [
+    # two points have no slope pair to compare, so these used to be accepted
+    (((0, math.nan), (1, 1)), "(0, nan)"),
+    (((0, 0), (1, math.inf)), "(1, inf)"),
+    # this one was refused as a "flat segment"
+    (((0, 0), (math.inf, 1)), "(inf, 1)"),
+    (((-math.inf, 0), (0, 1), (1, 0)), "(-inf, 0)"),
+])
+def test_piecewise_rejects_non_finite_breakpoints(points, bad):
+    with pytest.raises(ModelAssumptionError, match=f"must be finite, got {re.escape(bad)}"):
+        PiecewiseFrontier(points)
+
+
+def test_piecewise_accepts_exact_breakpoints_past_the_float_range():
+    big = Fraction(10) ** 400
+    assert PiecewiseFrontier(((big, 0), (2 * big, 1))).peak == (2 * big, 1)
+
+
+@pytest.mark.parametrize("u_lo, u_hi", [
+    (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0),
+    (0.0, 0.0), (1.0, 0.0),
+])
+def test_parametric_rejects_a_non_finite_or_empty_domain(u_lo, u_hi):
+    # u_hi = nan used to pass until peak raised SolverError "no down-crossing
+    # bracket on [0.0, nan]"
+    with pytest.raises(ModelAssumptionError,
+                       match=re.escape(f"finite u_lo < u_hi, got [{u_lo}, {u_hi}]")):
+        ParametricFrontier(fn=lambda u: u, u_lo=u_lo, u_hi=u_hi, dfn=lambda u: 1.0)
 
 
 def test_piecewise_peak(pair_a):

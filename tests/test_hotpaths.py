@@ -1,16 +1,17 @@
 """Hot paths against straightforward references, compared bit for bit.
 
 The fast ``cdf``/``cdf_left`` lookups and run masses, the one-pass
-``payoff``, the one-bisection ``PiecewiseFrontier.derivs`` and its
-``rank`` must return exactly what the plain implementations kept here as
-oracles return.  Every such comparison is exact equality (floats by
-``.hex()``), never approximate.  The payoff-free deadline bracket sums
-its terms in another order than a per-atom loop once ``f1`` is piecewise
-(run by run of atoms that share a slope), so it is held to an exact
-``Fraction`` oracle instead: within the float summation bound
-``len(atoms) * 2**-52 * (|alpha| + sum |p_k s_k|)``, with the exact sign
-outside it, and infinite where a domain-end slope enters.  The last tests
-count work instead of timing it: one ``optimize_deadline`` call may
+``payoff``, and ``PiecewiseFrontier.derivs``, read off the table of its
+one-bisection ``rank``, must return exactly what the plain
+implementations kept here as oracles return.  Every such comparison is
+exact equality (floats by ``.hex()``), never approximate.  The
+payoff-free deadline bracket sums its terms in another order than a
+per-atom loop once ``f1`` is piecewise (run by run of atoms that share a
+slope), so it is held to an exact ``Fraction`` oracle instead: within
+the float summation bound ``len(atoms) * 2**-52 * (|alpha| + sum
+|p_k s_k|)``, with the exact sign outside it, and infinite where a
+domain-end slope enters.  The last tests count work instead of timing
+it: one ``optimize_deadline`` call may
 compute only the payoffs it reads and reads the bracket at few atoms (one
 binary search over them when ``f0`` is affine, and no more than the
 pruning leaves otherwise) and closes a crossing piece by Brent's method
@@ -337,19 +338,31 @@ def test_piecewise_derivs_fraction_inputs(f0_exact, f1_exact):
 
 
 def test_rank_places_as_derivs(f1_exact):
-    # the ranks the piecewise bracket bisects on: rank_sides at the rank is
-    # derivs, and the rank never falls as u rises
+    # derivs is rank_sides at the rank, so the table read at the rank must
+    # be the reference's answer exactly, slope types and NaN included, for
+    # float and exact queries on float and Fraction frontiers; and the rank
+    # never falls as u rises among queries of one type (a float query's
+    # distance to a Fraction breakpoint is rounded, an exact one's is not,
+    # so the two snap edges differ by roundoff)
     rng = random.Random(12)
-    frontiers = [PiecewiseFrontier(A_F1_POINTS), f1_exact]
+    exact_random = PiecewiseFrontier(tuple(
+        (Fraction(u).limit_denominator(100), Fraction(v).limit_denominator(10 ** 6))
+        for u, v in random_concave_points(rng, 6)))
+    frontiers = [PiecewiseFrontier(A_F1_POINTS), f1_exact, exact_random]
     frontiers += [PiecewiseFrontier(random_concave_points(rng, k))
                   for k in (2, 3, 4, 7, 12) for _ in range(4)]
     for f in frontiers:
-        qs = sorted(float(u) for u in probe_points(rng, f._us) if u == u)
-        ranks = [f.rank(u) for u in qs]
-        assert ranks == sorted(ranks)
-        for u, k in zip(qs, ranks):
-            want = tuple(None if d is None else float(d) for d in f.derivs(u))
-            assert exact(f.rank_sides[k + 1]) == exact(want), (f.points, u)
+        qs = probe_points(rng, f._us)
+        offsets = (0, Fraction(1, 10 ** 10), -Fraction(1, 10 ** 9), Fraction(1, 10 ** 8))
+        qs += [Fraction(u) + off for u in f._us for off in offsets]
+        for u in qs:
+            assert exact(f.rank_sides[f.rank(u) + 1]) == exact(derivs_reference(f, u)), (
+                f.points, u)
+        assert f.rank(math.nan) == 2 * len(f._us) - 3  # the last segment
+        for kind in (float, Fraction):
+            ranks = [f.rank(u) for u in sorted(u for u in qs
+                                               if isinstance(u, kind) and u == u)]
+            assert ranks == sorted(ranks), (f.points, kind)
 
 
 # ---------------------------------------------------------------- deadline ---
@@ -516,6 +529,23 @@ def test_piecewise_brackets_match_the_exact_sums():
                 for t in dist.times if t < T for u in pair.f1._us[1:-1])
     # every edge the probes aim at is reached
     assert min(seen.values()) >= 20, seen
+
+
+def test_exact_pair_brackets_are_pinned(f0_exact, f1_exact):
+    # the brackets of a Fraction pair, recorded while the rank still placed
+    # rewards against a float copy of the breakpoints: inside a piece, on
+    # the kink event where atom 2's reward reaches the breakpoint 4/5, and
+    # at atom 3
+    pair = TechnologyPair.build(f0_exact, f1_exact, 1.0)
+    dist = discretize("exponential", 8, rate=1.0)
+    kink = float.fromhex("0x1.a0a0fbdab42a8p+0")
+    assert kink == dist.times[2] + deadline._deadline_for(pair, 0.8)
+    assert abs(deadline_reward(pair, kink, dist.times[2]) - 0.8) <= KINK_SNAP
+    pins = {1.0: ("0x1.4000000000000p-1", "0x1.4000000000000p-1"),
+            kink: ("0x1.9999999999998p-4", "0x1.0000000000000p-2"),
+            dist.times[3]: ("0x1.6666666666666p-1", "0x1.8cccccccccccdp-1")}
+    for T, want in pins.items():
+        assert tuple(b.hex() for b in _brackets(pair, dist, T, _alpha(pair))) == want, T
 
 
 def test_brackets_reject_bad_deadlines(pair_a, dist_k2):
