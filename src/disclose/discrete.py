@@ -234,7 +234,28 @@ def undominated_scan(f0, f1, beta, horizon: int,
     tested per level: it holds exactly when ``x1 >= x[H-1]``, but in floats
     the rounded right-hand side need not be monotone in the level.  Paths
     grow one period at a time, with no recursion, so a long horizon is no
-    deeper than a short one."""
+    deeper than a short one.
+
+    *Period-0 pruning.*  The period-0 reward ``x1[0]`` enters only payoff
+    coordinate 0, which is its discounted frontier term alone (no flow is
+    paid before period 0), and no incentive constraint but its own.  So
+    within one flow path and one tail ``(x1[1], ...)``, an admissible
+    period-0 level whose term is below another's is strictly dominated by
+    that level's mechanism, which shares every other coordinate.  A
+    dominated mechanism sorted after its dominator is never kept: the
+    dominator is kept, or a kept entry dominates both.  Nor is it needed
+    to prune others, since its dominator dominates all it does.  Each
+    path therefore grows only with the period-0 levels no other admissible
+    one beats; these are tabulated once per scan for every suffix of the
+    sorted levels (after the stationary clause at horizon 1, per flow
+    path).  Ties are kept, since equal payoff vectors are both kept.  On
+    the integer path a dominator's sum is strictly larger, so it always
+    sorts first and only the maximal terms are kept.  A rounded float sum
+    is only weakly larger (``sum`` is non-decreasing in each term) and can
+    tie, and the lower reward index then sorts first; so on the float path
+    a level is beaten only by a larger term at a lower index.  The
+    survivors keep their order, as the sort key ``(-sum, idx, r)`` is
+    unique."""
     if not (0 < beta < 1):
         raise ConfigError(f"discount factor must be in (0, 1), got {beta}")
     if horizon < 1:
@@ -292,6 +313,25 @@ def undominated_scan(f0, f1, beta, horizon: int,
     order = sorted(range(len(rs)), key=rs.__getitem__)
     ranked = [rs[j] for j in order]
 
+    # period-0 pruning: unbeaten(cands) keeps the levels of cands whose
+    # period-0 term no other one beats, best[i] those of order[i:]
+    first = reward_terms[0]
+
+    def unbeaten(cands):
+        if exact:
+            top = max(map(first.__getitem__, cands), default=None)
+            return [j for j in cands if first[j] == top]
+        # a rounded sum may tie its dominator's, and the lower reward index
+        # then sorts first: only a level of lower index beats another
+        kept, top = [], None
+        for j in sorted(cands):
+            if top is None or not top > first[j]:
+                kept.append(j)
+                if top is None or first[j] > top:
+                    top = first[j]
+        return kept
+
+    best = [unbeaten(order[i:]) for i in range(len(order) + 1)] if horizon > 1 else ()
     periods = range(horizon - 2, -1, -1)
     feasible = []
     for idx in itertools.product(range(len(xs)), repeat=horizon):
@@ -304,12 +344,19 @@ def undominated_scan(f0, f1, beta, horizon: int,
             totals.append(totals[s] + flow_terms[s][idx[s]])
         never = totals[-1] + never_terms[idx[-1]]
         # reward index paths, grown from the last period back
-        tails = [(j,) for j in order[bisect_left(ranked, x0[-1]):]
-                 if not rs[j] < delay[-1] + nexts[j]]
-        for s in periods:
-            lo = bisect_left(ranked, x0[s])
+        last = [j for j in order[bisect_left(ranked, x0[-1]):]
+                if not rs[j] < delay[-1] + nexts[j]]
+        if horizon == 1:
+            tails = [(j,) for j in unbeaten(last)]
+        else:
+            tails = [(j,) for j in last]
+            for s in periods[:-1]:
+                lo = bisect_left(ranked, x0[s])
+                tails = [(j,) + t for t in tails
+                         for j in order[max(lo, bisect_left(ranked, delay[s] + nexts[t[0]])):]]
+            lo = bisect_left(ranked, x0[0])
             tails = [(j,) + t for t in tails
-                     for j in order[max(lo, bisect_left(ranked, delay[s] + nexts[t[0]])):]]
+                     for j in best[max(lo, bisect_left(ranked, delay[0] + nexts[t[0]]))]]
         for r in tails:
             payoffs = [t + col[j] for t, col, j in zip(totals, reward_terms, r)]
             payoffs.append(never)

@@ -96,6 +96,9 @@ class UiPrimitives:
             raise ConfigError("the f0 peak utility or its consumption overflows a "
                               "float, or f0 does at the domain top "
                               f"(a={self.a}, shadow={self.shadow})")
+        if top == 0.0:  # the domain [0, 2 u0] would be empty
+            raise ConfigError("the f0 peak utility (a/shadow)**(a/(1-a)) underflows "
+                              f"to 0 (a={self.a}, shadow={self.shadow})")
 
 
 def _f0_fns(a: float, lam: float):

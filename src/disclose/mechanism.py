@@ -160,7 +160,8 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     ``exp(-r a)`` at each grid point are computed once, and the atoms, being
     sorted, walk the cells forward, each computing ``exp(-r t)`` once and its
     continuation value as :func:`continuation_at` does, so the cost is
-    O(cells + atoms).
+    O(cells + atoms).  Every atom of the last cell has the same reward, so
+    ``f1`` is read once for all of them.
     """
     r = pair.r
     grid, levels, reward = m.grid, m.levels, m.reward
@@ -184,6 +185,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
 
     prof = continuation_profile(m, r)
     f1_value = pair.f1.value
+    v_last = None            # f1 at the last cell's reward, read once
     terms = []
     i = 0
     for t, p in zip(dist.times, dist.probs):
@@ -193,14 +195,15 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
             return NEG_INF
         e = math.exp(-r * t)
         pre = prefix[i] + (flow_vals[i] or 0.0) * (disc[i] - e)
-        if reward is not None:
-            x = reward[i]
-        elif i == n - 1:
-            x = levels[-1]
+        if i == n - 1:
+            if v_last is None:
+                v_last = f1_value(levels[-1] if reward is None else reward[-1])
+            v1 = v_last
+        elif reward is not None:
+            v1 = f1_value(reward[i])
         else:
             d = math.exp(-r * (grid[i + 1] - t))
-            x = (1.0 - d) * levels[i] + d * prof[i + 1]
-        v1 = f1_value(x)
+            v1 = f1_value((1.0 - d) * levels[i] + d * prof[i + 1])
         if is_neg_inf(v1):
             return NEG_INF
         terms.append(p * (pre + e * float(v1)))

@@ -396,6 +396,7 @@ MECH = {"grid": [0.0, 1.0], "levels": [1.0, 0.3]}
 SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
 SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
 UI_OVERFLOW = "config error: the f0 peak utility or its consumption overflows"
+UI_UNDERFLOW = "config error: the f0 peak utility (a/shadow)**(a/(1-a)) underflows to 0"
 SLOPE_NEVER = "config error: search-cost slope never exceeds the wage"
 SLOPE_OVERFLOW = "config error: search-cost slope overflows a float at labor L="
 CONSUMPTION_OVERFLOW = "config error: compensating consumption overflows a float"
@@ -526,6 +527,13 @@ BAD_CONFIGS = {
         "technology": dict(UI_TECH, shadow=1e-200), "distribution": EXP_8}),
     "ui-sweep-tiny-shadow": ("ui-sweep", 1, UI_OVERFLOW, {
         "technology": UI_TECH, "shadows": [0.5, 1e-200], "distribution": EXP_8}),
+    # a peak utility that underflows to 0 left an empty frontier domain, exit 2
+    "ui-peak-underflow": ("solve-deadline", 1, UI_UNDERFLOW, {
+        "technology": dict(UI_TECH, a=0.9, b=2, w=1, shadow=1e300),
+        "distribution": EXP_8}),
+    "ui-sweep-huge-shadow": ("ui-sweep", 1, UI_UNDERFLOW, {
+        "technology": dict(UI_TECH, a=0.9), "shadows": [0.5, 1e300],
+        "distribution": EXP_8}),
     # f0 = u - shadow u**(1/a) overflows at the domain top 2 u0 once a < ~9.8e-4
     "ui-tiny-a": ("solve-deadline", 1, UI_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.0005), "distribution": EXP_8}),

@@ -262,8 +262,31 @@ def scan_inputs(draw):
             [level(k) for k in reward_grid])
 
 
+def frontiers(f0_points, f1_points, scale=1):
+    return tuple(PiecewiseFrontier(tuple((u, v * scale) for u, v in p))
+                 for p in (f0_points, f1_points))
+
+
+EXACT_A = frontiers(A_F0_EXACT, A_F1_EXACT)
+FLOAT_A = frontiers(A_F0_POINTS, A_F1_POINTS)
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_inputs())
+# period-0 ties: a repeated reward level, and levels 0 and 9/5, which share
+# the f1 value 3/5; equal payoff vectors are all kept
+@example((*EXACT_A, BETA, 1, [Fr(4, 5), Fr(1)], [Fr(1), Fr(9, 10), Fr(1)]))
+@example((*EXACT_A, BETA, 3, [Fr(0)], [Fr(0), Fr(9, 5), Fr(0)]))
+@example((*FLOAT_A, 0.5, 1, [0.0], [0.0, 1.8, 0.0]))
+@example((*FLOAT_A, 0.5, 3, [0.8, 1.0], [1.0, 0.9, 1.0]))
+# f1 is an ulp higher at 0.9 than at 0.6, and the rounded payoff sums tie,
+# so the dominated level 0.6 sorts first, by its lower index, and is kept
+@example((*frontiers(A_F0_POINTS, A_F1_POINTS, 0.6), 0.01, 1, [0.3], [0.6, 0.9]))
+@example((*frontiers(A_F0_POINTS, A_F1_POINTS, 0.6), 0.01, 3, [0.2], [0.6, 0.9]))
+# the float stationary clause refuses the best period-0 level 1/10, so the
+# horizon-1 pruning must come after it
+@example((*frontiers(A_F0_EXACT, A_F1_EXACT, Fr(1, 2)), 0.01, 1,
+          [Fr(1, 10)], [Fr(1, 10), Fr(9, 5)]))
 # the first two kept entries tie on the payoff sum, so their order is the
 # enumeration order: flow path outer, reward path inner
 @example((PiecewiseFrontier(A_F0_EXACT), PiecewiseFrontier(A_F1_EXACT), BETA, 2,

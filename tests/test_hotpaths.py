@@ -12,7 +12,8 @@ the float summation bound ``len(atoms) * 2**-52 * (|alpha| + sum
 |p_k s_k|)``, with the exact sign outside it, and infinite where a
 domain-end slope enters.  The last tests count work instead of timing
 it: one ``optimize_deadline`` call may
-compute only the payoffs it reads and reads the bracket at few atoms (one
+compute only the payoffs it reads, a payoff reads ``f1`` once for all the
+atoms of its last cell, and a solve reads the bracket at few atoms (one
 binary search over them when ``f0`` is affine, and no more than the
 pruning leaves otherwise) and closes a crossing piece by Brent's method
 when ``f1`` is parametric and by a binary search over its kink events
@@ -608,6 +609,30 @@ def test_optimize_deadline_computes_only_read_payoffs(request, monkeypatch, case
     assert counts["payoff"] <= candidates + 1
     # deadline mechanisms derive their reward: one profile per payoff
     assert counts["continuation_profile"] == counts["payoff"]
+
+
+@pytest.mark.parametrize("case", ["affine-exp64", "kinked", "insurance"])
+def test_payoff_reads_f1_once_in_the_last_cell(request, monkeypatch, case):
+    # every atom of the last cell has the same reward, so f1 is read once
+    # for all of them: once for the never-stop profile, and once per atom
+    # before T plus once for a deadline T
+    pair, dist = deadline_case(request, case)
+    reads = Counter()
+    value = type(pair.f1).value
+
+    def counted(self, u):
+        reads[self is pair.f1] += 1
+        return value(self, u)
+
+    monkeypatch.setattr(type(pair.f1), "value", counted)
+    times = dist.times
+    for T in (math.inf, times[0], times[len(times) // 2],
+              (times[5] + times[6]) / 2, times[-1], 2 * times[-1]):
+        reads.clear()
+        p = payoff(deadline.deadline_mechanism(pair, T), pair, dist)
+        assert isinstance(p, float)
+        before = sum(t < T for t in times)
+        assert reads[True] == (1 if T == math.inf else before + (before < len(times)))
 
 
 # bracket evaluations: the T_hi doubling, the threshold, the atoms the
