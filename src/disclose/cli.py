@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import Optional
 
 from . import euler, insurance
@@ -231,9 +231,7 @@ def _cmd_solve_deadline(cfg: dict, out_dir: str, tols: dict):
         "T": best.T,
         "t_underline": best.t_underline,
         "payoff": best.payoff,
-        "foc": {"pi_plus": best.foc.pi_plus, "pi_minus": best.foc.pi_minus,
-                "alpha": best.foc.alpha, "satisfied": best.foc.satisfied,
-                "tol": best.foc.tol},
+        "foc": asdict(best.foc),
         "warnings": list(best.warnings),
     }, 0
 
@@ -370,11 +368,8 @@ def _cmd_ui_sweep(cfg: dict, out_dir: str, tols: dict):
     if not shadows:  # no rows would hold the gain bound vacuously
         raise ConfigError("'shadows' must be a non-empty list of numbers, got []")
     rows = insurance.welfare_sweep(prims, shadows, dist, r)
-    _write_csv(out_dir, "sweep.csv",
-               ("shadow", "u0", "t_deadline", "pi_deadline", "pi_path",
-                "gain", "ratio", "gap_bound", "eps_linear"),
-               [(w.shadow, w.u0, w.t_deadline, w.pi_deadline, w.pi_path,
-                 w.gain, w.ratio, w.gap_bound, w.eps_linear) for w in rows])
+    _write_csv(out_dir, "sweep.csv", [f.name for f in fields(insurance.SweepRow)],
+               map(astuple, rows))
     return {
         "rows": [{"shadow": w.shadow, "pi_deadline": w.pi_deadline,
                   "pi_path": w.pi_path, "gain": w.gain, "ratio": w.ratio,

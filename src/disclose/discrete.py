@@ -205,8 +205,9 @@ def undominated_scan(f0, f1, beta, horizon: int,
 
     The result equals, in value, type and order, checking each mechanism
     with :func:`ic_discrete` and scoring it with :func:`payoff_vector` in
-    ``itertools.product`` order (flow path outer, reward path inner), then
-    stable-sorting by decreasing payoff sum.  Each frontier is read once per
+    ``itertools.product`` order (flow path outer, reward path inner),
+    stable-sorting by decreasing payoff sum and dropping every mechanism
+    another one dominates.  Each frontier is read once per
     grid level, and a level off its frontier's domain is dropped there,
     since every mechanism holding it has a NEG_INF coordinate.
 
@@ -241,21 +242,24 @@ def undominated_scan(f0, f1, beta, horizon: int,
     paid before period 0), and no incentive constraint but its own.  So
     within one flow path and one tail ``(x1[1], ...)``, an admissible
     period-0 level whose term is below another's is strictly dominated by
-    that level's mechanism, which shares every other coordinate.  A
-    dominated mechanism sorted after its dominator is never kept: the
-    dominator is kept, or a kept entry dominates both.  Nor is it needed
-    to prune others, since its dominator dominates all it does.  Each
-    path therefore grows only with the period-0 levels no other admissible
-    one beats; these are tabulated once per scan for every suffix of the
-    sorted levels (after the stationary clause at horizon 1, per flow
-    path).  Ties are kept, since equal payoff vectors are both kept.  On
-    the integer path a dominator's sum is strictly larger, so it always
-    sorts first and only the maximal terms are kept.  A rounded float sum
-    is only weakly larger (``sum`` is non-decreasing in each term) and can
-    tie, and the lower reward index then sorts first; so on the float path
-    a level is beaten only by a larger term at a lower index.  The
-    survivors keep their order, as the sort key ``(-sum, idx, r)`` is
-    unique."""
+    that level's mechanism, which shares every other coordinate.  Such a
+    mechanism is never in the result, and dropping it changes nothing
+    else: a dominated mechanism's undominated dominators are never dropped.
+    Each path therefore grows only with the period-0 levels whose term is
+    not below the largest; these are tabulated once per scan for every
+    suffix of the sorted levels (after the stationary clause at horizon 1,
+    per flow path).  Ties are kept, since equal payoff vectors are both
+    kept.
+
+    *Dominance prune.*  The entries are sorted by the unique key ``(-sum,
+    idx, r)`` and each is kept unless a kept one dominates it; as dominance
+    is transitive, this drops no undominated entry and misses a dominated
+    one only if it sorts before all its dominators.  A dominator's sum is
+    never below its victim's (float ``+`` is monotone in each term), and on
+    the integer path it is strictly above, so that happens only when
+    rounded float sums tie.  A last pass over the kept entries drops each
+    one another kept entry dominates: every dominated entry has an
+    undominated dominator, and that one is kept."""
     if not (0 < beta < 1):
         raise ConfigError(f"discount factor must be in (0, 1), got {beta}")
     if horizon < 1:
@@ -318,18 +322,8 @@ def undominated_scan(f0, f1, beta, horizon: int,
     first = reward_terms[0]
 
     def unbeaten(cands):
-        if exact:
-            top = max(map(first.__getitem__, cands), default=None)
-            return [j for j in cands if first[j] == top]
-        # a rounded sum may tie its dominator's, and the lower reward index
-        # then sorts first: only a level of lower index beats another
-        kept, top = [], None
-        for j in sorted(cands):
-            if top is None or not top > first[j]:
-                kept.append(j)
-                if top is None or first[j] > top:
-                    top = first[j]
-        return kept
+        top = max(map(first.__getitem__, cands), default=None)
+        return [j for j in cands if not top > first[j]]
 
     best = [unbeaten(order[i:]) for i in range(len(order) + 1)] if horizon > 1 else ()
     periods = range(horizon - 2, -1, -1)
@@ -367,13 +361,14 @@ def undominated_scan(f0, f1, beta, horizon: int,
         return all(map(operator.ge, a, b)) and a != b
 
     # decreasing payoff sum, ties in product order; (idx, r) is unique, so
-    # the payoffs themselves are never compared.  Any dominator has a
-    # strictly larger sum, so the kept front stands in for the whole set
+    # the payoffs themselves are never compared.  The last pass drops an
+    # entry that sorted before its dominator on a tie of rounded sums
     feasible.sort()
     keep = []
     for e in feasible:
         if not any(dominates(o[3], e[3]) for o in keep):
             keep.append(e)
+    keep = [e for e in keep if not any(dominates(o[3], e[3]) for o in keep)]
     if exact:
         # payoff k is a multiple of q**(horizon - k) and "never" one of q:
         # dividing that out of both sides first leaves Fraction a smaller

@@ -67,9 +67,9 @@ def is_neg_inf(v) -> bool:
 class PiecewiseFrontier:
     """Concave piecewise-linear frontier defined by its breakpoints.
 
-    Breakpoint coordinates must be finite, abscissae strictly increasing
-    and segment slopes strictly decreasing (strict concavity).  A zero-slope
-    segment would make the peak non-unique and is rejected.
+    Breakpoint coordinates and segment slopes must be finite, abscissae
+    strictly increasing and slopes strictly decreasing (strict concavity).
+    A zero-slope segment would make the peak non-unique and is rejected.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -86,6 +86,9 @@ class PiecewiseFrontier:
                 raise ModelAssumptionError(
                     f"breakpoint abscissae must be strictly increasing, got {u0} then {u1}")
         slopes = tuple((v1 - v0) / (u1 - u0) for (u0, v0), (u1, v1) in zip(pts, pts[1:]))
+        for s in slopes:
+            if not -INF < s < INF:
+                raise ModelAssumptionError(f"segment slopes must be finite, got {s}")
         for s0, s1 in zip(slopes, slopes[1:]):
             if not s1 < s0:
                 raise ModelAssumptionError(

@@ -109,8 +109,8 @@ def reference_scan(f0, f1, beta, horizon: int, x_grid, reward_grid) -> tuple:
     Every ``(x, x1)`` in ``itertools.product`` order is built as a
     ``DiscreteMechanism``, checked with ``ic_discrete`` and scored with
     ``payoff_vector``; one with a NEG_INF coordinate is dropped.  The rest
-    are sorted by decreasing payoff sum (stable) and kept unless a kept
-    entry weakly dominates them."""
+    are sorted by decreasing payoff sum (stable) and kept unless another of
+    them weakly dominates it."""
     feasible = []
     for x in itertools.product(x_grid, repeat=horizon):
         for x1 in itertools.product(reward_grid, repeat=horizon):
@@ -126,11 +126,7 @@ def reference_scan(f0, f1, beta, horizon: int, x_grid, reward_grid) -> tuple:
         return ge and any(pa > pb for pa, pb in zip(a.payoffs, b.payoffs))
 
     feasible.sort(key=lambda e: sum(e.payoffs), reverse=True)
-    keep = []
-    for e in feasible:
-        if not any(dominates(o, e) for o in keep):
-            keep.append(e)
-    return tuple(keep)
+    return tuple(e for e in feasible if not any(dominates(o, e) for o in feasible))
 
 
 def translated(pair: TechnologyPair, k: float) -> TechnologyPair:

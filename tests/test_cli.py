@@ -486,6 +486,13 @@ BAD_CONFIGS = {
     "oracle-horizon-1e9": ("oracle", 1, "config error: scan over budget", {
         "technology": A_TECH, "beta": 0.5, "horizon": 10 ** 9,
         "x_grid": [0.9], "reward_grid": [0.9]}),
+    # finite breakpoints, but the first slope overflows: the scan wrote a
+    # nan payoff row and exited 0
+    "oracle-infinite-slope": ("oracle", 2,
+                              "model assumption violated: segment slopes must be finite, "
+                              "got inf", {
+        "technology": dict(A_TECH, f1=[[0, 0.6], [5e-324, 1.2], [0.8, 1.4], [1.8, 0.6]]),
+        "beta": 0.5, "horizon": 1, "x_grid": [0.0], "reward_grid": [0.0, 0.9, 1.0]}),
     "config-root-a-list": ("solve-deadline", 1,
                            "config error: config root must be a JSON object", []),
     "unknown-technology-kind": ("solve-deadline", 1,

@@ -249,6 +249,11 @@ def scan_inputs(draw):
     grid = st.lists(st.sampled_from(LEVELS), min_size=1,
                     max_size=MAX_LEVELS[horizon])   # unsorted, repeats allowed
     x_grid, reward_grid = draw(grid), draw(grid)
+    if draw(st.booleans()):
+        # two flow levels mirrored about f0's peak at 1 have equal values,
+        # up to roundoff in floats, so float payoffs nearly tie
+        k = draw(st.sampled_from(LEVELS))
+        x_grid = x_grid[:MAX_LEVELS[horizon] - 2] + [k, 20 - k]
     beta = draw(st.integers(1, 99))
     # a value axis scaled by k/10, so frontier values are rarely round
     scale = draw(st.integers(5, 15))
@@ -271,6 +276,23 @@ EXACT_A = frontiers(A_F0_EXACT, A_F1_EXACT)
 FLOAT_A = frontiers(A_F0_POINTS, A_F1_POINTS)
 
 
+# entries dominated through a flow level, out of the period-0 pruning's
+# reach: (1.4, 0.3) beats (0.6, 0.3), and 0.9 beats its mirror 1.1, on the
+# same rewards; the rounded sums tie, so only the last pass over the kept
+# entries drops them
+FLOW_TIES = (
+    (*frontiers(A_F0_POINTS, A_F1_POINTS, 1.1), 0.5, 2, [0.6, 0.3, 1.4], [0.4, 1.3]),
+    (*frontiers(A_F0_POINTS, A_F1_POINTS, 1.1), 0.18, 1,
+     [1.1, 0.7, 0.9, -0.1, 1.4], [1.6, 1.8]),
+)
+
+
+def flow_ties(test):
+    for args in FLOW_TIES:
+        test = example(args)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_inputs())
 # period-0 ties: a repeated reward level, and levels 0 and 9/5, which share
@@ -280,9 +302,11 @@ FLOAT_A = frontiers(A_F0_POINTS, A_F1_POINTS)
 @example((*FLOAT_A, 0.5, 1, [0.0], [0.0, 1.8, 0.0]))
 @example((*FLOAT_A, 0.5, 3, [0.8, 1.0], [1.0, 0.9, 1.0]))
 # f1 is an ulp higher at 0.9 than at 0.6, and the rounded payoff sums tie,
-# so the dominated level 0.6 sorts first, by its lower index, and is kept
+# so the dominated level 0.6 would sort first, by its lower index; the
+# period-0 pruning drops it
 @example((*frontiers(A_F0_POINTS, A_F1_POINTS, 0.6), 0.01, 1, [0.3], [0.6, 0.9]))
 @example((*frontiers(A_F0_POINTS, A_F1_POINTS, 0.6), 0.01, 3, [0.2], [0.6, 0.9]))
+@flow_ties
 # the float stationary clause refuses the best period-0 level 1/10, so the
 # horizon-1 pruning must come after it
 @example((*frontiers(A_F0_EXACT, A_F1_EXACT, Fr(1, 2)), 0.01, 1,
@@ -303,6 +327,18 @@ def test_scan_equals_the_per_mechanism_reference(args):
     assert got == want
     # same types and signs of zero too, so the CLI writes the same bytes
     assert repr(got) == repr(want)
+
+
+def dominates(a, b) -> bool:
+    return all(pa >= pb for pa, pb in zip(a, b)) and a != b
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_inputs())
+@flow_ties
+def test_scan_keeps_no_entry_another_kept_one_dominates(args):
+    kept = [e.payoffs for e in undominated_scan(*args)]
+    assert not any(dominates(a, b) for a in kept for b in kept)
 
 
 def test_scan_long_horizon_is_not_recursive(f0_exact, f1_exact):

@@ -116,9 +116,24 @@ def test_piecewise_rejects_non_finite_breakpoints(points, bad):
         PiecewiseFrontier(points)
 
 
+@pytest.mark.parametrize("points, bad", [
+    # value(0.0) was NaN: inf times a zero offset
+    (((0, 0.6), (5e-324, 1.2), (0.8, 1.4), (1.8, 0.6)), "inf"),
+    # value(0.5) was inf
+    (((0, -1e308), (1, 1e308), (2, 0)), "inf"),
+    # both gaps overflow, and inf / inf is NaN
+    (((-1e308, -1e308), (1e308, 1e308)), "nan"),
+])
+def test_piecewise_rejects_an_infinite_slope(points, bad):
+    with pytest.raises(ModelAssumptionError, match=f"slopes must be finite, got {bad}$"):
+        PiecewiseFrontier(points)
+
+
 def test_piecewise_accepts_exact_breakpoints_past_the_float_range():
     big = Fraction(10) ** 400
     assert PiecewiseFrontier(((big, 0), (2 * big, 1))).peak == (2 * big, 1)
+    # and an exact slope past the float range
+    assert PiecewiseFrontier(((0, 0), (1, big), (2, 0))).peak == (1, big)
 
 
 @pytest.mark.parametrize("u_lo, u_hi", [
