@@ -227,8 +227,15 @@ def slope(f, u) -> float:
 
 
 def u_star(f0, f1) -> float:
-    """Rightmost ``u`` in ``[lo, u0]`` where ``f0`` and ``f1`` share a
-    non-negative supporting slope, ``lo`` the bottom of the shared domain.
+    """Rightmost local maximiser of the gap ``f1 - f0`` on ``[lo, u0]``,
+    ``lo`` the bottom of the shared domain: the rightmost ``u`` there where
+    ``f0`` and ``f1`` share a non-negative supporting slope, a domain edge
+    counting as a supporting slope.
+
+    Inside the domain the two frontiers share a supporting slope at
+    ``u_star``.  At an edge they need not: an insurance pair's slopes never meet, as
+    ``f0' > f1'`` at every level (see :mod:`insurance`), so its gap falls
+    from the bottom of the domain and ``u_star = lo`` is a corner.
 
     The non-negativity requirement is what makes the definition match the
     intended object (the local peak of the gap ``f1 - f0``): left of the
@@ -241,8 +248,8 @@ def u_star(f0, f1) -> float:
     breakpoint-by-breakpoint right to left (exact; preserves Fraction
     inputs).  Smooth pairs scan a 512-step grid of ``slope(f0) - slope(f1)``
     (:func:`slope`) right to left for the first point where it is <= 0,
-    then bisect that cell; if the slopes never cross, the frontiers share a
-    slope only at the bottom of the domain, which is then returned.
+    then bisect that cell; if the slopes never cross, the bottom of the
+    domain is returned.
     """
     u0 = f0.peak[0]
     lo = max(f0.u_lo, f1.u_lo)

@@ -39,10 +39,15 @@ it lowers ``gp``, which proves each end:
 
 At ``u = 0`` the ends coincide in exact arithmetic, so their slope signs
 are roundoff: an end read with the wrong sign becomes the bracket's other
-end, never trusted and never thrown away.  Brent's method then takes three
-or four more slope reads.  Each pair built by :func:`build_frontiers`
-memoizes the maximization per utility level; the memo is freed with the
-frontiers, so no state outlives them.
+end, never trusted and never thrown away.  Newton's method in log labor
+``s = log L`` then closes the bracket from its upper end.  The root solves
+``h(s) = (b-1) s + k log(u + e^(b s)) - log(a w / b) = 0``, and ``h`` is
+increasing and convex in ``s`` (its slope ``(b-1) + k b L**b / (u + L**b)``
+grows with L), so the iterates fall monotonically to the root without
+overshooting it, typically in two to five reads of ``h``, each one log
+and one power.  Each pair built by :func:`build_frontiers` memoizes the
+maximization per utility level; the memo is freed with the frontiers, so
+no state outlives them.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .errors import ConfigError
 from .euler import solve as solve_path
 from .frontier import ParametricFrontier, TechnologyPair, affine_gap
 from .mechanism import Mechanism, mechanism_rows
-from .numerics import brent_down
+from .numerics import EPS2, MAX_ITER
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
@@ -113,8 +118,9 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     The objective is strictly concave with slope ``w`` at L = 0, so the
     maximizer is the unique root of the strictly decreasing slope
     ``gp(L) = w - (b/a) L**(b-1) (u + L**b)**k``, ``k = (1-a)/a``, located by
-    Brent's method on a bracket in closed form.  Each bound drops or caps a
-    term of ``u + L**b``, which moves ``gp`` one way at every L:
+    Newton's method in log labor (:func:`_log_labor_newton`) on a bracket in
+    closed form.  Each bound drops or caps a term of ``u + L**b``, which
+    moves ``gp`` one way at every L:
 
     * ``hi = (a w / b)**(1/(b-1+b k))`` bounds it above: without ``u``,
       ``gp`` is larger and is 0 at ``hi``;
@@ -142,7 +148,7 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     def gp(L: float) -> float:
         return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** k
 
-    lo, f_lo, hi, f_hi = 0.0, w, math.inf, None
+    lo, hi, f_hi = 0.0, math.inf, None
     try:
         top = (a * w / b) ** (1.0 / (b - 1.0 + b * k))
         u_k = u ** k
@@ -154,11 +160,11 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
                 g = gp(x)
                 if g >= 0.0:
                     if x > lo:
-                        lo, f_lo = x, g
+                        lo = x
                 elif g < 0.0 and x < hi:
                     hi, f_hi = x, g
     except (OverflowError, ZeroDivisionError):
-        lo, f_lo, f_hi = 0.0, w, None
+        lo, f_hi = 0.0, None
     if f_hi is None:  # double from L = 1, reading gp only past the lower end
         hi = 1.0
         for _ in range(200):
@@ -174,13 +180,67 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
             hi *= 2.0
         else:  # a wage beyond the slope at L = 2**200
             raise ConfigError("search-cost slope never exceeds the wage")
-    l_star = brent_down(gp, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=1e-13 * hi)
+    l_star = _log_labor_newton(a, b, w, u, lo, hi)
     try:
         return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
     except OverflowError:
         raise ConfigError(
             f"compensating consumption overflows a float at labor L={l_star:g} "
             f"(a={a}, b={b}, w={w}, u={u:g})") from None
+
+
+def _log_labor_newton(a: float, b: float, w: float, u: float,
+                      lo: float, hi: float) -> float:
+    """The root of the labor slope ``gp`` on ``[lo, hi]``, given
+    ``gp(lo) >= 0 > gp(hi)``, by Newton's method in log labor ``s = log L``.
+
+    With ``k = (1-a)/a``, ``gp(L) < 0`` exactly where
+
+        h(s) = (b-1) s + k log(u + e^(b s)) - (log a + log w - log b)
+
+    is positive.  ``h`` is increasing and convex: its slope
+    ``h'(s) = (b-1) + k b L**b / (u + L**b)`` grows with L.  So Newton's
+    method started at ``hi``, where ``h > 0``, falls monotonically to the
+    root and never overshoots it in exact arithmetic; at ``u = 0`` ``h`` is
+    linear and one step lands on the root.  An iterate that roundoff puts
+    below ``lo`` is clamped to ``lo``, and the search stops there, at a read
+    with ``h <= 0``, at a step that makes no progress, or after a step whose
+    size or error bound is at roundoff.  The bound: a step from distance
+    ``e`` above the root leaves at most ``(b/2) e**2``, as
+    ``h'' = k b**2 q (1 - q)``, ``q = L**b / (u + L**b)``, is at most
+    ``b h'``; and ``e <= h/(b-1)``, as ``h' >= b-1``.  Every read is at a
+    labor level in ``[lo, hi]``, so ``L**b`` is at most ``hi**b``, which
+    ``gp(hi)`` has read already.  The constant is a sum of logs because
+    ``a w / b`` can underflow to 0.
+    """
+    k = (1.0 - a) / a
+    b1, kb = b - 1.0, k * b
+    c = math.log(a) + math.log(w) - math.log(b)
+    L, s = hi, math.log(hi)
+    for _ in range(MAX_ITER):
+        if u > 0.0:
+            e = L ** b
+            v = u + e
+            h = b1 * s + k * math.log(v) - c
+            slope = b1 + kb * e / v
+        else:  # log(u + L**b) is b s, even where L**b underflows
+            slope = b1 + kb
+            h = slope * s - c
+        if h <= 0.0:  # at the root, or past it by roundoff
+            return L
+        step = h / slope
+        s_next = s - step
+        L_next = math.exp(s_next)
+        if L_next <= lo:
+            return lo
+        if L_next >= L:
+            return L
+        L, s = L_next, s_next
+        tol = EPS2 * (-s if s < -1.0 else s if s > 1.0 else 1.0)  # max(1, |s|)
+        dist = h / b1  # bounds the distance the step started from
+        if step <= tol or 0.5 * b * dist * dist <= tol:
+            return L
+    return L
 
 
 @dataclass(frozen=True)

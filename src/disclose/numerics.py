@@ -2,27 +2,30 @@
 
 Every root found here stays bracketed by a sign change, and every search
 looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
-derivative (never Newton: several of the functions we solve have kinks or
-one-sided derivatives).  Bisection is the default.  :func:`brent_down`
-(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
-serves the solves of smooth functions: the ``f0`` slope inversion and the
-``psi`` root (the terminal level of a reward path) of a parametric pair,
-the crossing piece of a deadline search with a parametric ``f1``, the
-point where a parametric ``f0`` is parallel to its chord
-(``frontier.affine_gap``), and the insurance labor maximization.  There its
-interpolation steps converge superlinearly; on a step function it has no
-such step to take, so the ``psi`` root of a piecewise pair keeps bisection.
+derivative (several of the functions we solve have kinks or one-sided
+derivatives).  Bisection is the default.  :func:`brent_down` (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4) serves the
+solves of smooth functions: the ``f0`` slope inversion and the ``psi``
+root (the terminal level of a reward path) of a parametric pair, the
+crossing piece of a deadline search with a parametric ``f1``, and the point
+where a parametric ``f0`` is parallel to its chord
+(``frontier.affine_gap``).  There its interpolation steps converge
+superlinearly; on a step function it has no such step to take, so the
+``psi`` root of a piecewise pair keeps bisection.  Newton's method is used
+once, outside this module: the insurance labor maximization
+(``insurance._log_labor_newton``) solves a first-order condition that is
+increasing and convex in log labor, so Newton's iterates from the upper
+end of its bracket fall to the root without overshooting it.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
 its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
 a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:
 each answer is a kink, read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
 test for a sign change (``ParametricFrontier.peak``, the reward path's
-solves, ``affine_gap``), to sort the ends of a closed-form bracket by sign
-(the insurance labor maximization) or to split its span (the deadline
-pieces); :func:`bisect_up`
-alone reads ``-f`` at both ends itself.  Ends that do not straddle zero, a
-NaN end included, and a NaN from ``f`` raise :class:`SolverError`.
+solves, ``affine_gap``) or to split its span (the deadline pieces);
+:func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
+straddle zero, a NaN end included, and a NaN from ``f`` raise
+:class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import sys
 
 from .errors import SolverError
 
-# steps after which a bisection or Brent search stops and returns its estimate
+# steps after which a bisection, Brent or Newton search stops and returns
+# its estimate
 MAX_ITER = 200
 EPS = sys.float_info.epsilon
 EPS2 = 2.0 * EPS

@@ -25,7 +25,8 @@ The digests were recorded with CPython 3.11 on x86-64 Linux (glibc 2.36
 libm).  Another libm may round ``exp``/``log`` differently and so print other
 floats from correct code; there the comparison is skipped, and
 ``tests/test_hotpaths.py`` still checks the fast paths against in-process
-references (bit for bit, or within 1e-12 for the Brent inner solves).
+references (bit for bit, or within 1e-12 for the Brent and Newton inner
+solves).
 """
 
 from __future__ import annotations
@@ -175,25 +176,25 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            '462d89aae0099bc27c37b0b6855cd9474ef102bd45e194401fe55e7293e284eb',
+            '10314766bebd97064ff0c49cc1eacee84fa45918bdf89daed25c4c519609a760',
         'report.json':
-            'a16893c118854b468ec53d0475da8d895d3032fcf95b9fe9b1ea0b93cc80fbd0',
+            '1963a7c1affb8afe978d825716a57d3ce62553d6dc5232077933f93e5a81cc34',
         'residuals.csv':
-            '295b73f96aee6e2926b1757d9478c02afa9552098ff6686786059b730648f291',
+            'e64664598e1867b5d7166628cdc52182c19df745911c05ab7ab41d69ca32f29d',
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            '1c6a68107b315b15bfe2e8a6a1d18415531fc2196e0caf420cbaaf3697b21f43',
+            'dd352c067cea82d0648cc874389146895e7f9afbef107111dc550a18077bf961',
         'report.json':
-            'db731a1acd1e0602645caa0830103ee292cfaf73f8571a03bfcb3a69f998708a',
+            '327fbe6a4bb0db0079e73d3402e935d1b045ceee249e92197c9f5f95718cddbc',
         'schedule.csv':
-            '632c8c684c92ca0460413a694e5bc9956e9b484afb59f4b86d6dd2c56af275a9',
+            'ee83d8d8220e2b433903f32174cd183bd860adffe0c920a7e346af9df0f958b4',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
             '68d96c7f5fc2a12c2b65ecde1cb77cdd7c81dea07e73c87340e7b6813c0ce75f',
         'sweep.csv':
-            '9580bd2e4aef6de240811ecd9b2a0b846e40383de4155c0b9425a3e786f23f05',
+            'f397bc01d30084cea5f1b953dc0e2ba40c93262128c52ee2b217cfc029cc4876',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -255,11 +256,11 @@ GOLDEN = {
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            '34adb82204657de64980ac2991b6fc8383dd22fbd098e1b6591e28d428adf0cb',
+            '8cd089cf2dc903f34494ed39b842ae3c045882bfec53630861457084b284630b',
         'report.json':
             '5349c221ffb8c8abfe514a4f65ed38dd3f816d1d681a8abc215213cff19f04bd',
         'schedule.csv':
-            '67b9df42381d5a07af8d8a152742cffdd4c99e14691d38001f8bc4291e167e9e',
+            '54761418d90db515ad43c62f3b28e731b64cdd2e694c7deed8bdc923628afbb1',
     }),
     'verify-path': (2, {
         'report.json':

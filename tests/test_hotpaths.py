@@ -31,19 +31,22 @@ linear scan of its breakpoints, the oracle that the piecewise inversion
 also matches exactly on random ``Fraction`` frontiers).
 
 The three smooth root solves, the ``f0`` slope inversion and the ``psi``
-root of a parametric pair and the insurance labor maximization, use
-Brent's method and so may land a few ulps from where bisection lands: they
-are compared against in-test full-resolution bisections within 1e-12, as
-are the ``solve`` outputs built on them, and their slope evaluations per
-solve are counted.  Every bracket the labor maximization hands to Brent's
-method must straddle the root with the slope values read at its ends,
-also at the levels where roundoff decides the closed-form ends' signs.
+root of a parametric pair by Brent's method and the insurance labor
+maximization by Newton's method in log labor, may land a few ulps from
+where bisection lands: they are compared against in-test full-resolution
+bisections within 1e-12, as are the ``solve`` outputs built on them, and
+their slope evaluations per solve are counted.  Every Newton search of the
+labor maximization must start from the end of a bracket that straddles the
+root, by the slope signs read at its ends, and fall from it without leaving
+the bracket, also at the levels where roundoff decides the closed-form
+ends' signs.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -866,23 +869,17 @@ def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
 
 
 def test_welfare_sweep_leaves_no_state(monkeypatch):
-    # every inner maximization runs one root search; a process-wide cache
+    # every inner maximization runs one Newton search; a process-wide cache
     # would let the second sweep skip them
     calls = Counter()
-    orig = insurance.brent_down
-
-    def brent_down(*args, **kwargs):
-        calls["inner"] += 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(insurance, "brent_down", brent_down)
+    count_calls(monkeypatch, insurance, "_log_labor_newton", calls)
     dist = discretize("exponential", 4, rate=1.0)
     counts = []
     for _ in range(2):
         calls.clear()
         insurance.welfare_sweep(dataclasses.replace(SWEEP_PRIMS, w=1.2),
                                 SWEEP_SHADOWS, dist, 1.0)
-        counts.append(calls["inner"])
+        counts.append(calls["_log_labor_newton"])
     assert counts[0] > 0
     assert counts[1] == counts[0]
 
@@ -918,9 +915,14 @@ def inv_deriv_f0_reference(pair, y):
     return bisection_reference(g, ustar, u0)
 
 
+def labor_slope(a, b, w, u, L):
+    """``gp(L)``, the slope of the labor objective, as ``_inner_max`` reads it."""
+    return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
+
+
 def inner_max_reference(a, b, w, u):
     def gp(L):
-        return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
+        return labor_slope(a, b, w, u, L)
 
     hi = 1.0
     while gp(hi) >= 0.0:
@@ -1013,33 +1015,105 @@ def test_inner_max_matches_bisection():
                 assert abs(value - value_ref) <= INNER_TOL, (p, u)
 
 
-def test_inner_max_brackets_straddle_the_root(monkeypatch):
-    # whatever roundoff does to the closed-form ends, Brent's method gets a
-    # sign change and the slope values read at its ends
-    brackets = []
-    orig = insurance.brent_down
+def traced_newton_searches(run):
+    """Run ``run()`` and return one dict per Newton search in log labor: its
+    ``args`` ``(a, b, w, u, lo, hi)``, the labor ``levels`` its loop held in
+    turn, its ``reads`` of ``h`` (runs of the line that tests their sign)
+    and its ``result``."""
+    code = insurance._log_labor_newton.__code__
+    lines, first = inspect.getsourcelines(insurance._log_labor_newton)
+    read_line = first + next(i for i, line in enumerate(lines)
+                             if line.strip().startswith("if h <= 0.0"))
+    searches = []
 
-    def brent_down(f, lo, hi, *, f_lo, f_hi, tol_x):
-        brackets.append((f, lo, hi, f_lo, f_hi))
-        return orig(f, lo, hi, f_lo=f_lo, f_hi=f_hi, tol_x=tol_x)
+    def local(frame, event, arg):
+        search = searches[-1]
+        if event == "line":
+            L = frame.f_locals.get("L")
+            if L is not None and search["levels"][-1:] != [L]:
+                search["levels"].append(L)
+            search["reads"] += frame.f_lineno == read_line
+        elif event == "return":
+            search["result"] = arg
+        return local
 
-    monkeypatch.setattr(insurance, "brent_down", brent_down)
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        args = tuple(frame.f_locals[n] for n in ("a", "b", "w", "u", "lo", "hi"))
+        searches.append({"args": args, "levels": [], "reads": 0})
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(outer)
+    return searches
+
+
+def test_inner_max_brackets_straddle_the_root():
+    # whatever roundoff does to the closed-form ends, Newton's method starts
+    # at an end whose slope reads gp < 0 (h > 0) over one that reads
+    # gp >= 0, and falls from it without leaving the bracket
     rng = random.Random(9106)
-    n_calls = 0
-    for draw in (random_ui_primitives, bench_ui_primitives):
-        for _ in range(300):
-            p = draw(rng)
-            for u in inner_max_levels(p, rng):
-                insurance._inner_max(p.a, p.b, p.w, u)
-                n_calls += 1
-    assert len(brackets) == n_calls
-    for f, lo, hi, f_lo, f_hi in brackets:
-        assert f_lo >= 0.0 >= f_hi
-        assert f_lo == f(lo) and f_hi == f(hi)
+    levels = [(p, u) for draw in (random_ui_primitives, bench_ui_primitives)
+              for p in (draw(rng) for _ in range(300))
+              for u in inner_max_levels(p, rng)]
+
+    def run():
+        for p, u in levels:
+            insurance._inner_max(p.a, p.b, p.w, u)
+
+    searches = traced_newton_searches(run)
+    assert len(searches) == len(levels)
+    for search in searches:
+        a, b, w, u, lo, hi = search["args"]
+        assert labor_slope(a, b, w, u, lo) >= 0.0 > labor_slope(a, b, w, u, hi)
+        path = search["levels"]
+        assert path[0] == hi
+        assert all(x > y for x, y in zip(path, path[1:]))
+        assert lo <= path[-1] and lo <= search["result"] <= hi
     # both kinds of end occur: closed-form lower ends, and L = 0 where the
-    # closed-form lower end read a negative slope at a collapsed bracket
-    assert sum(lo > 0.0 for _, lo, *_ in brackets) >= 0.9 * n_calls
-    assert any(lo == 0.0 for _, lo, *_ in brackets)
+    # closed-form lower end read a negative slope at a collapsed bracket;
+    # so do steps clamped to the lower end, where the two ends coincide
+    assert sum(s["args"][4] > 0.0 for s in searches) >= 0.9 * len(searches)
+    assert any(s["args"][4] == 0.0 for s in searches)
+    assert any(s["result"] == s["args"][4] > 0.0 for s in searches)
+
+
+def zero_utility_labor(a, b, w):
+    """``L*`` at ``u = 0`` in closed form, ``(a w / b)**(1/(b-1+b k))``,
+    taken in logs so that ``a w / b`` may underflow."""
+    k = (1.0 - a) / a
+    return math.exp((math.log(a) + math.log(w) - math.log(b)) / (b - 1.0 + b * k))
+
+
+def test_inner_max_clamps_a_step_below_the_bracket():
+    # at u = 0 both closed-form ends read gp >= 0, so the growth loop sets
+    # hi = 1; the one Newton step from there lands below lo by roundoff and
+    # must stop at lo, not at the iterate it stepped from (L = 1)
+    a, b, w = 0.7517, 1.7565, 0.7347
+    searches = traced_newton_searches(lambda: insurance._inner_max(a, b, w, 0.0))
+    (search,) = searches
+    lo, hi = search["args"][4:]
+    assert 0.0 < lo < hi == 1.0
+    assert search["result"] == lo
+    assert insurance._inner_max(a, b, w, 0.0)[0] == pytest.approx(
+        zero_utility_labor(a, b, w), rel=1e-14)
+
+
+@pytest.mark.parametrize("u", [0.0, 5e-324, 0.3])
+def test_inner_max_at_the_smallest_wage(u):
+    # a w / b underflows to 0 at w = 5e-324: the FOC constant is a sum of
+    # logs, never the log of that product
+    a, b, w = 0.5, 2.0, 5e-324
+    l_star, value = insurance._inner_max(a, b, w, u)
+    assert 0.0 <= l_star < 1e-100
+    assert value == pytest.approx(-u ** (1.0 / a), abs=1e-300)
+    if u < 1e-300:
+        assert l_star == pytest.approx(zero_utility_labor(a, b, w), rel=1e-12)
 
 
 def solved(build, dist):
@@ -1099,8 +1173,8 @@ def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
 
 
 def test_inner_max_reads_few_slopes():
-    # both closed-form bracket ends, then Brent's steps; bisection to
-    # 1e-13 * hi takes ~46
+    # the slope signs at both closed-form bracket ends, then Newton's reads
+    # of h; bisection to 1e-13 * hi takes ~46
     code = insurance.__file__
     calls = Counter()
 
@@ -1110,20 +1184,24 @@ def test_inner_max_reads_few_slopes():
             calls["gp"] += 1
 
     rng = random.Random(9105)
-    worst = total = 0
+    gp_worst = 0
+    searches = []
     for _ in range(200):
         p = random_ui_primitives(rng)
         u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
         calls.clear()
         sys.setprofile(profile)
         try:
-            insurance._inner_max(p.a, p.b, p.w, u)
+            searches += traced_newton_searches(
+                lambda: insurance._inner_max(p.a, p.b, p.w, u))
         finally:
             sys.setprofile(None)
-        worst = max(worst, calls["gp"])
-        total += calls["gp"]
-    assert 0 < worst <= 12
-    assert total <= 7 * 200
+        gp_worst = max(gp_worst, calls["gp"])
+    assert len(searches) == 200
+    assert gp_worst <= 2
+    reads = [s["reads"] for s in searches]
+    assert 0 < max(reads) <= 6
+    assert sum(reads) <= 4 * len(reads)
 
 
 def breakpoint_scan(f0, y):
