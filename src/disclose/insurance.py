@@ -25,29 +25,13 @@ w = 4.0924, shadow = 0.6737``), and the reward-path solve fails its
 bracket.  Solved mechanisms translate into benefit/consumption/labor
 schedules via the same closed forms.
 
-``f1`` and its slope both need the inner maximization over labor: the
-root of the strictly decreasing labor slope
-``gp(L) = w - (b/a) L**(b-1) (u + L**b)**k``, ``k = (1-a)/a``.  It is
-bracketed in closed form; shrinking ``u + L**b`` raises ``gp`` and growing
-it lowers ``gp``, which proves each end:
-
-* ``hi = (a w / b)**(1/(b-1+b k))`` is an upper bound (drop ``u``);
-* for ``u > 0``, so is ``(a w / (b u**k))**(1/(b-1))`` (drop ``L**b``), and
-  ``hi`` is the smaller of the two;
-* ``lo = (a w / (b (u + hi**b)**k))**(1/(b-1))`` is a lower bound (on
-  ``L <= hi``, raise ``L**b`` to ``hi**b``).
-
-At ``u = 0`` the ends coincide in exact arithmetic, so their slope signs
-are roundoff: an end read with the wrong sign becomes the bracket's other
-end, never trusted and never thrown away.  Newton's method in log labor
-``s = log L`` then closes the bracket from its upper end.  The root solves
-``h(s) = (b-1) s + k log(u + e^(b s)) - log(a w / b) = 0``, and ``h`` is
-increasing and convex in ``s`` (its slope ``(b-1) + k b L**b / (u + L**b)``
-grows with L), so the iterates fall monotonically to the root without
-overshooting it, typically in two to five reads of ``h``, each one log
-and one power.  Each pair built by :func:`build_frontiers` memoizes the
-maximization per utility level; the memo is freed with the frontiers, so
-no state outlives them.
+``f1`` and its slope both need the inner maximization over labor
+(:func:`_inner_max`): one Newton search in log labor on a first-order
+condition that is increasing and convex, from a closed-form start at or
+above the root, so the iterates fall to it without overshooting it,
+typically in two to five reads, each one exp and one log.  Each pair built
+by :func:`build_frontiers` memoizes the maximization per utility level;
+the memo is freed with the frontiers, so no state outlives them.
 """
 
 from __future__ import annotations
@@ -66,9 +50,6 @@ from .numerics import EPS2, MAX_ITER
 
 # frontier domain [0, DOMAIN_FACTOR * u0]
 DOMAIN_FACTOR = 2.0
-# a closed-form labor bracket reaching past this goes to the growth loop,
-# which decides it (a maximizer at or past 2**199 is a config error)
-_GROWTH_END = 2.0 ** 199
 
 
 @dataclass(frozen=True)
@@ -84,10 +65,10 @@ class UiPrimitives:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ConfigError(f"need 0 < a < 1, got a={self.a}")
-        if not self.b > 1.0:
-            raise ConfigError(f"need b > 1, got b={self.b}")
-        if not self.w > 0.0:
-            raise ConfigError(f"need a positive wage, got w={self.w}")
+        if not 1.0 < self.b < math.inf:
+            raise ConfigError(f"need a finite b > 1, got b={self.b}")
+        if not 0.0 < self.w < math.inf:
+            raise ConfigError(f"need a finite positive wage, got w={self.w}")
         if not self.shadow > 0.0:
             raise ConfigError(f"need a positive shadow price, got {self.shadow}")
         try:  # f0 and its slope overflow first at the domain top, where
@@ -116,131 +97,59 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     """``argmax_L`` and ``max_L`` of ``w L - (u + L**b)**(1/a)`` for L >= 0.
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
-    maximizer is the unique root of the strictly decreasing slope
-    ``gp(L) = w - (b/a) L**(b-1) (u + L**b)**k``, ``k = (1-a)/a``, located by
-    Newton's method in log labor (:func:`_log_labor_newton`) on a bracket in
-    closed form.  Each bound drops or caps a term of ``u + L**b``, which
-    moves ``gp`` one way at every L:
+    maximizer is the root of its slope.  With ``k = (1-a)/a``, the slope at
+    ``L = e^s`` is negative exactly where
 
-    * ``hi = (a w / b)**(1/(b-1+b k))`` bounds it above: without ``u``,
-      ``gp`` is larger and is 0 at ``hi``;
-    * for ``u > 0``, so does ``(a w / (b u**k))**(1/(b-1))``: without
-      ``L**b``, likewise; ``hi`` is the smaller of the two;
-    * ``lo = (a w / (b (u + hi**b)**k))**(1/(b-1))`` bounds it below: with
-      ``L**b`` raised to ``hi**b``, ``gp`` is smaller on ``L <= hi`` and is
-      0 at ``lo``.
+        h(s) = (b-1) s + k log(u + e^(b s)) - c,  c = log a + log w - log b,
 
-    At ``u = 0`` the two ends coincide in exact arithmetic, so the sign of
-    ``gp`` there is roundoff.  An end whose ``gp`` has the wrong sign
-    becomes the bracket's other end, never trusted and never thrown away;
-    when neither reads ``gp >= 0`` the lower end is L = 0, where ``gp = w``.
-    Where ``u**k`` underflows to 0 the second bound is dropped.  When the
-    closed form overflows or underflows, or reaches past L = 2**199, the
-    upper end is found as before by doubling from L = 1; so it is when no
-    end reads ``gp < 0``, with the doubling read only past the lower end.
-    A slope that overflows a float during that growth, or stays below the
-    wage up to L = 2**200, is a :class:`ConfigError`, and so is a
-    consumption at the maximizer that overflows one.  Nothing is cached
-    here: ``build_frontiers`` keeps a memo per pair.
-    """
-    k = (1.0 - a) / a
-
-    def gp(L: float) -> float:
-        return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** k
-
-    lo, hi, f_hi = 0.0, math.inf, None
-    try:
-        top = (a * w / b) ** (1.0 / (b - 1.0 + b * k))
-        u_k = u ** k
-        if u_k > 0.0:
-            top = min(top, (a * w / (b * u_k)) ** (1.0 / (b - 1.0)))
-        if 0.0 < top <= _GROWTH_END:
-            bottom = (a * w / (b * (u + top ** b) ** k)) ** (1.0 / (b - 1.0))
-            for x in (bottom, top):
-                g = gp(x)
-                if g >= 0.0:
-                    if x > lo:
-                        lo = x
-                elif g < 0.0 and x < hi:
-                    hi, f_hi = x, g
-    except (OverflowError, ZeroDivisionError):
-        lo, f_hi = 0.0, None
-    if f_hi is None:  # double from L = 1, reading gp only past the lower end
-        hi = 1.0
-        for _ in range(200):
-            if hi > lo:
-                try:
-                    f_hi = gp(hi)
-                except OverflowError:
-                    raise ConfigError(
-                        f"search-cost slope overflows a float at labor L={hi:g} "
-                        f"(a={a}, b={b}, w={w}, u={u:g})") from None
-                if f_hi < 0.0:
-                    break
-            hi *= 2.0
-        else:  # a wage beyond the slope at L = 2**200
-            raise ConfigError("search-cost slope never exceeds the wage")
-    l_star = _log_labor_newton(a, b, w, u, lo, hi)
-    try:
-        return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
-    except OverflowError:
-        raise ConfigError(
-            f"compensating consumption overflows a float at labor L={l_star:g} "
-            f"(a={a}, b={b}, w={w}, u={u:g})") from None
-
-
-def _log_labor_newton(a: float, b: float, w: float, u: float,
-                      lo: float, hi: float) -> float:
-    """The root of the labor slope ``gp`` on ``[lo, hi]``, given
-    ``gp(lo) >= 0 > gp(hi)``, by Newton's method in log labor ``s = log L``.
-
-    With ``k = (1-a)/a``, ``gp(L) < 0`` exactly where
-
-        h(s) = (b-1) s + k log(u + e^(b s)) - (log a + log w - log b)
-
-    is positive.  ``h`` is increasing and convex: its slope
-    ``h'(s) = (b-1) + k b L**b / (u + L**b)`` grows with L.  So Newton's
-    method started at ``hi``, where ``h > 0``, falls monotonically to the
-    root and never overshoots it in exact arithmetic; at ``u = 0`` ``h`` is
-    linear and one step lands on the root.  An iterate that roundoff puts
-    below ``lo`` is clamped to ``lo``, and the search stops there, at a read
-    with ``h <= 0``, at a step that makes no progress, or after a step whose
-    size or error bound is at roundoff.  The bound: a step from distance
-    ``e`` above the root leaves at most ``(b/2) e**2``, as
+    is positive; ``c`` is a sum of logs because ``a w / b`` can underflow.
+    ``h`` is increasing and convex, so Newton's method falls monotonically
+    to its root from any start where ``h >= 0``.  Without ``u``, or for
+    ``u > 0`` without ``e^(b s)``, ``h`` is smaller and linear, with root
+    ``c / (b-1+b k)`` or ``(c - k log u) / (b-1)``; the smaller of the two
+    is the start, and at ``u = 0`` it is the root.  The search stops at a
+    read with ``h <= 0``, at a step that makes no progress, or after a step
+    whose size or error bound is at roundoff.  The bound: a step from
+    distance ``e`` above the root leaves at most ``(b/2) e**2``, as
     ``h'' = k b**2 q (1 - q)``, ``q = L**b / (u + L**b)``, is at most
-    ``b h'``; and ``e <= h/(b-1)``, as ``h' >= b-1``.  Every read is at a
-    labor level in ``[lo, hi]``, so ``L**b`` is at most ``hi**b``, which
-    ``gp(hi)`` has read already.  The constant is a sum of logs because
-    ``a w / b`` can underflow to 0.
+    ``b h'``; and ``e <= h/(b-1)``, as ``h' >= b-1``.  An overflow, of
+    ``u + e^(b s)`` or of the value at the maximizer, is a
+    :class:`ConfigError`.  Nothing is cached here: ``build_frontiers``
+    keeps a memo per pair.
     """
     k = (1.0 - a) / a
     b1, kb = b - 1.0, k * b
     c = math.log(a) + math.log(w) - math.log(b)
-    L, s = hi, math.log(hi)
-    for _ in range(MAX_ITER):
+    s = c / (b1 + kb)
+    try:
         if u > 0.0:
-            e = L ** b
-            v = u + e
-            h = b1 * s + k * math.log(v) - c
-            slope = b1 + kb * e / v
-        else:  # log(u + L**b) is b s, even where L**b underflows
-            slope = b1 + kb
-            h = slope * s - c
-        if h <= 0.0:  # at the root, or past it by roundoff
-            return L
-        step = h / slope
-        s_next = s - step
-        L_next = math.exp(s_next)
-        if L_next <= lo:
-            return lo
-        if L_next >= L:
-            return L
-        L, s = L_next, s_next
-        tol = EPS2 * (-s if s < -1.0 else s if s > 1.0 else 1.0)  # max(1, |s|)
-        dist = h / b1  # bounds the distance the step started from
-        if step <= tol or 0.5 * b * dist * dist <= tol:
-            return L
-    return L
+            s = min(s, (c - k * math.log(u)) / b1)
+            for _ in range(MAX_ITER):
+                e = math.exp(b * s)
+                v = u + e
+                if v == math.inf:  # neither term overflows, their sum does
+                    raise OverflowError
+                h = b1 * s + k * math.log(v) - c
+                if h <= 0.0:  # at the root, or past it by roundoff
+                    break
+                step = h / (b1 + kb * e / v)
+                if s - step >= s:
+                    break
+                s -= step
+                tol = EPS2 * (-s if s < -1.0 else s if s > 1.0 else 1.0)  # max(1, |s|)
+                dist = h / b1  # bounds the distance the step started from
+                if step <= tol or 0.5 * b * dist * dist <= tol:
+                    break
+        l_star = math.exp(s)
+        value = w * l_star - (u + l_star ** b) ** (1.0 / a)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        l_star = math.exp(s) if s <= 709.78 else math.inf  # e**709.79 overflows
+        raise ConfigError(
+            f"compensating consumption overflows a float at labor L={l_star:g} "
+            f"(a={a}, b={b}, w={w}, u={u:g})")
+    return l_star, value
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ where a parametric ``f0`` is parallel to its chord
 superlinearly; on a step function it has no such step to take, so the
 ``psi`` root of a piecewise pair keeps bisection.  Newton's method is used
 once, outside this module: the insurance labor maximization
-(``insurance._log_labor_newton``) solves a first-order condition that is
-increasing and convex in log labor, so Newton's iterates from the upper
-end of its bracket fall to the root without overshooting it.
+(``insurance._inner_max``) solves a first-order condition that is
+increasing and convex in log labor, so Newton's iterates from a
+closed-form start at or above the root fall to it without overshooting it.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
 its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
 a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:

@@ -19,11 +19,12 @@ from pathlib import Path
 import pytest
 
 import disclose
-from disclose import SolverError
+from disclose import SolverError, UiPrimitives, insurance
 from disclose.cli import main
 from disclose.distribution import MAX_ATOMS
 
 from test_golden import DENSE_B_TECH, WITNESS_ATOMS, WITNESS_TECH
+from test_hotpaths import LABOR_ULPS, inner_max_reference, labor_error
 
 A_TECH = {
     "kind": "piecewise",
@@ -397,8 +398,6 @@ SHORT_F1_POINTS = [[0.0, 0.6], [0.3, 1.2], [0.8, 1.4], [0.9, 1.3]]
 SHORT_F1 = "model assumption violated: f1 domain ends at 0.9, below the f0 peak u0=1.0"
 UI_OVERFLOW = "config error: the f0 peak utility or its consumption overflows"
 UI_UNDERFLOW = "config error: the f0 peak utility (a/shadow)**(a/(1-a)) underflows to 0"
-SLOPE_NEVER = "config error: search-cost slope never exceeds the wage"
-SLOPE_OVERFLOW = "config error: search-cost slope overflows a float at labor L="
 CONSUMPTION_OVERFLOW = "config error: compensating consumption overflows a float"
 MASS_SUM = "config error: atom masses must sum to 1"
 
@@ -544,14 +543,16 @@ BAD_CONFIGS = {
     # f0 = u - shadow u**(1/a) overflows at the domain top 2 u0 once a < ~9.8e-4
     "ui-tiny-a": ("solve-deadline", 1, UI_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.0005), "distribution": EXP_8}),
-    "ui-huge-wage": ("solve-deadline", 1, SLOPE_NEVER, {
+    # a huge wage puts L* where its consumption (u + L*^b)^(1/a) overflows
+    "ui-huge-wage": ("solve-deadline", 1, CONSUMPTION_OVERFLOW, {
         "technology": dict(UI_TECH, w=1e300), "distribution": EXP_8}),
-    # the slope's L ** b overflows a float while still below the wage
-    "ui-wage-overflow": ("solve-deadline", 1, SLOPE_OVERFLOW, {
+    "ui-wage-overflow": ("solve-deadline", 1, CONSUMPTION_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.99, b=10, w=1e300), "distribution": EXP_8}),
-    # (u + L**b) ** ((1 - a) / a) overflows at L = 1 once u + 1 > ~2.03
-    "ui-inner-max-overflow": ("solve-deadline", 1, SLOPE_OVERFLOW, {
-        "technology": dict(UI_TECH, a=0.001), "distribution": EXP_8}),
+    # L* is about 1e-183 at the domain top; a linear-space labor search read
+    # an overflowing slope at L = 1 and exited 1
+    "ui-tiny-a-no-conflict": ("solve-deadline", 2, NO_CONFLICT, {
+        "technology": dict(UI_TECH, a=0.001, shadow=1e-10),
+        "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}),
     # L* is found, but its consumption (u + L*^b)^(1/a) overflows a float
     "ui-inner-max-value-overflow": ("solve-deadline", 1, CONSUMPTION_OVERFLOW, {
         "technology": dict(UI_TECH, a=0.3, b=2, w=1e300, shadow=0.1),
@@ -585,6 +586,26 @@ def test_bad_configs_exit_with_one_line(tmp_path, capsys, name):
     assert err.startswith(message)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_ui_tiny_a_solves(tmp_path):
+    # (u + L**b) ** ((1 - a) / a) overflows at L = 1 once u + 1 > ~2.03, but
+    # the labor search in log labor never reads there: the solve succeeds
+    tech = dict(UI_TECH, a=0.001)
+    cfg = write_cfg(tmp_path, {"technology": tech, "distribution": EXP_8})
+    out = tmp_path / "o"
+    assert main(["solve-deadline", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["foc"]["satisfied"]
+    assert report["T"] == pytest.approx(3.5744, abs=1e-4)
+    # the reward levels, and the domain top, where L = 1 overflowed
+    p = UiPrimitives(a=tech["a"], b=tech["b"], w=tech["w"], shadow=tech["shadow"])
+    a, b, w = p.a, p.b, p.w
+    with open(out / "mechanism.csv", newline="") as fh:
+        levels = [float(row["reward_u"]) for row in csv.DictReader(fh)]
+    for u in levels + [2.0 * insurance.ui_constants(p).u0]:
+        l_ref = inner_max_reference(a, b, w, u)[0]
+        assert labor_error(insurance._inner_max(a, b, w, u)[0], l_ref) <= LABOR_ULPS, u
 
 
 # ------------------------------------------------------------------ fuzzer ---

@@ -34,12 +34,13 @@ The three smooth root solves, the ``f0`` slope inversion and the ``psi``
 root of a parametric pair by Brent's method and the insurance labor
 maximization by Newton's method in log labor, may land a few ulps from
 where bisection lands: they are compared against in-test full-resolution
-bisections within 1e-12, as are the ``solve`` outputs built on them, and
-their slope evaluations per solve are counted.  Every Newton search of the
-labor maximization must start from the end of a bracket that straddles the
-root, by the slope signs read at its ends, and fall from it without leaving
-the bracket, also at the levels where roundoff decides the closed-form
-ends' signs.
+bisections, the labor level within ``LABOR_ULPS`` units of
+``EPS * max(1, |log L|)`` relative and everything else within 1e-12, as
+are the ``solve`` outputs built on them, and their slope evaluations per
+solve are counted.  Every Newton search of the labor maximization must
+start at or above the root, fall to it without stepping below it but by
+roundoff, and read nothing but its first-order condition; on wide-range
+primitives it must end in a finite answer or a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import pytest
 from disclose import deadline, euler, insurance, mechanism, numerics
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize, from_atoms
-from disclose.errors import AtomAtZero, BracketFailure, SolverError
+from disclose.errors import AtomAtZero, BracketFailure, ConfigError, SolverError
 from disclose.frontier import (INF, KINK_SNAP, NEG_INF, ParametricFrontier,
                                PiecewiseFrontier, TechnologyPair, is_neg_inf,
                                slope)
@@ -869,17 +870,16 @@ def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
 
 
 def test_welfare_sweep_leaves_no_state(monkeypatch):
-    # every inner maximization runs one Newton search; a process-wide cache
-    # would let the second sweep skip them
+    # a process-wide cache would let the second sweep skip inner maximizations
     calls = Counter()
-    count_calls(monkeypatch, insurance, "_log_labor_newton", calls)
+    count_calls(monkeypatch, insurance, "_inner_max", calls)
     dist = discretize("exponential", 4, rate=1.0)
     counts = []
     for _ in range(2):
         calls.clear()
         insurance.welfare_sweep(dataclasses.replace(SWEEP_PRIMS, w=1.2),
                                 SWEEP_SHADOWS, dist, 1.0)
-        counts.append(calls["_log_labor_newton"])
+        counts.append(calls["_inner_max"])
     assert counts[0] > 0
     assert counts[1] == counts[0]
 
@@ -915,20 +915,44 @@ def inv_deriv_f0_reference(pair, y):
     return bisection_reference(g, ustar, u0)
 
 
-def labor_slope(a, b, w, u, L):
-    """``gp(L)``, the slope of the labor objective, as ``_inner_max`` reads it."""
-    return w - (b / a) * L ** (b - 1.0) * (u + L ** b) ** ((1.0 - a) / a)
+def labor_foc(a, b, w, u, s):
+    """``h(s) = (b-1) s + k log(u + e^(b s)) - log(a w / b)``, ``k = (1-a)/a``:
+    positive exactly where the labor objective falls at ``L = e^s``.  The
+    log is a log-sum-exp and the constant a sum of logs, so no term
+    overflows or underflows to a wrong root at any float ``s``."""
+    bs = b * s
+    if u > 0.0:
+        big, small = max(bs, math.log(u)), min(bs, math.log(u))
+        bs = big + math.log1p(math.exp(small - big))
+    return ((b - 1.0) * s + (1.0 - a) / a * bs
+            - (math.log(a) + math.log(w) - math.log(b)))
 
 
 def inner_max_reference(a, b, w, u):
-    def gp(L):
-        return labor_slope(a, b, w, u, L)
+    """``_inner_max`` by bisecting ``h`` in ``s = log L`` to full resolution
+    on a bracket grown by doubling from ``[-1, 1]``."""
+    def g(s):
+        return -labor_foc(a, b, w, u, s)
 
-    hi = 1.0
-    while gp(hi) >= 0.0:
+    lo, hi = -1.0, 1.0
+    while g(lo) < 0.0:
+        lo *= 2.0
+    while g(hi) >= 0.0:
         hi *= 2.0
-    l_star = bisection_reference(gp, 0.0, hi)
+    l_star = math.exp(bisection_reference(g, lo, hi))
     return l_star, w * l_star - (u + l_star ** b) ** (1.0 / a)
+
+
+# bound on |log L* - log L_ref| in units of EPS * max(1, |log L_ref|): the
+# relative error of L*, as both searches resolve h to roundoff in log labor
+# (at most 2 on the draws of test_inner_max_matches_bisection)
+LABOR_ULPS = 16
+
+
+def labor_error(l_star, l_ref):
+    """``|log L* - log L_ref|`` in units of ``EPS * max(1, |log L_ref|)``."""
+    s_ref = math.log(l_ref)
+    return abs(math.log(l_star) - s_ref) / (numerics.EPS * max(1.0, abs(s_ref)))
 
 
 def fixture_b_pair(rng, calls=None):
@@ -964,8 +988,8 @@ def bench_ui_primitives(rng):
 
 def inner_max_levels(p, rng):
     """A random level in ``[0, 2 u0 + 0.5]``, then fixed ones: 0, where the
-    closed-form labor bracket shrinks to a point; two whose ``u**k``
-    underflows; the domain top, and past it."""
+    labor search starts at its root; two below any ``L**b`` at the root;
+    the domain top, and past it."""
     top = 2.0 * ui_constants(p).u0
     return (rng.uniform(0.0, top + 0.5), 0.0, 5e-324, 1e-300, top, top + 0.5)
 
@@ -1011,17 +1035,23 @@ def test_inner_max_matches_bisection():
             for u in inner_max_levels(p, rng):
                 l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
                 l_ref, value_ref = inner_max_reference(p.a, p.b, p.w, u)
-                assert abs(l_star - l_ref) <= INNER_TOL, (p, u)
+                assert labor_error(l_star, l_ref) <= LABOR_ULPS, (p, u)
                 assert abs(value - value_ref) <= INNER_TOL, (p, u)
+    # tiny wages, where a bisection of the linear-space slope read w alone
+    # wherever L**b underflows and placed L* at 3.7e-132, not 1.5e-172
+    for a, b, w, u in ((0.985, 2.462, 5.6e-258, 0.0), (0.985, 2.462, 5.6e-258, 0.3),
+                       (0.5, 2.0, 5e-324, 5e-324)):
+        l_ref = inner_max_reference(a, b, w, u)[0]
+        assert labor_error(insurance._inner_max(a, b, w, u)[0], l_ref) <= LABOR_ULPS
 
 
 def traced_newton_searches(run):
-    """Run ``run()`` and return one dict per Newton search in log labor: its
-    ``args`` ``(a, b, w, u, lo, hi)``, the labor ``levels`` its loop held in
-    turn, its ``reads`` of ``h`` (runs of the line that tests their sign)
-    and its ``result``."""
-    code = insurance._log_labor_newton.__code__
-    lines, first = inspect.getsourcelines(insurance._log_labor_newton)
+    """Run ``run()`` and return one dict per labor maximization: its
+    ``args`` ``(a, b, w, u)``, the log labor levels ``s`` it held in turn,
+    its ``reads`` of ``h`` (runs of the line that tests their sign) and its
+    ``result``."""
+    code = insurance._inner_max.__code__
+    lines, first = inspect.getsourcelines(insurance._inner_max)
     read_line = first + next(i for i, line in enumerate(lines)
                              if line.strip().startswith("if h <= 0.0"))
     searches = []
@@ -1029,9 +1059,9 @@ def traced_newton_searches(run):
     def local(frame, event, arg):
         search = searches[-1]
         if event == "line":
-            L = frame.f_locals.get("L")
-            if L is not None and search["levels"][-1:] != [L]:
-                search["levels"].append(L)
+            s = frame.f_locals.get("s")
+            if s is not None and search["levels"][-1:] != [s]:
+                search["levels"].append(s)
             search["reads"] += frame.f_lineno == read_line
         elif event == "return":
             search["result"] = arg
@@ -1040,7 +1070,7 @@ def traced_newton_searches(run):
     def tracer(frame, event, arg):
         if frame.f_code is not code:
             return None
-        args = tuple(frame.f_locals[n] for n in ("a", "b", "w", "u", "lo", "hi"))
+        args = tuple(frame.f_locals[n] for n in ("a", "b", "w", "u"))
         searches.append({"args": args, "levels": [], "reads": 0})
         return local
 
@@ -1053,10 +1083,9 @@ def traced_newton_searches(run):
     return searches
 
 
-def test_inner_max_brackets_straddle_the_root():
-    # whatever roundoff does to the closed-form ends, Newton's method starts
-    # at an end whose slope reads gp < 0 (h > 0) over one that reads
-    # gp >= 0, and falls from it without leaving the bracket
+def test_inner_max_falls_to_the_root():
+    # h is increasing and convex in s, so Newton's method started at or
+    # above the root falls to it and never steps below it but by roundoff
     rng = random.Random(9106)
     levels = [(p, u) for draw in (random_ui_primitives, bench_ui_primitives)
               for p in (draw(rng) for _ in range(300))
@@ -1069,18 +1098,18 @@ def test_inner_max_brackets_straddle_the_root():
     searches = traced_newton_searches(run)
     assert len(searches) == len(levels)
     for search in searches:
-        a, b, w, u, lo, hi = search["args"]
-        assert labor_slope(a, b, w, u, lo) >= 0.0 > labor_slope(a, b, w, u, hi)
+        a, b, w, u = search["args"]
         path = search["levels"]
-        assert path[0] == hi
+        s_ref = math.log(inner_max_reference(a, b, w, u)[0])
+        tol = LABOR_ULPS * numerics.EPS * max(1.0, abs(s_ref))
+        assert path[0] >= s_ref - tol
         assert all(x > y for x, y in zip(path, path[1:]))
-        assert lo <= path[-1] and lo <= search["result"] <= hi
-    # both kinds of end occur: closed-form lower ends, and L = 0 where the
-    # closed-form lower end read a negative slope at a collapsed bracket;
-    # so do steps clamped to the lower end, where the two ends coincide
-    assert sum(s["args"][4] > 0.0 for s in searches) >= 0.9 * len(searches)
-    assert any(s["args"][4] == 0.0 for s in searches)
-    assert any(s["result"] == s["args"][4] > 0.0 for s in searches)
+        assert path[-1] >= s_ref - tol
+        assert search["result"][0] == math.exp(path[-1])
+    # at u = 0 the start is the root: no read of h; most other searches
+    # step and read h again, so the fall is checked
+    assert all(s["reads"] == 0 for s in searches if s["args"][3] == 0.0)
+    assert sum(s["reads"] >= 2 for s in searches) >= 0.4 * len(searches)
 
 
 def zero_utility_labor(a, b, w):
@@ -1090,18 +1119,48 @@ def zero_utility_labor(a, b, w):
     return math.exp((math.log(a) + math.log(w) - math.log(b)) / (b - 1.0 + b * k))
 
 
-def test_inner_max_clamps_a_step_below_the_bracket():
-    # at u = 0 both closed-form ends read gp >= 0, so the growth loop sets
-    # hi = 1; the one Newton step from there lands below lo by roundoff and
-    # must stop at lo, not at the iterate it stepped from (L = 1)
+def test_inner_max_starts_at_the_root_at_zero_utility():
+    # at u = 0 h is linear, and its root is the start: no step is taken
     a, b, w = 0.7517, 1.7565, 0.7347
-    searches = traced_newton_searches(lambda: insurance._inner_max(a, b, w, 0.0))
-    (search,) = searches
-    lo, hi = search["args"][4:]
-    assert 0.0 < lo < hi == 1.0
-    assert search["result"] == lo
-    assert insurance._inner_max(a, b, w, 0.0)[0] == pytest.approx(
-        zero_utility_labor(a, b, w), rel=1e-14)
+    (search,) = traced_newton_searches(lambda: insurance._inner_max(a, b, w, 0.0))
+    assert search["reads"] == 0 and len(search["levels"]) == 1
+    assert search["result"][0] == pytest.approx(zero_utility_labor(a, b, w), rel=1e-15)
+
+
+def test_inner_max_near_linear_search_cost():
+    # at b near 1, h' is near b - 1 = 1.7e-6, which magnifies the roundoff
+    # of h: L* is 6 units from the root of a 60-digit Decimal bisection of h
+    # and 10.5 from the float reference (a linear-space lower end with
+    # exponent 1/(b-1) once returned a level 1,550 units above the root)
+    a, b, w, u = 0.9691932186620588, 1.0000016917516876, 1.049690635800721, 1.7565183974242329
+    l_star = insurance._inner_max(a, b, w, u)[0]
+    assert labor_error(l_star, inner_max_reference(a, b, w, u)[0]) <= LABOR_ULPS
+    assert labor_error(l_star, 2.3564551563356906e-181) <= LABOR_ULPS
+
+
+def test_inner_max_ends_finite_or_in_a_config_error():
+    # wide-range primitives: a finite (L*, value), or a ConfigError for an
+    # overflow; no other exception gets out
+    rng = random.Random(9107)
+    solved = failed = 0
+    for _ in range(1000):
+        a = (10.0 ** -rng.uniform(0.001, 300.0) if rng.random() < 0.5
+             else rng.uniform(0.001, 0.999))
+        b = 1.0 + 10.0 ** rng.uniform(-6.0, 2.0)
+        w = 10.0 ** rng.uniform(-300.0, 300.0)
+        for u in (0.0, 5e-324, 10.0 ** rng.uniform(300.0, 308.0), rng.uniform(0.0, 3.0)):
+            try:
+                l_star, value = insurance._inner_max(a, b, w, u)
+            except ConfigError:
+                failed += 1
+                continue
+            solved += 1
+            assert 0.0 <= l_star < math.inf and math.isfinite(value), (a, b, w, u)
+    assert solved > 1000 and failed > 1000
+    # u + e^(b s) overflows though neither term does; a search that went on
+    # with the infinite sum would fall to L* = 0, where the value is finite
+    with pytest.raises(ConfigError, match="compensating consumption overflows"):
+        insurance._inner_max(1.0 - 1e-9, 2.0, 2.0 * math.exp(354.8), 1e308)
 
 
 @pytest.mark.parametrize("u", [0.0, 5e-324, 0.3])
@@ -1173,34 +1232,30 @@ def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
 
 
 def test_inner_max_reads_few_slopes():
-    # the slope signs at both closed-form bracket ends, then Newton's reads
-    # of h; bisection to 1e-13 * hi takes ~46
+    # Newton's reads of h and nothing else: no other function of the module
+    # (a slope sign or a bracket end) runs; bisection to 1e-13 * L takes ~46
     code = insurance.__file__
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "gp" \
-                and frame.f_code.co_filename == code:
-            calls["gp"] += 1
+        if event == "call" and frame.f_code.co_filename == code:
+            calls[frame.f_code.co_name] += 1
 
     rng = random.Random(9105)
-    gp_worst = 0
     searches = []
     for _ in range(200):
         p = random_ui_primitives(rng)
         u = rng.uniform(0.0, 2.0 * ui_constants(p).u0 + 0.5)
-        calls.clear()
         sys.setprofile(profile)
         try:
             searches += traced_newton_searches(
                 lambda: insurance._inner_max(p.a, p.b, p.w, u))
         finally:
             sys.setprofile(None)
-        gp_worst = max(gp_worst, calls["gp"])
     assert len(searches) == 200
-    assert gp_worst <= 2
+    assert calls == Counter({"_inner_max": 200})
     reads = [s["reads"] for s in searches]
-    assert 0 < max(reads) <= 6
+    assert 0 < max(reads) <= 5
     assert sum(reads) <= 4 * len(reads)
 
 

@@ -9,6 +9,7 @@ solves 4L(u + L^2) = 1 jointly with u + L^2 = 1, so L = 1/4 and u = 15/16.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 
@@ -33,6 +34,11 @@ def test_primitives_validation():
         UiPrimitives(a=0.5, b=2.0, w=0.0, shadow=0.5)
     with pytest.raises(ConfigError):
         UiPrimitives(a=0.5, b=2.0, w=1.0, shadow=-0.1)
+    # an infinite b or w would take the labor search to L* = inf
+    with pytest.raises(ConfigError, match="b=inf"):
+        UiPrimitives(a=0.5, b=math.inf, w=1.0, shadow=0.5)
+    with pytest.raises(ConfigError, match="w=inf"):
+        UiPrimitives(a=0.5, b=2.0, w=math.inf, shadow=0.5)
     # the f0 peak (a/shadow)**(a/(1-a)) or its consumption overflows a
     # float, or f0 = u - shadow u**(1/a) does at the domain top 2 u0
     for a, shadow in ((0.999, 0.001), (0.5, 1e-200), (0.5, 1e-320), (0.0005, 0.5)):
