@@ -24,8 +24,10 @@ parametric (``psi`` is smooth) and by bisection when either is piecewise
 
 Each ``psi`` evaluation is one backward pass.  The pass is kept lean: one
 :func:`inv_deriv_f0` call per atom, which applies the band-end clamps
-itself and then calls Brent's method (parametric ``f0``) or reads the
-level off the ``f0`` breakpoints (piecewise ``f0``, no root finder);
+itself and then reads the level off the closed-form inverse ``inv_dfn``
+of a parametric ``f0`` that carries one (the insurance ``f0``), calls
+Brent's method on one that does not, or reads the level off the ``f0``
+breakpoints (piecewise ``f0``; neither needs a root finder);
 slopes read straight from ``dfn`` for a parametric frontier; and the
 discount factors ``exp(-r D)`` computed once per solve.  :func:`solve`
 keeps the passes of its search, so the path at the chosen root costs no
@@ -102,8 +104,10 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     read once per pair (``pair.f0_band_slopes``), and the clamps are
     applied here: targets at or above the slope at ``u_star`` give
     ``u_star``, and targets at or below the slope at the peak (which is ~0)
-    give ``u0``.  A parametric ``f0`` has a smooth slope, read through
-    ``dfn`` directly, and is inverted by Brent's method.  A piecewise
+    give ``u0``.  A parametric ``f0`` has a smooth slope.  If it carries
+    the slope's inverse ``inv_dfn``, the level is read off that and
+    clamped into ``[u_star, u0]``; otherwise the slope, read through
+    ``dfn`` directly, is inverted by Brent's method.  A piecewise
     ``f0``'s slope is a step function, so its inverse is the breakpoint
     where the target falls between two segment slopes: one ``bisect`` on
     the segment slopes, exact under ``Fraction``, with no root finder.  A
@@ -118,6 +122,8 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
         return pair.u0
     f0 = pair.f0
     if isinstance(f0, ParametricFrontier):
+        if f0.inv_dfn is not None:
+            return min(max(f0.inv_dfn(y), pair.u_star), pair.u0)
         dfn = f0.dfn
         return brent_down(lambda u: dfn(u) - y, pair.u_star, pair.u0,
                           f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)

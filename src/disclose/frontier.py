@@ -11,7 +11,8 @@ Two representations are supported:
 * piecewise-linear frontiers given by breakpoints, evaluated with plain
   arithmetic so exact types (``fractions.Fraction``) pass through untouched;
 * parametric frontiers given by a callable and its analytic derivative over
-  a stated interval, used by the insurance application.
+  a stated interval, optionally with that derivative's inverse, used by the
+  insurance application.
 
 Evaluation outside the effective domain returns the distinguished ``NEG_INF``
 sentinel.  ``NEG_INF`` deliberately supports neither arithmetic nor ordering:
@@ -171,12 +172,16 @@ class PiecewiseFrontier:
 @dataclass(frozen=True)
 class ParametricFrontier:
     """Frontier given by a callable ``fn`` and its derivative ``dfn`` on a
-    closed interval, finite ``u_lo < u_hi``."""
+    closed interval, finite ``u_lo < u_hi``.  ``inv_dfn``, if given, is the
+    inverse of ``dfn`` in closed form: :func:`euler.inv_deriv_f0` reads an
+    ``f0`` level off it instead of searching for the level (the insurance
+    ``f0`` carries one)."""
 
     fn: Callable[[float], float]
     u_lo: float
     u_hi: float
     dfn: Callable[[float], float]
+    inv_dfn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not -INF < self.u_lo < self.u_hi < INF:
@@ -236,6 +241,8 @@ def u_star(f0, f1) -> float:
     ``u_star``.  At an edge they need not: an insurance pair's slopes never meet, as
     ``f0' > f1'`` at every level (see :mod:`insurance`), so its gap falls
     from the bottom of the domain and ``u_star = lo`` is a corner.
+    :func:`insurance.build_frontiers` therefore sets that corner itself and
+    never runs this scan.
 
     The non-negativity requirement is what makes the definition match the
     intended object (the local peak of the gap ``f1 - f0``): left of the
@@ -334,7 +341,10 @@ class TechnologyPair:
     ``u_star`` is the rightmost shared-slope level (see :func:`u_star`).
     Build through :meth:`build` so the derived fields stay consistent; it
     stores them as floats, whatever exact type the breakpoints carry (the
-    frontiers themselves stay exact for the discrete oracle).
+    frontiers themselves stay exact for the discrete oracle).  A caller that
+    knows ``u_star`` in closed form constructs the pair directly, as
+    :func:`insurance.build_frontiers` does.  Either way a discount rate
+    that is not positive and finite raises :class:`ModelAssumptionError`.
     """
 
     f0: object
@@ -344,11 +354,13 @@ class TechnologyPair:
     u1: float
     u_star: float
 
+    def __post_init__(self):
+        if not 0 < self.r < INF:
+            raise ModelAssumptionError(
+                f"discount rate must be positive and finite, got {self.r}")
+
     @classmethod
     def build(cls, f0, f1, r) -> "TechnologyPair":
-        if not 0 < r < INF:
-            raise ModelAssumptionError(
-                f"discount rate must be positive and finite, got {r}")
         return cls(f0=f0, f1=f1, r=r, u0=float(f0.peak[0]),
                    u1=float(f1.peak[0]), u_star=float(u_star(f0, f1)))
 

@@ -17,13 +17,17 @@ The two slopes never meet.  By the envelope theorem
     f0'(u) - f1'(u) = (shadow/a) [(u + L*^b)**((1-a)/a) - u**((1-a)/a)] > 0
 
 for every ``u >= 0``, because the optimal labor ``L*(u)`` is positive (the
-labor objective has slope ``w > 0`` at L = 0).  So :func:`frontier.u_star`
-always returns the bottom of the domain, ``u_star = 0``: a corner, not a
-level where the frontiers share a slope.  At a high wage ``f1`` already
-falls at zero (``f1'(0) = -0.353`` at ``a = 0.2588, b = 2.3211,
-w = 4.0924, shadow = 0.6737``), and the reward-path solve fails its
-bracket.  Solved mechanisms translate into benefit/consumption/labor
-schedules via the same closed forms.
+labor objective has slope ``w > 0`` at L = 0).  So ``u_star`` is the bottom
+of the domain, 0: a corner, not a level where the frontiers share a slope.
+:func:`build_frontiers` sets that corner itself rather than have
+:func:`frontier.u_star` read 513 ``f1`` slopes to find no crossing.  At a
+high wage ``f1`` already falls at zero (``f1'(0) = -0.353`` at
+``a = 0.2588, b = 2.3211, w = 4.0924, shadow = 0.6737``), and the
+reward-path solve fails its bracket.  The ``f0`` slope inverts in closed
+form, ``u = (a (1 - y) / shadow)**(a/(1-a))``, which ``f0`` carries as its
+``inv_dfn``, so the reward path finds its levels with no root search.
+Solved mechanisms translate into benefit/consumption/labor schedules via
+the same closed forms.
 
 ``f1`` and its slope both need the inner maximization over labor
 (:func:`_inner_max`): one Newton search in log labor on a first-order
@@ -73,7 +77,7 @@ class UiPrimitives:
             raise ConfigError(f"need a positive shadow price, got {self.shadow}")
         try:  # f0 and its slope overflow first at the domain top, where
             # u**(1/a) is 2**(1/a) times the f0 peak consumption c0
-            f0, f0_slope = _f0_fns(self.a, self.shadow)
+            f0, f0_slope, _ = _f0_fns(self.a, self.shadow)
             top = DOMAIN_FACTOR * ui_constants(self).u0
             finite = math.isfinite(f0(top)) and math.isfinite(f0_slope(top))
         except OverflowError:
@@ -88,9 +92,10 @@ class UiPrimitives:
 
 
 def _f0_fns(a: float, lam: float):
-    """``f0`` and its slope at shadow price ``lam``."""
+    """``f0``, its slope and the slope's inverse at shadow price ``lam``."""
     return (lambda u: u - lam * u ** (1.0 / a),
-            lambda u: 1.0 - (lam / a) * u ** ((1.0 - a) / a))
+            lambda u: 1.0 - (lam / a) * u ** ((1.0 - a) / a),
+            lambda y: (a / lam * (1.0 - y)) ** (a / (1.0 - a)))
 
 
 def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
@@ -172,9 +177,10 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
 
     Both frontiers carry analytic derivatives (the post-breakthrough one by
     the envelope theorem: ``f1'(u) = 1 - (shadow/a) C(u)**(1-a)`` with
-    ``C(u)`` the compensating consumption at the optimal labor choice).
-    ``f1`` and its derivative read one inner maximization per level from a
-    memo that lives as long as the frontiers.
+    ``C(u)`` the compensating consumption at the optimal labor choice), and
+    ``f0`` the inverse of its derivative.  ``f1`` and its derivative read
+    one inner maximization per level from a memo that lives as long as the
+    frontiers.  ``u_star`` is the domain bottom, by proof, not by a scan.
     """
     a, b, w, lam = p.a, p.b, p.w, p.shadow
     u0 = ui_constants(p).u0
@@ -195,10 +201,18 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
         l_star = inner(u)[0]
         return 1.0 - (lam / a) * (u + l_star ** b) ** ((1.0 - a) / a)
 
-    f0_fn, f0_dfn = _f0_fns(a, lam)
-    f0 = ParametricFrontier(fn=f0_fn, u_lo=0.0, u_hi=hi, dfn=f0_dfn)
+    f0_fn, f0_dfn, f0_inv_dfn = _f0_fns(a, lam)
+    f0 = ParametricFrontier(fn=f0_fn, u_lo=0.0, u_hi=hi, dfn=f0_dfn,
+                            inv_dfn=f0_inv_dfn)
     f1 = ParametricFrontier(fn=f1_fn, u_lo=0.0, u_hi=hi, dfn=f1_dfn)
-    return TechnologyPair.build(f0, f1, r)
+    # u_star = 0 without frontier.u_star's scan.  By the envelope theorem
+    #   f0'(u) - f1'(u) = (shadow/a) [(u + L*^b)^((1-a)/a) - u^((1-a)/a)],
+    # which is > 0 at every u >= 0 since L*(u) > 0 (the labor objective has
+    # slope w > 0 at L = 0).  The slopes never meet, so the gap f1 - f0
+    # falls from the domain bottom, and its rightmost local maximiser on
+    # [0, u0] is the corner u = 0.
+    return TechnologyPair(f0=f0, f1=f1, r=r, u0=float(f0.peak[0]),
+                          u1=float(f1.peak[0]), u_star=0.0)
 
 
 @dataclass(frozen=True)

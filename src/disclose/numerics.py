@@ -5,11 +5,12 @@ looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
 derivative (several of the functions we solve have kinks or one-sided
 derivatives).  Bisection is the default.  :func:`brent_down` (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4) serves the
-solves of smooth functions: the ``f0`` slope inversion and the ``psi``
-root (the terminal level of a reward path) of a parametric pair, the
-crossing piece of a deadline search with a parametric ``f1``, and the point
-where a parametric ``f0`` is parallel to its chord
-(``frontier.affine_gap``).  There its interpolation steps converge
+solves of smooth functions: the slope inversion of a parametric ``f0``
+without ``inv_dfn`` (the insurance ``f0`` inverts its slope in closed
+form), the ``psi`` root (the terminal level of a reward path) of a
+parametric pair, the crossing piece of a deadline search with a
+parametric ``f1``, and the point where a parametric ``f0`` is parallel to
+its chord (``frontier.affine_gap``).  There its interpolation steps converge
 superlinearly; on a step function it has no such step to take, so the
 ``psi`` root of a piecewise pair keeps bisection.  Newton's method is used
 once, outside this module: the insurance labor maximization

@@ -18,6 +18,7 @@ from disclose import (
 )
 from disclose.errors import SolverError
 from disclose.frontier import NEG_INF, is_neg_inf, u_star, validate_model
+from disclose.insurance import build_frontiers
 from disclose.numerics import bisect_down
 from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
 from test_golden import DENSE_B_TECH
@@ -239,7 +240,7 @@ def test_u_star_affinized_b(pair_b_affine):
 
 
 def test_u_star_at_domain_bottom(pair_ui):
-    # the insurance frontiers only share a slope at u = 0 (exactly)
+    # the insurance slopes never meet: u_star is the corner u = 0 (exactly)
     assert pair_ui.u_star == 0.0
 
 
@@ -351,10 +352,19 @@ def test_affine_gap_nan_slope_is_a_solver_error():
 
 # ------------------------------------------------------- technology pair ---
 
-def test_pair_build_requires_positive_rate(pair_a):
-    for r in (0.0, math.nan, math.inf):
-        with pytest.raises(ModelAssumptionError):
-            TechnologyPair.build(pair_a.f0, pair_a.f1, r)
+def test_pair_build_requires_positive_rate(pair_a, ui_prims):
+    # build, a direct construction (as insurance.build_frontiers makes) and
+    # the insurance builder refuse a bad rate with one message
+    for r in (0.0, -1.0, math.nan, math.inf):
+        messages = set()
+        for make in (lambda: TechnologyPair.build(pair_a.f0, pair_a.f1, r),
+                     lambda: TechnologyPair(f0=pair_a.f0, f1=pair_a.f1, r=r,
+                                            u0=1.0, u1=0.8, u_star=0.3),
+                     lambda: build_frontiers(ui_prims, r)):
+            with pytest.raises(ModelAssumptionError) as exc:
+                make()
+            messages.add(str(exc.value))
+        assert messages == {f"discount rate must be positive and finite, got {r}"}
 
 
 def test_pair_peak_values(pair_a, pair_b):

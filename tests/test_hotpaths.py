@@ -40,7 +40,13 @@ are the ``solve`` outputs built on them, and their slope evaluations per
 solve are counted.  Every Newton search of the labor maximization must
 start at or above the root, fall to it without stepping below it but by
 roundoff, and read nothing but its first-order condition; on wide-range
-primitives it must end in a finite answer or a ``ConfigError``.
+primitives it must end in a finite answer or a ``ConfigError``.  The
+insurance ``f0`` inverts its slope in closed form, which must agree with
+Brent's method on ``dfn`` to 2e-13 plus what ``dfn``'s roundoff leaves
+open; a sweep over insurance pairs with ``u_star`` set by proof must match
+one over pairs built by the ``u_star`` scan with Brent inversions within
+1e-12; and a ``ui-sweep`` run must run neither the scan nor a Brent
+inversion.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import inspect
+import json
 import math
 import random
 import sys
@@ -56,7 +63,8 @@ from fractions import Fraction
 
 import pytest
 
-from disclose import deadline, euler, insurance, mechanism, numerics
+from disclose import deadline, euler, frontier, insurance, mechanism, numerics
+from disclose.cli import main
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize, from_atoms
 from disclose.errors import AtomAtZero, BracketFailure, ConfigError, SolverError
@@ -884,6 +892,70 @@ def test_welfare_sweep_leaves_no_state(monkeypatch):
     assert counts[1] == counts[0]
 
 
+# the ui-sweep workload's shadow prices
+BENCH_SHADOWS = (0.5, 0.2, 0.1, 0.05)
+
+
+def bench_sweep_case(rng, m):
+    """``(template, dist, r)`` over the ``ui-sweep`` workload's ranges."""
+    p = bench_ui_primitives(rng)
+    r = rng.uniform(0.5, 2.0)
+    dist = (discretize("exponential", m, rate=rng.uniform(0.5, 2.0))
+            if rng.random() < 0.5 else
+            discretize("weibull", m, shape=rng.uniform(0.8, 2.0),
+                       scale=rng.uniform(0.5, 2.0)))
+    return p, dist, r
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_welfare_sweep_matches_pairs_built_by_the_scan(monkeypatch, m):
+    # u_star set by proof and the closed-form f0' inverse against pairs
+    # built as before: TechnologyPair.build's u_star scan and, with no
+    # inv_dfn, Brent's method for every level
+    rng = random.Random(9110 + m)
+    cases = [bench_sweep_case(rng, m) for _ in range(8)]
+    fast = [insurance.welfare_sweep(p, BENCH_SHADOWS, dist, r) for p, dist, r in cases]
+    build = insurance.build_frontiers
+
+    def build_by_scan(p, r):
+        pair = build(p, r)
+        return TechnologyPair.build(dataclasses.replace(pair.f0, inv_dfn=None),
+                                    pair.f1, r)
+
+    monkeypatch.setattr(insurance, "build_frontiers", build_by_scan)
+    reference = [insurance.welfare_sweep(p, BENCH_SHADOWS, dist, r)
+                 for p, dist, r in cases]
+    assert len(fast) == len(reference) == 8
+    for rows, ref_rows in zip(fast, reference):
+        assert len(rows) == len(ref_rows) == 4
+        for row, ref in zip(rows, ref_rows):
+            for x, y in zip(dataclasses.astuple(row), dataclasses.astuple(ref)):
+                assert abs(x - y) <= 1e-12, (row, ref)
+
+
+def test_ui_sweep_runs_no_u_star_scan_and_no_inversion_search(tmp_path, monkeypatch):
+    # a scan or a Brent inversion that came back would show only as time
+    counts = Counter()
+    count_calls(monkeypatch, frontier, "u_star", counts)
+    brent = euler.brent_down
+
+    def brent_down(*args, **kwargs):
+        counts[sys._getframe(1).f_code.co_name] += 1
+        return brent(*args, **kwargs)
+
+    monkeypatch.setattr(euler, "brent_down", brent_down)
+    p, _, r = bench_sweep_case(random.Random(9111), 32)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "technology": {"kind": "insurance", "a": p.a, "b": p.b, "w": p.w,
+                       "shadow": p.shadow},
+        "r": r, "shadows": list(BENCH_SHADOWS),
+        "distribution": {"kind": "exponential", "rate": 1.0, "m": 32}}))
+    assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # one psi root search per shadow, and nothing else
+    assert counts == Counter({"solve": 4})
+
+
 # ------------------------------------------------------- inner root solves ---
 
 INNER_TOL = 1e-12
@@ -983,7 +1055,7 @@ def bench_ui_primitives(rng):
     """Primitives over the ``ui-sweep`` workload's ranges and shadows."""
     return UiPrimitives(a=rng.uniform(0.45, 0.55), b=rng.uniform(1.7, 2.3),
                         w=rng.uniform(0.8, 1.25),
-                        shadow=rng.choice((0.5, 0.2, 0.1, 0.05)))
+                        shadow=rng.choice(BENCH_SHADOWS))
 
 
 def inner_max_levels(p, rng):
@@ -1025,6 +1097,40 @@ def test_inv_deriv_f0_matches_bisection():
             y = rng.uniform(bottom - 0.1 * (top - bottom), top + 0.1 * (top - bottom))
             assert abs(euler.inv_deriv_f0(pair, y)
                        - inv_deriv_f0_reference(pair, y)) <= INNER_TOL, y
+
+
+def test_insurance_f0_inverse_matches_brent():
+    # the closed-form inverse of f0' against Brent's method on dfn, at
+    # targets spread over (f0'(u0), f0'(0)) and within 1e-12 of either end;
+    # Brent's level is pinned only as closely as dfn's roundoff allows, a
+    # slope error of EPS moving it by EPS / |f0''|, which exceeds tol_x
+    # near f0'(0) = 1 when a < 1/2 (there f0'' -> 0 as u -> 0)
+    rng = random.Random(9109)
+    n_close = 0
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(100):
+            p = draw(rng)
+            pair = build_frontiers(p, 1.0)
+            f0, ustar, u0 = pair.f0, pair.u_star, pair.u0
+            top, bottom = pair.f0_band_slopes
+            ys = [bottom + (top - bottom) * (i + 0.5) / 16 for i in range(16)]
+            ys += [top - 1e-12, top - 1e-14, math.nextafter(top, -math.inf), top,
+                   bottom + 1e-12, bottom + 1e-14, math.nextafter(bottom, math.inf),
+                   bottom, top + 0.1, bottom - 0.1]
+            k = (1.0 - p.a) / p.a
+            for y in ys:
+                u = euler.inv_deriv_f0(pair, y)
+                assert ustar <= u <= u0, (p, y)
+                if not bottom < y < top:  # a clamp, as on the Brent path
+                    assert u == (ustar if y >= top else u0)
+                    continue
+                ref = numerics.brent_down(lambda v: f0.dfn(v) - y, ustar, u0,
+                                          f_lo=top - y, f_hi=bottom - y, tol_x=1e-13)
+                curvature = (p.shadow / p.a) * k * ref ** (k - 1.0) if ref else math.inf
+                tol = 2e-13 + numerics.EPS2 / curvature
+                n_close += tol <= 2.2e-13
+                assert abs(u - ref) <= tol, (p, y, u, ref)
+    assert n_close > 4000  # of 4,400 unclamped targets, most held to 2.2e-13
 
 
 def test_inner_max_matches_bisection():
@@ -1309,9 +1415,12 @@ def inversion_targets(rng, f0):
     return ys + [slopes[0] + 1, slopes[-1] - 1]
 
 
-@pytest.mark.parametrize("kind", ["piecewise", "parametric"])
-def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
-    # a parametric f0 is inverted by Brent's method; a piecewise f0's
+@pytest.mark.parametrize("kind", ["piecewise", "parametric", "insurance"])
+def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, pair_ui,
+                                                   kind):
+    # a parametric f0 is inverted by Brent's method, once per target inside
+    # its slope range, unless it carries the closed-form inverse of its
+    # slope (the insurance f0): then no root finder runs; a piecewise f0's
     # inverse is a breakpoint, read with no root finder and exactly equal
     # to the linear scan on random Fraction frontiers, ties included
     counts = Counter()
@@ -1319,9 +1428,15 @@ def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, kind):
         for name in ("bisect_down", "brent_down"):
             count_calls(monkeypatch, module, name, counts)
     if kind == "parametric":
-        for y in (0.3, 0.77, 1.2, 1.5):  # inside the slope range of f0
+        for y in (0.3, 0.77, 1.2, 1.5, -0.5, 2.5):  # four inside the slope range
             euler.inv_deriv_f0(pair_b, y)
         assert counts == Counter({"brent_down": 4})
+        return
+    if kind == "insurance":
+        for y in (0.1, 0.4, 0.7, 0.95, -0.5, 1.5):  # f0' falls from 1 to ~0
+            u = euler.inv_deriv_f0(pair_ui, y)
+            assert pair_ui.u_star <= u <= pair_ui.u0
+        assert counts == Counter()
         return
     rng = random.Random(9107)
     n_inside = 0
@@ -1381,9 +1496,11 @@ def brent_reference(f, lo, hi, *, f_lo, f_hi, tol_x):
 
 def backward_pass_reference(pair, dist, lam, disc=None):
     """The backward pass as first written: every slope through ``slope``,
-    every level clamped at the band ends or else found by Brent's method
-    (parametric ``f0``) or :func:`breakpoint_scan` (piecewise), and one
-    ``exp`` per atom; ``disc`` is ignored."""
+    every level clamped at the band ends or else read off ``f0.inv_dfn``
+    and clamped into ``[u_star, u0]`` (parametric ``f0`` that carries it),
+    found by Brent's method (other parametric ``f0``) or by
+    :func:`breakpoint_scan` (piecewise), and one ``exp`` per atom; ``disc``
+    is ignored."""
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero("atom at t=0")
@@ -1402,6 +1519,8 @@ def backward_pass_reference(pair, dist, lam, disc=None):
             x[k] = pair.u_star
         elif f_hi >= 0.0:
             x[k] = pair.u0
+        elif getattr(pair.f0, "inv_dfn", None) is not None:
+            x[k] = min(max(pair.f0.inv_dfn(y), pair.u_star), pair.u0)
         elif isinstance(pair.f0, ParametricFrontier):
             x[k] = brent_reference(lambda u: slope(pair.f0, u) - y, pair.u_star,
                                    pair.u0, f_lo=f_lo, f_hi=f_hi, tol_x=1e-13)

@@ -15,7 +15,8 @@ from collections import Counter
 
 import pytest
 
-from disclose import ConfigError, Mechanism, UiPrimitives, insurance, welfare_sweep
+from disclose import (ConfigError, Mechanism, UiPrimitives, frontier, insurance,
+                      welfare_sweep)
 from disclose.cli import main
 from disclose.insurance import schedule, ui_constants
 
@@ -71,13 +72,15 @@ def test_frontier_peaks(ui_prims, pair_ui):
 
 def test_u_star_is_the_domain_bottom_across_primitives():
     # f0' - f1' = (shadow/a) [(u + L*^b)^((1-a)/a) - u^((1-a)/a)] > 0 since
-    # L* > 0: the slopes never meet, so u_star is the corner u = 0
+    # L* > 0: the slopes never meet, so u_star is the corner u = 0, which
+    # build_frontiers stores without a scan; the scan itself finds it too
     rng = random.Random(SEED)
     for _ in range(15):
         a, b, w = rng.uniform(0.3, 0.8), rng.uniform(1.3, 3.0), rng.uniform(0.5, 3.0)
         for shadow in (0.05, 0.2, 0.5, 0.9):
             pair = insurance.build_frontiers(UiPrimitives(a, b, w, shadow), 1.0)
             assert pair.u_star == 0.0, (a, b, w, shadow)
+            assert frontier.u_star(pair.f0, pair.f1) == pair.u_star, (a, b, w, shadow)
             for u in (0.0, 0.25 * pair.u0, pair.u0):
                 assert pair.f0.dfn(u) > pair.f1.dfn(u), (a, b, w, shadow, u)
 
@@ -128,16 +131,14 @@ def test_sweep_at_a_huge_f0_peak_reads_f0_a_bounded_number_of_times(tmp_path,
     f0_fns = insurance._f0_fns
 
     def counted(a, lam):
-        fn, dfn = f0_fns(a, lam)
+        fns = f0_fns(a, lam)
 
-        def fn_counted(u):
-            calls["fn"] += 1
-            return fn(u)
-
-        def dfn_counted(u):
-            calls["dfn"] += 1
-            return dfn(u)
-        return fn_counted, dfn_counted
+        def counter(name, fn):
+            def fn_counted(u):
+                calls[name] += 1
+                return fn(u)
+            return fn_counted
+        return tuple(map(counter, ("fn", "dfn", "inv_dfn"), fns))
 
     monkeypatch.setattr(insurance, "_f0_fns", counted)
     cfg = tmp_path / "cfg.json"
@@ -147,4 +148,6 @@ def test_sweep_at_a_huge_f0_peak_reads_f0_a_bounded_number_of_times(tmp_path,
         "r": 1.0, "shadows": [0.02],
         "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}))
     assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"fn": 224, "dfn": 830}
+    # the reward path reads each level off the closed-form f0' inverse, one
+    # call per unclamped level, where Brent's method read dfn 602 more times
+    assert calls == {"fn": 224, "dfn": 228, "inv_dfn": 20}
