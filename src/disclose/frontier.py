@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 from .errors import ModelAssumptionError, NotSimple, SolverError
-from .numerics import bisect_down, bisect_up, brent_down
+from .numerics import bisect_up, brent_down
 
 INF = float("inf")
 
@@ -173,9 +173,10 @@ class PiecewiseFrontier:
 class ParametricFrontier:
     """Frontier given by a callable ``fn`` and its derivative ``dfn`` on a
     closed interval, finite ``u_lo < u_hi``.  ``inv_dfn``, if given, is the
-    inverse of ``dfn`` in closed form: :func:`euler.inv_deriv_f0` reads an
-    ``f0`` level off it instead of searching for the level (the insurance
-    ``f0`` carries one)."""
+    inverse of ``dfn`` in closed form (both insurance frontiers carry one).
+    :meth:`level_at_slope` is the one place that inverts the slope, and so
+    the one reader of ``inv_dfn``: the peak, ``affine_gap``'s chord
+    tangency and :func:`euler.inv_deriv_f0` all go through it."""
 
     fn: Callable[[float], float]
     u_lo: float
@@ -205,17 +206,28 @@ class ParametricFrontier:
             return (-INF, d)
         return (d, d)
 
+    def level_at_slope(self, y, lo, hi, d_lo, d_hi, tol_x):
+        """The level in ``[lo, hi]`` where the slope is ``y``, given the
+        slopes ``d_lo = dfn(lo) >= y >= dfn(hi) = d_hi``: ``inv_dfn(y)``
+        clamped into ``[lo, hi]`` when the frontier carries it, else the
+        root of ``dfn - y`` by :func:`brent_down` to ``tol_x``."""
+        if self.inv_dfn is not None:
+            return min(max(self.inv_dfn(y), lo), hi)
+        dfn = self.dfn
+        return brent_down(lambda u: dfn(u) - y, lo, hi, f_lo=d_lo - y,
+                          f_hi=d_hi - y, tol_x=tol_x)
+
     @cached_property
     def peak(self):
         """``(u, value)`` of the maximum: ``u_lo`` if the slope there is <= 0,
-        else ``u_hi`` if it is >= 0 there, else the slope's root by bisection."""
+        else ``u_hi`` if it is >= 0 there, else the level of slope 0
+        (:meth:`level_at_slope`, to ``1e-13``)."""
         lo, hi, dfn = self.u_lo, self.u_hi, self.dfn
         d_lo = dfn(lo)
         if d_lo <= 0.0:
             return (lo, self.fn(lo))
         d_hi = dfn(hi)
-        u = hi if d_hi >= 0.0 else bisect_down(dfn, lo, hi, f_lo=d_lo, f_hi=d_hi,
-                                               tol_x=1e-13)
+        u = hi if d_hi >= 0.0 else self.level_at_slope(0.0, lo, hi, d_lo, d_hi, 1e-13)
         return (u, self.fn(u))
 
 
@@ -299,11 +311,12 @@ def affine_gap(f0, lo, hi) -> float:
     The chord connects ``(lo, f0(lo))`` and ``(hi, f0(hi))``.  ``f0`` is
     concave, so its deviation from the chord is concave too, and the maximum
     is exact: for a piecewise ``f0`` the largest deviation at a breakpoint
-    strictly inside, or 0; for a parametric one the deviation at the root of
-    ``f0.dfn - chord slope`` (:func:`brent_down`, to ``1e-13 (hi - lo)``),
-    or 0 when that has no sign change.  Zero for an affine piece; the value
-    bounds how much the best deadline scheme can lose relative to the
-    unrestricted optimum.  A NaN chord or ``f0`` slope raises
+    strictly inside, or 0; for a parametric one the deviation at the level
+    where its slope equals the chord's
+    (:meth:`ParametricFrontier.level_at_slope`, to ``1e-13 (hi - lo)``), or
+    0 when ``f0' - chord`` has no sign change.  Zero for an affine piece;
+    the value bounds how much the best deadline scheme can lose relative to
+    the unrestricted optimum.  A NaN chord or ``f0`` slope raises
     :class:`SolverError`.
     """
     lo = float(lo)
@@ -320,16 +333,14 @@ def affine_gap(f0, lo, hi) -> float:
                 gap = max(gap, float(v) - (v_lo + slope * (u - lo)))
         return gap
 
-    def tilt(u: float) -> float:
-        return f0.dfn(u) - slope
-
-    t_lo, t_hi = tilt(lo), tilt(hi)
+    d_lo, d_hi = f0.dfn(lo), f0.dfn(hi)
+    t_lo, t_hi = d_lo - slope, d_hi - slope
     if t_lo != t_lo or t_hi != t_hi:
         raise SolverError(f"affine_gap: NaN slope on [{lo}, {hi}] "
                           f"(chord {slope}, f0' - chord {t_lo} and {t_hi})")
     if not t_lo >= 0.0 >= t_hi:
         return 0.0
-    u = brent_down(tilt, lo, hi, f_lo=t_lo, f_hi=t_hi, tol_x=1e-13 * (hi - lo))
+    u = f0.level_at_slope(slope, lo, hi, d_lo, d_hi, 1e-13 * (hi - lo))
     return max(0.0, float(f0.value(u)) - (v_lo + slope * (u - lo)))
 
 

@@ -23,9 +23,19 @@ of the domain, 0: a corner, not a level where the frontiers share a slope.
 :func:`frontier.u_star` read 513 ``f1`` slopes to find no crossing.  At a
 high wage ``f1`` already falls at zero (``f1'(0) = -0.353`` at
 ``a = 0.2588, b = 2.3211, w = 4.0924, shadow = 0.6737``), and the
-reward-path solve fails its bracket.  The ``f0`` slope inverts in closed
-form, ``u = (a (1 - y) / shadow)**(a/(1-a))``, which ``f0`` carries as its
-``inv_dfn``, so the reward path finds its levels with no root search.
+reward-path solve fails its bracket.  Both slopes invert in closed form,
+and each frontier carries its inverse as ``inv_dfn``.  The ``f0`` slope is
+``y`` at ``u = (a (1 - y) / shadow)**(a/(1-a))``, so the reward path finds
+its levels with no root search.  The ``f1`` slope is ``y`` where, by the
+envelope theorem, ``(u + L*^b)**((1-a)/a) = a (1 - y) / shadow``, that is
+``u + L*^b`` is the ``f0`` inverse at ``y``; the labor first-order
+condition ``w = (1/a) (u + L^b)**((1-a)/a) b L^(b-1)`` then gives
+``L*^(b-1) = shadow w / (b (1 - y))``.  So
+
+    u = (a (1 - y) / shadow)**(a/(1-a)) - (shadow w / (b (1 - y)))**(b/(b-1)),
+
+and at ``y = 0`` the two inverses give the peaks ``u0`` and ``u1`` (the
+latter clamped to the domain bottom when ``f1`` already falls at 0).
 Solved mechanisms translate into benefit/consumption/labor schedules via
 the same closed forms.
 
@@ -177,9 +187,10 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
 
     Both frontiers carry analytic derivatives (the post-breakthrough one by
     the envelope theorem: ``f1'(u) = 1 - (shadow/a) C(u)**(1-a)`` with
-    ``C(u)`` the compensating consumption at the optimal labor choice), and
-    ``f0`` the inverse of its derivative.  ``f1`` and its derivative read
-    one inner maximization per level from a memo that lives as long as the
+    ``C(u)`` the compensating consumption at the optimal labor choice) and
+    the closed-form inverses of those derivatives, so the peaks ``u0`` and
+    ``u1`` need no search.  ``f1`` and its derivative read one inner
+    maximization per level from a memo that lives as long as the
     frontiers.  ``u_star`` is the domain bottom, by proof, not by a scan.
     """
     a, b, w, lam = p.a, p.b, p.w, p.shadow
@@ -202,9 +213,15 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
         return 1.0 - (lam / a) * (u + l_star ** b) ** ((1.0 - a) / a)
 
     f0_fn, f0_dfn, f0_inv_dfn = _f0_fns(a, lam)
+
+    def f1_inv_dfn(y: float) -> float:
+        # u + L*^b = f0_inv_dfn(y) and L*^(b-1) = shadow w / (b (1-y))
+        return f0_inv_dfn(y) - (lam * w / (b * (1.0 - y))) ** (b / (b - 1.0))
+
     f0 = ParametricFrontier(fn=f0_fn, u_lo=0.0, u_hi=hi, dfn=f0_dfn,
                             inv_dfn=f0_inv_dfn)
-    f1 = ParametricFrontier(fn=f1_fn, u_lo=0.0, u_hi=hi, dfn=f1_dfn)
+    f1 = ParametricFrontier(fn=f1_fn, u_lo=0.0, u_hi=hi, dfn=f1_dfn,
+                            inv_dfn=f1_inv_dfn)
     # u_star = 0 without frontier.u_star's scan.  By the envelope theorem
     #   f0'(u) - f1'(u) = (shadow/a) [(u + L*^b)^((1-a)/a) - u^((1-a)/a)],
     # which is > 0 at every u >= 0 since L*(u) > 0 (the labor objective has

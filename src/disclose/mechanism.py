@@ -167,21 +167,22 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     grid, levels, reward = m.grid, m.levels, m.reward
     n = len(grid)
 
-    flow_vals = []           # f0 at each cell level; None marks off-domain
-    for x in levels:
+    flow_vals = []           # f0 at each cell level
+    for a, x in zip(grid, levels):
         v = pair.f0.value(x)
-        flow_vals.append(None if is_neg_inf(v) else float(v))
+        if is_neg_inf(v):
+            # an off-domain cell counts once an atom lies after its start;
+            # the atoms are sorted, so the last one decides
+            if dist.times[-1] > a:
+                return NEG_INF
+            v = 0.0          # no atom reaches into this cell
+        flow_vals.append(float(v))
 
-    # discounted flow integral from 0 to grid[i] (cells fully before i);
-    # first_bad[i] = True when some cell strictly before grid[i] is off-domain
+    # discounted flow integral from 0 to grid[i] (cells fully before i)
     disc = [math.exp(-r * g) for g in grid]
     prefix = [0.0] * n
-    first_bad = [False] * n
     for i in range(1, n):
-        w = disc[i - 1] - disc[i]
-        contrib = 0.0 if flow_vals[i - 1] is None else flow_vals[i - 1] * w
-        prefix[i] = prefix[i - 1] + contrib
-        first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
+        prefix[i] = prefix[i - 1] + flow_vals[i - 1] * (disc[i - 1] - disc[i])
 
     prof = continuation_profile(m, r)
     f1_value = pair.f1.value
@@ -191,10 +192,8 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     for t, p in zip(dist.times, dist.probs):
         while i + 1 < n and grid[i + 1] <= t:
             i += 1
-        if first_bad[i] or (t > grid[i] and flow_vals[i] is None):
-            return NEG_INF
         e = math.exp(-r * t)
-        pre = prefix[i] + (flow_vals[i] or 0.0) * (disc[i] - e)
+        pre = prefix[i] + flow_vals[i] * (disc[i] - e)
         if i == n - 1:
             if v_last is None:
                 v_last = f1_value(levels[-1] if reward is None else reward[-1])

@@ -3,17 +3,20 @@
 Every root found here stays bracketed by a sign change, and every search
 looks for a down-crossing, f(lo) >= 0 > f(hi); no method here needs a
 derivative (several of the functions we solve have kinks or one-sided
-derivatives).  Bisection is the default.  :func:`brent_down` (Brent 1973,
-*Algorithms for Minimization without Derivatives*, ch. 4) serves the
-solves of smooth functions: the slope inversion of a parametric ``f0``
-without ``inv_dfn`` (the insurance ``f0`` inverts its slope in closed
-form), the ``psi`` root (the terminal level of a reward path) of a
-parametric pair, the crossing piece of a deadline search with a
-parametric ``f1``, and the point where a parametric ``f0`` is parallel to
-its chord (``frontier.affine_gap``).  There its interpolation steps converge
-superlinearly; on a step function it has no such step to take, so the
-``psi`` root of a piecewise pair keeps bisection.  Newton's method is used
-once, outside this module: the insurance labor maximization
+derivatives).  :func:`brent_down` (Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 4) serves the solves of smooth
+functions: ``frontier.ParametricFrontier.level_at_slope``, the level of a
+given slope on a frontier without a closed-form inverse ``inv_dfn`` (its
+peak, the point where ``f0`` is parallel to its chord in
+``frontier.affine_gap``, and the reward path's ``f0`` levels; the
+insurance frontiers invert their slopes in closed form), the ``psi`` root
+(the terminal level of a reward path) of a parametric pair, and the
+crossing piece of a deadline search with a parametric ``f1``.  There its
+interpolation steps converge superlinearly; on a step function it has no
+such step to take, so the ``psi`` root of a piecewise pair keeps
+bisection (:func:`bisect_down`), as does the smooth-pair cell of
+``frontier.u_star`` (:func:`bisect_up`).  Newton's method is used once,
+outside this module: the insurance labor maximization
 (``insurance._inner_max``) solves a first-order condition that is
 increasing and convex in log labor, so Newton's iterates from a
 closed-form start at or above the root fall to it without overshooting it.
@@ -22,8 +25,8 @@ its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
 a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:
 each answer is a kink, read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
-test for a sign change (``ParametricFrontier.peak``, the reward path's
-solves, ``affine_gap``) or to split its span (the deadline pieces);
+test for a sign change (``level_at_slope``'s callers, the ``psi`` root) or
+to split its span (the deadline pieces);
 :func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
 straddle zero, a NaN end included, and a NaN from ``f`` raise
 :class:`SolverError`.

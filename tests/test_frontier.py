@@ -19,7 +19,7 @@ from disclose import (
 from disclose.errors import SolverError
 from disclose.frontier import NEG_INF, is_neg_inf, u_star, validate_model
 from disclose.insurance import build_frontiers
-from disclose.numerics import bisect_down
+from disclose.numerics import brent_down
 from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
 from test_golden import DENSE_B_TECH
 
@@ -201,15 +201,50 @@ def test_parametric_peak_clamps_high():
     assert f.peak == (1.0, 0.5)
 
 
-def test_parametric_peak_interior_is_bisect_down():
+def test_parametric_peak_interior_is_brent_down():
     dfn = lambda u: math.cos(u) - u
     f = ParametricFrontier(fn=lambda u: math.sin(u) - 0.5 * u * u, u_lo=0.0,
                            u_hi=1.0, dfn=dfn)
     u, v = f.peak
-    assert u.hex() == bisect_down(dfn, 0.0, 1.0, f_lo=dfn(0.0), f_hi=dfn(1.0),
-                                   tol_x=1e-13).hex()
+    assert u.hex() == brent_down(dfn, 0.0, 1.0, f_lo=dfn(0.0), f_hi=dfn(1.0),
+                                 tol_x=1e-13).hex()
     assert u == pytest.approx(0.7390851332151607, abs=1e-12)
     assert v == math.sin(u) - 0.5 * u * u
+
+
+def test_fixture_b_peak_is_brent_down_in_few_slope_reads():
+    reads = []
+
+    def dfn(u):
+        reads.append(u)
+        return b_f0_d(u)
+
+    f = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=dfn)
+    u = f.peak[0]
+    assert len(reads) <= 6, reads  # a bisection to 1e-13 read 47
+    assert u.hex() == brent_down(b_f0_d, 0.0, 1.2, f_lo=2.0, f_hi=b_f0_d(1.2),
+                                 tol_x=1e-13).hex()
+    assert u == pytest.approx(1.0, abs=1e-13)
+
+
+def test_level_at_slope_reads_the_inverse_and_clamps():
+    # with inv_dfn the level is the inverse, clamped into [lo, hi], and dfn
+    # is not read; without it, Brent's method on dfn - y
+    reads = []
+
+    def dfn(u):
+        reads.append(u)
+        return b_f0_d(u)
+
+    f = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=dfn,
+                           inv_dfn=lambda y: 1.0 - 0.5 * y)
+    assert f.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0, 1e-13) == 0.75
+    assert f.level_at_slope(1.9, 0.1, 1.0, 1.8, 0.0, 1e-13) == 0.1
+    assert f.level_at_slope(-0.1, 0.1, 1.0, 1.8, 0.0, 1e-13) == 1.0
+    assert reads == []
+    g = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=b_f0_d)
+    assert g.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0, 1e-13) == pytest.approx(
+        0.75, abs=1e-13)
 
 
 # -------------------------------------------------------------- u_star -----

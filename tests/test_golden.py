@@ -176,7 +176,7 @@ GOLDEN = {
     }),
     'solve-euler-ui64': (0, {
         'mechanism.csv':
-            '10314766bebd97064ff0c49cc1eacee84fa45918bdf89daed25c4c519609a760',
+            '2d044a26590daf90416d2a8c85f177e0f4454574d96456c31ec8f4e8c5cbf7bf',
         'report.json':
             '1963a7c1affb8afe978d825716a57d3ce62553d6dc5232077933f93e5a81cc34',
         'residuals.csv':
@@ -184,17 +184,17 @@ GOLDEN = {
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            'dd352c067cea82d0648cc874389146895e7f9afbef107111dc550a18077bf961',
+            'ea3f43f174c3f30d1d0de1198838e77c4bffc0afa2c3d1ed7cdc6d717625de04',
         'report.json':
-            '327fbe6a4bb0db0079e73d3402e935d1b045ceee249e92197c9f5f95718cddbc',
+            'bdc5551a01290c2f1d33afb2dc82898877a549fa65062e1f2a25cf32ac786aaa',
         'schedule.csv':
-            '559b676e6c89800ea3fdb9f010d8f137fa09c33415a61d7059e1b54523d148f9',
+            'bc17bf2296119b8a9c519aab3292fbdd47ad30c630499d630510a1b8b4d4cfed',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
-            '68d96c7f5fc2a12c2b65ecde1cb77cdd7c81dea07e73c87340e7b6813c0ce75f',
+            'b1af4f440b399d6ede7712f82e715c2b6812d15aed2c0c0d9fa36e2f3ddec883',
         'sweep.csv':
-            'f397bc01d30084cea5f1b953dc0e2ba40c93262128c52ee2b217cfc029cc4876',
+            '9641ce606e39164a89eaa29628ab147a0a31fc7162114428517f223c2f5eedfc',
     }),
     'verify-classify': (0, {
         'report.json':
@@ -222,7 +222,7 @@ GOLDEN = {
     }),
     'analyze-insurance': (0, {
         'report.json':
-            'bf197b7ffcd7764a59bc7bf2c3ab83561070e68a753a11126f138e25cdd86c80',
+            '83068578f461bca7d658ba12929486279c7e498f48f95a2352ca45a34c31b6d7',
     }),
     'analyze-piecewise': (0, {
         'report.json':
@@ -256,11 +256,11 @@ GOLDEN = {
     }),
     'ui-schedule-path16': (0, {
         'mechanism.csv':
-            '8cd089cf2dc903f34494ed39b842ae3c045882bfec53630861457084b284630b',
+            '6cbef706d4a3dcd72b8c7850575b291525c31ad5a638473a28a4d0ec19a93b5d',
         'report.json':
-            '5349c221ffb8c8abfe514a4f65ed38dd3f816d1d681a8abc215213cff19f04bd',
+            '2d9089ed15d943b73b5f2f8f29f6d8ebe336f9c730ed4bf8e138d16babd12c15',
         'schedule.csv':
-            '62090d6d1e7432a9ea5e6f23bd1ffeeaa90b854c6124d470ac5f9964ece3201d',
+            '0748d2a98926c42c69053065d301beb44b5db67f11175affdf720f35e1e4ab1f',
     }),
     'verify-path': (2, {
         'report.json':

@@ -43,10 +43,13 @@ roundoff, and read nothing but its first-order condition; on wide-range
 primitives it must end in a finite answer or a ``ConfigError``.  The
 insurance ``f0`` inverts its slope in closed form, which must agree with
 Brent's method on ``dfn`` to 2e-13 plus what ``dfn``'s roundoff leaves
-open; a sweep over insurance pairs with ``u_star`` set by proof must match
-one over pairs built by the ``u_star`` scan with Brent inversions within
-1e-12; and a ``ui-sweep`` run must run neither the scan nor a Brent
-inversion.
+open; so does the insurance ``f1``, to ``2e-13 u0``, and both peaks read
+off the two inverses must match Brent's peaks to ``1e-13 u0``; a sweep
+over insurance pairs with ``u_star`` set by proof must match one over
+pairs built by the ``u_star`` scan with Brent inversions within 1e-12;
+and a ``ui-sweep`` run must run neither the scan nor a bisection, and
+Brent's method only for the ``psi`` root and the deadline's crossing
+pieces.
 """
 
 from __future__ import annotations
@@ -582,6 +585,17 @@ def count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapped)
 
 
+def count_by_caller(monkeypatch, module, name, counts):
+    """Count ``module.name`` calls under ``(name, calling function)``."""
+    orig = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        counts[name, sys._getframe(1).f_code.co_name] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 def deadline_case(request, case):
     if case == "kinked":
         pair = TechnologyPair.build(PiecewiseFrontier(KINKED_F0),
@@ -909,9 +923,12 @@ def bench_sweep_case(rng, m):
 
 @pytest.mark.parametrize("m", [8, 32])
 def test_welfare_sweep_matches_pairs_built_by_the_scan(monkeypatch, m):
-    # u_star set by proof and the closed-form f0' inverse against pairs
-    # built as before: TechnologyPair.build's u_star scan and, with no
-    # inv_dfn, Brent's method for every level
+    # u_star set by proof and the closed-form slope inverses against pairs
+    # built with frontier.u_star's scan and copies of both frontiers with no
+    # inv_dfn, so Brent's method finds every level and the chord tangency;
+    # u0 and u1 come from the pair under test, as the deadline's T moves
+    # about 100 times as far as u0 (test_insurance_peaks_match_brent holds
+    # the peaks themselves)
     rng = random.Random(9110 + m)
     cases = [bench_sweep_case(rng, m) for _ in range(8)]
     fast = [insurance.welfare_sweep(p, BENCH_SHADOWS, dist, r) for p, dist, r in cases]
@@ -919,8 +936,10 @@ def test_welfare_sweep_matches_pairs_built_by_the_scan(monkeypatch, m):
 
     def build_by_scan(p, r):
         pair = build(p, r)
-        return TechnologyPair.build(dataclasses.replace(pair.f0, inv_dfn=None),
-                                    pair.f1, r)
+        f0 = dataclasses.replace(pair.f0, inv_dfn=None)
+        f1 = dataclasses.replace(pair.f1, inv_dfn=None)
+        return TechnologyPair(f0=f0, f1=f1, r=r, u0=pair.u0, u1=pair.u1,
+                              u_star=frontier.u_star(f0, f1))
 
     monkeypatch.setattr(insurance, "build_frontiers", build_by_scan)
     reference = [insurance.welfare_sweep(p, BENCH_SHADOWS, dist, r)
@@ -934,16 +953,14 @@ def test_welfare_sweep_matches_pairs_built_by_the_scan(monkeypatch, m):
 
 
 def test_ui_sweep_runs_no_u_star_scan_and_no_inversion_search(tmp_path, monkeypatch):
-    # a scan or a Brent inversion that came back would show only as time
+    # a scan, a bisection or a Brent inversion that came back would show
+    # only as time: no peak, chord tangency or level is searched for
     counts = Counter()
     count_calls(monkeypatch, frontier, "u_star", counts)
-    brent = euler.brent_down
-
-    def brent_down(*args, **kwargs):
-        counts[sys._getframe(1).f_code.co_name] += 1
-        return brent(*args, **kwargs)
-
-    monkeypatch.setattr(euler, "brent_down", brent_down)
+    for module in (frontier, euler, deadline):
+        for name in ("bisect_down", "brent_down"):
+            if hasattr(module, name):
+                count_by_caller(monkeypatch, module, name, counts)
     p, _, r = bench_sweep_case(random.Random(9111), 32)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -952,8 +969,11 @@ def test_ui_sweep_runs_no_u_star_scan_and_no_inversion_search(tmp_path, monkeypa
         "r": r, "shadows": list(BENCH_SHADOWS),
         "distribution": {"kind": "exponential", "rate": 1.0, "m": 32}}))
     assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    # one psi root search per shadow, and nothing else
-    assert counts == Counter({"solve": 4})
+    # one psi root search per shadow and the deadline's crossing pieces (at
+    # most one per cell between atoms, m + 1 per shadow), and nothing else
+    pieces = counts.pop(("brent_down", "optimize_deadline"), 0)
+    assert pieces <= 4 * 33
+    assert counts == Counter({("brent_down", "solve"): 4})
 
 
 # ------------------------------------------------------- inner root solves ---
@@ -1131,6 +1151,45 @@ def test_insurance_f0_inverse_matches_brent():
                 n_close += tol <= 2.2e-13
                 assert abs(u - ref) <= tol, (p, y, u, ref)
     assert n_close > 4000  # of 4,400 unclamped targets, most held to 2.2e-13
+
+
+def test_insurance_f1_inverse_matches_brent():
+    # the closed-form inverse of f1' against Brent's method on dfn over the
+    # whole domain, at targets spread over (f1'(2 u0), f1'(0)) and within
+    # 1e-12 and 1e-14 of either end
+    rng = random.Random(9112)
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(100):
+            pair = build_frontiers(draw(rng), 1.0)
+            f1 = pair.f1
+            lo, hi = f1.u_lo, f1.u_hi
+            d_lo, d_hi = f1.dfn(lo), f1.dfn(hi)
+            ys = [d_hi + (d_lo - d_hi) * (i + 0.5) / 8 for i in range(8)]
+            ys += [d_lo - 1e-12, d_lo - 1e-14, d_hi + 1e-12, d_hi + 1e-14]
+            for y in ys:
+                ref = numerics.brent_down(lambda v: f1.dfn(v) - y, lo, hi,
+                                          f_lo=d_lo - y, f_hi=d_hi - y, tol_x=1e-13)
+                assert abs(f1.inv_dfn(y) - ref) <= 2e-13 * pair.u0, (pair, y, ref)
+
+
+def test_insurance_peaks_match_brent():
+    # u0 and u1 read off the closed-form inverses at slope 0 against the
+    # peaks of copies of both frontiers that must search for them
+    rng = random.Random(9113)
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(150):
+            p = draw(rng)
+            pair = build_frontiers(p, 1.0)
+            assert pair.u0 == ui_constants(p).u0
+            for u, f in ((pair.u0, pair.f0), (pair.u1, pair.f1)):
+                ref = dataclasses.replace(f, inv_dfn=None).peak[0]
+                assert abs(u - ref) <= 1e-13 * pair.u0, (p, u, ref)
+    # at a high wage f1 already falls at 0: the inverse lands below the
+    # domain and the peak is its bottom
+    pair = build_frontiers(UiPrimitives(a=0.2588, b=2.3211, w=4.0924,
+                                        shadow=0.6737), 1.0)
+    assert pair.f1.dfn(0.0) < 0.0 and pair.f1.inv_dfn(0.0) < 0.0
+    assert pair.u1 == 0.0
 
 
 def test_inner_max_matches_bisection():
@@ -1418,15 +1477,17 @@ def inversion_targets(rng, f0):
 @pytest.mark.parametrize("kind", ["piecewise", "parametric", "insurance"])
 def test_inversion_root_finder_follows_the_f0_kind(monkeypatch, pair_b, pair_ui,
                                                    kind):
-    # a parametric f0 is inverted by Brent's method, once per target inside
-    # its slope range, unless it carries the closed-form inverse of its
-    # slope (the insurance f0): then no root finder runs; a piecewise f0's
-    # inverse is a breakpoint, read with no root finder and exactly equal
-    # to the linear scan on random Fraction frontiers, ties included
+    # a parametric f0 is inverted by Brent's method (inside
+    # ParametricFrontier.level_at_slope), once per target inside its slope
+    # range, unless it carries the closed-form inverse of its slope (the
+    # insurance f0): then no root finder runs; a piecewise f0's inverse is
+    # a breakpoint, read with no root finder and exactly equal to the
+    # linear scan on random Fraction frontiers, ties included
     counts = Counter()
-    for module in (euler, numerics):
+    for module in (euler, frontier, numerics):
         for name in ("bisect_down", "brent_down"):
-            count_calls(monkeypatch, module, name, counts)
+            if hasattr(module, name):
+                count_calls(monkeypatch, module, name, counts)
     if kind == "parametric":
         for y in (0.3, 0.77, 1.2, 1.5, -0.5, 2.5):  # four inside the slope range
             euler.inv_deriv_f0(pair_b, y)

@@ -149,5 +149,7 @@ def test_sweep_at_a_huge_f0_peak_reads_f0_a_bounded_number_of_times(tmp_path,
         "distribution": {"kind": "exponential", "rate": 1.0, "m": 4}}))
     assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     # the reward path reads each level off the closed-form f0' inverse, one
-    # call per unclamped level, where Brent's method read dfn 602 more times
-    assert calls == {"fn": 224, "dfn": 228, "inv_dfn": 20}
+    # call per unclamped level, where Brent's method read dfn 602 more
+    # times; the f0 and f1 peaks and both chord tangencies read it once
+    # each, where a bisection and Brent's method read dfn 216 more times
+    assert calls == {"fn": 224, "dfn": 12, "inv_dfn": 24}

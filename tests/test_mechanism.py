@@ -279,6 +279,16 @@ def test_payoff_off_domain_sentinel(pair_a, dist_point1):
     assert is_neg_inf(payoff(before, pair_a, dist_point1))
     after = Mechanism(grid=(0.0, 2.0), levels=(1.0, 2.5), reward=(1.0, 1.0))
     assert isinstance(payoff(after, pair_a, dist_point1), float)
+    # an atom exactly at the start of the off-domain cell flows nothing there
+    at_start = Mechanism(grid=(0.0, 1.0), levels=(1.0, 2.5), reward=(1.0, 1.0))
+    value = payoff(at_start, pair_a, dist_point1)
+    assert isinstance(value, float)
+    assert value == payoff(after, pair_a, dist_point1)
+    # the first off-domain cell decides, whatever cells follow it
+    twice = Mechanism(grid=(0.0, 1.0, 1.5), levels=(1.0, 2.5, -1.0),
+                      reward=(1.0, 1.0, 1.0))
+    assert payoff(twice, pair_a, dist_point1) == value
+    assert is_neg_inf(payoff(twice, pair_a, from_atoms([(0.5, 0.5), (1.2, 0.5)])))
 
 
 def test_payoff_atom_rows(pair_a, dist_k2):

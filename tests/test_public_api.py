@@ -14,7 +14,10 @@ executed in a private namespace): nothing is imported from, or written
 under, ``bench/``.
 
 The settable options are read from the source with ``ast`` and pinned by
-name, so a change that adds, removes or swaps a knob says so here.
+name, so a change that adds, removes or swaps a knob says so here.  The
+same reading checks that only ``frontier`` reads a slope inverse
+``inv_dfn``: every slope inversion goes through
+``ParametricFrontier.level_at_slope``.
 """
 
 from __future__ import annotations
@@ -188,3 +191,15 @@ def test_runtime_imports_only_stdlib():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, \
                     f"{path.name}: import {name}"
+
+
+def test_only_frontier_reads_the_slope_inverse():
+    # ParametricFrontier.level_at_slope is the one slope inversion: no other
+    # module reads a frontier's inv_dfn
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "inv_dfn"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"frontier.py"}
