@@ -23,24 +23,21 @@ parametric (``psi`` is smooth) and by bisection when either is piecewise
 (``psi`` is then a step function).
 
 Each ``psi`` evaluation is one backward pass.  The pass is kept lean: one
-:func:`inv_deriv_f0` call per atom, which applies the band-end clamps
-itself and then asks a parametric ``f0`` for the level of that slope
-(:meth:`ParametricFrontier.level_at_slope`: a closed form for the
-insurance ``f0``, Brent's method otherwise) or reads the level off the
-``f0`` breakpoints (piecewise ``f0``, with no root finder);
-slopes read straight from ``dfn`` for a parametric frontier; and the
-discount factors ``exp(-r D)`` computed once per solve.  :func:`solve`
-keeps the passes of its search, so the path at the chosen root costs no
-further pass.
+:func:`inv_deriv_f0` call per atom, which asks ``f0`` for the level of
+that slope on the band with one ``level_at_slope`` call, whatever its kind
+(the band-end clamps included; a closed form for the insurance ``f0``,
+Brent's method for another parametric one, the breakpoints of a piecewise
+one with no root finder); slopes read straight from ``dfn`` for a
+parametric frontier; and the discount factors ``exp(-r D)`` computed once
+per solve.  :func:`solve` keeps the passes of its search, so the path at
+the chosen root costs no further pass.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from operator import neg
 from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist, order_checks, OrderReport
@@ -101,29 +98,17 @@ def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
     The slope is strictly decreasing there.  The two band-end slopes are
-    read once per pair (``pair.f0_band_slopes``), and the clamps are
-    applied here: targets at or above the slope at ``u_star`` give
-    ``u_star``, and targets at or below the slope at the peak (which is ~0)
-    give ``u0``.  A parametric ``f0`` has a smooth slope, and
-    :meth:`ParametricFrontier.level_at_slope` inverts it on the band: off
-    its closed-form inverse when it carries one, else by Brent's method to
-    ``1e-13``.  A piecewise ``f0``'s slope is a step function, so its
-    inverse is the breakpoint where the target falls between two segment
-    slopes: one ``bisect`` on the segment slopes, exact under ``Fraction``,
-    with no root finder.  A target equal to a segment slope goes to that
-    segment's right end.
+    read once per pair (``pair.f0_band_slopes``) and handed to the
+    frontier's ``level_at_slope``, which applies the clamps (targets at or
+    above the slope at ``u_star`` give ``u_star``, targets at or below the
+    slope at the peak give ``u0``) and inverts inside: for a parametric
+    ``f0`` off its closed-form inverse when it carries one, else by Brent's
+    method to ``1e-13`` of the band; for a piecewise ``f0`` the breakpoint
+    where the target falls between two segment slopes, with no root finder
+    (a target equal to a segment slope goes to that segment's right end).
     """
     top, bottom = pair.f0_band_slopes
-    f_lo = top - y
-    if f_lo <= 0.0:
-        return pair.u_star
-    f_hi = bottom - y
-    if f_hi >= 0.0:
-        return pair.u0
-    f0 = pair.f0
-    if isinstance(f0, ParametricFrontier):
-        return f0.level_at_slope(y, pair.u_star, pair.u0, top, bottom, 1e-13)
-    return float(f0._us[bisect_right(f0._slopes, -y, key=neg)])
+    return float(pair.f0.level_at_slope(y, pair.u_star, pair.u0, top, bottom))
 
 
 def _discounts(pair: TechnologyPair, dist: BreakthroughDist) -> Tuple[float, ...]:

@@ -28,6 +28,7 @@ import bisect as _bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from typing import Callable, Optional, Tuple
 
 from .errors import ModelAssumptionError, NotSimple, SolverError
@@ -39,7 +40,8 @@ INF = float("inf")
 # breakpoint when selecting one-sided slopes; breakpoints are assumed to be
 # separated by far more than this
 KINK_SNAP = 1e-9
-# bracket width at which the smooth-pair u_star bisection stops
+# bracket width at which the smooth-pair u_star bisection stops, as a
+# fraction of the span it scans, so the search scales with the pair
 U_STAR_TOL = 1e-10
 # validate_model: grid points of the dominance check, offset of the probes
 # beside u_star, and the slack in their strict-maximum comparison
@@ -162,6 +164,20 @@ class PiecewiseFrontier:
             sides += [(right, left), (right, right)]
         return (*sides, (-INF, s[-1]), (None, None))
 
+    def level_at_slope(self, y, lo, hi, d_lo, d_hi):
+        """The level in ``[lo, hi]`` where the slope falls through ``y``,
+        given the right slope ``d_lo`` at ``lo`` and the left slope ``d_hi``
+        at ``hi``: ``lo`` when ``y >= d_lo``, ``hi`` when ``y <= d_hi``,
+        else the breakpoint where the slope steps from ``>= y`` to ``< y``
+        (a target equal to a segment slope goes to that segment's right
+        end), read off the slope table by one ``bisect`` with no root
+        finder and returned in the breakpoints' own type."""
+        if y >= d_lo:
+            return lo
+        if y <= d_hi:
+            return hi
+        return self._us[_bisect.bisect_right(self._slopes, -y, key=neg)]
+
     @cached_property
     def peak(self):
         """``(u, value)`` of the unique maximum (always at a breakpoint)."""
@@ -176,7 +192,8 @@ class ParametricFrontier:
     inverse of ``dfn`` in closed form (both insurance frontiers carry one).
     :meth:`level_at_slope` is the one place that inverts the slope, and so
     the one reader of ``inv_dfn``: the peak, ``affine_gap``'s chord
-    tangency and :func:`euler.inv_deriv_f0` all go through it."""
+    tangency and :func:`euler.inv_deriv_f0` all go through it, as they go
+    through :meth:`PiecewiseFrontier.level_at_slope` for a piecewise one."""
 
     fn: Callable[[float], float]
     u_lo: float
@@ -206,28 +223,34 @@ class ParametricFrontier:
             return (-INF, d)
         return (d, d)
 
-    def level_at_slope(self, y, lo, hi, d_lo, d_hi, tol_x):
+    def level_at_slope(self, y, lo, hi, d_lo, d_hi):
         """The level in ``[lo, hi]`` where the slope is ``y``, given the
-        slopes ``d_lo = dfn(lo) >= y >= dfn(hi) = d_hi``: ``inv_dfn(y)``
-        clamped into ``[lo, hi]`` when the frontier carries it, else the
-        root of ``dfn - y`` by :func:`brent_down` to ``tol_x``."""
+        slopes ``d_lo = dfn(lo)`` and ``d_hi = dfn(hi)``: ``lo`` when
+        ``y >= d_lo``, ``hi`` when ``y <= d_hi``, else ``inv_dfn(y)``
+        clamped into ``[lo, hi]`` when the frontier carries it, or the root
+        of ``dfn - y`` by :func:`brent_down` to ``1e-13 (hi - lo)``.  So
+        ``inv_dfn`` is read only strictly between the end slopes, and the
+        search scales with the bracket."""
+        if y >= d_lo:
+            return lo
+        if y <= d_hi:
+            return hi
         if self.inv_dfn is not None:
             return min(max(self.inv_dfn(y), lo), hi)
         dfn = self.dfn
         return brent_down(lambda u: dfn(u) - y, lo, hi, f_lo=d_lo - y,
-                          f_hi=d_hi - y, tol_x=tol_x)
+                          f_hi=d_hi - y, tol_x=1e-13 * (hi - lo))
 
     @cached_property
     def peak(self):
         """``(u, value)`` of the maximum: ``u_lo`` if the slope there is <= 0,
-        else ``u_hi`` if it is >= 0 there, else the level of slope 0
-        (:meth:`level_at_slope`, to ``1e-13``)."""
+        else the level of slope 0 on the domain (:meth:`level_at_slope`,
+        which gives ``u_hi`` if the slope there is >= 0)."""
         lo, hi, dfn = self.u_lo, self.u_hi, self.dfn
         d_lo = dfn(lo)
         if d_lo <= 0.0:
             return (lo, self.fn(lo))
-        d_hi = dfn(hi)
-        u = hi if d_hi >= 0.0 else self.level_at_slope(0.0, lo, hi, d_lo, d_hi, 1e-13)
+        u = self.level_at_slope(0.0, lo, hi, d_lo, dfn(hi))
         return (u, self.fn(u))
 
 
@@ -267,8 +290,9 @@ def u_star(f0, f1) -> float:
     breakpoint-by-breakpoint right to left (exact; preserves Fraction
     inputs).  Smooth pairs scan a 512-step grid of ``slope(f0) - slope(f1)``
     (:func:`slope`) right to left for the first point where it is <= 0,
-    then bisect that cell; if the slopes never cross, the bottom of the
-    domain is returned.
+    then bisect that cell to ``U_STAR_TOL`` times the span scanned, so the
+    answer scales with the pair; if the slopes never cross, the bottom of
+    the domain is returned.
     """
     u0 = f0.peak[0]
     lo = max(f0.u_lo, f1.u_lo)
@@ -301,7 +325,8 @@ def u_star(f0, f1) -> float:
     for i in range(n - 1, -1, -1):  # right to left: the first psi <= 0 wins
         a = lo + (cap - lo) * i / n
         if psi(a) <= 0.0:
-            return bisect_up(psi, a, lo + (cap - lo) * (i + 1) / n, tol_x=U_STAR_TOL)
+            return bisect_up(psi, a, lo + (cap - lo) * (i + 1) / n,
+                             tol_x=U_STAR_TOL * (cap - lo))
     return lo
 
 
@@ -309,15 +334,16 @@ def affine_gap(f0, lo, hi) -> float:
     """Largest deviation of ``f0`` above its chord over ``[lo, hi]``.
 
     The chord connects ``(lo, f0(lo))`` and ``(hi, f0(hi))``.  ``f0`` is
-    concave, so its deviation from the chord is concave too, and the maximum
-    is exact: for a piecewise ``f0`` the largest deviation at a breakpoint
-    strictly inside, or 0; for a parametric one the deviation at the level
-    where its slope equals the chord's
-    (:meth:`ParametricFrontier.level_at_slope`, to ``1e-13 (hi - lo)``), or
-    0 when ``f0' - chord`` has no sign change.  Zero for an affine piece;
-    the value bounds how much the best deadline scheme can lose relative to
-    the unrestricted optimum.  A NaN chord or ``f0`` slope raises
-    :class:`SolverError`.
+    concave, so its deviation from the chord is concave too, and peaks where
+    the slope of ``f0`` falls through the chord's: at the level
+    :meth:`level_at_slope` gives for the chord slope, between the right
+    slope at ``lo`` and the left slope at ``hi`` (a breakpoint of a
+    piecewise ``f0``, the tangency of a parametric one).  The maximum is
+    exact: the deviation there when that level is inside the interval, and
+    0 when it is an end or ``f0' - chord`` has no sign change.  Zero for an
+    affine piece; the value bounds how much the best deadline scheme can
+    lose relative to the unrestricted optimum.  A NaN chord or ``f0`` slope
+    raises :class:`SolverError`.
     """
     lo = float(lo)
     hi = float(hi)
@@ -325,22 +351,16 @@ def affine_gap(f0, lo, hi) -> float:
         return 0.0
     v_lo = float(f0.value(lo))
     slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
-    if isinstance(f0, PiecewiseFrontier):
-        gap = 0.0
-        for u, v in f0.points:
-            u = float(u)
-            if lo < u < hi:
-                gap = max(gap, float(v) - (v_lo + slope * (u - lo)))
-        return gap
-
-    d_lo, d_hi = f0.dfn(lo), f0.dfn(hi)
+    d_lo, d_hi = f0.derivs(lo)[0], f0.derivs(hi)[1]
     t_lo, t_hi = d_lo - slope, d_hi - slope
     if t_lo != t_lo or t_hi != t_hi:
         raise SolverError(f"affine_gap: NaN slope on [{lo}, {hi}] "
                           f"(chord {slope}, f0' - chord {t_lo} and {t_hi})")
     if not t_lo >= 0.0 >= t_hi:
         return 0.0
-    u = f0.level_at_slope(slope, lo, hi, d_lo, d_hi, 1e-13 * (hi - lo))
+    u = f0.level_at_slope(slope, lo, hi, d_lo, d_hi)
+    if not lo < u < hi:
+        return 0.0
     return max(0.0, float(f0.value(u)) - (v_lo + slope * (u - lo)))
 
 

@@ -9,24 +9,26 @@ functions: ``frontier.ParametricFrontier.level_at_slope``, the level of a
 given slope on a frontier without a closed-form inverse ``inv_dfn`` (its
 peak, the point where ``f0`` is parallel to its chord in
 ``frontier.affine_gap``, and the reward path's ``f0`` levels; the
-insurance frontiers invert their slopes in closed form), the ``psi`` root
-(the terminal level of a reward path) of a parametric pair, and the
-crossing piece of a deadline search with a parametric ``f1``.  There its
-interpolation steps converge superlinearly; on a step function it has no
-such step to take, so the ``psi`` root of a piecewise pair keeps
-bisection (:func:`bisect_down`), as does the smooth-pair cell of
-``frontier.u_star`` (:func:`bisect_up`).  Newton's method is used once,
+insurance frontiers invert their slopes in closed form), searched to
+``1e-13`` of the bracket it is given, so no caller passes a tolerance;
+the ``psi`` root (the terminal level of a reward path) of a parametric
+pair; and the crossing piece of a deadline search with a parametric
+``f1``.  There its interpolation steps converge superlinearly; on a step
+function it has no such step to take, so the ``psi`` root of a piecewise
+pair keeps bisection (:func:`bisect_down`), as does the smooth-pair cell
+of ``frontier.u_star`` (:func:`bisect_up`, to a width relative to the
+span scanned).  Newton's method is used once,
 outside this module: the insurance labor maximization
 (``insurance._inner_max``) solves a first-order condition that is
 increasing and convex in log labor, so Newton's iterates from a
 closed-form start at or above the root fall to it without overshooting it.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
 its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
-a piecewise ``f1`` and a piecewise ``f0``'s slope inversion need neither:
+a piecewise ``f1`` and ``PiecewiseFrontier.level_at_slope`` need neither:
 each answer is a kink, read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
-test for a sign change (``level_at_slope``'s callers, the ``psi`` root) or
-to split its span (the deadline pieces);
+test for a sign change (``level_at_slope``, the ``psi`` root) or to split
+its span (the deadline pieces);
 :func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
 straddle zero, a NaN end included, and a NaN from ``f`` raise
 :class:`SolverError`.

@@ -142,6 +142,19 @@ def translated(pair: TechnologyPair, k: float) -> TechnologyPair:
     return TechnologyPair.build(move(pair.f0), move(pair.f1), pair.r)
 
 
+def scaled(pair: TechnologyPair, s: float) -> TechnologyPair:
+    """``pair`` with both axes scaled by ``s > 0``: each frontier becomes
+    ``u -> s f(u / s)`` on its domain scaled by ``s``, with the same slopes.
+    The model is invariant under this move: deadlines stay, and every level
+    and payoff scales by ``s`` (exactly in floats for a power of two)."""
+    def move(f):
+        if isinstance(f, PiecewiseFrontier):
+            return PiecewiseFrontier(tuple((u * s, v * s) for u, v in f.points))
+        return ParametricFrontier(fn=lambda u: s * f.fn(u / s), u_lo=f.u_lo * s,
+                                  u_hi=f.u_hi * s, dfn=lambda u: f.dfn(u / s))
+    return TechnologyPair.build(move(pair.f0), move(pair.f1), pair.r)
+
+
 # instance A: f0 affine (slope 1) up to its peak at u=1, f1 peaking at 0.8;
 # shared-slope level 0.3, so the threshold deadline is ln 3.5
 A_F0_POINTS = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))

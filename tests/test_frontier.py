@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from operator import neg
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,7 +20,7 @@ from disclose import (
     affine_gap,
 )
 from disclose.errors import SolverError
-from disclose.frontier import NEG_INF, is_neg_inf, u_star, validate_model
+from disclose.frontier import KINK_SNAP, NEG_INF, is_neg_inf, u_star, validate_model
 from disclose.insurance import build_frontiers
 from disclose.numerics import brent_down
 from conftest import A_F0_EXACT, A_F1_EXACT, b_f0, b_f0_d
@@ -229,22 +232,48 @@ def test_fixture_b_peak_is_brent_down_in_few_slope_reads():
 
 def test_level_at_slope_reads_the_inverse_and_clamps():
     # with inv_dfn the level is the inverse, clamped into [lo, hi], and dfn
-    # is not read; without it, Brent's method on dfn - y
-    reads = []
+    # is not read; without it, Brent's method on dfn - y.  A target at or
+    # beyond an end slope gives that end and reads neither
+    reads, inv_reads = [], []
 
     def dfn(u):
         reads.append(u)
         return b_f0_d(u)
 
-    f = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=dfn,
-                           inv_dfn=lambda y: 1.0 - 0.5 * y)
-    assert f.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0, 1e-13) == 0.75
-    assert f.level_at_slope(1.9, 0.1, 1.0, 1.8, 0.0, 1e-13) == 0.1
-    assert f.level_at_slope(-0.1, 0.1, 1.0, 1.8, 0.0, 1e-13) == 1.0
+    def inv_dfn(y):
+        inv_reads.append(y)
+        return 1.0 - 0.5 * y
+
+    f = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=dfn, inv_dfn=inv_dfn)
+    assert f.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0) == 0.75
+    assert f.level_at_slope(1.85, 0.1, 1.0, 1.9, 0.0) == 0.1  # inverse 0.075
+    assert f.level_at_slope(-0.05, 0.1, 1.0, 1.8, -0.1) == 1.0  # inverse 1.025
+    assert inv_reads == [0.5, 1.85, -0.05]
+    for y, end in ((1.8, 0.1), (1.9, 0.1), (0.0, 1.0), (-0.1, 1.0)):
+        assert f.level_at_slope(y, 0.1, 1.0, 1.8, 0.0) == end
+    assert inv_reads == [0.5, 1.85, -0.05]
     assert reads == []
-    g = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=b_f0_d)
-    assert g.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0, 1e-13) == pytest.approx(
+    g = ParametricFrontier(fn=b_f0, u_lo=0.0, u_hi=1.2, dfn=dfn)
+    assert g.level_at_slope(0.5, 0.1, 1.0, 1.8, 0.0) == pytest.approx(
         0.75, abs=1e-13)
+    del reads[:]
+    for y, end in ((1.8, 0.1), (2.5, 0.1), (0.0, 1.0), (-3.0, 1.0)):
+        assert g.level_at_slope(y, 0.1, 1.0, 1.8, 0.0) == end
+    assert reads == []
+
+
+def test_piecewise_level_at_slope_reads_the_breakpoints():
+    # the breakpoint where the slope steps from >= y to < y, in the
+    # breakpoints' own type (a target equal to a segment slope goes to that
+    # segment's right end); a target at or beyond an end slope gives that end
+    f = PiecewiseFrontier(A_F1_EXACT)  # slopes 2, 2/5, -4/5
+    lo, hi = Fraction(0), Fraction(9, 5)
+    for y, u in ((1.0, Fraction(3, 10)), (Fraction(2, 5), Fraction(4, 5)),
+                 (-0.5, Fraction(4, 5))):
+        got = f.level_at_slope(y, lo, hi, 2, Fraction(-4, 5))
+        assert got == u and type(got) is Fraction, y
+    for y, end in ((2, lo), (3.0, lo), (Fraction(-4, 5), hi), (-5, hi)):
+        assert f.level_at_slope(y, lo, hi, 2, Fraction(-4, 5)) is end
 
 
 # -------------------------------------------------------------- u_star -----
@@ -321,6 +350,23 @@ def grid_gap(f0, lo, hi, step=1e-4):
                - (v_lo + slope * (lo + (hi - lo) * i / n - lo)) for i in range(n + 1))
 
 
+def affine_gap_reference(f0, lo, hi):
+    """The breakpoint loop ``affine_gap`` ran on a piecewise ``f0`` before it
+    read the tangency off ``level_at_slope``: the largest deviation above the
+    chord at a breakpoint strictly inside ``[lo, hi]``, or 0."""
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return 0.0
+    v_lo = float(f0.value(lo))
+    slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
+    gap = 0.0
+    for u, v in f0.points:
+        u = float(u)
+        if lo < u < hi:
+            gap = max(gap, float(v) - (v_lo + slope * (u - lo)))
+    return gap
+
+
 @st.composite
 def concave_piecewise(draw):
     """A concave piecewise ``f0`` on 3-8 breakpoints in ``[0, ~3]`` and a
@@ -352,12 +398,8 @@ def concave_piecewise(draw):
 def test_affine_gap_piecewise_is_the_breakpoint_maximum(case):
     f0, lo, hi = case
     assume(hi > lo)
-    v_lo = float(f0.value(lo))
-    slope = (float(f0.value(hi)) - v_lo) / (hi - lo)
-    brute = max([0.0] + [float(f0.value(u)) - (v_lo + slope * (u - lo))
-                         for u, _ in f0.points if lo < u < hi])
     gap = affine_gap(f0, lo, hi)
-    assert gap == brute
+    assert gap == affine_gap_reference(f0, lo, hi)
     # the grid never sees more than the exact maximum, beyond the rounding
     # of its own chord arithmetic
     assert gap >= grid_gap(f0, lo, hi) - 1e-14
@@ -383,6 +425,93 @@ def test_affine_gap_nan_slope_is_a_solver_error():
                             dfn=lambda u: 1.0 - 2.0 * u)
     with pytest.raises(SolverError):
         affine_gap(f0, 0.0, 1.0)
+
+
+def random_concave_piecewise(rng, exact):
+    """A concave piecewise frontier on at most 12 breakpoints from a random
+    start: slopes in [-5, 5], widths in [0.01, 2], as floats or as
+    ``Fraction``s of small denominators."""
+    num = (lambda x, d: Fraction(x).limit_denominator(d)) if exact else (lambda x, d: x)
+    slopes = sorted({num(rng.uniform(-5.0, 5.0), 1000)
+                     for _ in range(rng.randint(2, 11))} - {0}, reverse=True)
+    points = [(num(rng.uniform(-3.0, 3.0), 100), num(rng.uniform(-3.0, 3.0), 100))]
+    for sl in slopes:
+        w = num(rng.uniform(0.01, 2.0), 100)
+        points.append((points[-1][0] + w, points[-1][1] + sl * w))
+    return PiecewiseFrontier(tuple(points))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_affine_gap_piecewise_matches_the_breakpoint_loop(exact):
+    # one level_at_slope read gives the loop's maximum bit for bit, with lo
+    # anywhere in the domain and hi at the peak or anywhere above lo
+    rng = random.Random(3500 + exact)
+    checked = 0
+    for _ in range(1500):
+        f0 = random_concave_piecewise(rng, exact)
+        lo = rng.uniform(float(f0.u_lo), float(f0.u_hi))
+        hi = float(f0.peak[0]) if rng.random() < 0.5 else rng.uniform(lo, float(f0.u_hi))
+        if not f0.u_lo <= lo < hi <= f0.u_hi:  # empty, or rounded off a Fraction end
+            continue
+        checked += 1
+        gap = affine_gap(f0, lo, hi)
+        assert gap.hex() == affine_gap_reference(f0, lo, hi).hex(), (f0.points, lo, hi)
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_piecewise_level_at_slope_is_the_breakpoint_table_read(exact):
+    # strictly between the end slopes the level is the very breakpoint the
+    # slope table gives (a target equal to a segment slope included); at or
+    # beyond an end slope it is that end
+    rng = random.Random(3510 + exact)
+    for _ in range(300):
+        f = random_concave_piecewise(rng, exact)
+        us, slopes = f._us, f._slopes
+        if len(us) < 3:
+            continue
+        i, j = sorted(rng.sample(range(len(us)), 2))
+        lo, hi, d_lo, d_hi = us[i], us[j], slopes[i], slopes[j - 1]
+        targets = list(slopes) + [rng.uniform(float(slopes[-1]) - 1.0, float(slopes[0]) + 1.0)
+                                  for _ in range(8)]
+        for y in targets:
+            got = f.level_at_slope(y, lo, hi, d_lo, d_hi)
+            if y >= d_lo:
+                assert got is lo
+            elif y <= d_hi:
+                assert got is hi
+            else:
+                assert got is us[bisect_right(slopes, -y, key=neg)], (f.points, y)
+
+
+def test_affine_gap_without_a_sign_change_is_zero(monkeypatch):
+    # f0' - chord keeps one sign on the interval, so no level is searched:
+    # a convex u^2, and bands inside one segment of slope 1/10 whose chords
+    # round above it, (0.1, 0.2), and below it, (0.3, 0.7)
+    def no_search(*args):
+        raise AssertionError("level_at_slope called")
+
+    convex = ParametricFrontier(fn=lambda u: u * u, u_lo=0.0, u_hi=1.0,
+                                dfn=lambda u: 2.0 * u)
+    segment = PiecewiseFrontier(((0.0, 0.0), (1.0, 0.1), (2.0, 0.0)))
+    for cls in (ParametricFrontier, PiecewiseFrontier):
+        monkeypatch.setattr(cls, "level_at_slope", no_search)
+    assert affine_gap(convex, 0.0, 1.0) == 0.0
+    for lo, hi in ((0.1, 0.2), (0.3, 0.7)):
+        chord = (segment.value(hi) - segment.value(lo)) / (hi - lo)
+        assert chord != 0.1
+        assert affine_gap(segment, lo, hi) == 0.0
+
+
+def test_affine_gap_reads_an_end_within_kink_snap_as_the_breakpoint():
+    # derivs puts a query within KINK_SNAP of a breakpoint on it, so an end
+    # just short of a kink takes the far segment's slope, and a tangency at
+    # that kink reads as the end: the gap is 0 where the breakpoint loop
+    # finds at most the slope jump times KINK_SNAP
+    f0 = PiecewiseFrontier(((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)))  # slopes 1, -1/2
+    for lo, hi in ((1.0 - 0.5 * KINK_SNAP, 2.0), (0.0, 1.0 + 0.5 * KINK_SNAP)):
+        assert affine_gap(f0, lo, hi) == 0.0
+        assert 0.0 < affine_gap_reference(f0, lo, hi) <= 1.5 * KINK_SNAP
 
 
 # ------------------------------------------------------- technology pair ---

@@ -690,11 +690,12 @@ def test_optimize_deadline_bracket_count(request, monkeypatch, case):
     assert counts["_brackets"] <= BRACKET_COUNTS[case]
 
 
-# f1 slopes read through PiecewiseFrontier.derivs in one optimize_deadline
-# with a piecewise f1: the slope gap of the atom jumps, at u_star, once.
-# The brackets read their slopes off rank_sides, so the count is the same
-# at m = 64 and m = 2048
-DERIVS_PER_SOLVE = 2
+# slopes read through PiecewiseFrontier.derivs in one optimize_deadline
+# with a piecewise pair: f1's for the slope gap of the atom jumps, at
+# u_star, once, and f0's at the two band ends for affine_gap.  The brackets
+# read their slopes off rank_sides, so the count is the same at m = 64 and
+# m = 2048
+DERIVS_PER_SOLVE = 4
 
 
 @pytest.mark.parametrize("case", ["affine-exp64", "affine-exp2048"])

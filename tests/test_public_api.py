@@ -16,8 +16,9 @@ under, ``bench/``.
 The settable options are read from the source with ``ast`` and pinned by
 name, so a change that adds, removes or swaps a knob says so here.  The
 same reading checks that only ``frontier`` reads a slope inverse
-``inv_dfn``: every slope inversion goes through
-``ParametricFrontier.level_at_slope``.
+``inv_dfn`` or a piecewise frontier's ``_us`` and ``_slopes``: every slope
+inversion goes through ``level_at_slope``, which takes the same parameters
+on both frontier kinds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import math
 import re
@@ -194,12 +196,22 @@ def test_runtime_imports_only_stdlib():
 
 
 def test_only_frontier_reads_the_slope_inverse():
-    # ParametricFrontier.level_at_slope is the one slope inversion: no other
-    # module reads a frontier's inv_dfn
+    # level_at_slope is the one slope inversion, on either frontier kind: no
+    # other module reads a parametric frontier's inv_dfn or a piecewise
+    # frontier's breakpoint and slope tables
+    private = {"inv_dfn", "_us", "_slopes"}
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        if any(isinstance(node, ast.Attribute) and node.attr == "inv_dfn"
+        if any(isinstance(node, ast.Attribute) and node.attr in private
                for node in ast.walk(tree)):
             readers.add(path.name)
     assert readers == {"frontier.py"}
+
+
+@pytest.mark.parametrize("cls", ["PiecewiseFrontier", "ParametricFrontier"])
+def test_level_at_slope_takes_one_signature(cls):
+    # the same five parameters on both kinds, and no search tolerance
+    method = getattr(disclose, cls).level_at_slope
+    params = list(inspect.signature(method).parameters)
+    assert params == ["self", "y", "lo", "hi", "d_lo", "d_hi"]
