@@ -30,7 +30,11 @@ Brent's method for another parametric one, the breakpoints of a piecewise
 one with no root finder); slopes read straight from ``dfn`` for a
 parametric frontier; and the discount factors ``exp(-r D)`` computed once
 per solve.  :func:`solve` keeps the passes of its search, so the path at
-the chosen root costs no further pass.
+the chosen root costs no further pass.  Its first pass, at
+``lam = u_star``, clamps: ``frontier.u_star`` lies where ``f1' >= f0'``,
+and every continuation value of that pass is ``u_star`` up to roundoff, so
+each target slope is at or above the ``f0`` slope at ``u_star`` and every
+level is ``u_star``, with no inversion inside the band.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from typing import Optional, Tuple
 
 from .distribution import BreakthroughDist, order_checks, OrderReport
 from .errors import AtomAtZero, BracketFailure, NotSimple
-from .frontier import ParametricFrontier, TechnologyPair, is_neg_inf, slope
+from .frontier import (ParametricFrontier, TechnologyPair, is_neg_inf, slope,
+                       slope_reader)
 from .mechanism import Mechanism, mechanism_rows, payoff
 from .numerics import bisect_down, brent_down
 
@@ -97,18 +102,18 @@ def simple_reasons(pair: TechnologyPair) -> Tuple[str, ...]:
 def inv_deriv_f0(pair: TechnologyPair, y: float) -> float:
     """Invert the ``f0`` slope on ``[u_star, u0]``, clamping outside.
 
-    The slope is strictly decreasing there.  The two band-end slopes are
-    read once per pair (``pair.f0_band_slopes``) and handed to the
-    frontier's ``level_at_slope``, which applies the clamps (targets at or
-    above the slope at ``u_star`` give ``u_star``, targets at or below the
-    slope at the peak give ``u0``) and inverts inside: for a parametric
+    The slope is strictly decreasing there.  The bound ``level_at_slope``,
+    the band and its two end slopes are read once per pair, as the one
+    tuple ``pair.f0_band``; the inversion applies the clamps (targets at
+    or above the slope at ``u_star`` give ``u_star``, targets at or below
+    the slope at the peak give ``u0``) and inverts inside: for a parametric
     ``f0`` off its closed-form inverse when it carries one, else by Brent's
     method to ``1e-13`` of the band; for a piecewise ``f0`` the breakpoint
     where the target falls between two segment slopes, with no root finder
     (a target equal to a segment slope goes to that segment's right end).
     """
-    top, bottom = pair.f0_band_slopes
-    return float(pair.f0.level_at_slope(y, pair.u_star, pair.u0, top, bottom))
+    at_slope, lo, hi, top, bottom = pair.f0_band
+    return float(at_slope(y, lo, hi, top, bottom))
 
 
 def _discounts(pair: TechnologyPair, dist: BreakthroughDist) -> Tuple[float, ...]:
@@ -267,13 +272,20 @@ def euler_residuals(pair: TechnologyPair, dist: BreakthroughDist,
     one from the other), so the residuals detect inconsistent inputs; at the
     solved path ``max |R_k|`` is at numerical zero and ``R_K`` equals the
     terminal residual ``psi``.
+
+    Slopes are read through :func:`frontier.slope_reader` (``dfn`` directly
+    at an in-domain level of a parametric frontier, the value :func:`slope`
+    returns there; an off-domain level raises :class:`NotSimple`), and
+    ``G(t_k)`` is atom ``k``'s exact prefix sum ``dist.mass(0, k + 1)``,
+    the value ``dist.cdf(t_k)`` returns, with no search over the times.
     """
+    d0, d1 = slope_reader(pair.f0), slope_reader(pair.f1)
+    mass = dist.mass
     out = []
     running = 0.0
-    for t_k, p_k, x_k, c_k in zip(dist.times, dist.probs, levels, conts):
-        running += p_k * slope(pair.f1, c_k)
-        survival = 1.0 - dist.cdf(t_k)
-        out.append(survival * slope(pair.f0, x_k) + running)
+    for k, (p_k, x_k, c_k) in enumerate(zip(dist.probs, levels, conts)):
+        running += p_k * d1(c_k)
+        out.append((1.0 - mass(0, k + 1)) * d0(x_k) + running)
     return tuple(out)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import neg
 from typing import Callable, Optional, Tuple
 
@@ -266,6 +266,25 @@ def slope(f, u) -> float:
     raise NotSimple([f"no finite slope at u={u}"])
 
 
+def slope_reader(f) -> Callable[[float], float]:
+    """``u -> slope(f, u)``, without its detours where it can: for a
+    parametric ``f``, a level in the domain whose ``dfn`` is finite reads
+    ``dfn`` directly (:func:`slope` returns exactly that there), and any
+    other level goes through :func:`slope`, so it raises as that does."""
+    if not isinstance(f, ParametricFrontier):
+        return partial(slope, f)
+    lo, hi, dfn = f.u_lo, f.u_hi, f.dfn
+
+    def read(u):
+        if lo <= u <= hi:
+            d = dfn(u)
+            if -INF < d < INF:
+                return d
+        return slope(f, u)
+
+    return read
+
+
 def u_star(f0, f1) -> float:
     """Rightmost local maximiser of the gap ``f1 - f0`` on ``[lo, u0]``,
     ``lo`` the bottom of the shared domain: the rightmost ``u`` there where
@@ -289,10 +308,14 @@ def u_star(f0, f1) -> float:
     Only one-sided slopes are read.  Piecewise pairs are scanned
     breakpoint-by-breakpoint right to left (exact; preserves Fraction
     inputs).  Smooth pairs scan a 512-step grid of ``slope(f0) - slope(f1)``
-    (:func:`slope`) right to left for the first point where it is <= 0,
-    then bisect that cell to ``U_STAR_TOL`` times the span scanned, so the
-    answer scales with the pair; if the slopes never cross, the bottom of
-    the domain is returned.
+    (read through :func:`slope_reader`) right to left for the first point
+    where it is <= 0, then bisect that cell to ``U_STAR_TOL`` times the span
+    scanned, so the answer scales with the pair; if the slopes never cross,
+    the bottom of the domain is returned.  The bisection returns the end of
+    its final bracket where ``f0' - f1' <= 0``, at most half that width from
+    its midpoint, because a reward path held at ``u_star`` then has ``f1``
+    slopes at or above ``f0'(u_star)``: the backward pass at
+    ``lam = u_star`` clamps every level to ``u_star`` with no inversion.
     """
     u0 = f0.peak[0]
     lo = max(f0.u_lo, f1.u_lo)
@@ -315,8 +338,10 @@ def u_star(f0, f1) -> float:
                 return u
         raise ModelAssumptionError("no shared supporting slope found")  # pragma: no cover
 
+    d0, d1 = slope_reader(f0), slope_reader(f1)
+
     def psi(u: float) -> float:
-        return slope(f0, u) - slope(f1, u)
+        return d0(u) - d1(u)
 
     if psi(cap) < 0.0:
         raise ModelAssumptionError(
@@ -396,11 +421,14 @@ class TechnologyPair:
                    u1=float(f1.peak[0]), u_star=float(u_star(f0, f1)))
 
     @cached_property
-    def f0_band_slopes(self) -> Tuple[float, float]:
-        """``(slope(f0, u_star), slope(f0, u0))``, the ``f0`` slopes at the
-        band ends, read once per pair on first use (raises
-        :class:`NotSimple` if either is infinite)."""
-        return slope(self.f0, self.u_star), slope(self.f0, self.u0)
+    def f0_band(self) -> Tuple[Callable, float, float, float, float]:
+        """``(f0.level_at_slope, u_star, u0, slope(f0, u_star),
+        slope(f0, u0))``: the bound inversion, the band ``[u_star, u0]`` and
+        the ``f0`` slopes at its ends, read once per pair on first use
+        (raises :class:`NotSimple` if either slope is infinite), so an
+        inversion on the band reads one tuple."""
+        return (self.f0.level_at_slope, self.u_star, self.u0,
+                slope(self.f0, self.u_star), slope(self.f0, self.u0))
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,11 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     ``exp(-r a)`` at each grid point are computed once, and the atoms, being
     sorted, walk the cells forward, each computing ``exp(-r t)`` once and its
     continuation value as :func:`continuation_at` does, so the cost is
-    O(cells + atoms).  Every atom of the last cell has the same reward, so
-    ``f1`` is read once for all of them.
+    O(cells + atoms).  An atom on grid point ``i`` before the last, as
+    every atom of a reward path but the last is, reuses ``exp(-r grid[i])``
+    and the profile's ``X_i``, the very values those expressions give
+    there.  Every atom of the last cell has the same reward, so ``f1`` is
+    read once for all of them.
     """
     r = pair.r
     grid, levels, reward = m.grid, m.levels, m.reward
@@ -192,17 +195,22 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     for t, p in zip(dist.times, dist.probs):
         while i + 1 < n and grid[i + 1] <= t:
             i += 1
-        e = math.exp(-r * t)
-        pre = prefix[i] + flow_vals[i] * (disc[i] - e)
         if i == n - 1:
+            e = math.exp(-r * t)
             if v_last is None:
                 v_last = f1_value(levels[-1] if reward is None else reward[-1])
             v1 = v_last
-        elif reward is not None:
-            v1 = f1_value(reward[i])
+        elif t == grid[i]:   # on grid point i
+            e = disc[i]
+            v1 = f1_value(prof[i] if reward is None else reward[i])
         else:
-            d = math.exp(-r * (grid[i + 1] - t))
-            v1 = f1_value((1.0 - d) * levels[i] + d * prof[i + 1])
+            e = math.exp(-r * t)
+            if reward is not None:
+                v1 = f1_value(reward[i])
+            else:
+                d = math.exp(-r * (grid[i + 1] - t))
+                v1 = f1_value((1.0 - d) * levels[i] + d * prof[i + 1])
+        pre = prefix[i] + flow_vals[i] * (disc[i] - e)
         if is_neg_inf(v1):
             return NEG_INF
         terms.append(p * (pre + e * float(v1)))

@@ -23,9 +23,11 @@ outside this module: the insurance labor maximization
 increasing and convex in log labor, so Newton's iterates from a
 closed-form start at or above the root fall to it without overshooting it.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
-its final bracket; :func:`bisect_up` mirrors it.  (A deadline search with
-a piecewise ``f1`` and ``PiecewiseFrontier.level_at_slope`` need neither:
-each answer is a kink, read off a sorted table.)  The caller passes
+its final bracket; :func:`bisect_up` runs it on ``-f`` and returns the end
+of the final bracket where f <= 0, so ``u_star`` lands on a known side of
+its crossing.  (A deadline search with a piecewise ``f1`` and
+``PiecewiseFrontier.level_at_slope`` need neither: each answer is a kink,
+read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
 test for a sign change (``level_at_slope``, the ``psi`` root) or to split
 its span (the deadline pieces);
@@ -142,6 +144,19 @@ def brent_down(f, lo, hi, *, f_lo, f_hi, tol_x):
 
 
 def bisect_up(f, lo, hi, *, tol_x):
-    """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi)."""
-    return bisect_down(lambda x: -f(x), lo, hi, f_lo=-f(lo), f_hi=-f(hi),
-                       tol_x=tol_x)
+    """Root of ``f`` on [lo, hi] assuming an up-crossing: f(lo) <= 0 <= f(hi).
+
+    One :func:`bisect_down` call on ``-f``, which reads ``f`` at both ends
+    first; returns the end of the final bracket where f <= 0 (``lo`` when
+    no midpoint had f <= 0), not its midpoint, so the root's side of the
+    crossing is known: ``frontier.u_star`` relies on it."""
+    low = [lo]
+
+    def g(x):
+        v = -f(x)
+        if v >= 0.0:  # bisect_down moves lo here
+            low.append(x)
+        return v
+
+    bisect_down(g, lo, hi, f_lo=-f(lo), f_hi=-f(hi), tol_x=tol_x)
+    return low[-1]

@@ -471,7 +471,7 @@ CLUSTERED_WITNESS = [
 def test_clustered_witness_finds_the_last_stationary_point(pair_b):
     dist = normalized(CLUSTERED_WITNESS)
     res = optimize_deadline(pair_b, dist)
-    assert res.T == pytest.approx(7.29243638110346, abs=1e-12)
+    assert res.T == pytest.approx(7.292436381135905, abs=1e-12)
     assert res.payoff == pytest.approx(1.0159047889808812, abs=1e-12)
     for t_earlier in (5.999696534898882, 6.94239592900363):
         assert res.payoff > deadline_payoff(pair_b, dist, t_earlier) + 4e-6

@@ -219,10 +219,16 @@ def payoff_reference(m, pair, dist):
 
 
 def random_mechanism(rng, dist, *, explicit: bool, hi: float) -> Mechanism:
-    """(m+1)-cell mechanism on the atom grid, or a grid off the atoms;
-    levels and rewards occasionally leave the frontier domains."""
-    if rng.random() < 0.5:
+    """(m+1)-cell mechanism on the atom grid, a grid with some atoms on it
+    and some between its points, or a grid off the atoms; levels and
+    rewards occasionally leave the frontier domains."""
+    u = rng.random()
+    if u < 0.4:
         grid = (0.0,) + tuple(dist.times)
+    elif u < 0.7:
+        times = set(rng.sample(dist.times, rng.randint(0, len(dist.times))))
+        times |= {rng.uniform(0.0, 1.2 * dist.times[-1]) for _ in dist.times}
+        grid = (0.0,) + tuple(sorted(t for t in times if t > 0.0))
     else:
         grid = (0.0,) + tuple(sorted(rng.sample(range(1, 10 * len(dist.times) + 10),
                                                 len(dist.times))))
@@ -247,11 +253,18 @@ def test_payoff_matches_per_atom_reference(request, pair_name, explicit):
                 payoff_reference(mech, pair, dist))
 
 
-def test_payoff_deadline_mechanisms_match_reference(pair_a, dist_exp16):
-    for T in (0.0, 0.3, math.log(3.5), 1.7, 9.0, math.inf):
-        mech = deadline.deadline_mechanism(pair_a, T)
-        assert exact(payoff(mech, pair_a, dist_exp16)) == exact(
-            payoff_reference(mech, pair_a, dist_exp16))
+def test_payoff_deadline_mechanisms_match_reference(pair_a, pair_b, pair_ui,
+                                                    dist_exp16):
+    # deadlines between atoms and at each atom, under a law with an atom
+    # at t = 0 too
+    law0 = from_atoms([(0.0, 0.25)] + [(t, 0.75 * p) for t, p
+                                       in zip(dist_exp16.times, dist_exp16.probs)])
+    for pair in (pair_a, pair_b, pair_ui):
+        for dist in (dist_exp16, law0):
+            for T in (0.0, 0.3, math.log(3.5), 1.7, 9.0, math.inf) + dist.times:
+                mech = deadline.deadline_mechanism(pair, T)
+                assert exact(payoff(mech, pair, dist)) == exact(
+                    payoff_reference(mech, pair, dist)), (pair, T)
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -1133,7 +1146,7 @@ def test_insurance_f0_inverse_matches_brent():
             p = draw(rng)
             pair = build_frontiers(p, 1.0)
             f0, ustar, u0 = pair.f0, pair.u_star, pair.u0
-            top, bottom = pair.f0_band_slopes
+            top, bottom = slope(pair.f0, pair.u_star), slope(pair.f0, pair.u0)
             ys = [bottom + (top - bottom) * (i + 0.5) / 16 for i in range(16)]
             ys += [top - 1e-12, top - 1e-14, math.nextafter(top, -math.inf), top,
                    bottom + 1e-12, bottom + 1e-14, math.nextafter(bottom, math.inf),
@@ -1437,7 +1450,7 @@ def breakpoint_scan(f0, y):
 
 
 def inv_deriv_f0_scan(pair, y):
-    top, bottom = pair.f0_band_slopes
+    top, bottom = slope(pair.f0, pair.u_star), slope(pair.f0, pair.u0)
     if y >= top:
         return pair.u_star
     if y <= bottom:
@@ -1566,7 +1579,7 @@ def backward_pass_reference(pair, dist, lam, disc=None):
     times, probs = dist.times, dist.probs
     if times[0] <= 0.0:
         raise AtomAtZero("atom at t=0")
-    top, bottom = pair.f0_band_slopes
+    top, bottom = slope(pair.f0, pair.u_star), slope(pair.f0, pair.u0)
     k_n = len(times)
     x = [0.0] * k_n
     cx = [0.0] * k_n

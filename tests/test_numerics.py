@@ -99,15 +99,23 @@ def test_bisection_nan_midpoint_raises(root, sign):
 
 
 def test_bisect_up_mirror():
+    # the root is the end of the final bracket where f <= 0
     root = bisect_up(lambda x: x * x - 2.0, 0.0, 2.0, tol_x=1e-12)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
+    assert root * root - 2.0 <= 0.0
+    # a bracket already narrower than tol_x, and one where no midpoint has
+    # f <= 0, both return lo
+    assert bisect_up(lambda x: x - 1.0, 0.5, 2.0, tol_x=2.0) == 0.5
+    assert bisect_up(lambda x: -1.0 if x == 0.0 else 1.0, 0.0, 1.0,
+                     tol_x=1e-3) == 0.0
 
 
 def test_bisect_up_is_one_bisect_down_call(monkeypatch):
     # the benchmark tracer counts a bisect_up as one root find by skipping
     # the single bisect_down it delegates to, and counts every evaluation
     # of the callable bisect_up was handed: f at both ends, then once per
-    # midpoint of the mirrored bisection
+    # midpoint of the mirrored bisection; the root is the low end of that
+    # bisection's final bracket, where f <= 0, not its midpoint
     orig, delegated = numerics.bisect_down, []
 
     def spy(g, lo, hi, **kwargs):
@@ -119,8 +127,11 @@ def test_bisect_up_is_one_bisect_down_call(monkeypatch):
     root = bisect_up(f, 0.0, 2.0, tol_x=1e-12)
     assert delegated == [(0.0, 2.0)]
     g, mirrored = counted(lambda x: 2.0 - x * x)
-    assert root == orig(g, 0.0, 2.0, f_lo=2.0, f_hi=-2.0, tol_x=1e-12)
+    mid = orig(g, 0.0, 2.0, f_lo=2.0, f_hi=-2.0, tol_x=1e-12)
     assert calls[:2] == [0.0, 2.0] and calls[2:] == mirrored
+    lo = max(x for x in mirrored if 2.0 - x * x >= 0.0)
+    hi = min(x for x in mirrored if 2.0 - x * x < 0.0)
+    assert root == lo and mid == 0.5 * (lo + hi)
 
 
 def test_bisect_down_returns_the_midpoint_of_the_final_bracket():
