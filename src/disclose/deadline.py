@@ -21,16 +21,18 @@ the sum of the positive jumps at the atoms inside.  An interval where
 these bounds keep it on one side of zero holds no stationary point and is
 dropped; the others are split at their middle atom, and an atom-free
 piece whose ends straddle zero is solved for its root.  With a parametric
-``f1`` the bracket is smooth on such a piece, and Brent's method finds
-the root.  A piecewise ``f1`` makes it a step function there, which
-changes only at the kink events ``t_k + _deadline_for(pair, b)``, where
-the reward ``X_{t_k}(T)`` of an atom ``t_k`` before the piece reaches an
-``f1`` breakpoint ``b`` in ``(u_star, u0)``; a binary search over the
-events of the piece, reading the bracket between them, returns the event
-where it turns negative.  This finds every stationary point, at an atom,
-a kink event or between two atoms, and the payoff argmax over them is the
-best deadline.  When ``f0`` is affine on ``[u_star, u0]`` no jump is
-positive, and the search is one binary search over the atoms.
+``f1`` the bracket is smooth on such a piece ``(t_i, t_j)``, and Brent's
+method finds the root in the discount factor ``z = exp(-r (T - t_i))``,
+in which every atom reward is affine.  A piecewise ``f1`` makes it a
+step function there, which changes only at the kink events
+``t_k + _deadline_for(pair, b)``, where the reward ``X_{t_k}(T)`` of an
+atom ``t_k`` before the piece reaches an ``f1`` breakpoint ``b`` in
+``(u_star, u0)``; a binary search over the events of the piece, reading
+the bracket between them, returns the event where it turns negative.
+This finds every stationary point, at an atom, a kink event or between
+two atoms, and the payoff argmax over them is the best deadline.  When
+``f0`` is affine on ``[u_star, u0]`` no jump is positive, and the search
+is one binary search over the atoms.
 
 Cost: a bracket evaluation reads only the atoms at or before T, returns
 both one-sided brackets and computes no payoff.  With a parametric ``f1``
@@ -41,12 +43,15 @@ breakpoints * log m), whatever the number of atoms.  The affine case makes
 O(log m) of them at atoms; a curved ``f0`` one per split atom, as many as
 the pruning leaves.  A crossing piece adds O(log(events in the piece))
 with a piecewise ``f1`` (finding the events costs two ``bisect`` calls per
-``f1`` breakpoint and no bracket), and a few by Brent's method to 1e-13
-with a parametric one (12 evaluations in all for an insurance pair with 32
-atoms).  The affinity test reads ``f0`` at its breakpoints, or solves one
-smooth root, and no bracket.  Payoffs are computed for the candidate
-deadlines and the never-stop profile only, each O(atoms) on the two-cell
-deadline mechanism.
+``f1`` breakpoint and no bracket), and a few by Brent's method, to 1e-13
+in T, with a parametric one.  In the discount factor that takes 6.6
+evaluations per crossing on seeded ui-sweep pairs with 32 atoms, where a
+search in T, on a bracket flattening like ``exp(-r T)``, took 9.6; an
+insurance pair with 32 atoms makes 11 evaluations in all.  The affinity
+test reads ``f0`` at its breakpoints, or solves one smooth root, and no
+bracket.  Payoffs are computed for the candidate deadlines and the
+never-stop profile only, each O(atoms) on the two-cell deadline
+mechanism.
 """
 
 from __future__ import annotations
@@ -315,6 +320,32 @@ def _kink_crossing(right, times, lags, lo: float, hi: float) -> float:
     return ends[b] if events else hi
 
 
+def _smooth_crossing(right, r: float, lo: float, hi: float,
+                     f_lo: float, f_hi: float) -> float:
+    """The deadline where the right bracket ``right`` of a parametric
+    ``f1`` crosses zero on the atom-free piece ``(lo, hi)``: ``f_lo`` is
+    the bracket at ``lo``, >= 0, and ``f_hi`` its left limit at ``hi``, < 0.
+
+    Brent's method searches the discount factor ``z = exp(-r (T - lo))`` on
+    ``[exp(-r (hi - lo)), 1]``, not T.  In z every atom reward
+    ``X_k = u0 - (u0 - u_star) z exp(-r (lo - t_k))`` is affine, so its
+    interpolation steps take hold at once, where in T the bracket flattens
+    like ``exp(-r T)``.  The bracket rises in z, so the search runs on its
+    negation, from the end values read already.  Its z tolerance,
+    ``1e-13 r exp(-r (hi - lo))``, keeps T within 1e-13 of the root; its
+    relative one, ``2 EPS z``, adds at most ``4 EPS / r``.  The deadline
+    is ``T = lo - log(z) / r``, clamped into ``[lo, hi]``.
+    """
+    z_lo = math.exp(-r * (hi - lo))
+
+    def deadline_at(z: float) -> float:  # a z that underflowed to 0 reads hi
+        return min(hi, lo - math.log(z) / r) if z > 0.0 else hi
+
+    z = brent_down(lambda z: -right(deadline_at(z)), z_lo, 1.0,
+                   f_lo=-f_hi, f_hi=-f_lo, tol_x=1e-13 * r * z_lo)
+    return deadline_at(z)
+
+
 @dataclass(frozen=True)
 class OptimalDeadline:
     T: float
@@ -335,10 +366,11 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
     branch and bound searches for the stationary points of the payoff
     (the module docstring gives the bound).  An atom is one when its left
     bracket is >= 0 and its right bracket < 0.  Each piece whose bracket
-    goes from >= 0 to < 0 is closed by Brent's method to 1e-13 when
-    ``f1`` is parametric, so that the bracket is smooth on the piece, and
-    at the kink event where the bracket turns negative when it is
-    piecewise (:func:`_kink_crossing`).  The payoff argmax over these
+    goes from >= 0 to < 0 is closed by Brent's method in the discount
+    factor from the piece's left end, to 1e-13 in T, when ``f1`` is
+    parametric, so that the bracket is smooth on the piece
+    (:func:`_smooth_crossing`), and at the kink event where the bracket
+    turns negative when it is piecewise (:func:`_kink_crossing`).  The payoff argmax over these
     candidates and the threshold itself is returned, with a warning when
     :func:`affine_gap` of ``f0`` on ``[u_star, u0]`` exceeds
     ``AFFINE_TOL``.  The search relies on ``f1`` being concave.  Only the
@@ -411,8 +443,8 @@ def optimize_deadline(pair: TechnologyPair, dist: BreakthroughDist,
             stack += [(k, j), (i, k)]
             continue
         if smooth:
-            candidates.append(brent_down(right, ts[i], ts[j], f_lo=vals[i][0],
-                                         f_hi=vals[j][1], tol_x=1e-13))
+            candidates.append(_smooth_crossing(right, pair.r, ts[i], ts[j],
+                                               vals[i][0], vals[j][1]))
         else:
             candidates.append(_kink_crossing(right, times, lags, ts[i], ts[j]))
 

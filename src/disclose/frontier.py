@@ -257,7 +257,12 @@ class ParametricFrontier:
 def slope(f, u) -> float:
     """Frontier slope at ``u``, finite side preferred (the two sides agree in
     the smooth interior; only the domain endpoints differ).  Raises
-    :class:`NotSimple` when neither side is finite or ``u`` is off-domain."""
+    :class:`NotSimple` when neither side is finite or ``u`` is off-domain
+    or NaN.  The NaN check comes first: a piecewise ``derivs`` would place
+    a NaN on its last segment, and a parametric ``dfn`` may reject it with
+    an error of its own."""
+    if u != u:
+        raise NotSimple([f"no slope at u={u}"])
     d_plus, d_minus = f.derivs(u)
     if d_plus is not None and math.isfinite(d_plus):
         return d_plus

@@ -39,13 +39,16 @@ latter clamped to the domain bottom when ``f1`` already falls at 0).
 Solved mechanisms translate into benefit/consumption/labor schedules via
 the same closed forms.
 
-``f1`` and its slope both need the inner maximization over labor
-(:func:`_inner_max`): one Newton search in log labor on a first-order
-condition that is increasing and convex, from a closed-form start at or
-above the root, so the iterates fall to it without overshooting it,
-typically in two to five reads, each one exp and one log.  Each pair built
-by :func:`build_frontiers` memoizes the maximization per utility level;
-the memo is freed with the frontiers, so no state outlives them.
+``f1`` and its slope both need the inner maximization over labor: one
+Newton search in log labor on a first-order condition that is increasing
+and convex, from a closed-form start at or above the root, so the
+iterates fall to it without overshooting it, typically in two to five
+reads, each one exp and one log.  :func:`_labor_search` sets up the
+search's constants once for the primitives and returns the search over
+utility levels; :func:`build_frontiers` makes one per pair and memoizes
+``(L*, value, C = u + L*^b)`` per level, so the slope
+``1 - (shadow/a) C**((1-a)/a)`` takes no second power of ``L*``.  The
+memo is freed with the frontiers, so no state outlives them.
 """
 
 from __future__ import annotations
@@ -108,8 +111,12 @@ def _f0_fns(a: float, lam: float):
             lambda y: (a / lam * (1.0 - y)) ** (a / (1.0 - a)))
 
 
-def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
-    """``argmax_L`` and ``max_L`` of ``w L - (u + L**b)**(1/a)`` for L >= 0.
+def _labor_search(a: float, b: float, w: float):
+    """The labor maximization of the primitives ``a``, ``b``, ``w``, as a
+    function of the utility level ``u``: ``u -> (L*, value, C)``, with
+    ``L* = argmax_L`` and ``value = max_L`` of ``w L - (u + L**b)**(1/a)``
+    for L >= 0, and ``C = u + L*^b``, the utility that consumption
+    ``C**(1/a)`` must deliver.
 
     The objective is strictly concave with slope ``w`` at L = 0, so the
     maximizer is the root of its slope.  With ``k = (1-a)/a``, the slope at
@@ -129,42 +136,59 @@ def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
     ``h'' = k b**2 q (1 - q)``, ``q = L**b / (u + L**b)``, is at most
     ``b h'``; and ``e <= h/(b-1)``, as ``h' >= b-1``.  An overflow, of
     ``u + e^(b s)`` or of the value at the maximizer, is a
-    :class:`ConfigError`.  Nothing is cached here: ``build_frontiers``
-    keeps a memo per pair.
+    :class:`ConfigError`.
+
+    The constants that do not depend on ``u`` (``k``, ``b - 1``, ``k b``,
+    ``c``, the ``u = 0`` root and ``1/a``) are set up here, once; the
+    returned search holds the Newton loop.  Nothing is cached:
+    ``build_frontiers`` keeps a memo per pair.
     """
     k = (1.0 - a) / a
     b1, kb = b - 1.0, k * b
     c = math.log(a) + math.log(w) - math.log(b)
-    s = c / (b1 + kb)
-    try:
-        if u > 0.0:
-            s = min(s, (c - k * math.log(u)) / b1)
-            for _ in range(MAX_ITER):
-                e = math.exp(b * s)
-                v = u + e
-                if v == math.inf:  # neither term overflows, their sum does
-                    raise OverflowError
-                h = b1 * s + k * math.log(v) - c
-                if h <= 0.0:  # at the root, or past it by roundoff
-                    break
-                step = h / (b1 + kb * e / v)
-                if s - step >= s:
-                    break
-                s -= step
-                tol = EPS2 * (-s if s < -1.0 else s if s > 1.0 else 1.0)  # max(1, |s|)
-                dist = h / b1  # bounds the distance the step started from
-                if step <= tol or 0.5 * b * dist * dist <= tol:
-                    break
-        l_star = math.exp(s)
-        value = w * l_star - (u + l_star ** b) ** (1.0 / a)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        l_star = math.exp(s) if s <= 709.78 else math.inf  # e**709.79 overflows
-        raise ConfigError(
-            f"compensating consumption overflows a float at labor L={l_star:g} "
-            f"(a={a}, b={b}, w={w}, u={u:g})")
-    return l_star, value
+    s0 = c / (b1 + kb)
+    inv_a = 1.0 / a
+
+    def search(u: float) -> Tuple[float, float, float]:
+        s = s0
+        try:
+            if u > 0.0:
+                s = min(s, (c - k * math.log(u)) / b1)
+                for _ in range(MAX_ITER):
+                    e = math.exp(b * s)
+                    v = u + e
+                    if v == math.inf:  # neither term overflows, their sum does
+                        raise OverflowError
+                    h = b1 * s + k * math.log(v) - c
+                    if h <= 0.0:  # at the root, or past it by roundoff
+                        break
+                    step = h / (b1 + kb * e / v)
+                    if s - step >= s:
+                        break
+                    s -= step
+                    tol = EPS2 * (-s if s < -1.0 else s if s > 1.0 else 1.0)  # max(1, |s|)
+                    dist = h / b1  # bounds the distance the step started from
+                    if step <= tol or 0.5 * b * dist * dist <= tol:
+                        break
+            l_star = math.exp(s)
+            owed = u + l_star ** b
+            value = w * l_star - owed ** inv_a
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            l_star = math.exp(s) if s <= 709.78 else math.inf  # e**709.79 overflows
+            raise ConfigError(
+                f"compensating consumption overflows a float at labor L={l_star:g} "
+                f"(a={a}, b={b}, w={w}, u={u:g})")
+        return l_star, value, owed
+
+    return search
+
+
+def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
+    """``(L*, value)`` of the labor maximization at ``u``, by a
+    :func:`_labor_search` built for this one call."""
+    return _labor_search(a, b, w)(u)[:2]
 
 
 @dataclass(frozen=True)
@@ -189,28 +213,31 @@ def build_frontiers(p: UiPrimitives, r: float) -> TechnologyPair:
     the envelope theorem: ``f1'(u) = 1 - (shadow/a) C(u)**(1-a)`` with
     ``C(u)`` the compensating consumption at the optimal labor choice) and
     the closed-form inverses of those derivatives, so the peaks ``u0`` and
-    ``u1`` need no search.  ``f1`` and its derivative read one inner
-    maximization per level from a memo that lives as long as the
-    frontiers.  ``u_star`` is the domain bottom, by proof, not by a scan.
+    ``u1`` need no search.  ``f1`` and its derivative read one labor
+    maximization per level, by the pair's one :func:`_labor_search`, from a
+    memo of ``(L*, value, u + L*^b)`` that lives as long as the frontiers.
+    ``u_star`` is the domain bottom, by proof, not by a scan.
     """
     a, b, w, lam = p.a, p.b, p.w, p.shadow
     u0 = ui_constants(p).u0
     hi = DOMAIN_FACTOR * u0
+    search = _labor_search(a, b, w)
     memo = {}
 
-    def inner(u: float) -> Tuple[float, float]:
+    def inner(u: float) -> Tuple[float, float, float]:
         u = float(u)
         out = memo.get(u)
         if out is None:
-            out = memo[u] = _inner_max(a, b, w, u)
+            out = memo[u] = search(u)
         return out
 
     def f1_fn(u: float) -> float:
         return u + lam * inner(u)[1]
 
+    lam_a, k = lam / a, (1.0 - a) / a
+
     def f1_dfn(u: float) -> float:
-        l_star = inner(u)[0]
-        return 1.0 - (lam / a) * (u + l_star ** b) ** ((1.0 - a) / a)
+        return 1.0 - lam_a * inner(u)[2] ** k
 
     f0_fn, f0_dfn, f0_inv_dfn = _f0_fns(a, lam)
 

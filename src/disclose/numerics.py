@@ -13,15 +13,16 @@ insurance frontiers invert their slopes in closed form), searched to
 ``1e-13`` of the bracket it is given, so no caller passes a tolerance;
 the ``psi`` root (the terminal level of a reward path) of a parametric
 pair; and the crossing piece of a deadline search with a parametric
-``f1``.  There its interpolation steps converge superlinearly; on a step
+``f1``, searched in the discount factor, where the atom rewards are
+affine.  There its interpolation steps converge superlinearly; on a step
 function it has no such step to take, so the ``psi`` root of a piecewise
 pair keeps bisection (:func:`bisect_down`), as does the smooth-pair cell
 of ``frontier.u_star`` (:func:`bisect_up`, to a width relative to the
-span scanned).  Newton's method is used once,
-outside this module: the insurance labor maximization
-(``insurance._inner_max``) solves a first-order condition that is
-increasing and convex in log labor, so Newton's iterates from a
-closed-form start at or above the root fall to it without overshooting it.
+span scanned).  Newton's method is used once, outside this module: the
+insurance labor maximization (``insurance._labor_search``, built once per
+insurance pair) solves a first-order condition that is increasing and
+convex in log labor, so Newton's iterates from a closed-form start at or
+above the root fall to it without overshooting it.
 :func:`bisect_down` is the one bisection loop and returns the midpoint of
 its final bracket; :func:`bisect_up` runs it on ``-f`` and returns the end
 of the final bracket where f <= 0, so ``u_star`` lands on a known side of
@@ -30,10 +31,10 @@ its crossing.  (A deadline search with a piecewise ``f1`` and
 read off a sorted table.)  The caller passes
 ``f_lo = f(lo)`` and ``f_hi = f(hi)``: each has read both ends already, to
 test for a sign change (``level_at_slope``, the ``psi`` root) or to split
-its span (the deadline pieces);
-:func:`bisect_up` alone reads ``-f`` at both ends itself.  Ends that do not
-straddle zero, a NaN end included, and a NaN from ``f`` raise
-:class:`SolverError`.
+its span (the deadline pieces, whose ends the crossing search negates,
+as the bracket rises in the discount factor); :func:`bisect_up` alone
+reads ``-f`` at both ends itself.  Ends that do not straddle zero, a NaN
+end included, and a NaN from ``f`` raise :class:`SolverError`.
 """
 
 from __future__ import annotations

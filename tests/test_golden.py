@@ -184,17 +184,17 @@ GOLDEN = {
     }),
     'ui-schedule-deadline16': (0, {
         'mechanism.csv':
-            'ea3f43f174c3f30d1d0de1198838e77c4bffc0afa2c3d1ed7cdc6d717625de04',
+            'a1b9ae77e6d3dd39f854c878389792b7a1e2881cbb68f586a2c154200d84149b',
         'report.json':
-            'bdc5551a01290c2f1d33afb2dc82898877a549fa65062e1f2a25cf32ac786aaa',
+            'bb60378139d441ec7908755a4ec6241827b93b311ca689b84db11e4467c93221',
         'schedule.csv':
-            'bc17bf2296119b8a9c519aab3292fbdd47ad30c630499d630510a1b8b4d4cfed',
+            '385887350d84d9e0e3c103e610a6e3a806eced233c737b6b5946be63d643f2fa',
     }),
     'ui-sweep-m8': (0, {
         'report.json':
             'b1af4f440b399d6ede7712f82e715c2b6812d15aed2c0c0d9fa36e2f3ddec883',
         'sweep.csv':
-            '9641ce606e39164a89eaa29628ab147a0a31fc7162114428517f223c2f5eedfc',
+            'a5510a75e694b2ed00f5af9586f5b987de6916c92997b8c04c51a9ec1eab88e8',
     }),
     'verify-classify': (0, {
         'report.json':

@@ -677,19 +677,19 @@ def test_payoff_reads_f1_once_in_the_last_cell(request, monkeypatch, case):
 # bracket evaluations: the T_hi doubling, the threshold, the atoms the
 # search splits at, the crossing pieces and foc_check.  A piecewise f1
 # closes a piece by a binary search over its kink events, O(log m) reads
-# (the end values are reused); a parametric one takes Brent's method to
-# 1e-13, a few evaluations
+# (the end values are reused); a parametric one takes Brent's method in the
+# discount factor to 1e-13 in T, a few evaluations
 BRACKET_COUNTS = {
     # f0 affine: one binary search over the atoms
     "affine-exp64": 10,
     "affine-exp256": 12,
     "affine-exp2048": 16,
-    "affine-smooth": 13,
+    "affine-smooth": 9,
     # f0 not affine: the bracket may rise at an atom, and the search
     # splits each interval that can still cross zero
     "kinked": 7,
-    "curved": 11,
-    "insurance": 12,
+    "curved": 7,
+    "insurance": 11,
     "late-cluster": 16,  # two crossing pieces, 14 and 45 kink events
 }
 
@@ -884,8 +884,25 @@ SWEEP_PRIMS = UiPrimitives(a=0.47, b=1.9, w=1.1, shadow=0.5)
 SWEEP_SHADOWS = (0.5, 0.2)
 
 
+def count_labor_searches(monkeypatch, counts, key=lambda a, b, w, u: "search"):
+    """Count each labor maximization that a ``_labor_search`` made from
+    here on runs, under ``key(a, b, w, u)``."""
+    orig = insurance._labor_search
+
+    def labor_search(a, b, w):
+        search = orig(a, b, w)
+
+        def counted(u):
+            counts[key(a, b, w, u)] += 1
+            return search(u)
+
+        return counted
+
+    monkeypatch.setattr(insurance, "_labor_search", labor_search)
+
+
 def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
-    orig_build, orig_inner = insurance.build_frontiers, insurance._inner_max
+    orig_build = insurance.build_frontiers
     current = []
     levels = Counter()
 
@@ -893,12 +910,8 @@ def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
         current.append(p.shadow)
         return orig_build(p, r)
 
-    def inner_max(a, b, w, u):
-        levels[(current[-1], u)] += 1
-        return orig_inner(a, b, w, u)
-
     monkeypatch.setattr(insurance, "build_frontiers", build_frontiers)
-    monkeypatch.setattr(insurance, "_inner_max", inner_max)
+    count_labor_searches(monkeypatch, levels, lambda a, b, w, u: (current[-1], u))
     insurance.welfare_sweep(SWEEP_PRIMS, SWEEP_SHADOWS,
                             discretize("exponential", 4, rate=1.0), 1.0)
     assert current == list(SWEEP_SHADOWS)
@@ -908,14 +921,14 @@ def test_welfare_sweep_computes_each_inner_max_once_per_pair(monkeypatch):
 def test_welfare_sweep_leaves_no_state(monkeypatch):
     # a process-wide cache would let the second sweep skip inner maximizations
     calls = Counter()
-    count_calls(monkeypatch, insurance, "_inner_max", calls)
+    count_labor_searches(monkeypatch, calls)
     dist = discretize("exponential", 4, rate=1.0)
     counts = []
     for _ in range(2):
         calls.clear()
         insurance.welfare_sweep(dataclasses.replace(SWEEP_PRIMS, w=1.2),
                                 SWEEP_SHADOWS, dist, 1.0)
-        counts.append(calls["_inner_max"])
+        counts.append(calls["search"])
     assert counts[0] > 0
     assert counts[1] == counts[0]
 
@@ -985,7 +998,7 @@ def test_ui_sweep_runs_no_u_star_scan_and_no_inversion_search(tmp_path, monkeypa
     assert main(["ui-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     # one psi root search per shadow and the deadline's crossing pieces (at
     # most one per cell between atoms, m + 1 per shadow), and nothing else
-    pieces = counts.pop(("brent_down", "optimize_deadline"), 0)
+    pieces = counts.pop(("brent_down", "_smooth_crossing"), 0)
     assert pieces <= 4 * 33
     assert counts == Counter({("brent_down", "solve"): 4})
 
@@ -1224,13 +1237,31 @@ def test_inner_max_matches_bisection():
         assert labor_error(insurance._inner_max(a, b, w, u)[0], l_ref) <= LABOR_ULPS
 
 
+def test_built_f1_matches_inner_max_bit_for_bit():
+    # the memo's C = u + L*^b gives f1' with no second L*^b, and the
+    # search built once per pair runs the same arithmetic as _inner_max
+    rng = random.Random(9108)
+    for draw in (random_ui_primitives, bench_ui_primitives):
+        for _ in range(100):
+            p = draw(rng)
+            f1 = build_frontiers(p, 1.0).f1
+            top = 2.0 * ui_constants(p).u0
+            for u in (0.0, 5e-324, rng.uniform(0.0, top), top):
+                l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
+                assert exact(f1.fn(u)) == exact(u + p.shadow * value)
+                assert exact(f1.dfn(u)) == exact(
+                    1.0 - (p.shadow / p.a) * (u + l_star ** p.b) ** ((1.0 - p.a) / p.a))
+
+
 def traced_newton_searches(run):
     """Run ``run()`` and return one dict per labor maximization: its
     ``args`` ``(a, b, w, u)``, the log labor levels ``s`` it held in turn,
     its ``reads`` of ``h`` (runs of the line that tests their sign) and its
     ``result``."""
-    code = insurance._inner_max.__code__
-    lines, first = inspect.getsourcelines(insurance._inner_max)
+    # the code of every search the factory returns
+    (code,) = (c for c in insurance._labor_search.__code__.co_consts
+               if inspect.iscode(c) and c.co_name == "search")
+    lines, first = inspect.getsourcelines(code)
     read_line = first + next(i for i, line in enumerate(lines)
                              if line.strip().startswith("if h <= 0.0"))
     searches = []
@@ -1370,7 +1401,17 @@ def test_solve_matches_bisection_inner_solves(monkeypatch):
     cases = smooth_cases(9103, 30, 8)
     fast = [solved(build, dist) for build, dist in cases]
     monkeypatch.setattr(euler, "inv_deriv_f0", inv_deriv_f0_reference)
-    monkeypatch.setattr(insurance, "_inner_max", inner_max_reference)
+    reference_reads = Counter()
+
+    def labor_search_reference(a, b, w):
+        def search(u):
+            reference_reads[a, b, w] += 1
+            l_star, value = inner_max_reference(a, b, w, u)
+            return l_star, value, u + l_star ** b
+
+        return search
+
+    monkeypatch.setattr(insurance, "_labor_search", labor_search_reference)
     monkeypatch.setattr(euler, "brent_down", psi_root_reference)
     monkeypatch.setattr(euler, "bisect_down", psi_root_reference)
     reference = [solved(build, dist) for build, dist in cases]
@@ -1386,6 +1427,116 @@ def test_solve_matches_bisection_inner_solves(monkeypatch):
         assert max(abs(x - y) for x, y in zip(sol.levels, ref.levels)) <= INNER_TOL
         assert abs(sol.payoff - ref.payoff) <= INNER_TOL
     assert n_solved >= 34
+    # the reference labor search ran inside the frontiers build_frontiers made
+    assert len(reference_reads) == 8  # one per insurance case
+
+
+def record_smooth_crossings(monkeypatch):
+    """Record ``(r, lo, hi, right, T)`` for each crossing piece that
+    ``optimize_deadline`` closes by Brent's method from here on."""
+    out = []
+    orig = deadline._smooth_crossing
+
+    def recorded(right, r, lo, hi, f_lo, f_hi):
+        T = orig(right, r, lo, hi, f_lo, f_hi)
+        out.append((r, lo, hi, right, T))
+        return T
+
+    monkeypatch.setattr(deadline, "_smooth_crossing", recorded)
+    return out
+
+
+def check_smooth_crossings(pair, dist, crossings):
+    """Each crossing lies in its piece and matches a full-resolution
+    bisection of the right bracket in T, to the old T search's tolerance,
+    ``2 EPS |T| + 1e-13``, plus ``4 EPS / r`` for the relative tolerance of
+    the search in the discount factor.  Where the bracket reads zero at
+    roundoff at both deadlines, any deadline between them is a root, and
+    their payoffs agree to a few ulps instead."""
+    eps = numerics.EPS
+    scale = abs(_alpha(pair)) + max(abs(slope(pair.f1, pair.u_star)),
+                                    abs(slope(pair.f1, pair.u0)))
+    flat = 0
+    for r, lo, hi, right, T in crossings:
+        assert lo <= T <= hi, (lo, T, hi)
+        ref = bisection_reference(right, lo, hi)
+        if abs(T - ref) <= 2.0 * eps * abs(ref) + 1e-13 + 4.0 * eps / r:
+            continue
+        flat += 1
+        assert max(abs(right(T)), abs(right(ref))) <= 8.0 * eps * scale, (r, lo, hi, T, ref)
+        pi, pi_ref = (deadline.deadline_payoff(pair, dist, x) for x in (T, ref))
+        assert abs(pi - pi_ref) <= 4.0 * eps * abs(pi_ref), (r, T, ref, pi, pi_ref)
+    return flat
+
+
+def test_smooth_crossing_matches_bisection(monkeypatch):
+    # insurance and rescaled fixture-B pairs at r from 1e-3 to 30: at small
+    # r the crossing sits far out, T up to ~10^4, where the bracket is flat
+    crossings = record_smooth_crossings(monkeypatch)
+    rng = random.Random(9120)
+    n = flat = 0
+    rates = []
+    for i in range(120):
+        r = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+        if i % 2:
+            pair = dataclasses.replace(fixture_b_pair(rng), r=r)
+        else:
+            draw = bench_ui_primitives if i % 4 else random_ui_primitives
+            pair = build_frontiers(draw(rng), r)
+        m = rng.choice((1, 2, 8, 32))
+        dist = (discretize("exponential", m, rate=rng.uniform(0.5, 2.0))
+                if rng.random() < 0.5 else
+                discretize("weibull", m, shape=rng.uniform(0.8, 2.0),
+                           scale=rng.uniform(0.5, 2.0)))
+        crossings.clear()
+        deadline.optimize_deadline(pair, dist)
+        flat += check_smooth_crossings(pair, dist, crossings)
+        n += len(crossings)
+        rates += [c[0] for c in crossings]
+    assert n >= 100 and min(rates) < 2e-3 and max(rates) > 20.0
+    assert flat <= 0.25 * n  # most crossings meet the tolerance itself
+
+
+def test_smooth_crossing_on_a_piece_whose_discount_underflows(monkeypatch):
+    # exp(-r (t_j - t_i)) is 0 on both crossing pieces, (t_underline, 80)
+    # and (80, T_hi): the search runs on [0, 1] in the discount factor
+    crossings = record_smooth_crossings(monkeypatch)
+    pair = build_frontiers(UiPrimitives(a=0.5, b=2.0, w=1.0, shadow=0.5), 10.0)
+    dist = from_atoms([(0.1, 0.9), (80.0, 0.1)])
+    deadline.optimize_deadline(pair, dist)
+    assert len(crossings) == 2
+    assert all(math.exp(-r * (hi - lo)) == 0.0 for r, lo, hi, _, _ in crossings)
+    assert check_smooth_crossings(pair, dist, crossings) == 0
+
+
+def test_smooth_crossing_reads_few_brackets(monkeypatch):
+    # Brent's method in the discount factor, where the atom rewards are
+    # affine, takes ~6.6 bracket reads per crossing on these draws; in T,
+    # where the bracket flattens like exp(-r T), it took ~9.6
+    per_crossing = []
+    orig = deadline._smooth_crossing
+
+    def counted(right, *args):
+        n = 0
+
+        def read(T):
+            nonlocal n
+            n += 1
+            return right(T)
+
+        out = orig(read, *args)
+        per_crossing.append(n)
+        return out
+
+    monkeypatch.setattr(deadline, "_smooth_crossing", counted)
+    rng = random.Random(9121)
+    for _ in range(40):
+        p, dist, r = bench_sweep_case(rng, 32)
+        for shadow in BENCH_SHADOWS:
+            deadline.optimize_deadline(
+                build_frontiers(dataclasses.replace(p, shadow=shadow), r), dist)
+    assert len(per_crossing) >= 100
+    assert sum(per_crossing) / len(per_crossing) <= 7.5
 
 
 def test_fixture_b_inversion_reads_few_slopes(monkeypatch):
@@ -1432,7 +1583,7 @@ def test_inner_max_reads_few_slopes():
         finally:
             sys.setprofile(None)
     assert len(searches) == 200
-    assert calls == Counter({"_inner_max": 200})
+    assert calls == Counter({"_inner_max": 200, "_labor_search": 200, "search": 200})
     reads = [s["reads"] for s in searches]
     assert 0 < max(reads) <= 5
     assert sum(reads) <= 4 * len(reads)

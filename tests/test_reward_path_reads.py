@@ -241,10 +241,11 @@ def test_residuals_off_domain_raise_not_simple(pair_b, pair_ui):
                 path[side][1] = bad
                 got = outcome(euler.euler_residuals, pair, dist, *path)
                 assert got == outcome(residuals_reference, pair, dist, *path)
-                # a NaN is read as slope() reads it: a piecewise frontier
-                # places it on its last segment, and the insurance dfn
-                # rejects it with a ConfigError
-                assert got[0] == "NotSimple" or bad != bad, (pair, side, bad)
+                assert got[0] == "NotSimple", (pair, side, bad)
+        # slope() refuses a NaN before either kind's derivs reads it
+        for f in (pair.f0, pair.f1):
+            with pytest.raises(NotSimple, match="no slope at u=nan"):
+                slope(f, math.nan)
     # an infinite slope inside the domain raises as slope() does
     with pytest.raises(NotSimple, match="no finite slope at u=0.0"):
         euler.euler_residuals(sqrt_pair, dist, (1.0, 0.0, 1.0), (1.0,) * 3)
