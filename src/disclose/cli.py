@@ -174,9 +174,26 @@ def _write_csv(out_dir: str, name: str, header, rows) -> None:
 
 
 def _mechanism_csv(out_dir: str, m: Mechanism, r: float, extra=()) -> None:
-    _write_csv(out_dir, "mechanism.csv",
-               ("t", "flow_u", "continuation_u", "reward_u"),
-               mechanism_rows(m, r, extra_times=extra))
+    """mechanism.csv: the rows of :func:`mechanism_rows`, byte for byte as
+    ``csv.writer`` writes them (a float as its ``repr``, which needs no
+    quoting), built as one text and written in one call.  Each float is
+    formatted once: a row's flow level or explicit reward reuses the text
+    of the previous row's when it is the same object (a cell's rows share
+    the cell's), and a derived reward, or a last-cell continuation value,
+    reuses the text of the object it is.  Texts are matched by object
+    identity, never by value, which would merge ``0.0`` and ``-0.0``."""
+    lines = ["t,flow_u,continuation_u,reward_u\n"]
+    flow = reward = None     # the objects whose texts are held
+    for t, fl, x, rw in mechanism_rows(m, r, extra_times=extra):
+        if fl is not flow:
+            flow, flow_text = fl, repr(fl)
+        x_text = flow_text if x is flow else repr(x)
+        if rw is not reward:
+            reward, reward_text = rw, x_text if rw is x else repr(rw)
+        lines.append(f"{t!r},{flow_text},{x_text},{reward_text}\n")
+    path = os.path.join(out_dir, "mechanism.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
 
 
 # -------------------------------------------------------------- commands ---

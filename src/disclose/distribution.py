@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -32,17 +33,12 @@ def _prefix_numerators(probs: Sequence[float]) -> Tuple[Tuple[int, ...], int]:
     Each finite float is an integer over a power of two, so the prefix sums
     are exact integers over the largest denominator, and int / int true
     division rounds each one correctly, as ``fsum`` does.  Like ``fsum``,
-    it rounds every input to float first.
+    it rounds every input to float first.  Each ratio is read once.
     """
-    probs = [float(p) for p in probs]
-    den = max(p.as_integer_ratio()[1] for p in probs)
-    acc = 0
-    out = [0]
-    for p in probs:
-        num, d = p.as_integer_ratio()
-        acc += num * (den // d)
-        out.append(acc)
-    return tuple(out), den
+    ratios = [float(p).as_integer_ratio() for p in probs]
+    den = max(d for _, d in ratios)
+    num = accumulate((n * (den // d) for n, d in ratios), initial=0)
+    return tuple(num), den
 
 
 @dataclass(frozen=True)

@@ -284,12 +284,15 @@ def schedule(p: UiPrimitives, pair: TechnologyPair, m: Mechanism,
     disclosure at t the promised utility is the reward value, delivered by
     the optimal post-breakthrough labor and the consumption that compensates
     utility plus search cost.  ``identity_err`` reports how far the package
-    is from delivering the promise exactly (should be numerically zero)."""
+    is from delivering the promise exactly (should be numerically zero).
+    One :func:`_labor_search` serves every row; its ``C = promise +
+    labor**b`` is the consumption's utility."""
+    search = _labor_search(p.a, p.b, p.w)
     rows = []
     for t, x, _, promise in mechanism_rows(m, pair.r, times):
         benefit = x ** (1.0 / p.a)
-        labor = _inner_max(p.a, p.b, p.w, promise)[0]
-        cons = (promise + labor ** p.b) ** (1.0 / p.a)
+        labor, _, owed = search(promise)
+        cons = owed ** (1.0 / p.a)
         err = cons ** p.a - labor ** p.b - promise
         rows.append(UiScheduleRow(
             t=t, flow_u=x, promise_u=promise, benefit=benefit,

@@ -87,8 +87,9 @@ def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
                     i: int) -> float:
     """Continuation value at time ``t`` in cell ``i`` (``m.cell_index(t)``)
     from a precomputed :func:`continuation_profile` ``prof``.  Every
-    continuation value in the package is evaluated here, or, in the atom
-    loop of :func:`payoff`, by the same expression inlined, so a caller
+    continuation value in the package is evaluated here, or by the same
+    expression inlined in the two cell walks, the atom loop of
+    :func:`payoff` and the row loop of :func:`mechanism_rows`, so a caller
     that reads many times builds the profile once and pays O(log cells)
     per time."""
     if i == len(m.grid) - 1:
@@ -157,17 +158,23 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     Pre-disclosure flow value is integrated cell by cell in closed form
     (each cell contributes ``f0(level) * (exp(-r a) - exp(-r b))``), and each
     atom adds ``exp(-r t) * f1(reward_t)``.  The continuation profile and
-    ``exp(-r a)`` at each grid point are computed once, and the atoms, being
-    sorted, walk the cells forward, each computing ``exp(-r t)`` once and its
-    continuation value as :func:`continuation_at` does, so the cost is
-    O(cells + atoms).  An atom on grid point ``i`` before the last, as
-    every atom of a reward path but the last is, reuses ``exp(-r grid[i])``
-    and the profile's ``X_i``, the very values those expressions give
-    there.  Every atom of the last cell has the same reward, so ``f1`` is
-    read once for all of them.
+    ``exp(-r a)`` at each grid point are computed once.  The atoms, being
+    sorted, are taken cell by cell from where the previous cell's ended:
+    a cell that holds none, or only one on its grid point, is told by a
+    comparison or two, and any other finds its end by one ``bisect``; a
+    loop over a cell's atoms reads the cell's constants once, and each
+    atom computes ``exp(-r t)`` once and its continuation value as
+    :func:`continuation_at` does.  The cost is O(cells + atoms), plus
+    O(log atoms) per cell that holds an atom off its grid point.  An atom
+    on grid point ``i`` before the last, as every atom of a reward path
+    but the last is, reuses ``exp(-r grid[i])`` and the profile's
+    ``X_i``, the very values those expressions give there.  Every atom of
+    the last cell has the same reward, so ``f1`` is read once for all of
+    them.
     """
     r = pair.r
     grid, levels, reward = m.grid, m.levels, m.reward
+    times, probs = dist.times, dist.probs
     n = len(grid)
 
     flow_vals = []           # f0 at each cell level
@@ -176,7 +183,7 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
         if is_neg_inf(v):
             # an off-domain cell counts once an atom lies after its start;
             # the atoms are sorted, so the last one decides
-            if dist.times[-1] > a:
+            if times[-1] > a:
                 return NEG_INF
             v = 0.0          # no atom reaches into this cell
         flow_vals.append(float(v))
@@ -189,44 +196,72 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
 
     prof = continuation_profile(m, r)
     f1_value = pair.f1.value
-    v_last = None            # f1 at the last cell's reward, read once
     terms = []
-    i = 0
-    for t, p in zip(dist.times, dist.probs):
-        while i + 1 < n and grid[i + 1] <= t:
-            i += 1
-        if i == n - 1:
-            e = math.exp(-r * t)
-            if v_last is None:
-                v_last = f1_value(levels[-1] if reward is None else reward[-1])
-            v1 = v_last
-        elif t == grid[i]:   # on grid point i
-            e = disc[i]
+    lo, end = 0, len(times)  # the atoms not yet read: times[lo:]
+    for i in range(n - 1):
+        g1 = grid[i + 1]
+        if lo == end or times[lo] >= g1:
+            continue         # no atom in cell i
+        fv, pre0, dsc = flow_vals[i], prefix[i], disc[i]
+        if times[lo] == grid[i]:  # on grid point i
+            e = dsc
             v1 = f1_value(prof[i] if reward is None else reward[i])
-        else:
+            if is_neg_inf(v1):
+                return NEG_INF
+            terms.append(probs[lo] * (pre0 + fv * (dsc - e) + e * float(v1)))
+            lo += 1
+            if lo == end or times[lo] >= g1:
+                continue     # that atom was the cell's only one
+        hi = _bisect.bisect_left(times, g1, lo)
+        lv, x1 = levels[i], prof[i + 1]
+        for t, p in zip(times[lo:hi], probs[lo:hi]):
             e = math.exp(-r * t)
-            if reward is not None:
-                v1 = f1_value(reward[i])
+            if reward is None:
+                d = math.exp(-r * (g1 - t))
+                v1 = f1_value((1.0 - d) * lv + d * x1)
             else:
-                d = math.exp(-r * (grid[i + 1] - t))
-                v1 = f1_value((1.0 - d) * levels[i] + d * prof[i + 1])
-        pre = prefix[i] + flow_vals[i] * (disc[i] - e)
+                v1 = f1_value(reward[i])
+            if is_neg_inf(v1):
+                return NEG_INF
+            terms.append(p * (pre0 + fv * (dsc - e) + e * float(v1)))
+        lo = hi
+    if lo < end:             # atoms in the last cell
+        v1 = f1_value(levels[-1] if reward is None else reward[-1])
         if is_neg_inf(v1):
             return NEG_INF
-        terms.append(p * (pre + e * float(v1)))
+        fv, pre0, dsc, v1 = flow_vals[-1], prefix[-1], disc[-1], float(v1)
+        for t, p in zip(times[lo:], probs[lo:]):
+            e = math.exp(-r * t)
+            terms.append(p * (pre0 + fv * (dsc - e) + e * v1))
     return math.fsum(terms)
 
 
 def mechanism_rows(m: Mechanism, r: float, extra_times: Sequence[float]
                    ) -> Tuple[Tuple[float, float, float, float], ...]:
     """Rows ``(t, flow, continuation, reward)`` at the grid points and the
-    sample times ``extra_times`` — the CSV export payload.  A DERIVED reward
-    is the continuation value itself."""
+    sample times ``extra_times`` (not NaN) — the CSV export payload.  A
+    DERIVED reward is the continuation value itself, the same object.
+
+    The sorted times walk the cells forward: the times of each cell are
+    found by one ``bisect`` from the end of the previous cell's, and each
+    computes its continuation value as :func:`continuation_at` does, with
+    the cell's constants read once."""
     times = sorted(set(m.grid) | {float(t) for t in extra_times})
+    if times[0] < 0:
+        raise ConfigError(f"negative time {times[0]}")
+    grid, levels, reward = m.grid, m.levels, m.reward
     prof = continuation_profile(m, r)
     out = []
-    for t in times:
-        i = m.cell_index(t)
-        x = continuation_at(m, prof, r, t, i)
-        out.append((t, m.levels[i], x, x if m.derived_reward else m.reward[i]))
+    lo = 0                   # the first time of cell i
+    for i in range(len(grid) - 1):
+        g1, lv, x1 = grid[i + 1], levels[i], prof[i + 1]
+        hi = _bisect.bisect_left(times, g1, lo)
+        for t in times[lo:hi]:
+            d = math.exp(-r * (g1 - t))
+            x = (1.0 - d) * lv + d * x1
+            out.append((t, lv, x, x if reward is None else reward[i]))
+        lo = hi
+    lv = levels[-1]          # the last cell's continuation value is its level
+    rw = lv if reward is None else reward[-1]
+    out.extend((t, lv, lv, rw) for t in times[lo:])
     return tuple(out)

@@ -1,9 +1,11 @@
 """Hot paths against straightforward references, compared bit for bit.
 
-The fast ``cdf``/``cdf_left`` lookups and run masses, the one-pass
-``payoff``, and ``PiecewiseFrontier.derivs``, read off the table of its
+The fast ``cdf``/``cdf_left`` lookups and run masses, the integer prefix
+sums behind them, the cell walks of ``payoff`` and ``mechanism_rows``,
+and ``PiecewiseFrontier.derivs``, read off the table of its
 one-bisection ``rank``, must return exactly what the plain
-implementations kept here as oracles return.  Every such comparison is
+implementations kept here as oracles return, and mechanism.csv must be
+byte for byte what ``csv.writer`` writes for the reference rows.  Every such comparison is
 exact equality (floats by ``.hex()``), never approximate.  The
 payoff-free deadline bracket sums its terms in another order than a
 per-atom loop once ``f1`` is piecewise (run by run of atoms that share a
@@ -13,7 +15,9 @@ the float summation bound ``len(atoms) * 2**-52 * (|alpha| + sum
 domain-end slope enters.  The last tests count work instead of timing
 it: one ``optimize_deadline`` call may
 compute only the payoffs it reads, a payoff reads ``f1`` once for all the
-atoms of its last cell, and a solve reads the bracket at few atoms (one
+atoms of its last cell, neither ``payoff`` nor ``mechanism_rows`` looks up
+a cell or calls ``continuation_at`` per time, ``schedule`` builds one
+labor search, and a solve reads the bracket at few atoms (one
 binary search over them when ``f0`` is affine, and no more than the
 pruning leaves otherwise) and closes a crossing piece by Brent's method
 when ``f1`` is parametric and by a binary search over its kink events
@@ -55,8 +59,10 @@ pieces.
 from __future__ import annotations
 
 import bisect
+import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
 import random
@@ -66,7 +72,8 @@ from fractions import Fraction
 
 import pytest
 
-from disclose import deadline, euler, frontier, insurance, mechanism, numerics
+from disclose import (cli, deadline, distribution, euler, frontier, insurance,
+                      mechanism, numerics)
 from disclose.cli import main
 from disclose.deadline import _alpha, _brackets, pi_and_derivs
 from disclose.distribution import BreakthroughDist, discretize, from_atoms
@@ -163,6 +170,37 @@ def test_cdf_prefix_masses_exact_over_wide_exponent_range():
             assert exact(dist.cdf(t)) == exact(math.fsum(probs[:k + 1]))
             assert exact(dist.cdf_left(t)) == exact(math.fsum(probs[:k]))
             assert exact(dist.mass(k, len(probs))) == exact(math.fsum(probs[k:]))
+
+
+def prefix_numerators_reference(probs):
+    """``_prefix_numerators`` as first written: each mass's integer ratio
+    read twice, once for the common denominator and once for the sums."""
+    probs = [float(p) for p in probs]
+    den = max(p.as_integer_ratio()[1] for p in probs)
+    acc = 0
+    out = [0]
+    for p in probs:
+        num, d = p.as_integer_ratio()
+        acc += num * (den // d)
+        out.append(acc)
+    return tuple(out), den
+
+
+def test_prefix_numerators_match_the_two_pass_formula():
+    rng = random.Random(11)
+    small = [5e-324, 2.5e-323, 2.0 ** -1074 * 12345, 2.2250738585072014e-308,
+             1e-300, 2.0 ** -60]
+    cases = [[1.0], [0.5, 0.5], [1 / 256] * 256, small]
+    for m in (1, 2, 7, 64, 512):
+        cases.append([rng.uniform(0.5, 1.0) * 2.0 ** -rng.randrange(1, 60)
+                      for _ in range(m)])
+        cases.append([rng.random() for _ in range(m)] + rng.sample(small, 3))
+        cases.append([Fraction(rng.randrange(1, 1000), rng.randrange(1000, 10 ** 6))
+                      for _ in range(m)] + [1])
+    for probs in cases:
+        rng.shuffle(probs)
+        assert distribution._prefix_numerators(probs) == (
+            prefix_numerators_reference(probs))
 
 
 def test_cdf_fraction_queries(dist_k3):
@@ -267,6 +305,15 @@ def test_payoff_deadline_mechanisms_match_reference(pair_a, pair_b, pair_ui,
                     payoff_reference(mech, pair, dist)), (pair, T)
 
 
+def rows_reference(m, r, extra):
+    """``mechanism_rows`` by a linear scan for each time's cell and
+    :func:`continuation_value` (rebuilding the profile) for each time's
+    continuation value."""
+    times = sorted(set(m.grid) | {float(t) for t in extra})
+    return tuple((t, m.levels[cell_reference(m, t)], continuation_value(m, r, t),
+                  reward_reference(m, r, t)) for t in times)
+
+
 @pytest.mark.parametrize("explicit", [False, True])
 def test_rows_and_schedule_match_per_time_values(pair_ui, ui_prims, explicit):
     rng = random.Random(7 + explicit)
@@ -274,17 +321,107 @@ def test_rows_and_schedule_match_per_time_values(pair_ui, ui_prims, explicit):
     mech = random_mechanism(rng, dist, explicit=explicit, hi=pair_ui.u0)
     extra = [rng.uniform(0.0, 2.0 * dist.times[-1]) for _ in range(30)]
     rows = mechanism_rows(mech, pair_ui.r, extra_times=extra)
+    assert exact(rows) == exact(rows_reference(mech, pair_ui.r, extra))
     times = sorted(set(mech.grid) | set(extra))
-    assert exact(rows) == exact(tuple(
-        (t, mech.levels[cell_reference(mech, t)],
-         continuation_value(mech, pair_ui.r, t),
-         reward_reference(mech, pair_ui.r, t)) for t in times))
     sched = schedule(ui_prims, pair_ui, mech, extra)
     assert exact(tuple(w.t for w in sched)) == exact(tuple(times))
     assert exact(tuple(w.promise_u for w in sched)) == exact(
         tuple(reward_reference(mech, pair_ui.r, t) for t in times))
     assert exact(tuple(w.flow_u for w in sched)) == exact(
         tuple(mech.levels[cell_reference(mech, t)] for t in times))
+
+
+def test_rows_on_deadline_mechanisms_match_reference(pair_a, pair_b, pair_ui,
+                                                     dist_exp16):
+    # the solve-deadline export: the atoms as sample times, with T = 0, T
+    # between atoms, on each atom, past every atom and infinite
+    for pair in (pair_a, pair_b, pair_ui):
+        for T in (0.0, 0.3, 1.7, 9.0, math.inf) + dist_exp16.times:
+            mech = deadline.deadline_mechanism(pair, T)
+            rows = mechanism_rows(mech, pair.r, dist_exp16.times)
+            assert exact(rows) == exact(rows_reference(mech, pair.r, dist_exp16.times))
+            assert all(row[3] is row[2] for row in rows)  # the derived reward
+
+
+@pytest.mark.parametrize("pair_name", ["pair_a", "pair_b", "pair_ui"])
+def test_explicit_cells_without_atoms_match_references(request, pair_name):
+    # runs of cells that hold no atom, between atoms, before the first and
+    # after the last, next to cells that hold several or one on a grid point
+    pair = request.getfixturevalue(pair_name)
+    hi = min(pair.f0.u_hi, pair.f1.u_hi)
+    rng = random.Random(pair_name)
+    for _ in range(20):
+        dist = random_law(rng, rng.choice((1, 3, 8)))
+        times = dist.times
+        grid = {rng.uniform(0.0, times[0]) for _ in range(3)}
+        grid |= set(rng.sample(times, rng.randint(0, len(times))))
+        grid |= {times[-1] + rng.uniform(0.0, 1.0) for _ in range(3)}
+        k = rng.randrange(len(times))
+        grid |= {rng.uniform(times[k - 1] if k else 0.0, times[k]) for _ in range(4)}
+        grid = (0.0,) + tuple(sorted(g for g in grid if g > 0.0))
+        for reward in (None, tuple(rng.uniform(0.0, 0.999 * hi) for _ in grid)):
+            mech = Mechanism(grid=grid,
+                             levels=tuple(rng.uniform(0.0, 0.999 * hi) for _ in grid),
+                             reward=reward)
+            assert exact(payoff(mech, pair, dist)) == exact(
+                payoff_reference(mech, pair, dist))
+            assert exact(mechanism_rows(mech, pair.r, times)) == exact(
+                rows_reference(mech, pair.r, times))
+
+
+def mechanism_csv_reference(m, r, extra) -> bytes:
+    """mechanism.csv as ``csv.writer`` writes the reference rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("t", "flow_u", "continuation_u", "reward_u"))
+    writer.writerows(rows_reference(m, r, extra))
+    return buf.getvalue().encode("utf-8")
+
+
+# signed zeros, and floats whose repr needs 17 significant digits
+CSV_FLOATS = (0.0, -0.0, 0.1 + 0.2, 1.0 - 2.0 ** -53, 2.0 ** -1074, 1e-310,
+              123456789.00000001, 9007199254740993.0, -1.2345678901234567e-5)
+
+
+def csv_mechanisms(rng):
+    """Fixed mechanisms with ``0.0`` and ``-0.0`` in different cells, then
+    seeded ones: one-cell grids, derived and explicit rewards, levels from
+    ``CSV_FLOATS`` or drawn, sample times on grid points, between them,
+    past the last, repeated, ``-0.0`` and integers."""
+    yield Mechanism((0.0, 1.0, 2.0), (0.0, -0.0, 0.0)), 1.0, (0.5, 1.0, 1.5, 3.0)
+    yield (Mechanism((0.0, 1.0, 2.0), (-0.0, 0.0, -0.0), reward=(0.0, -0.0, -0.0)),
+           0.7, (0.5, 2.0, 2.0, 4.0))
+    yield Mechanism((0.0,), (-0.0,)), 1.3, (0.0, 1.0)
+    yield Mechanism((0.0,), (0.1 + 0.2,), reward=(-0.0,)), 0.1 + 0.2, (1 / 3,)
+    for _ in range(200):
+        grid = [0.0]
+        for _ in range(rng.choice((0, 0, 1, 2, 5))):
+            grid.append(grid[-1] + rng.choice((rng.uniform(1e-3, 2.0), 0.1 + 0.2)))
+
+        def level():
+            return rng.choice(CSV_FLOATS) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+
+        reward = None if rng.random() < 0.5 else [level() for _ in grid]
+        mech = Mechanism(grid=grid, levels=[level() for _ in grid], reward=reward)
+        extra = rng.sample(grid, rng.randint(0, len(grid)))  # duplicates
+        extra += [rng.uniform(0.0, grid[-1]) for _ in range(rng.randrange(8))]
+        extra += [grid[-1] + rng.uniform(0.0, 2.0), rng.choice((-0.0, 1, 2))]
+        extra += rng.sample(extra, 2)
+        rng.shuffle(extra)
+        yield mech, rng.choice((rng.uniform(0.05, 3.0), 1.0, 0.1 + 0.2)), extra
+
+
+def test_mechanism_csv_matches_csv_writer(tmp_path):
+    # one text per cell level, reward and row time, keyed by the objects:
+    # a cache keyed by value would write 0.0 for -0.0, or the reverse
+    signed = set()
+    for mech, r, extra in csv_mechanisms(random.Random(38)):
+        cli._mechanism_csv(str(tmp_path), mech, r, extra=extra)
+        got = (tmp_path / "mechanism.csv").read_bytes()
+        assert got == mechanism_csv_reference(mech, r, extra), (mech, r, extra)
+        signed |= {f for f in (",0.0,", ",-0.0,", ",0.0\n", ",-0.0\n")
+                   if f.encode() in got}
+    assert len(signed) == 4
 
 
 # ---------------------------------------------------------------- frontier ---
@@ -672,6 +809,41 @@ def test_payoff_reads_f1_once_in_the_last_cell(request, monkeypatch, case):
         assert isinstance(p, float)
         before = sum(t < T for t in times)
         assert reads[True] == (1 if T == math.inf else before + (before < len(times)))
+
+
+def test_rows_and_payoff_read_no_cell_per_time(request, monkeypatch):
+    # both walk the cells with the sorted times: no bisect of the grid and
+    # no continuation_at call per row or atom
+    counts = Counter()
+    count_calls(monkeypatch, mechanism, "continuation_at", counts)
+    cell_index = Mechanism.cell_index
+
+    def counted(self, t):
+        counts["cell_index"] += 1
+        return cell_index(self, t)
+
+    monkeypatch.setattr(Mechanism, "cell_index", counted)
+    pair, dist = deadline_case(request, "affine-exp64")
+    rng = random.Random(5)
+    mechs = [deadline.deadline_mechanism(pair, T)
+             for T in (0.0, dist.times[9], 1.5, math.inf)]
+    mechs += [random_mechanism(rng, dist, explicit=explicit, hi=pair.u0)
+              for explicit in (False, True) for _ in range(4)]
+    for mech in mechs:
+        rows = mechanism_rows(mech, pair.r, dist.times)
+        assert len(rows) >= len(dist.times)
+        payoff(mech, pair, dist)
+    assert counts == Counter()
+
+
+def test_schedule_builds_one_labor_search(monkeypatch, ui_prims, pair_ui,
+                                          dist_exp16):
+    calls = Counter()
+    count_labor_searches(monkeypatch, calls)
+    count_calls(monkeypatch, insurance, "_labor_search", calls)
+    mech = deadline.optimize_deadline(pair_ui, dist_exp16).mechanism
+    rows = schedule(ui_prims, pair_ui, mech, dist_exp16.times)
+    assert calls == Counter({"_labor_search": 1, "search": len(rows)})
 
 
 # bracket evaluations: the T_hi doubling, the threshold, the atoms the
