@@ -452,8 +452,6 @@ def validate_model(pair: TechnologyPair) -> Tuple[Check, ...]:
     failed check into exit code 2).
     """
     checks = []
-    checks.append(Check("discount_rate_positive", pair.r > 0, witness=None,
-                        detail=f"r={pair.r}"))
     checks.append(Check(
         "conflict_of_interest", pair.u1 < pair.u0,
         witness=pair.u1, detail=f"u1={pair.u1}, u0={pair.u0}"))

@@ -185,12 +185,6 @@ def _labor_search(a: float, b: float, w: float):
     return search
 
 
-def _inner_max(a: float, b: float, w: float, u: float) -> Tuple[float, float]:
-    """``(L*, value)`` of the labor maximization at ``u``, by a
-    :func:`_labor_search` built for this one call."""
-    return _labor_search(a, b, w)(u)[:2]
-
-
 @dataclass(frozen=True)
 class UiConstants:
     u0: float           # f0 peak utility

@@ -57,15 +57,6 @@ class Mechanism:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "reward", reward)
 
-    @property
-    def derived_reward(self) -> bool:
-        return self.reward is None
-
-    def cell_index(self, t: float) -> int:
-        if t < 0:
-            raise ConfigError(f"negative time {t}")
-        return max(_bisect.bisect_right(self.grid, t) - 1, 0)
-
 
 def continuation_profile(m: Mechanism, r: float) -> Tuple[float, ...]:
     """Continuation values of the flow path at the grid points.
@@ -83,24 +74,21 @@ def continuation_profile(m: Mechanism, r: float) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def continuation_at(m: Mechanism, prof: Sequence[float], r: float, t: float,
-                    i: int) -> float:
-    """Continuation value at time ``t`` in cell ``i`` (``m.cell_index(t)``)
-    from a precomputed :func:`continuation_profile` ``prof``.  Every
-    continuation value in the package is evaluated here, or by the same
-    expression inlined in the two cell walks, the atom loop of
-    :func:`payoff` and the row loop of :func:`mechanism_rows`, so a caller
-    that reads many times builds the profile once and pays O(log cells)
-    per time."""
+def continuation_value(m: Mechanism, r: float, t: float) -> float:
+    """Continuation value of the flow path at an arbitrary time ``t >= 0``,
+    in the cell that one ``bisect`` of the grid finds: in ``[a, b)`` with
+    flow ``l`` it is ``(1 - d) l + d X_b``, with ``d = exp(-r (b - t))``
+    and ``X_b`` the :func:`continuation_profile` value at ``b``, and in the
+    last cell it is that cell's level.  The cell walks of :func:`payoff`
+    and :func:`mechanism_rows`, which read many times, inline the same
+    expression with each cell's constants read once."""
+    if t < 0:
+        raise ConfigError(f"negative time {t}")
+    i = _bisect.bisect_right(m.grid, t) - 1
     if i == len(m.grid) - 1:
         return m.levels[-1]
     d = math.exp(-r * (m.grid[i + 1] - t))
-    return (1.0 - d) * m.levels[i] + d * prof[i + 1]
-
-
-def continuation_value(m: Mechanism, r: float, t: float) -> float:
-    """Continuation value of the flow path at an arbitrary time ``t``."""
-    return continuation_at(m, continuation_profile(m, r), r, t, m.cell_index(t))
+    return (1.0 - d) * m.levels[i] + d * continuation_profile(m, r)[i + 1]
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ def ic_check(m: Mechanism, r: float) -> IcReport:
     start when ``h`` is negative there or ``R < l``, the grid point of a
     reward increase, and otherwise the cell end.
     """
-    if m.derived_reward:
+    if m.reward is None:
         return IcReport(ok=True)
 
     prof = continuation_profile(m, r)
@@ -159,18 +147,20 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     (each cell contributes ``f0(level) * (exp(-r a) - exp(-r b))``), and each
     atom adds ``exp(-r t) * f1(reward_t)``.  The continuation profile and
     ``exp(-r a)`` at each grid point are computed once.  The atoms, being
-    sorted, are taken cell by cell from where the previous cell's ended:
-    a cell that holds none, or only one on its grid point, is told by a
-    comparison or two, and any other finds its end by one ``bisect``; a
-    loop over a cell's atoms reads the cell's constants once, and each
-    atom computes ``exp(-r t)`` once and its continuation value as
-    :func:`continuation_at` does.  The cost is O(cells + atoms), plus
-    O(log atoms) per cell that holds an atom off its grid point.  An atom
-    on grid point ``i`` before the last, as every atom of a reward path
-    but the last is, reuses ``exp(-r grid[i])`` and the profile's
-    ``X_i``, the very values those expressions give there.  Every atom of
-    the last cell has the same reward, so ``f1`` is read once for all of
-    them.
+    sorted, are taken cell by cell from where the previous cell's ended,
+    and a loop over a cell's atoms reads the cell's constants once and
+    computes each atom's ``exp(-r t)`` once.  The cost is O(cells + atoms),
+    plus O(log atoms) per cell that holds an atom off its grid point.
+
+    Every atom of the last cell, and of an explicit-reward cell, has the
+    cell's reward, so ``f1`` is read once per such cell that holds an atom.
+    In a derived-reward cell before the last, each atom's reward is its
+    continuation value, computed as :func:`continuation_value` does; a
+    cell that holds none, or only one on its grid point, is told by a
+    comparison or two, and any other finds its end by one ``bisect``.  An
+    atom on grid point ``i``, as every atom of a reward path but the last
+    is, reuses ``exp(-r grid[i])`` and the profile's ``X_i``, the very
+    values those expressions give there.
     """
     r = pair.r
     grid, levels, reward = m.grid, m.levels, m.reward
@@ -198,14 +188,28 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
     f1_value = pair.f1.value
     terms = []
     lo, end = 0, len(times)  # the atoms not yet read: times[lo:]
-    for i in range(n - 1):
-        g1 = grid[i + 1]
-        if lo == end or times[lo] >= g1:
+    last = n - 1
+    for i in range(n):
+        if lo == end:
+            break
+        g1 = grid[i + 1] if i < last else math.inf
+        if times[lo] >= g1:
             continue         # no atom in cell i
         fv, pre0, dsc = flow_vals[i], prefix[i], disc[i]
+        if reward is not None or i == last:  # one reward for the cell
+            v1 = f1_value(levels[-1] if reward is None else reward[i])
+            if is_neg_inf(v1):
+                return NEG_INF
+            v1 = float(v1)
+            hi = _bisect.bisect_left(times, g1, lo)
+            for t, p in zip(times[lo:hi], probs[lo:hi]):
+                e = math.exp(-r * t)
+                terms.append(p * (pre0 + fv * (dsc - e) + e * v1))
+            lo = hi
+            continue
         if times[lo] == grid[i]:  # on grid point i
             e = dsc
-            v1 = f1_value(prof[i] if reward is None else reward[i])
+            v1 = f1_value(prof[i])
             if is_neg_inf(v1):
                 return NEG_INF
             terms.append(probs[lo] * (pre0 + fv * (dsc - e) + e * float(v1)))
@@ -216,23 +220,12 @@ def payoff(m: Mechanism, pair: TechnologyPair, dist):
         lv, x1 = levels[i], prof[i + 1]
         for t, p in zip(times[lo:hi], probs[lo:hi]):
             e = math.exp(-r * t)
-            if reward is None:
-                d = math.exp(-r * (g1 - t))
-                v1 = f1_value((1.0 - d) * lv + d * x1)
-            else:
-                v1 = f1_value(reward[i])
+            d = math.exp(-r * (g1 - t))
+            v1 = f1_value((1.0 - d) * lv + d * x1)
             if is_neg_inf(v1):
                 return NEG_INF
             terms.append(p * (pre0 + fv * (dsc - e) + e * float(v1)))
         lo = hi
-    if lo < end:             # atoms in the last cell
-        v1 = f1_value(levels[-1] if reward is None else reward[-1])
-        if is_neg_inf(v1):
-            return NEG_INF
-        fv, pre0, dsc, v1 = flow_vals[-1], prefix[-1], disc[-1], float(v1)
-        for t, p in zip(times[lo:], probs[lo:]):
-            e = math.exp(-r * t)
-            terms.append(p * (pre0 + fv * (dsc - e) + e * v1))
     return math.fsum(terms)
 
 
@@ -244,8 +237,8 @@ def mechanism_rows(m: Mechanism, r: float, extra_times: Sequence[float]
 
     The sorted times walk the cells forward: the times of each cell are
     found by one ``bisect`` from the end of the previous cell's, and each
-    computes its continuation value as :func:`continuation_at` does, with
-    the cell's constants read once."""
+    computes its continuation value as :func:`continuation_value` does,
+    with the cell's constants read once."""
     times = sorted(set(m.grid) | {float(t) for t in extra_times})
     if times[0] < 0:
         raise ConfigError(f"negative time {times[0]}")

@@ -605,7 +605,7 @@ def test_ui_tiny_a_solves(tmp_path):
         levels = [float(row["reward_u"]) for row in csv.DictReader(fh)]
     for u in levels + [2.0 * insurance.ui_constants(p).u0]:
         l_ref = inner_max_reference(a, b, w, u)[0]
-        assert labor_error(insurance._inner_max(a, b, w, u)[0], l_ref) <= LABOR_ULPS, u
+        assert labor_error(insurance._labor_search(a, b, w)(u)[0], l_ref) <= LABOR_ULPS, u
 
 
 # ------------------------------------------------------------------ fuzzer ---

@@ -198,35 +198,35 @@ GOLDEN = {
     }),
     'verify-classify': (0, {
         'report.json':
-            '4547b5ac0885412a2e6ab4ee983e7d00ef8c374e39960370d35e5156bc0afc9c',
+            '2b4811601880830f40036d83a2f2d30d051307abbaa4d9df1b1f6d663d543411',
     }),
     'verify-derived-mechanism': (0, {
         'report.json':
-            '3b0e7c21b6611d9b97a0143c23fe2be19415fba128ad5d86f488bc4c80be7cb2',
+            '581ebfe888d3b00970ffa470a78f45677577e5a61923af5bb276d658f6370005',
     }),
     'verify-explicit-reward': (2, {
         'report.json':
-            'dadce471a2a880ebb6295e403a5ef8d8b425b19274096efaccb5e8d6bb52da98',
+            '4b18759d13553a4af6031ae5c9803aff668d02a79a5db8820f7d6c6259187674',
     }),
     'verify-off-domain-reward': (0, {
         'report.json':
-            '5850613eb6d6236ec3ae18842394ba560a83ae5056fa6a8b390a44fe06e76704',
+            'a06765d959c8293b01bcac55ab19d00687df2c6d9ab19959c2537189506853db',
     }),
     'analyze-broken': (2, {
         'report.json':
-            '32feec7d87164a101559bc0b5d07535d4b3361834fbf7aa20ae04438b11ddb0c',
+            'f88f0c05389697d96128dd5d864f54075a81189efc3c365e1b35875ae69079cb',
     }),
     'analyze-dense': (2, {
         'report.json':
-            'd62350d63a19a807eb73043245d3995896f6595bce6d9967a8cab2097c6c4a5e',
+            '87d201c54a7270d172aa500ad37ed8986444ad9d5ddcefd0772b6ab88af26adc',
     }),
     'analyze-insurance': (0, {
         'report.json':
-            '83068578f461bca7d658ba12929486279c7e498f48f95a2352ca45a34c31b6d7',
+            'e16599b27798658a0b0e95d19c6dffb951e01b739fd90de0bc26c55ded349b23',
     }),
     'analyze-piecewise': (0, {
         'report.json':
-            '65366ed26f75f99b6037794c888b7d051407415cd1d9c4545391aec85fe325eb',
+            '5e69377a22ad22e5f1421fd8afd8300dd2ded6974cb0e106bc867a5e6113e858',
     }),
     'compare-statics-deadline': (0, {
         'report.json':
@@ -264,7 +264,7 @@ GOLDEN = {
     }),
     'verify-path': (2, {
         'report.json':
-            '8e4297cef28e9152e0ca3d95493832cf79e84bfa93936d6331d309629bec1df2',
+            'b81b8240ac6886fab2b2b65225672b1eee4183225768c65b9723e08377a21d6c',
     }),
 }
 

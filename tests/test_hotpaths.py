@@ -13,13 +13,13 @@ slope), so it is held to an exact ``Fraction`` oracle instead: within
 the float summation bound ``len(atoms) * 2**-52 * (|alpha| + sum
 |p_k s_k|)``, with the exact sign outside it, and infinite where a
 domain-end slope enters.  The last tests count work instead of timing
-it: one ``optimize_deadline`` call may
-compute only the payoffs it reads, a payoff reads ``f1`` once for all the
-atoms of its last cell, neither ``payoff`` nor ``mechanism_rows`` looks up
-a cell or calls ``continuation_at`` per time, ``schedule`` builds one
-labor search, and a solve reads the bracket at few atoms (one
-binary search over them when ``f0`` is affine, and no more than the
-pruning leaves otherwise) and closes a crossing piece by Brent's method
+it: one ``optimize_deadline`` call may compute only the payoffs it reads,
+a payoff reads ``f1`` once for all the atoms of its last cell and once
+for those of each explicit-reward cell, neither ``payoff`` nor
+``mechanism_rows`` calls ``continuation_value`` (a bisect of the grid)
+per time, ``schedule`` builds one labor search, and a solve reads the
+bracket at few atoms (one binary search over them when ``f0`` is affine,
+and no more than the pruning leaves otherwise) and closes a crossing piece by Brent's method
 when ``f1`` is parametric and by a binary search over its kink events
 when it is piecewise, reads a piecewise ``f1``'s slopes through
 ``derivs`` a fixed number of times whatever m, slopes cost no frontier
@@ -242,7 +242,7 @@ def payoff_reference(m, pair, dist):
         first_bad[i] = first_bad[i - 1] or flow_vals[i - 1] is None
     rows, bad = [], False
     for t, p in zip(dist.times, dist.probs):
-        i = m.cell_index(t)
+        i = cell_reference(m, t)
         pre = None
         if not (first_bad[i] or (t > m.grid[i] and flow_vals[i] is None)):
             pre = prefix[i] + (flow_vals[i] or 0.0) * (
@@ -811,18 +811,30 @@ def test_payoff_reads_f1_once_in_the_last_cell(request, monkeypatch, case):
         assert reads[True] == (1 if T == math.inf else before + (before < len(times)))
 
 
+def test_payoff_reads_f1_once_per_explicit_reward_cell(pair_a, monkeypatch):
+    # every atom of an explicit-reward cell has the cell's reward, so f1 is
+    # read once per cell that holds an atom, not once per atom
+    dist = discretize("exponential", 64, rate=1.0)
+    mech = Mechanism(grid=(0, 1, 2), levels=(1, 0.9, 0.5), reward=(1, 0.9, 0.8))
+    reads = Counter()
+    value = PiecewiseFrontier.value
+
+    def counted(self, u):
+        reads[self is pair_a.f1] += 1
+        return value(self, u)
+
+    monkeypatch.setattr(PiecewiseFrontier, "value", counted)
+    p = payoff(mech, pair_a, dist)
+    assert reads[True] == 3
+    monkeypatch.undo()
+    assert exact(p) == exact(payoff_reference(mech, pair_a, dist))
+
+
 def test_rows_and_payoff_read_no_cell_per_time(request, monkeypatch):
-    # both walk the cells with the sorted times: no bisect of the grid and
-    # no continuation_at call per row or atom
+    # both walk the cells with the sorted times: no continuation_value
+    # call, and so no bisect of the grid, per row or atom
     counts = Counter()
-    count_calls(monkeypatch, mechanism, "continuation_at", counts)
-    cell_index = Mechanism.cell_index
-
-    def counted(self, t):
-        counts["cell_index"] += 1
-        return cell_index(self, t)
-
-    monkeypatch.setattr(Mechanism, "cell_index", counted)
+    count_calls(monkeypatch, mechanism, "continuation_value", counts)
     pair, dist = deadline_case(request, "affine-exp64")
     rng = random.Random(5)
     mechs = [deadline.deadline_mechanism(pair, T)
@@ -1220,8 +1232,8 @@ def labor_foc(a, b, w, u, s):
 
 
 def inner_max_reference(a, b, w, u):
-    """``_inner_max`` by bisecting ``h`` in ``s = log L`` to full resolution
-    on a bracket grown by doubling from ``[-1, 1]``."""
+    """The labor maximization by bisecting ``h`` in ``s = log L`` to full
+    resolution on a bracket grown by doubling from ``[-1, 1]``."""
     def g(s):
         return -labor_foc(a, b, w, u, s)
 
@@ -1397,7 +1409,7 @@ def test_inner_max_matches_bisection():
         for _ in range(300):
             p = draw(rng)
             for u in inner_max_levels(p, rng):
-                l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
+                l_star, value, _ = insurance._labor_search(p.a, p.b, p.w)(u)
                 l_ref, value_ref = inner_max_reference(p.a, p.b, p.w, u)
                 assert labor_error(l_star, l_ref) <= LABOR_ULPS, (p, u)
                 assert abs(value - value_ref) <= INNER_TOL, (p, u)
@@ -1406,12 +1418,13 @@ def test_inner_max_matches_bisection():
     for a, b, w, u in ((0.985, 2.462, 5.6e-258, 0.0), (0.985, 2.462, 5.6e-258, 0.3),
                        (0.5, 2.0, 5e-324, 5e-324)):
         l_ref = inner_max_reference(a, b, w, u)[0]
-        assert labor_error(insurance._inner_max(a, b, w, u)[0], l_ref) <= LABOR_ULPS
+        assert labor_error(insurance._labor_search(a, b, w)(u)[0], l_ref) <= LABOR_ULPS
 
 
 def test_built_f1_matches_inner_max_bit_for_bit():
     # the memo's C = u + L*^b gives f1' with no second L*^b, and the
-    # search built once per pair runs the same arithmetic as _inner_max
+    # search built once per pair runs the same arithmetic as one built
+    # for a single level
     rng = random.Random(9108)
     for draw in (random_ui_primitives, bench_ui_primitives):
         for _ in range(100):
@@ -1419,7 +1432,7 @@ def test_built_f1_matches_inner_max_bit_for_bit():
             f1 = build_frontiers(p, 1.0).f1
             top = 2.0 * ui_constants(p).u0
             for u in (0.0, 5e-324, rng.uniform(0.0, top), top):
-                l_star, value = insurance._inner_max(p.a, p.b, p.w, u)
+                l_star, value, _ = insurance._labor_search(p.a, p.b, p.w)(u)
                 assert exact(f1.fn(u)) == exact(u + p.shadow * value)
                 assert exact(f1.dfn(u)) == exact(
                     1.0 - (p.shadow / p.a) * (u + l_star ** p.b) ** ((1.0 - p.a) / p.a))
@@ -1475,7 +1488,7 @@ def test_inner_max_falls_to_the_root():
 
     def run():
         for p, u in levels:
-            insurance._inner_max(p.a, p.b, p.w, u)
+            insurance._labor_search(p.a, p.b, p.w)(u)
 
     searches = traced_newton_searches(run)
     assert len(searches) == len(levels)
@@ -1504,7 +1517,7 @@ def zero_utility_labor(a, b, w):
 def test_inner_max_starts_at_the_root_at_zero_utility():
     # at u = 0 h is linear, and its root is the start: no step is taken
     a, b, w = 0.7517, 1.7565, 0.7347
-    (search,) = traced_newton_searches(lambda: insurance._inner_max(a, b, w, 0.0))
+    (search,) = traced_newton_searches(lambda: insurance._labor_search(a, b, w)(0.0))
     assert search["reads"] == 0 and len(search["levels"]) == 1
     assert search["result"][0] == pytest.approx(zero_utility_labor(a, b, w), rel=1e-15)
 
@@ -1515,7 +1528,7 @@ def test_inner_max_near_linear_search_cost():
     # and 10.5 from the float reference (a linear-space lower end with
     # exponent 1/(b-1) once returned a level 1,550 units above the root)
     a, b, w, u = 0.9691932186620588, 1.0000016917516876, 1.049690635800721, 1.7565183974242329
-    l_star = insurance._inner_max(a, b, w, u)[0]
+    l_star = insurance._labor_search(a, b, w)(u)[0]
     assert labor_error(l_star, inner_max_reference(a, b, w, u)[0]) <= LABOR_ULPS
     assert labor_error(l_star, 2.3564551563356906e-181) <= LABOR_ULPS
 
@@ -1532,7 +1545,7 @@ def test_inner_max_ends_finite_or_in_a_config_error():
         w = 10.0 ** rng.uniform(-300.0, 300.0)
         for u in (0.0, 5e-324, 10.0 ** rng.uniform(300.0, 308.0), rng.uniform(0.0, 3.0)):
             try:
-                l_star, value = insurance._inner_max(a, b, w, u)
+                l_star, value, _ = insurance._labor_search(a, b, w)(u)
             except ConfigError:
                 failed += 1
                 continue
@@ -1542,7 +1555,7 @@ def test_inner_max_ends_finite_or_in_a_config_error():
     # u + e^(b s) overflows though neither term does; a search that went on
     # with the infinite sum would fall to L* = 0, where the value is finite
     with pytest.raises(ConfigError, match="compensating consumption overflows"):
-        insurance._inner_max(1.0 - 1e-9, 2.0, 2.0 * math.exp(354.8), 1e308)
+        insurance._labor_search(1.0 - 1e-9, 2.0, 2.0 * math.exp(354.8))(1e308)
 
 
 @pytest.mark.parametrize("u", [0.0, 5e-324, 0.3])
@@ -1550,7 +1563,7 @@ def test_inner_max_at_the_smallest_wage(u):
     # a w / b underflows to 0 at w = 5e-324: the FOC constant is a sum of
     # logs, never the log of that product
     a, b, w = 0.5, 2.0, 5e-324
-    l_star, value = insurance._inner_max(a, b, w, u)
+    l_star, value, _ = insurance._labor_search(a, b, w)(u)
     assert 0.0 <= l_star < 1e-100
     assert value == pytest.approx(-u ** (1.0 / a), abs=1e-300)
     if u < 1e-300:
@@ -1751,11 +1764,11 @@ def test_inner_max_reads_few_slopes():
         sys.setprofile(profile)
         try:
             searches += traced_newton_searches(
-                lambda: insurance._inner_max(p.a, p.b, p.w, u))
+                lambda: insurance._labor_search(p.a, p.b, p.w)(u))
         finally:
             sys.setprofile(None)
     assert len(searches) == 200
-    assert calls == Counter({"_inner_max": 200, "_labor_search": 200, "search": 200})
+    assert calls == Counter({"_labor_search": 200, "search": 200})
     reads = [s["reads"] for s in searches]
     assert 0 < max(reads) <= 5
     assert sum(reads) <= 4 * len(reads)

@@ -7,6 +7,7 @@ must hold exactly when the pre-breakthrough frontier is linear on the band.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -25,8 +26,8 @@ from disclose import (
 )
 from disclose.deadline import deadline_mechanism
 from disclose.frontier import is_neg_inf
-from disclose.mechanism import (IC_TOL, IcReport, continuation_at,
-                                continuation_profile, ic_check, mechanism_rows)
+from disclose.mechanism import (IC_TOL, IcReport, continuation_profile, ic_check,
+                                mechanism_rows)
 
 PAYOFF_TOL = 1e-9
 IDENTITY_TOL = 1e-10
@@ -59,8 +60,8 @@ def test_mechanism_validation():
     with pytest.raises(ConfigError, match="finite"):
         Mechanism(grid=(0.0, math.inf), levels=(1.0, 0.3))
     m = Mechanism(grid=(0.0, 1.0), levels=(1.0, 0.3))
-    with pytest.raises(ConfigError):
-        m.cell_index(-0.5)
+    with pytest.raises(ConfigError, match="negative time"):
+        continuation_value(m, 1.0, -0.5)
 
 
 def test_flow_at_cells():
@@ -68,7 +69,7 @@ def test_flow_at_cells():
     rows = mechanism_rows(m, 1.0, extra_times=(0.999, 7.0))
     assert [(t, flow) for t, flow, _, _ in rows] == [
         (0.0, 1.0), (0.999, 1.0), (1.0, 0.6), (2.5, 0.3), (7.0, 0.3)]
-    assert m.derived_reward
+    assert m.reward is None
 
 
 # ------------------------------------------------------------ continuation ---
@@ -107,6 +108,35 @@ def _cell(grid, s):
         if s >= g:
             i = j
     return i
+
+
+def continuation_at_reference(m, prof, r, t, i):
+    """The continuation value at ``t`` in cell ``i`` from the profile
+    ``prof``, as the package computed it before ``continuation_value``
+    found the cell itself."""
+    if i == len(m.grid) - 1:
+        return m.levels[-1]
+    d = math.exp(-r * (m.grid[i + 1] - t))
+    return (1.0 - d) * m.levels[i] + d * prof[i + 1]
+
+
+def test_continuation_value_matches_the_cell_reference_bit_for_bit():
+    # derived and explicit rewards; t = 0, on each grid point, between
+    # them, past the last and infinite
+    rng = random.Random(SEED + 1)
+    for k in range(300):
+        m = random_step_mechanism(rng, max_cells=8)
+        if k % 2:
+            m = Mechanism(m.grid, m.levels,
+                          reward=tuple(rng.uniform(0.3, 1.0) for _ in m.grid))
+        r = rng.uniform(0.05, 3.0)
+        prof = continuation_profile(m, r)
+        times = [0.0, -0.0, m.grid[-1] + rng.uniform(0.0, 5.0), math.inf]
+        times += m.grid + tuple(rng.uniform(0.0, 1.2 * m.grid[-1]) for _ in m.grid)
+        for t in times:
+            i = max(bisect.bisect_right(m.grid, t) - 1, 0)
+            want = continuation_at_reference(m, prof, r, t, i)
+            assert continuation_value(m, r, t).hex() == want.hex(), (m, r, t)
 
 
 def test_reward_value_derived_vs_explicit():
@@ -187,7 +217,8 @@ def sampled_ic(m: Mechanism, r: float, refine: int = 64) -> IcReport:
         b = m.grid[i + 1] if i + 1 < len(m.grid) else a + 10.0 / r
         for j in range(refine + 1):
             t = a + (b - a) * j / refine
-            h = math.exp(-r * t) * (m.reward[i] - continuation_at(m, prof, r, t, i))
+            x = continuation_at_reference(m, prof, r, t, i)
+            h = math.exp(-r * t) * (m.reward[i] - x)
             if h < -IC_TOL:
                 return IcReport(ok=False, time=t, clause="non_disclosure")
             if prev is not None and h > prev + IC_TOL:
@@ -351,5 +382,5 @@ def test_mechanism_rows_include_extras():
     rows = mechanism_rows(m, 1.0, extra_times=(0.5,))
     assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
     for t, flow, cont, rew in rows:
-        assert flow == m.levels[m.cell_index(t)]
+        assert flow == m.levels[_cell(m.grid, t)]
         assert rew == pytest.approx(cont, abs=1e-14)  # derived reward

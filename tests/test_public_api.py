@@ -19,6 +19,13 @@ same reading checks that only ``frontier`` reads a slope inverse
 ``inv_dfn`` or a piecewise frontier's ``_us`` and ``_slopes``: every slope
 inversion goes through ``level_at_slope``, which takes the same parameters
 on both frontier kinds.
+
+Every package helper has a caller: each top-level function and class under
+``src/disclose``, and each method but a dunder or an override of a base
+class's method (its base's callers call it), must be read as an ``ast``
+name or attribute outside its own definition, in the package or in a
+bench file (the tracer's ``BOUNDARIES`` names count), or be exported.  A
+helper that only tests call is dead weight in the package.
 """
 
 from __future__ import annotations
@@ -64,9 +71,13 @@ SETTABLE_OPTIONS = [
 ]
 
 
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def imported_from_package(path: Path) -> set:
     """Names a file imports with ``from disclose import ...``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    tree = parsed(path)
     return {alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level == 0
             and node.module == disclose.__name__ for alias in node.names}
@@ -101,6 +112,35 @@ def traced_names():
     return [(module, attr) for module, attr, _key, _kind in namespace["BOUNDARIES"]]
 
 
+def loaded_names(tree):
+    """``(name, line)`` of every name and attribute ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def package_helpers():
+    """``(path, qualified name, node)`` of every top-level function and
+    class under ``src/disclose``, and of every method that is neither a
+    dunder nor an override of a base-class method."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in parsed(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((path, node.name, node))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            module = importlib.import_module(f"{disclose.__name__}.{path.stem}")
+            bases = getattr(module, node.name).__mro__[1:]
+            out += [(path, f"{node.name}.{item.name}", item) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and not any(hasattr(base, item.name) for base in bases)]
+    return out
+
+
 def settable_options() -> list:
     """Every option a caller can set, one string each:
 
@@ -115,7 +155,7 @@ def settable_options() -> list:
     """
     out, keys = [], set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        tree = parsed(path)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
@@ -178,11 +218,30 @@ def test_traced_boundaries_resolve():
         assert callable(obj), f"{module}.{attr}"
 
 
+def test_every_package_helper_has_a_caller():
+    reads = {path: list(loaded_names(parsed(path))) for path in sorted(SRC.glob("*.py"))}
+    outside = set(disclose.__all__)
+    outside |= {part for _module, attr in traced_names() for part in attr.split(".")}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        outside |= {name for name, _line in loaded_names(parsed(path))}
+
+    def read_outside_its_definition(path, name, node):
+        return any(read == name and not (p == path and node.lineno <= line <= node.end_lineno)
+                   for p, names in reads.items() for read, line in names)
+
+    uncalled = []
+    for path, qualname, node in package_helpers():
+        name = qualname.rsplit(".", 1)[-1]
+        if name not in outside and not read_outside_its_definition(path, name, node):
+            uncalled.append(f"{path.stem}.{qualname}")
+    assert uncalled == []
+
+
 def test_runtime_imports_only_stdlib():
     modules = sorted(Path(disclose.__file__).resolve().parent.rglob("*.py"))
     assert modules
     for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        tree = parsed(path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -202,7 +261,7 @@ def test_only_frontier_reads_the_slope_inverse():
     private = {"inv_dfn", "_us", "_slopes"}
     readers = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        tree = parsed(path)
         if any(isinstance(node, ast.Attribute) and node.attr in private
                for node in ast.walk(tree)):
             readers.add(path.name)
